@@ -1,85 +1,13 @@
-//! Serving-layer benchmarks: gateway hot paths in isolation (batched
-//! hello generation, telemetry verification, sharded-table access) and
-//! whole-fleet throughput at several thread counts.
+//! Serving-layer benchmarks: the lane-affine scheduler's claim path in
+//! isolation and whole-fleet throughput at several thread counts.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use medsec_ec::Toy17;
-use medsec_fleet::{
-    provision, run_fleet_on, BatchScheduler, CurveChoice, FleetConfig, LaneScheduler, StealStats,
-};
-use medsec_power::{EnergyReport, RadioModel};
-use medsec_protocols::mutual::SessionOutcome;
-use medsec_protocols::wire::{self, MsgType};
-use medsec_protocols::EnergyLedger;
-use medsec_rng::SplitMix64;
+use medsec_fleet::{run_fleet, CurveChoice, FleetConfig, LaneScheduler, StealStats};
 use std::hint::black_box;
 
-fn ledger() -> EnergyLedger {
-    EnergyLedger::new(
-        EnergyReport::from_totals(86_000, 5.1e-6, 847_500.0),
-        RadioModel::first_order_default(),
-        2.0,
-    )
-}
-
-fn bench_gateway_paths(c: &mut Criterion) {
-    let mut rng = SplitMix64::new(0xF1EE7);
-    let (registry, gateway) = provision::<Toy17>(256, 16, CurveChoice::Toy17, 1);
-    let mut devices = registry.into_devices();
-
-    let ids: Vec<u32> = (0..64).collect();
-    c.bench_function("fleet/hello_batch_64", |b| {
-        b.iter(|| {
-            let mut l = ledger();
-            black_box(gateway.hello_batch(&ids, rng.as_fn(), &mut l))
-        })
-    });
-
-    c.bench_function("fleet/session_round_trip", |b| {
-        b.iter(|| {
-            let mut l = ledger();
-            let hellos = gateway.hello_batch(&[0], rng.as_fn(), &mut l);
-            let d = &mut devices[0];
-            let (_, payload) = wire::deframe(&hellos[0].1).unwrap();
-            let plen = medsec_ec::Point::<Toy17>::compressed_len();
-            let eph = medsec_ec::Point::<Toy17>::decompress(&payload[..plen]).unwrap();
-            let mac: [u8; 16] = payload[plen..].try_into().unwrap();
-            let hello = medsec_protocols::mutual::ServerHello {
-                ephemeral: eph,
-                mac,
-            };
-            let SessionOutcome::Established { telemetry_frame } =
-                d.mutual
-                    .run_session(&hello, b"hr=062", d.rng.as_fn(), &mut d.ledger)
-            else {
-                panic!("session must establish");
-            };
-            let framed = wire::frame(MsgType::Telemetry, &telemetry_frame);
-            black_box(gateway.handle_telemetry(0, &framed, &mut l).unwrap())
-        })
-    });
-
-    // The legacy mutex queue, drained through the allocation-free
-    // `pop_batch_into` path (one caller-owned buffer for the run).
-    c.bench_function("fleet/scheduler_pop_batch", |b| {
-        let mut buf = Vec::with_capacity(64);
-        b.iter(|| {
-            let s = BatchScheduler::new(0..4096usize);
-            let mut n = 0;
-            loop {
-                s.pop_batch_into(64, &mut buf);
-                if buf.is_empty() {
-                    break;
-                }
-                n += buf.len();
-            }
-            black_box(n)
-        })
-    });
-
-    // The lane-affine claim path the hub actually serves from: same
-    // 4096 jobs split over 5 lanes, drained by lock-free chunk claims
-    // (the baseline the mutex queue above is measured against).
+fn bench_scheduler(c: &mut Criterion) {
+    // The lane-affine claim path the hub serves from: 4096 jobs split
+    // over 5 lanes, drained by lock-free chunk claims.
     c.bench_function("fleet/scheduler_lane_claims", |b| {
         b.iter(|| {
             let s = LaneScheduler::new(&[2048usize, 1024, 512, 384, 128], 64);
@@ -111,12 +39,12 @@ fn bench_fleet_throughput(c: &mut Criterion) {
                     wards: Vec::new(),
                     ..FleetConfig::default()
                 };
-                b.iter(|| black_box(run_fleet_on::<Toy17>(&cfg)))
+                b.iter(|| black_box(run_fleet(&cfg)))
             },
         );
     }
     group.finish();
 }
 
-criterion_group!(benches, bench_gateway_paths, bench_fleet_throughput);
+criterion_group!(benches, bench_scheduler, bench_fleet_throughput);
 criterion_main!(benches);

@@ -1,26 +1,20 @@
-//! Suite-seam dispatch overhead: the curve-erased `GatewayHub` versus
-//! the direct monomorphized fleet call.
+//! Suite-seam dispatch: the curve-erased `GatewayHub` run and its
+//! per-device admission step, plus the observability pin.
 //!
-//! The hub adds three things on top of `run_fleet_on::<C>`: a
-//! wire-level Negotiate hello per device (encode, decode,
-//! reject-on-unknown validation), one enum dispatch per (lane, batch),
-//! and per-profile accounting. All of that must stay in the noise —
-//! the pin at the end of `main` fails the bench if the hub path costs
-//! more than 2% over the direct call on identical work (minimum of
-//! interleaved rounds, single worker thread, so scheduler jitter
-//! cannot masquerade as dispatch cost).
+//! The hub adds a wire-level Negotiate hello per device (encode,
+//! decode, reject-on-unknown validation), one enum dispatch per
+//! (lane, batch), and per-profile accounting on top of the suite
+//! waves; `negotiate_admit` times the admission step in isolation.
 //!
-//! A second pin covers the observability seam: with telemetry *off*
-//! (the default), the disabled recorder hooks must compile down to
-//! branches that keep the hub inside the same 2% envelope — the
-//! "zero-overhead when disabled" contract. A third pin bounds the
-//! *enabled* recorder at 5% over the unobserved hub on this
-//! deliberately tiny single-threaded fleet (the fleet-scale campaign
-//! measures the realistic figure, <3%, on full-size runs).
+//! The pin at the end of `main` covers the observability seam: the
+//! *enabled* recorder must stay within 5% of the unobserved hub on
+//! this deliberately tiny single-threaded fleet (minimum of interleaved
+//! rounds, so scheduler jitter cannot masquerade as recorder cost; the
+//! fleet-scale campaign measures the realistic figure on full-size
+//! runs).
 
 use criterion::{black_box, Criterion};
-use medsec_ec::Toy17;
-use medsec_fleet::{admit_negotiate, run_fleet, run_fleet_on, CurveChoice, FleetConfig};
+use medsec_fleet::{admit_negotiate, run_fleet, CurveChoice, FleetConfig};
 use medsec_protocols::suite::{CurveId, ProtocolId, SecurityProfile};
 use std::time::{Duration, Instant};
 
@@ -43,9 +37,6 @@ fn bench_dispatch(c: &mut Criterion) {
     let cfg = pin_config();
     let mut group = c.benchmark_group("suite_dispatch");
     group.sample_size(10);
-    group.bench_function("direct_run_fleet_on_toy17", |b| {
-        b.iter(|| black_box(run_fleet_on::<Toy17>(&cfg)))
-    });
     group.bench_function("hub_run_fleet_toy17", |b| {
         b.iter(|| black_box(run_fleet(&cfg)))
     });
@@ -60,35 +51,24 @@ fn bench_dispatch(c: &mut Criterion) {
     });
 }
 
-/// Interleaved A/B/C pin: minimum wall time over `rounds` runs of each
-/// path. The minimum estimator strips scheduler noise while keeping
-/// any systematic dispatch overhead; interleaving strips thermal
-/// drift.
-///
-/// The hub legs run with the observability hooks compiled in but
-/// disabled — holding the hub inside the 2% envelope is exactly the
-/// assertion that a disabled recorder costs one branch, not a clock
-/// read. The third leg turns full telemetry on.
-fn pin_dispatch_overhead() {
+/// Interleaved A/B pin: minimum wall time over `rounds` runs of the
+/// unobserved and the observed hub. The minimum estimator strips
+/// scheduler noise while keeping any systematic recorder overhead;
+/// interleaving strips thermal drift.
+fn pin_observability_overhead() {
     let cfg = pin_config();
     let obs_cfg = FleetConfig {
         observe: true,
         ..pin_config()
     };
-    // Warm all paths (page cache, comb tables, allocator).
-    let _ = run_fleet_on::<Toy17>(&cfg);
+    // Warm both paths (page cache, comb tables, allocator).
     let _ = run_fleet(&cfg);
     let _ = run_fleet(&obs_cfg);
 
     let rounds = 7;
-    let mut direct_min = Duration::MAX;
     let mut hub_min = Duration::MAX;
     let mut obs_min = Duration::MAX;
     for _ in 0..rounds {
-        let t = Instant::now();
-        black_box(run_fleet_on::<Toy17>(&cfg));
-        direct_min = direct_min.min(t.elapsed());
-
         let t = Instant::now();
         black_box(run_fleet(&cfg));
         hub_min = hub_min.min(t.elapsed());
@@ -97,17 +77,6 @@ fn pin_dispatch_overhead() {
         black_box(run_fleet(&obs_cfg));
         obs_min = obs_min.min(t.elapsed());
     }
-
-    let overhead = hub_min.as_secs_f64() / direct_min.as_secs_f64() - 1.0;
-    println!(
-        "suite_dispatch pin: direct {direct_min:?}, hub {hub_min:?}, overhead {:+.2}%",
-        overhead * 100.0
-    );
-    assert!(
-        overhead < 0.02,
-        "hub dispatch overhead {:.2}% exceeds the 2% pin (direct {direct_min:?}, hub {hub_min:?})",
-        overhead * 100.0
-    );
 
     let obs_overhead = obs_min.as_secs_f64() / hub_min.as_secs_f64() - 1.0;
     println!(
@@ -125,5 +94,5 @@ criterion::criterion_group!(benches, bench_dispatch);
 
 fn main() {
     benches();
-    pin_dispatch_overhead();
+    pin_observability_overhead();
 }

@@ -5,56 +5,63 @@
 //! hospital picks a pyramid point per device class, so a real ward
 //! mixes toy test rigs, K-163 pacemakers, K-233 monitors,
 //! symmetric-only sensors and K-283 uplinks in one deployment. The
-//! pre-hub fleet monomorphized everything over a single `CurveChoice`;
-//! the [`GatewayHub`] erases the curve at the API boundary instead:
+//! [`GatewayHub`] erases the curve at the API boundary:
 //!
 //! * devices advertise their [`SecurityProfile`] in a wire-level
 //!   [`Negotiate`](medsec_protocols::wire::MsgType::Negotiate) hello,
 //!   which the hub validates with reject-on-unknown semantics;
 //! * admitted devices are bucketed into per-curve **lanes** —
 //!   enum-dispatched (`Lane`), so the hot loop pays one `match` per
-//!   *bucket*, never a `dyn` call per device — and each bucket is
-//!   driven through the same batched fast paths as the monomorphized
-//!   [`run_fleet_on`](crate::sim::run_fleet_on): one fixed-base-comb
-//!   batch per hello wave, one inversion per ECDH normalization batch,
-//!   τNAF interleaved `mul_add` for every verification equation;
-//! * symmetric and Schnorr wards are served through the
-//!   [`SecuritySuite`] lifecycle directly, mutual/Peeters–Hermans
-//!   wards through the sharded [`Gateway`] the suites are pinned
-//!   equivalent to.
+//!   *bucket*, never a `dyn` call per device — each holding one
+//!   [`SecuritySuite`] server per protocol;
+//! * every protocol is served by one generic wave, `serve_wave`, in
+//!   the suite lifecycle's explicit device and server phases:
+//!
+//! ```text
+//! device_open            devices (commit-first protocols commit)
+//! hello_batch            server: one fixed-base-comb batch per wave
+//! device_turn            devices
+//! server_verify_batch    server: one inversion per ECDH batch, τNAF mul_add
+//! ```
+//!
+//! The batch driver ([`GatewayHub::run_at`]) and the streaming front
+//! end ([`GatewayHub::run_streaming`]) both reach the crypto through
+//! `serve_admitted` and that one wave.
 
 use std::collections::HashMap;
+use std::ops::Range;
 use std::sync::Mutex;
 use std::time::Instant;
 
+use bytes::Bytes;
 use medsec_ec::{CurveSpec, Toy17, XAffineScratch, B163, K163, K233, K283};
 use medsec_obs::{Event, EventKind, EventLog, Stage, Telemetry};
 use medsec_power::{EnergyReport, RadioModel};
 use medsec_protocols::mutual::{self, SessionOutcome};
 use medsec_protocols::suite::{
-    ProtocolId, SchnorrSuite, SecurityProfile, SecuritySuite, SuiteError, SuiteOutcome,
-    SymmetricGate, SymmetricSuite,
+    MutualServer, MutualSuite, PhServer, PhSuite, ProtocolId, SchnorrSuite, SchnorrVerifier,
+    SecurityProfile, SecuritySuite, SuiteError, SuiteOutcome, SymmetricGate, SymmetricSuite,
 };
-use medsec_protocols::wire::{self, MsgType};
-use medsec_protocols::{EnergyLedger, SchnorrVerifier};
+use medsec_protocols::wire;
+use medsec_protocols::EnergyLedger;
 use medsec_rng::SplitMix64;
 
-use crate::gateway::{Gateway, GatewayCounters};
-use crate::registry::{provision_lane, DeviceId, DeviceKind, FleetDevice};
+use crate::registry::{provision_lane, DeviceId, DeviceKind, DeviceProfile, FleetDevice};
 use crate::report::{FleetReport, ProfileStats};
 use crate::scheduler::{LaneScheduler, LaneWorker};
 use crate::sim::{is_forged_target, unix_ms_now, CurveChoice, FleetConfig};
 use crate::telemetry::WorkerObs;
-use std::ops::Range;
 
-/// One curve's worth of serving state: the sharded mutual/PH gateway,
-/// the Schnorr and symmetric servers, and the devices assigned here.
+/// One curve's worth of serving state: one suite server per protocol
+/// and the devices assigned here.
 #[derive(Debug)]
 pub struct CurveLane<C: CurveSpec> {
     /// The curve this lane is monomorphized over.
     pub curve: CurveChoice,
-    /// Mutual-auth + Peeters–Hermans server.
-    pub gateway: Gateway<C>,
+    /// Mutual-authentication server.
+    pub mutual: MutualServer<C>,
+    /// Peeters–Hermans server.
+    pub ph: PhServer<C>,
     /// Schnorr verification server.
     pub schnorr: SchnorrVerifier<C>,
     /// Symmetric challenge–response server (challenge-binding gate
@@ -104,18 +111,29 @@ pub struct GatewayHub {
     index: Vec<(usize, usize)>,
 }
 
-/// Worker-local tallies merged after the scope joins (the hub's
-/// superset of the monomorphized driver's tally: negotiation and
-/// suite-protocol outcomes ride along, plus a per-profile breakdown).
+/// Worker-local tallies merged after the scope joins; every session
+/// count in the [`FleetReport`] comes from here.
 #[derive(Debug, Default)]
 pub(crate) struct HubTally {
     pub(crate) forged_rejected: u64,
     pub(crate) forged_accepted: u64,
     pub(crate) device_rejections: u64,
+    /// Sessions a server accepted with the wrong outcome (someone
+    /// else's telemetry or tag id).
     pub(crate) mismatches: u64,
     pub(crate) negotiation_rejected: u64,
-    pub(crate) auth_ok: u64,
-    pub(crate) auth_failed: u64,
+    /// Mutual sessions whose telemetry verified (`Established`).
+    pub(crate) established: u64,
+    /// Peeters–Hermans tags identified (`Identified`).
+    pub(crate) identified: u64,
+    /// Symmetric and Schnorr sessions accepted (`Authenticated`).
+    pub(crate) authenticated: u64,
+    /// Non-PH sessions a server rejected.
+    pub(crate) server_rejected: u64,
+    /// Peeters–Hermans sessions a server rejected.
+    pub(crate) ph_failed: u64,
+    /// Server rejections that were wire-decode failures.
+    pub(crate) decode_failures: u64,
     pub(crate) server_energy_j: f64,
     /// profile id → (sessions ok, sessions failed).
     pub(crate) per_profile: HashMap<u8, (u64, u64)>,
@@ -136,8 +154,12 @@ impl HubTally {
         self.device_rejections += other.device_rejections;
         self.mismatches += other.mismatches;
         self.negotiation_rejected += other.negotiation_rejected;
-        self.auth_ok += other.auth_ok;
-        self.auth_failed += other.auth_failed;
+        self.established += other.established;
+        self.identified += other.identified;
+        self.authenticated += other.authenticated;
+        self.server_rejected += other.server_rejected;
+        self.ph_failed += other.ph_failed;
+        self.decode_failures += other.decode_failures;
         self.server_energy_j += other.server_energy_j;
         for (id, (ok, failed)) in other.per_profile {
             let e = self.per_profile.entry(id).or_default();
@@ -168,6 +190,29 @@ pub fn admit_negotiate(
         return Err(SuiteError::Negotiation);
     }
     Ok(profile.protocol)
+}
+
+/// Provision a run's observability cold, before any worker starts: the
+/// event ring is the only allocation, the backend selection is its
+/// first event, and the invclock window opens before any worker can
+/// reach `batch_invert`. `None` unless `cfg.observe`.
+pub(crate) fn open_events(cfg: &FleetConfig) -> Option<EventLog> {
+    let ev = cfg
+        .observe
+        .then(|| EventLog::new(cfg.event_capacity.max(2)))?;
+    let name = medsec_gf2m::backend::active_backend_name();
+    let mut tag = [0u8; 8];
+    for (slot, b) in tag.iter_mut().zip(name.bytes()) {
+        *slot = b;
+    }
+    ev.log(Event::new(
+        EventKind::BackendSelected,
+        0,
+        0,
+        u64::from_le_bytes(tag),
+    ));
+    medsec_gf2m::invclock::set_enabled(true);
+    Some(ev)
 }
 
 /// The gateway's wall-power ledger template (same calibrated models as
@@ -267,22 +312,6 @@ impl GatewayHub {
         self.index[global]
     }
 
-    /// Gateway counters summed over every lane.
-    pub fn counters(&self) -> GatewayCounters {
-        let mut sum = GatewayCounters::default();
-        for lane in &self.lanes {
-            let c = with_lane!(lane, l => l.gateway.counters());
-            sum.hellos += c.hellos;
-            sum.established += c.established;
-            sum.frames += c.frames;
-            sum.auth_failures += c.auth_failures;
-            sum.decode_failures += c.decode_failures;
-            sum.ph_identified += c.ph_identified;
-            sum.ph_failures += c.ph_failures;
-        }
-        sum
-    }
-
     /// Drive every provisioned device through one authenticated
     /// session and aggregate the run into a [`FleetReport`] with a
     /// per-profile breakdown. The run's wall-clock start is stamped
@@ -307,45 +336,14 @@ impl GatewayHub {
             .collect();
         let scheduler = LaneScheduler::new(&lane_sizes, cfg.batch_size);
 
-        // Observability is provisioned cold: the event ring is the
-        // only allocation, and the invclock window opens before any
-        // worker can reach batch_invert.
-        let events: Option<EventLog> = cfg
-            .observe
-            .then(|| EventLog::new(cfg.event_capacity.max(2)));
-        if let Some(ev) = &events {
-            let name = medsec_gf2m::backend::active_backend_name();
-            let mut tag = [0u8; 8];
-            for (slot, b) in tag.iter_mut().zip(name.bytes()) {
-                *slot = b;
-            }
-            ev.log(Event::new(
-                EventKind::BackendSelected,
-                0,
-                0,
-                u64::from_le_bytes(tag),
-            ));
-            medsec_gf2m::invclock::set_enabled(true);
-        }
-
+        let events = open_events(cfg);
         let start = Instant::now();
         let outcomes: Vec<(HubTally, WorkerObs)> =
             scheduler.run_workers(threads, |w| self.worker(w, cfg, events.as_ref()));
         let wall_s = start.elapsed().as_secs_f64().max(1e-9);
-        if events.is_some() {
-            medsec_gf2m::invclock::set_enabled(false);
-        }
 
         let mut tally = HubTally::default();
-        let telemetry: Option<Telemetry> = events.map(|ev| {
-            let labels: Vec<String> = self
-                .lanes
-                .iter()
-                .map(|lane| with_lane!(lane, l => l.curve.name().to_string()))
-                .collect();
-            Telemetry::new(&labels, ev.snapshot())
-        });
-        let mut telemetry = telemetry;
+        let mut telemetry = self.close_events(events);
         for (t, obs) in outcomes {
             tally.merge(t);
             if let (Some(tele), Some(rec)) = (telemetry.as_mut(), obs.into_recorder()) {
@@ -356,9 +354,22 @@ impl GatewayHub {
         self.finalize_report(threads, tally, wall_s, telemetry, started_unix_ms)
     }
 
-    /// Fold a run's merged [`HubTally`] plus the lanes' post-run state
-    /// (device ledgers, gateway counters, shard occupancy) into a
-    /// [`FleetReport`]. Shared by the batch driver ([`run_at`](Self::run_at))
+    /// Close the observability window [`open_events`] opened and start
+    /// the run's telemetry frame: one lane per curve lane, plus the
+    /// event ring's snapshot.
+    pub(crate) fn close_events(&self, events: Option<EventLog>) -> Option<Telemetry> {
+        let ev = events?;
+        medsec_gf2m::invclock::set_enabled(false);
+        let labels: Vec<String> = self
+            .lanes
+            .iter()
+            .map(|lane| with_lane!(lane, l => l.curve.name().to_string()))
+            .collect();
+        Some(Telemetry::new(&labels, ev.snapshot()))
+    }
+
+    /// Fold a run's merged [`HubTally`] plus the lanes' post-run device
+    /// ledgers into a [`FleetReport`]. Shared by the batch driver ([`run_at`](Self::run_at))
     /// and the streaming front end ([`run_streaming`](Self::run_streaming)),
     /// so both report through one aggregation path. The streaming-only
     /// fields (`shed_rate`, `admission_rejected`, queue high-water
@@ -384,7 +395,6 @@ impl GatewayHub {
         let mut battery_sessions_sum = 0.0f64;
         let mut battery_sessions_n = 0u64;
         let mut per_profile: HashMap<u8, ProfileAgg> = HashMap::new();
-        let mut shard_occupancy: Vec<usize> = Vec::new();
         let mut shards = 0usize;
         for lane in &self.lanes {
             with_lane!(lane, l => {
@@ -408,8 +418,7 @@ impl GatewayHub {
                     agg.devices += 1;
                     agg.energy_j += e;
                 }
-                shards += l.gateway.sessions().shard_count();
-                shard_occupancy.extend(l.gateway.sessions().shard_sizes());
+                shards += l.mutual.pending().shard_count();
             });
         }
 
@@ -441,30 +450,29 @@ impl GatewayHub {
             })
             .collect();
 
-        let counters = self.counters();
-        let completed = counters.established + counters.ph_identified + tally.auth_ok;
-        let mut report = FleetReport {
+        let completed = tally.established + tally.identified + tally.authenticated;
+        FleetReport {
             devices: total,
             threads,
             shards,
             backend: medsec_gf2m::backend::active_backend_name(),
-            sessions_ok: 0,
+            sessions_ok: tally.established + tally.authenticated,
             sessions_failed: tally.device_rejections
                 + tally.forged_accepted
                 + tally.mismatches
-                + tally.auth_failed
+                + tally.server_rejected
                 + tally.negotiation_rejected,
-            frames_ok: 0,
-            ph_identified: 0,
-            ph_failed: 0,
+            frames_ok: tally.established,
+            ph_identified: tally.identified,
+            ph_failed: tally.ph_failed,
             forged_rejected: tally.forged_rejected,
-            decode_failures: 0,
+            decode_failures: tally.decode_failures,
             admission_rejected: 0,
             shed_rate: 0.0,
             lane_queue_high_water: Vec::new(),
             wall_s,
             sessions_per_sec: completed as f64 / wall_s,
-            frames_per_sec: counters.frames as f64 / wall_s,
+            frames_per_sec: tally.established as f64 / wall_s,
             device_energy_total_j: device_energy_total,
             energy_per_session_j: if completed > 0 {
                 device_energy_total / completed as f64
@@ -479,85 +487,160 @@ impl GatewayHub {
             } else {
                 0.0
             },
-            shard_occupancy,
             profiles,
             started_unix_ms,
             telemetry,
-        };
-        report.apply_counters(&counters);
-        // Symmetric/Schnorr wards authenticate outside the gateway
-        // counters; fold them in after the counter-derived fields.
-        report.sessions_ok += tally.auth_ok;
-        report
+        }
     }
 
     /// One worker: claim same-lane batches from the lane-affine
-    /// scheduler (home lane first, whole-chunk steals once drained)
-    /// and serve each through its lane's batched paths. A batch is a
-    /// contiguous slot range inside one lane, so the per-worker
-    /// partition scratch is reused and the dispatch is one lane
-    /// `match` per batch — the hot loop below is fully monomorphized.
+    /// scheduler (home lane first, whole-chunk steals once drained),
+    /// admit each device's Negotiate hello and serve the bucket. A
+    /// batch is a contiguous slot range inside one lane, so the
+    /// per-worker buffers are reused and the dispatch is one lane
+    /// `match` per batch — the serving code below it is monomorphized.
     fn worker(
         &self,
         mut w: LaneWorker<'_>,
         cfg: &FleetConfig,
         events: Option<&EventLog>,
     ) -> (HubTally, WorkerObs) {
-        let mut tally = HubTally::default();
-        let mut rng = SplitMix64::new(cfg.seed ^ 0xB47C_0000_0000_0000 ^ w.index as u64);
-        let mut ledger = server_ledger();
-        // Thread-local by ownership: this worker's recorder and
-        // protocol-partition scratch are merged/dropped after the
-        // scope joins, so nothing here is shared across cores.
-        let mut obs = WorkerObs::new(events.is_some(), self.lanes.len());
-        let mut scratch = ProtoScratch::default();
+        let seed = cfg.seed ^ 0xB47C_0000_0000_0000 ^ w.index as u64;
+        let mut state = WorkerState::new(cfg, events, self.lanes.len(), seed);
+        let mut jobs: Vec<(usize, ProtocolId)> = Vec::with_capacity(cfg.batch_size);
+        let mut parts = Partitions::default();
 
         // lint: hot-path — the wave loop claims and serves batches until
         // the fleet drains; per-wave state (rng, ledger, scratch, obs)
         // is allocated once above and reused across every batch.
         while let Some(batch) = w.next_batch() {
-            with_lane!(&self.lanes[batch.lane], l => serve_bucket(
-                l, batch.lane, batch.slots.clone(), cfg, &mut rng, &mut ledger,
-                &mut tally, &mut scratch, &mut obs, events,
-            ));
+            with_lane!(&self.lanes[batch.lane], l => {
+                admit_bucket(l, batch.lane, batch.slots.clone(), &mut jobs, &mut state);
+                serve_admitted(l, batch.lane, &jobs, &mut parts, &mut state);
+            });
         }
         // lint: hot-path-end
 
-        tally.server_energy_j = ledger.total();
         // Scheduler telemetry rides the existing recorder seam: how
         // much of this worker's work was home-lane vs stolen, and how
         // drained the queues were at claim time.
         let s = w.stats();
-        obs.count("sched_batches_home", s.home_batches);
-        obs.count("sched_batches_stolen", s.stolen_batches);
-        obs.count("sched_jobs_served", s.jobs);
-        obs.count("sched_queue_depth_sum", s.queue_depth_sum);
-        (tally, obs)
+        state.obs.count("sched_batches_home", s.home_batches);
+        state.obs.count("sched_batches_stolen", s.stolen_batches);
+        state.obs.count("sched_jobs_served", s.jobs);
+        state.obs.count("sched_queue_depth_sum", s.queue_depth_sum);
+        state.finish()
     }
 }
 
-/// Per-worker protocol-partition scratch, reused across buckets so the
-/// steady-state serving loop performs no per-batch allocation for the
-/// partition step.
+/// One serving worker's private state, reused across every wave it
+/// serves: its server RNG stream and ledger, its tallies and recorder,
+/// and the batched-inversion scratch for the ECDH and PH normalization
+/// passes (non-generic, so one instance serves every curve lane). Owned
+/// by exactly one thread and merged after the scope joins.
+pub(crate) struct WorkerState<'a> {
+    cfg: &'a FleetConfig,
+    events: Option<&'a EventLog>,
+    rng: SplitMix64,
+    ledger: EnergyLedger,
+    tally: HubTally,
+    pub(crate) obs: WorkerObs,
+    ec: XAffineScratch,
+}
+
+impl<'a> WorkerState<'a> {
+    /// A worker over `lanes` lanes drawing server randomness from
+    /// `seed`.
+    pub(crate) fn new(
+        cfg: &'a FleetConfig,
+        events: Option<&'a EventLog>,
+        lanes: usize,
+        seed: u64,
+    ) -> Self {
+        Self {
+            cfg,
+            events,
+            rng: SplitMix64::new(seed),
+            ledger: server_ledger(),
+            tally: HubTally::default(),
+            obs: WorkerObs::new(events.is_some(), lanes),
+            ec: XAffineScratch::default(),
+        }
+    }
+
+    /// The worker's tally (server energy folded in) and recorder.
+    pub(crate) fn finish(mut self) -> (HubTally, WorkerObs) {
+        self.tally.server_energy_j = self.ledger.total();
+        (self.tally, self.obs)
+    }
+
+    fn log(&self, kind: EventKind, lane_idx: usize, device: DeviceId, detail: u64) {
+        if let Some(ev) = self.events {
+            ev.log(Event::new(kind, lane_idx as u8, device, detail));
+        }
+    }
+
+    /// A device could not play its part (no state for the protocol, or
+    /// it rejected the server's hello).
+    fn device_rejected(&mut self, lane_idx: usize, s: &Session) {
+        self.tally.device_rejections += 1;
+        self.tally.fail_profile(s.profile);
+        self.log(EventKind::AuthFailure, lane_idx, s.id, 0);
+    }
+
+    /// The server rejected a hello request or a closing frame.
+    fn server_rejected(
+        &mut self,
+        lane_idx: usize,
+        s: &Session,
+        protocol: ProtocolId,
+        e: &SuiteError,
+    ) {
+        if protocol == ProtocolId::Ph {
+            self.tally.ph_failed += 1;
+        } else {
+            self.tally.server_rejected += 1;
+        }
+        if matches!(e, SuiteError::Decode(_)) {
+            self.tally.decode_failures += 1;
+        }
+        self.tally.fail_profile(s.profile);
+        self.log(EventKind::AuthFailure, lane_idx, s.id, 0);
+    }
+
+    /// The server accepted a session with `outcome`. It completes only
+    /// with the outcome this device should get: its own telemetry back,
+    /// its own tag id, or plain authentication. Returns whether it did.
+    fn server_accepted(&mut self, lane_idx: usize, s: &Session, outcome: &SuiteOutcome) -> bool {
+        let (ok, completed) = match outcome {
+            SuiteOutcome::Established { telemetry } => {
+                (telemetry == s.sent, &mut self.tally.established)
+            }
+            SuiteOutcome::Identified(tag) => (*tag == s.id, &mut self.tally.identified),
+            SuiteOutcome::Authenticated => (true, &mut self.tally.authenticated),
+        };
+        if ok {
+            *completed += 1;
+            self.tally.ok_profile(s.profile);
+            self.log(EventKind::SessionClose, lane_idx, s.id, 0);
+        } else {
+            self.tally.mismatches += 1;
+            self.tally.fail_profile(s.profile);
+            self.log(EventKind::AuthFailure, lane_idx, s.id, 0);
+        }
+        ok
+    }
+}
+
+/// Per-worker protocol partition of one bucket, reused across buckets
+/// so the steady-state serving loop performs no per-batch allocation
+/// for the partition step.
 #[derive(Debug, Default)]
-pub(crate) struct ProtoScratch {
+pub(crate) struct Partitions {
     mutual: Vec<usize>,
     ph: Vec<usize>,
     sym: Vec<usize>,
     schnorr: Vec<usize>,
-    /// Batched-inversion / plane-multiplication buffers for the ECDH
-    /// and PH normalization passes — non-generic, so the one instance
-    /// serves every curve lane this worker touches.
-    ec: XAffineScratch,
-}
-
-impl ProtoScratch {
-    fn clear(&mut self) {
-        self.mutual.clear();
-        self.ph.clear();
-        self.sym.clear();
-        self.schnorr.clear();
-    }
 }
 
 /// Build one lane, dispatching the curve choice into a monomorphized
@@ -577,7 +660,8 @@ fn build_lane(
         let lp = provision_lane::<C>(assignments, shards, curve, seed);
         CurveLane {
             curve,
-            gateway: lp.gateway,
+            mutual: lp.mutual,
+            ph: lp.ph,
             schnorr: lp.schnorr,
             symmetric: lp.symmetric,
             devices: lp.devices.into_iter().map(Mutex::new).collect(),
@@ -592,27 +676,15 @@ fn build_lane(
     }
 }
 
-/// Serve one bucket of same-lane devices: negotiate on the wire,
-/// partition by protocol, then drive each family through its batched
-/// path (the mutual/PH flow matches the monomorphized `worker_loop`;
-/// symmetric and Schnorr run through the [`SecuritySuite`] lifecycle).
-///
-/// When observability is on, each protocol family books one
-/// elapsed-since-wave-start latency measurement per session it
-/// completed (a batch wave finishes its sessions together, so they
-/// honestly share one wall-clock observation).
-#[allow(clippy::too_many_arguments)]
-fn serve_bucket<C: CurveSpec>(
+/// The batch driver's admission step: every device in `slots` sends
+/// its Negotiate hello, and the admitted ones land in `jobs` with their
+/// *negotiated* protocol (not out-of-band registry state).
+fn admit_bucket<C: CurveSpec>(
     lane: &CurveLane<C>,
     lane_idx: usize,
     slots: Range<usize>,
-    cfg: &FleetConfig,
-    rng: &mut SplitMix64,
-    server_ledger: &mut EnergyLedger,
-    tally: &mut HubTally,
-    scratch: &mut ProtoScratch,
-    obs: &mut WorkerObs,
-    events: Option<&EventLog>,
+    jobs: &mut Vec<(usize, ProtocolId)>,
+    w: &mut WorkerState<'_>,
 ) {
     // A batch from the lane-affine scheduler is a slot range strictly
     // inside this lane — re-checked here so a scheduler regression
@@ -622,343 +694,77 @@ fn serve_bucket<C: CurveSpec>(
         "batch {slots:?} escapes lane {lane_idx} ({} devices)",
         lane.devices.len()
     );
-    // Phase 0: wire-level profile negotiation, then partition by the
-    // *negotiated* protocol (not by out-of-band registry state).
-    let span = obs.begin();
-    scratch.clear();
-    for idx in slots {
-        let mut guard = lane.devices[idx].lock().expect("device poisoned");
+    let span = w.obs.begin();
+    jobs.clear();
+    for slot in slots {
+        let mut guard = lane.devices[slot].lock().expect("device poisoned");
         let d = &mut *guard;
         let frame = d.profile.suite.negotiate_frame();
         d.ledger.tx(frame.len());
-        server_ledger.rx(frame.len());
+        w.ledger.rx(frame.len());
         match admit_negotiate(&frame, &d.profile.suite, lane.curve) {
             Ok(proto) => {
-                if let Some(ev) = events {
-                    ev.log(Event::new(
-                        EventKind::SessionOpen,
-                        lane_idx as u8,
-                        d.profile.id,
-                        proto as u64,
-                    ));
-                }
-                match proto {
-                    ProtocolId::Mutual => scratch.mutual.push(idx),
-                    ProtocolId::Ph => scratch.ph.push(idx),
-                    ProtocolId::Symmetric => scratch.sym.push(idx),
-                    ProtocolId::Schnorr => scratch.schnorr.push(idx),
-                }
+                w.log(EventKind::SessionOpen, lane_idx, d.profile.id, proto as u64);
+                jobs.push((slot, proto));
             }
             Err(_) => {
-                tally.negotiation_rejected += 1;
-                tally.fail_profile(d.profile.suite.id());
-                if let Some(ev) = events {
-                    ev.log(Event::new(
-                        EventKind::NegotiateRejected,
-                        lane_idx as u8,
-                        d.profile.id,
-                        0,
-                    ));
-                }
+                w.tally.negotiation_rejected += 1;
+                w.tally.fail_profile(d.profile.suite.id());
+                w.log(EventKind::NegotiateRejected, lane_idx, d.profile.id, 0);
             }
         }
     }
-    obs.end(span, lane_idx, Stage::Admit);
-
-    serve_waves(
-        lane,
-        lane_idx,
-        cfg,
-        rng,
-        server_ledger,
-        tally,
-        scratch,
-        obs,
-        events,
-    );
+    w.obs.end(span, lane_idx, Stage::Admit);
 }
 
-/// Serve a batch of devices whose Negotiate hellos were already
-/// admitted elsewhere — the streaming front end's entry point: its
-/// admission ladder (token buckets → `admit_negotiate` → bounded lane
-/// queues) runs on the ingest side, so by the time a job reaches a
-/// worker the only thing left is the crypto. `jobs` pairs each
-/// lane-local device slot with its *negotiated* protocol.
-#[allow(clippy::too_many_arguments)]
+/// Serve a bucket of admitted jobs — lane-local device slots paired
+/// with their negotiated protocol — through one [`serve_wave`] per
+/// protocol. The batch driver admits its buckets in `admit_bucket`;
+/// the streaming front end runs its admission ladder (token buckets →
+/// `admit_negotiate` → bounded lane queues) on the ingest side, so by
+/// the time a job reaches here the only thing left is the crypto.
+///
+/// Each wave keys server state by device id, so a device appears at
+/// most once per bucket.
 pub(crate) fn serve_admitted<C: CurveSpec>(
     lane: &CurveLane<C>,
     lane_idx: usize,
     jobs: &[(usize, ProtocolId)],
-    cfg: &FleetConfig,
-    rng: &mut SplitMix64,
-    server_ledger: &mut EnergyLedger,
-    tally: &mut HubTally,
-    scratch: &mut ProtoScratch,
-    obs: &mut WorkerObs,
-    events: Option<&EventLog>,
+    parts: &mut Partitions,
+    w: &mut WorkerState<'_>,
 ) {
-    let span = obs.begin();
-    scratch.clear();
-    for &(idx, proto) in jobs {
-        debug_assert!(
-            idx < lane.devices.len(),
-            "admitted slot {idx} escapes lane {lane_idx}"
-        );
+    debug_assert!(
+        jobs.iter()
+            .enumerate()
+            .all(|(i, (slot, _))| slot < &lane.devices.len()
+                && !jobs[..i].iter().any(|(s, _)| s == slot)),
+        "a device appears twice in one bucket of lane {lane_idx}"
+    );
+    let span = w.obs.begin();
+    let Partitions {
+        mutual,
+        ph,
+        sym,
+        schnorr,
+    } = parts;
+    for part in [&mut *mutual, &mut *ph, &mut *sym, &mut *schnorr] {
+        part.clear();
+    }
+    for &(slot, proto) in jobs {
         match proto {
-            ProtocolId::Mutual => scratch.mutual.push(idx),
-            ProtocolId::Ph => scratch.ph.push(idx),
-            ProtocolId::Symmetric => scratch.sym.push(idx),
-            ProtocolId::Schnorr => scratch.schnorr.push(idx),
+            ProtocolId::Mutual => mutual.push(slot),
+            ProtocolId::Ph => ph.push(slot),
+            ProtocolId::Symmetric => sym.push(slot),
+            ProtocolId::Schnorr => schnorr.push(slot),
         }
     }
-    obs.end(span, lane_idx, Stage::Assemble);
+    w.obs.end(span, lane_idx, Stage::Assemble);
 
-    serve_waves(
-        lane,
-        lane_idx,
-        cfg,
-        rng,
-        server_ledger,
-        tally,
-        scratch,
-        obs,
-        events,
-    );
-}
-
-/// The four protocol-family serving waves over a partitioned
-/// [`ProtoScratch`] — the half of `serve_bucket` below admission,
-/// shared with [`serve_admitted`].
-#[allow(clippy::too_many_arguments)]
-fn serve_waves<C: CurveSpec>(
-    lane: &CurveLane<C>,
-    lane_idx: usize,
-    cfg: &FleetConfig,
-    rng: &mut SplitMix64,
-    server_ledger: &mut EnergyLedger,
-    tally: &mut HubTally,
-    scratch: &mut ProtoScratch,
-    obs: &mut WorkerObs,
-    events: Option<&EventLog>,
-) {
-    let wave = obs.wave_start();
-    let done = serve_mutual(
-        lane,
-        lane_idx,
-        &scratch.mutual,
-        cfg,
-        rng,
-        server_ledger,
-        tally,
-        &mut scratch.ec,
-        obs,
-        events,
-    );
-    record_wave(obs, lane_idx, wave, done);
-
-    let wave = obs.wave_start();
-    let done = serve_ph(
-        lane,
-        lane_idx,
-        &scratch.ph,
-        rng,
-        server_ledger,
-        tally,
-        &mut scratch.ec,
-        obs,
-        events,
-    );
-    record_wave(obs, lane_idx, wave, done);
-
-    let wave = obs.wave_start();
-    let done = serve_symmetric(
-        lane,
-        lane_idx,
-        &scratch.sym,
-        rng,
-        server_ledger,
-        tally,
-        obs,
-        events,
-    );
-    record_wave(obs, lane_idx, wave, done);
-
-    let wave = obs.wave_start();
-    let done = serve_schnorr(
-        lane,
-        lane_idx,
-        &scratch.schnorr,
-        rng,
-        server_ledger,
-        tally,
-        obs,
-        events,
-    );
-    record_wave(obs, lane_idx, wave, done);
-}
-
-/// Book one wave's elapsed wall time as the latency of each of its
-/// `done` completed sessions.
-#[inline]
-fn record_wave(obs: &mut WorkerObs, lane_idx: usize, wave: Option<Instant>, done: u64) {
-    if let (Some(t0), true) = (wave, done > 0) {
-        obs.session_latency(lane_idx, t0.elapsed().as_nanos() as u64, done);
-    }
-}
-
-/// Mutual-auth wave: §4 forged-hello probes, one batched hello pass,
-/// device turns, one batched telemetry verification. Returns the
-/// number of sessions that completed correctly.
-#[allow(clippy::too_many_arguments)]
-fn serve_mutual<C: CurveSpec>(
-    lane: &CurveLane<C>,
-    lane_idx: usize,
-    jobs: &[usize],
-    cfg: &FleetConfig,
-    rng: &mut SplitMix64,
-    server_ledger: &mut EnergyLedger,
-    tally: &mut HubTally,
-    ec: &mut XAffineScratch,
-    obs: &mut WorkerObs,
-    events: Option<&EventLog>,
-) -> u64 {
-    if jobs.is_empty() {
-        return 0;
-    }
-
-    // §4 flood scenario: a slice of devices first receives a forged
-    // hello, which ServerFirst ordering must reject cheaply. The
-    // rejection is device-side ladder work, so it books as DeviceTurn;
-    // the (by-design) MAC failure is a forensic AuthFailure event.
-    let span = obs.begin();
-    for &idx in jobs {
-        let mut guard = lane.devices[idx].lock().expect("device poisoned");
-        let d = &mut *guard;
-        if !is_forged_target(d.profile.id, cfg.forged_per_mille) {
-            continue;
-        }
-        let forged = mutual::forged_hello::<C>(rng.as_fn());
-        let telemetry = d.profile.kind.telemetry();
-        let out = d
-            .mutual
-            .run_session(&forged, telemetry, d.rng.as_fn(), &mut d.ledger);
-        match out {
-            SessionOutcome::ServerRejected => {
-                tally.forged_rejected += 1;
-                if let Some(ev) = events {
-                    ev.log(Event::new(
-                        EventKind::AuthFailure,
-                        lane_idx as u8,
-                        d.profile.id,
-                        FORGED_PROBE,
-                    ));
-                }
-            }
-            SessionOutcome::Established { .. } => tally.forged_accepted += 1,
-        }
-    }
-    obs.end(span, lane_idx, Stage::DeviceTurn);
-
-    // Batched genuine hellos, matched back by id (hello_batch may skip
-    // unknown ids, so positional pairing would misalign).
-    let span = obs.begin();
-    let meta_by_id: HashMap<DeviceId, (usize, u8)> = jobs
-        .iter()
-        .map(|&idx| {
-            let guard = lane.devices[idx].lock().expect("device poisoned");
-            (guard.profile.id, (idx, guard.profile.suite.id()))
-        })
-        .collect();
-    if meta_by_id.len() != jobs.len() {
-        // Two slots carried the same id: the map keeps one, the others
-        // silently miss their hello. Forensically notable.
-        if let Some(ev) = events {
-            ev.log(Event::new(
-                EventKind::IdCollision,
-                lane_idx as u8,
-                0,
-                (jobs.len() - meta_by_id.len()) as u64,
-            ));
-        }
-    }
-    let ids: Vec<DeviceId> = meta_by_id.keys().copied().collect();
-    obs.end(span, lane_idx, Stage::Assemble);
-
-    let span = obs.begin();
-    let hellos = lane.gateway.hello_batch(&ids, rng.as_fn(), server_ledger);
-    obs.end(span, lane_idx, Stage::Hello);
-
-    // Device turns, collected into one verification batch.
-    let span = obs.begin();
-    let mut tele_frames: Vec<(DeviceId, bytes::Bytes, &'static [u8], u8)> =
-        Vec::with_capacity(hellos.len());
-    for (id, hello_frame) in hellos {
-        let (idx, profile_id) = meta_by_id[&id];
-        let mut guard = lane.devices[idx].lock().expect("device poisoned");
-        let d = &mut *guard;
-        let payload = match wire::deframe(&hello_frame) {
-            Ok((MsgType::ServerHello, payload)) => payload,
-            _ => {
-                tally.device_rejections += 1;
-                tally.fail_profile(profile_id);
-                log_auth_failure(events, lane_idx, id);
-                continue;
-            }
-        };
-        let telemetry = d.profile.kind.telemetry();
-        let outcome = d
-            .mutual
-            .run_session_frame(payload, telemetry, d.rng.as_fn(), &mut d.ledger);
-        match outcome {
-            SessionOutcome::Established { telemetry_frame } => {
-                let framed = wire::frame(MsgType::Telemetry, &telemetry_frame);
-                tele_frames.push((id, framed, telemetry, profile_id));
-            }
-            SessionOutcome::ServerRejected => {
-                tally.device_rejections += 1;
-                tally.fail_profile(profile_id);
-                log_auth_failure(events, lane_idx, id);
-            }
-        }
-    }
-    obs.end(span, lane_idx, Stage::DeviceTurn);
-
-    let span = obs.begin();
-    let frame_refs: Vec<(DeviceId, &[u8])> = tele_frames
-        .iter()
-        .map(|(id, frame, _, _)| (*id, frame.as_ref()))
-        .collect();
-    obs.end(span, lane_idx, Stage::Assemble);
-
-    let span = obs.begin();
-    let mut completed = 0u64;
-    let verified = lane
-        .gateway
-        .telemetry_batch_with(&frame_refs, server_ledger, ec);
-    for ((id, _, expect, profile_id), (_, result)) in tele_frames.iter().zip(verified) {
-        match result {
-            Ok(plaintext) if plaintext == *expect => {
-                tally.ok_profile(*profile_id);
-                completed += 1;
-                log_session_close(events, lane_idx, *id);
-            }
-            // Verified but wrong plaintext: invisible to the gateway's
-            // counters, so tally it here.
-            Ok(_) => {
-                tally.mismatches += 1;
-                tally.fail_profile(*profile_id);
-                log_auth_failure(events, lane_idx, *id);
-            }
-            // Err cases are in the gateway counters; per-profile stats
-            // still record the failure.
-            Err(_) => {
-                tally.fail_profile(*profile_id);
-                log_auth_failure(events, lane_idx, *id);
-            }
-        }
-    }
-    obs.end(span, lane_idx, Stage::Verify);
-    completed
+    forged_probes(lane, lane_idx, mutual, w);
+    serve_wave::<C, MutualSuite<C>>(lane, lane_idx, mutual, w);
+    serve_wave::<C, PhSuite<C>>(lane, lane_idx, ph, w);
+    serve_wave::<C, SymmetricSuite>(lane, lane_idx, sym, w);
+    serve_wave::<C, SchnorrSuite<C>>(lane, lane_idx, schnorr, w);
 }
 
 /// Detail word marking an [`EventKind::AuthFailure`] caused by a
@@ -966,297 +772,208 @@ fn serve_mutual<C: CurveSpec>(
 /// from organic failures (detail 0) in the forensic trail.
 const FORGED_PROBE: u64 = 1;
 
-#[inline]
-fn log_session_close(events: Option<&EventLog>, lane_idx: usize, id: DeviceId) {
-    if let Some(ev) = events {
-        ev.log(Event::new(EventKind::SessionClose, lane_idx as u8, id, 0));
-    }
-}
-
-#[inline]
-fn log_auth_failure(events: Option<&EventLog>, lane_idx: usize, id: DeviceId) {
-    if let Some(ev) = events {
-        ev.log(Event::new(EventKind::AuthFailure, lane_idx as u8, id, 0));
-    }
-}
-
-/// Peeters–Hermans wave: sequential commit→challenge→respond per tag,
-/// one batched identification pass. Returns the number of tags
-/// identified correctly.
-#[allow(clippy::too_many_arguments)]
-fn serve_ph<C: CurveSpec>(
+/// §4 flood scenario, before the mutual wave: a slice of devices first
+/// receives a forged hello, which `ServerFirst` ordering must reject
+/// cheaply. The rejection is device-side work, so it books as
+/// `DeviceTurn`; the (by-design) MAC failure is a forensic
+/// `AuthFailure` event.
+fn forged_probes<C: CurveSpec>(
     lane: &CurveLane<C>,
     lane_idx: usize,
     jobs: &[usize],
-    rng: &mut SplitMix64,
-    server_ledger: &mut EnergyLedger,
-    tally: &mut HubTally,
-    ec: &mut XAffineScratch,
-    obs: &mut WorkerObs,
-    events: Option<&EventLog>,
-) -> u64 {
+    w: &mut WorkerState<'_>,
+) {
     if jobs.is_empty() {
-        return 0;
+        return;
     }
-    // The commit→challenge→respond round trips are dominated by the
-    // tag's point multiplications: DeviceTurn.
-    let span = obs.begin();
-    let mut ph_responses: Vec<(DeviceId, bytes::Bytes, u8)> = Vec::with_capacity(jobs.len());
-    for &idx in jobs {
-        let mut guard = lane.devices[idx].lock().expect("device poisoned");
+    let span = w.obs.begin();
+    for &slot in jobs {
+        let mut guard = lane.devices[slot].lock().expect("device poisoned");
         let d = &mut *guard;
-        let id = d.profile.id;
-        let profile_id = d.profile.suite.id();
-        let Some(tag) = d.tag.as_mut() else {
+        if !is_forged_target(d.profile.id, w.cfg.forged_per_mille) {
             continue;
-        };
-        let commitment = tag.commit(d.rng.as_fn(), &mut d.ledger);
-        let commit_frame = wire::encode_point(MsgType::PhCommit, &commitment);
-        let challenge_frame =
-            match lane
-                .gateway
-                .ph_challenge(id, &commit_frame, rng.as_fn(), server_ledger)
-            {
-                Ok(f) => f,
-                Err(_) => {
-                    tally.fail_profile(profile_id);
-                    log_auth_failure(events, lane_idx, id);
-                    continue;
-                }
-            };
-        let challenge = match wire::decode_scalar::<C>(MsgType::PhChallenge, &challenge_frame) {
-            Ok(c) => c,
-            Err(_) => {
-                tally.device_rejections += 1;
-                tally.fail_profile(profile_id);
-                log_auth_failure(events, lane_idx, id);
+        }
+        let forged = mutual::forged_hello::<C>(w.rng.as_fn());
+        let telemetry = d.profile.kind.telemetry();
+        match d
+            .mutual
+            .run_session(&forged, telemetry, d.rng.as_fn(), &mut d.ledger)
+        {
+            SessionOutcome::ServerRejected => {
+                w.tally.forged_rejected += 1;
+                w.log(EventKind::AuthFailure, lane_idx, d.profile.id, FORGED_PROBE);
+            }
+            SessionOutcome::Established { .. } => w.tally.forged_accepted += 1,
+        }
+    }
+    w.obs.end(span, lane_idx, Stage::DeviceTurn);
+}
+
+/// A device's protocol state machine, RNG stream and energy ledger,
+/// borrowed together for one suite call (`None`: the device holds no
+/// state for the protocol).
+type DeviceParts<'a, D> = Option<(&'a mut D, &'a mut SplitMix64, &'a mut EnergyLedger)>;
+
+/// Per-protocol glue between a lane and a [`SecuritySuite`]: which
+/// lane server speaks the suite and which device field holds its
+/// state machine.
+trait LaneSuite<C: CurveSpec>: SecuritySuite {
+    fn server(lane: &CurveLane<C>) -> &Self::Server;
+    fn device(d: &mut FleetDevice<C>) -> DeviceParts<'_, Self::Device>;
+}
+
+impl<C: CurveSpec> LaneSuite<C> for MutualSuite<C> {
+    fn server(lane: &CurveLane<C>) -> &Self::Server {
+        &lane.mutual
+    }
+    fn device(d: &mut FleetDevice<C>) -> DeviceParts<'_, Self::Device> {
+        Some((&mut d.mutual, &mut d.rng, &mut d.ledger))
+    }
+}
+
+impl<C: CurveSpec> LaneSuite<C> for PhSuite<C> {
+    fn server(lane: &CurveLane<C>) -> &Self::Server {
+        &lane.ph
+    }
+    fn device(d: &mut FleetDevice<C>) -> DeviceParts<'_, Self::Device> {
+        Some((d.tag.as_mut()?, &mut d.rng, &mut d.ledger))
+    }
+}
+
+impl<C: CurveSpec> LaneSuite<C> for SymmetricSuite {
+    fn server(lane: &CurveLane<C>) -> &Self::Server {
+        &lane.symmetric
+    }
+    fn device(d: &mut FleetDevice<C>) -> DeviceParts<'_, Self::Device> {
+        Some((d.sym.as_mut()?, &mut d.rng, &mut d.ledger))
+    }
+}
+
+impl<C: CurveSpec> LaneSuite<C> for SchnorrSuite<C> {
+    fn server(lane: &CurveLane<C>) -> &Self::Server {
+        &lane.schnorr
+    }
+    fn device(d: &mut FleetDevice<C>) -> DeviceParts<'_, Self::Device> {
+        Some((d.badge.as_mut()?, &mut d.rng, &mut d.ledger))
+    }
+}
+
+/// One device's place in a wave.
+struct Session {
+    slot: usize,
+    id: DeviceId,
+    /// Profile id, for the per-profile tally.
+    profile: u8,
+    /// Telemetry payload the device sends (empty where the protocol
+    /// carries none).
+    sent: &'static [u8],
+}
+
+impl Session {
+    fn new(slot: usize, p: &DeviceProfile) -> Self {
+        Self {
+            slot,
+            id: p.id,
+            profile: p.suite.id(),
+            sent: p.kind.telemetry(),
+        }
+    }
+}
+
+/// Serve one wave of same-lane devices speaking suite `S`, in the
+/// lifecycle's explicit phases: `device_open` on every device, one
+/// server `hello_batch`, `device_turn` on every device, one server
+/// `server_verify_batch_with`. Suite batch results are positional.
+///
+/// When observability is on, every session the wave completes books
+/// one elapsed-since-wave-start latency (a batch wave finishes its
+/// sessions together, so they honestly share one observation).
+fn serve_wave<C: CurveSpec, S: LaneSuite<C>>(
+    lane: &CurveLane<C>,
+    lane_idx: usize,
+    jobs: &[usize],
+    w: &mut WorkerState<'_>,
+) {
+    if jobs.is_empty() {
+        return;
+    }
+    let wave = w.obs.wave_start();
+
+    // Device phase: open every session (commit-first protocols commit).
+    let span = w.obs.begin();
+    let mut sessions: Vec<Session> = Vec::with_capacity(jobs.len());
+    let mut opens: Vec<Option<Bytes>> = Vec::with_capacity(jobs.len());
+    for &slot in jobs {
+        let mut guard = lane.devices[slot].lock().expect("device poisoned");
+        let s = Session::new(slot, &guard.profile);
+        match S::device(&mut guard) {
+            Some((device, rng, ledger)) => {
+                opens.push(S::device_open(device, rng.as_fn(), ledger));
+                sessions.push(s);
+            }
+            None => w.device_rejected(lane_idx, &s),
+        }
+    }
+    let open_refs: Vec<(DeviceId, Option<&[u8]>)> = sessions
+        .iter()
+        .zip(&opens)
+        .map(|(s, open)| (s.id, open.as_deref()))
+        .collect();
+    w.obs.end(span, lane_idx, Stage::DeviceTurn);
+
+    // Server phase: one hello batch for the wave.
+    let span = w.obs.begin();
+    let hellos = S::hello_batch(S::server(lane), &open_refs, w.rng.as_fn(), &mut w.ledger);
+    w.obs.end(span, lane_idx, Stage::Hello);
+
+    // Device phase: every device answers its hello.
+    let span = w.obs.begin();
+    let mut closings: Vec<(Session, Bytes)> = Vec::with_capacity(sessions.len());
+    for (s, (_, hello)) in sessions.into_iter().zip(hellos) {
+        let hello = match hello {
+            Ok(hello) => hello,
+            Err(e) => {
+                w.server_rejected(lane_idx, &s, S::PROTOCOL, &e);
                 continue;
             }
         };
-        let response = tag.respond(&challenge, d.rng.as_fn(), &mut d.ledger);
-        ph_responses.push((
-            id,
-            wire::encode_scalar(MsgType::PhResponse, &response),
-            profile_id,
-        ));
-    }
-    obs.end(span, lane_idx, Stage::DeviceTurn);
-
-    let span = obs.begin();
-    let response_refs: Vec<(DeviceId, &[u8])> = ph_responses
-        .iter()
-        .map(|(id, frame, _)| (*id, frame.as_ref()))
-        .collect();
-    obs.end(span, lane_idx, Stage::Assemble);
-
-    let span = obs.begin();
-    let mut completed = 0u64;
-    let identified =
-        lane.gateway
-            .ph_identify_batch_with(&response_refs, rng.as_fn(), server_ledger, ec);
-    for ((id, _, profile_id), (_, result)) in ph_responses.iter().zip(identified) {
-        match result {
-            Ok(found) if found == *id => {
-                tally.ok_profile(*profile_id);
-                completed += 1;
-                log_session_close(events, lane_idx, *id);
-            }
-            Ok(_) => {
-                tally.mismatches += 1;
-                tally.fail_profile(*profile_id);
-                log_auth_failure(events, lane_idx, *id);
-            }
-            Err(_) => {
-                tally.fail_profile(*profile_id);
-                log_auth_failure(events, lane_idx, *id);
-            }
+        let mut guard = lane.devices[s.slot].lock().expect("device poisoned");
+        let turn = S::device(&mut guard).map(|(device, rng, ledger)| {
+            S::device_turn(device, &hello, s.sent, rng.as_fn(), ledger)
+        });
+        match turn {
+            Some(Ok(frame)) => closings.push((s, frame)),
+            _ => w.device_rejected(lane_idx, &s),
         }
     }
-    obs.end(span, lane_idx, Stage::Verify);
-    completed
-}
-
-/// Symmetric wave, through the [`SymmetricSuite`] lifecycle. Returns
-/// the number of sessions authenticated.
-#[allow(clippy::too_many_arguments)]
-fn serve_symmetric<C: CurveSpec>(
-    lane: &CurveLane<C>,
-    lane_idx: usize,
-    jobs: &[usize],
-    rng: &mut SplitMix64,
-    server_ledger: &mut EnergyLedger,
-    tally: &mut HubTally,
-    obs: &mut WorkerObs,
-    events: Option<&EventLog>,
-) -> u64 {
-    if jobs.is_empty() {
-        return 0;
-    }
-    let span = obs.begin();
-    let meta: Vec<(DeviceId, usize, u8)> = jobs
-        .iter()
-        .map(|&idx| {
-            let guard = lane.devices[idx].lock().expect("device poisoned");
-            (guard.profile.id, idx, guard.profile.suite.id())
-        })
-        .collect();
-    let opens: Vec<(DeviceId, Option<&[u8]>)> = meta.iter().map(|&(id, _, _)| (id, None)).collect();
-    obs.end(span, lane_idx, Stage::Assemble);
-
-    let span = obs.begin();
-    let hellos = SymmetricSuite::hello_batch(&lane.symmetric, &opens, rng.as_fn(), server_ledger);
-    obs.end(span, lane_idx, Stage::Hello);
-
-    let span = obs.begin();
-    let mut closings: Vec<(DeviceId, bytes::Bytes, u8)> = Vec::with_capacity(jobs.len());
-    for ((id, idx, profile_id), (_, hello)) in meta.into_iter().zip(hellos) {
-        let Ok(hello) = hello else {
-            tally.auth_failed += 1;
-            tally.fail_profile(profile_id);
-            log_auth_failure(events, lane_idx, id);
-            continue;
-        };
-        let mut guard = lane.devices[idx].lock().expect("device poisoned");
-        let d = &mut *guard;
-        let Some(sym) = d.sym.as_mut() else {
-            continue;
-        };
-        match SymmetricSuite::device_turn(sym, &hello, b"", d.rng.as_fn(), &mut d.ledger) {
-            Ok(frame) => closings.push((id, frame, profile_id)),
-            Err(_) => {
-                tally.device_rejections += 1;
-                tally.fail_profile(profile_id);
-                log_auth_failure(events, lane_idx, id);
-            }
-        }
-    }
-    obs.end(span, lane_idx, Stage::DeviceTurn);
-
-    let span = obs.begin();
     let frame_refs: Vec<(DeviceId, &[u8])> = closings
         .iter()
-        .map(|(id, frame, _)| (*id, frame.as_ref()))
+        .map(|(s, frame)| (s.id, frame.as_ref()))
         .collect();
-    let mut completed = 0u64;
-    let outcomes = SymmetricSuite::server_verify_batch(
-        &lane.symmetric,
+    w.obs.end(span, lane_idx, Stage::DeviceTurn);
+
+    // Server phase: one verification batch for the wave.
+    let span = w.obs.begin();
+    let verdicts = S::server_verify_batch_with(
+        S::server(lane),
         &frame_refs,
-        rng.as_fn(),
-        server_ledger,
+        w.rng.as_fn(),
+        &mut w.ledger,
+        &mut w.ec,
     );
-    for ((id, _, profile_id), (_, outcome)) in closings.iter().zip(outcomes) {
-        match outcome {
-            Ok(SuiteOutcome::Authenticated) => {
-                tally.auth_ok += 1;
-                tally.ok_profile(*profile_id);
-                completed += 1;
-                log_session_close(events, lane_idx, *id);
-            }
-            _ => {
-                tally.auth_failed += 1;
-                tally.fail_profile(*profile_id);
-                log_auth_failure(events, lane_idx, *id);
-            }
+    let mut done = 0u64;
+    for ((s, _), (_, verdict)) in closings.iter().zip(verdicts) {
+        match verdict {
+            Ok(outcome) => done += u64::from(w.server_accepted(lane_idx, s, &outcome)),
+            Err(e) => w.server_rejected(lane_idx, s, S::PROTOCOL, &e),
         }
     }
-    obs.end(span, lane_idx, Stage::Verify);
-    completed
-}
+    w.obs.end(span, lane_idx, Stage::Verify);
 
-/// Schnorr wave, through the [`SchnorrSuite`] lifecycle (commit-first:
-/// `device_open → hello → device_turn → server_verify_batch`). Returns
-/// the number of sessions authenticated.
-#[allow(clippy::too_many_arguments)]
-fn serve_schnorr<C: CurveSpec>(
-    lane: &CurveLane<C>,
-    lane_idx: usize,
-    jobs: &[usize],
-    rng: &mut SplitMix64,
-    server_ledger: &mut EnergyLedger,
-    tally: &mut HubTally,
-    obs: &mut WorkerObs,
-    events: Option<&EventLog>,
-) -> u64 {
-    if jobs.is_empty() {
-        return 0;
+    if let (Some(t0), true) = (wave, done > 0) {
+        w.obs
+            .session_latency(lane_idx, t0.elapsed().as_nanos() as u64, done);
     }
-    // Commit-first: collect every tag's opening frame (badge-side
-    // commitment crypto: DeviceTurn).
-    let span = obs.begin();
-    let mut opens: Vec<(DeviceId, usize, u8, bytes::Bytes)> = Vec::with_capacity(jobs.len());
-    for &idx in jobs {
-        let mut guard = lane.devices[idx].lock().expect("device poisoned");
-        let d = &mut *guard;
-        let id = d.profile.id;
-        let profile_id = d.profile.suite.id();
-        let Some(badge) = d.badge.as_mut() else {
-            continue;
-        };
-        let Some(open) = SchnorrSuite::device_open(badge, d.rng.as_fn(), &mut d.ledger) else {
-            continue;
-        };
-        opens.push((id, idx, profile_id, open));
-    }
-    let open_refs: Vec<(DeviceId, Option<&[u8]>)> = opens
-        .iter()
-        .map(|(id, _, _, frame)| (*id, Some(frame.as_ref())))
-        .collect();
-    obs.end(span, lane_idx, Stage::DeviceTurn);
-
-    let span = obs.begin();
-    let hellos = SchnorrSuite::hello_batch(&lane.schnorr, &open_refs, rng.as_fn(), server_ledger);
-    obs.end(span, lane_idx, Stage::Hello);
-
-    let span = obs.begin();
-    let mut closings: Vec<(DeviceId, bytes::Bytes, u8)> = Vec::with_capacity(opens.len());
-    for ((id, idx, profile_id, _), (_, hello)) in opens.into_iter().zip(hellos) {
-        let Ok(hello) = hello else {
-            tally.auth_failed += 1;
-            tally.fail_profile(profile_id);
-            log_auth_failure(events, lane_idx, id);
-            continue;
-        };
-        let mut guard = lane.devices[idx].lock().expect("device poisoned");
-        let d = &mut *guard;
-        let Some(badge) = d.badge.as_mut() else {
-            continue;
-        };
-        match SchnorrSuite::device_turn(badge, &hello, b"", d.rng.as_fn(), &mut d.ledger) {
-            Ok(frame) => closings.push((id, frame, profile_id)),
-            Err(_) => {
-                tally.device_rejections += 1;
-                tally.fail_profile(profile_id);
-                log_auth_failure(events, lane_idx, id);
-            }
-        }
-    }
-    obs.end(span, lane_idx, Stage::DeviceTurn);
-
-    let span = obs.begin();
-    let frame_refs: Vec<(DeviceId, &[u8])> = closings
-        .iter()
-        .map(|(id, frame, _)| (*id, frame.as_ref()))
-        .collect();
-    let mut completed = 0u64;
-    let outcomes =
-        SchnorrSuite::server_verify_batch(&lane.schnorr, &frame_refs, rng.as_fn(), server_ledger);
-    for ((id, _, profile_id), (_, outcome)) in closings.iter().zip(outcomes) {
-        match outcome {
-            Ok(SuiteOutcome::Authenticated) => {
-                tally.auth_ok += 1;
-                tally.ok_profile(*profile_id);
-                completed += 1;
-                log_session_close(events, lane_idx, *id);
-            }
-            _ => {
-                tally.auth_failed += 1;
-                tally.fail_profile(*profile_id);
-                log_auth_failure(events, lane_idx, *id);
-            }
-        }
-    }
-    obs.end(span, lane_idx, Stage::Verify);
-    completed
 }
 
 #[cfg(test)]
@@ -1398,16 +1115,19 @@ mod tests {
             ..FleetConfig::default()
         };
         let hub = crate::sim::run_fleet(&cfg);
-        let direct = crate::sim::run_fleet_on::<Toy17>(&cfg);
-        assert_eq!(hub.sessions_ok, direct.sessions_ok);
-        assert_eq!(hub.ph_identified, direct.ph_identified);
-        assert_eq!(hub.sessions_failed, direct.sessions_failed);
-        assert_eq!(hub.frames_ok, direct.frames_ok);
-        assert_eq!(hub.forged_rejected, direct.forged_rejected);
-        // The hub route reports per-profile rows; the direct route
-        // predates them.
+        // The single-curve mix: ids % 4 ∈ {0,1,3} run mutual auth (72),
+        // {2} runs Peeters–Hermans (24); 1% of the mutual devices are
+        // probed with a forged hello first.
+        let mutual_ids = (0..96u32).filter(|id| id % 4 != 2);
+        let probed = mutual_ids
+            .filter(|&id| is_forged_target(id, cfg.forged_per_mille))
+            .count() as u64;
+        assert_eq!(hub.sessions_ok, 72);
+        assert_eq!(hub.frames_ok, 72);
+        assert_eq!(hub.ph_identified, 24);
+        assert_eq!(hub.sessions_failed + hub.ph_failed, 0);
+        assert_eq!(hub.forged_rejected, probed);
         assert_eq!(hub.profiles.len(), 2); // mutual@Toy17 + ph@Toy17
-        assert!(direct.profiles.is_empty());
     }
 
     #[test]
@@ -1513,56 +1233,62 @@ mod tests {
             assert_eq!(p.sessions_ok, 1, "{}", p.profile);
             assert_eq!(p.sessions_failed, 0, "{}", p.profile);
         }
-        // Five lanes of 64 shards each; occupancy stays accounted even
-        // with 63+ empty shards per lane.
+        // Five lanes of 64 shards each.
         assert_eq!(report.shards, 5 * 64);
-        assert_eq!(report.shard_occupancy.len(), 5 * 64);
         assert_eq!(report.backend, medsec_gf2m::backend::active_backend_name());
     }
 
     /// Drive every mutual-auth device of one provisioned lane through a
-    /// full hello → telemetry session against its own gateway.
+    /// full hello → telemetry session against its own mutual server.
     fn run_lane_sessions<C: CurveSpec>(lp: crate::registry::LaneProvision<C>) {
         let mut rng = SplitMix64::new(0x1D5);
         let mut ledger = server_ledger();
         let crate::registry::LaneProvision {
             mut devices,
-            gateway,
+            mutual,
             ..
         } = lp;
-        let ids: Vec<DeviceId> = devices.iter().map(|d| d.profile.id).collect();
-        let hellos = gateway.hello_batch(&ids, rng.as_fn(), &mut ledger);
-        assert_eq!(hellos.len(), ids.len());
-        for (id, hello_frame) in hellos {
-            let d = devices
-                .iter_mut()
-                .find(|d| d.profile.id == id)
-                .expect("hello for a provisioned id");
-            let Ok((MsgType::ServerHello, payload)) = wire::deframe(&hello_frame) else {
-                panic!("hello frame must deframe");
-            };
+        let opens: Vec<(DeviceId, Option<&[u8]>)> =
+            devices.iter().map(|d| (d.profile.id, None)).collect();
+        let hellos = MutualSuite::<C>::hello_batch(&mutual, &opens, rng.as_fn(), &mut ledger);
+        assert_eq!(hellos.len(), devices.len());
+        let mut closings = Vec::new();
+        for (d, (id, hello)) in devices.iter_mut().zip(hellos) {
+            assert_eq!(id, d.profile.id);
+            let hello = hello.expect("hello for a provisioned id");
             let telemetry = d.profile.kind.telemetry();
-            let SessionOutcome::Established { telemetry_frame } =
-                d.mutual
-                    .run_session_frame(payload, telemetry, d.rng.as_fn(), &mut d.ledger)
-            else {
-                panic!("genuine hello must establish for id {id}");
-            };
-            let framed = wire::frame(MsgType::Telemetry, &telemetry_frame);
-            let plain = gateway
-                .handle_telemetry(id, &framed, &mut ledger)
-                .expect("telemetry must verify");
-            assert_eq!(plain, telemetry);
+            let closing = MutualSuite::device_turn(
+                &mut d.mutual,
+                &hello,
+                telemetry,
+                d.rng.as_fn(),
+                &mut d.ledger,
+            )
+            .unwrap_or_else(|e| panic!("genuine hello must establish for id {id}: {e}"));
+            closings.push((id, closing, telemetry));
         }
-        assert_eq!(gateway.counters().established, ids.len() as u64);
-        assert_eq!(gateway.counters().auth_failures, 0);
+        let frames: Vec<(DeviceId, &[u8])> = closings
+            .iter()
+            .map(|(id, f, _)| (*id, f.as_ref()))
+            .collect();
+        let verdicts =
+            MutualSuite::<C>::server_verify_batch(&mutual, &frames, rng.as_fn(), &mut ledger);
+        for ((_, _, sent), (_, verdict)) in closings.iter().zip(verdicts) {
+            assert_eq!(
+                verdict,
+                Ok(SuiteOutcome::Established {
+                    telemetry: sent.to_vec()
+                })
+            );
+        }
+        assert!(mutual.pending().is_empty());
     }
 
     /// Device ids are global (the hub assigns them sequentially), but
     /// `provision_lane` is public API and nothing stops two lanes of a
     /// multi-hub deployment from reusing an id space. Sessions keyed by
     /// the same id in different lanes must stay fully isolated: each
-    /// lane's gateway holds its own pairing table and session shards.
+    /// lane's servers hold their own pairing table and pending shards.
     #[test]
     fn colliding_ids_across_lanes_stay_isolated() {
         use medsec_protocols::suite::CurveId;

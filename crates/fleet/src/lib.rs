@@ -9,44 +9,37 @@
 //!
 //! Architecture:
 //!
-//! * [`registry`] — provisions N devices (pacemakers, neurostimulators,
-//!   cardiac monitors) with per-device pairing keys, Peeters–Hermans
-//!   credentials, a recorded curve choice and an energy ledger;
-//! * [`shard`] — the gateway's session table, split across a
-//!   power-of-two number of independently locked shards so worker
-//!   threads rarely contend;
-//! * [`gateway`] — the server side: batched `ServerHello` generation
-//!   (the expensive point multiplications are generated in one pass and
-//!   inserted shard-by-shard under one lock acquisition each),
-//!   telemetry verification/decryption, and the Peeters–Hermans reader;
+//! * [`registry`] — provisions each curve lane: devices (pacemakers,
+//!   neurostimulators, cardiac monitors, ward sensors, staff badges)
+//!   with per-device keys, protocol state machines and an energy
+//!   ledger, plus the four `SecuritySuite` servers that serve them;
 //! * [`hub`] — the curve-erased [`GatewayHub`]: devices negotiate
 //!   their `SecurityProfile` on the wire and are bucketed into
-//!   enum-dispatched per-curve lanes, so one `run_fleet` serves a
-//!   heterogeneous fleet (mixed curves × mixed protocols) through the
-//!   same batched fast paths;
+//!   enum-dispatched per-curve lanes, and every protocol is served by
+//!   one generic wave over the lane's suite servers, in the suite
+//!   lifecycle's explicit device and server phases;
 //! * [`scheduler`] — the lane-affine work-stealing [`LaneScheduler`]:
 //!   per-lane chunked work queues with cache-padded lock-free chunk
 //!   cursors, workers pinned to a home lane and stealing whole chunks
 //!   across lanes once it drains, so batches never mix curve lanes and
-//!   big lanes keep every core busy (plus the legacy mutex-guarded
-//!   [`BatchScheduler`] for generic producer/consumer work);
-//! * [`sim`] — the fleet driver wiring devices ↔ gateway through the
-//!   real `medsec_protocols::wire` codec on `std::thread` scoped
-//!   workers;
+//!   big lanes keep every core busy;
+//! * [`sim`] — the fleet configuration and the one-call [`run_fleet`]
+//!   driver;
 //! * [`streaming`] — the byte-oriented wire front end: each device's
 //!   traffic arrives as arbitrarily split/coalesced byte chunks, is
 //!   reassembled by `medsec-ingest` connection state machines, passes
 //!   token-bucket admission per device class, and is queued into
 //!   bounded per-lane batch queues (shedding with a typed `Reject`
-//!   frame at the high-water mark) before the existing lane scheduler
-//!   serves the admitted batches;
+//!   frame at the high-water mark) before the lane scheduler serves
+//!   the admitted batches through the same waves;
 //! * [`report`] — the aggregated [`FleetReport`]: throughput, energy
-//!   per session, failure counts, shard occupancy.
+//!   per session, failure counts.
 //!
 //! Every over-the-air message is framed with `medsec_protocols::wire`,
 //! every joule is booked on a per-device [`medsec_protocols::EnergyLedger`],
-//! and all session state lives in the sharded table — the same code
-//! paths a future async/multi-process gateway would exercise.
+//! and in-flight session state lives in the suite servers' sharded
+//! pending tables — removed the moment a session's closing frame
+//! arrives.
 //!
 //! ```
 //! use medsec_fleet::{run_fleet, FleetConfig};
@@ -63,26 +56,21 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod gateway;
 pub mod hub;
 pub mod registry;
 pub mod report;
 pub mod scheduler;
-pub mod shard;
 pub mod sim;
 pub mod streaming;
 mod telemetry;
 
-pub use gateway::{FleetError, Gateway};
 pub use hub::{admit_negotiate, CurveLane, GatewayHub, Lane};
 pub use registry::{
-    provision, provision_lane, DeviceId, DeviceKind, DeviceProfile, DeviceRegistry, FleetDevice,
-    LaneProvision,
+    provision_lane, DeviceId, DeviceKind, DeviceProfile, FleetDevice, LaneProvision,
 };
 pub use report::{FleetReport, ProfileStats};
-pub use scheduler::{BatchScheduler, LaneBatch, LaneScheduler, LaneWorker, StealStats};
-pub use shard::{SessionPhase, SessionTable};
-pub use sim::{mixed_hospital_wards, run_fleet, run_fleet_on, CurveChoice, FleetConfig, WardSpec};
+pub use scheduler::{LaneBatch, LaneScheduler, LaneWorker, StealStats};
+pub use sim::{mixed_hospital_wards, run_fleet, CurveChoice, FleetConfig, WardSpec};
 pub use streaming::{
     device_class, Arrival, ClassPolicy, StreamingConfig, StreamingOutcome, StreamingStats,
     DEVICE_CLASSES,

@@ -1,24 +1,26 @@
 //! Device provisioning: the enrollment step a hospital performs at
 //! implantation time.
 //!
-//! [`provision`] builds both sides of the trust relationship at once —
-//! the device-side [`DeviceRegistry`] (secrets, pairing keys, energy
-//! ledgers) and the server-side [`Gateway`](crate::gateway::Gateway)
-//! (pairing-key store, Peeters–Hermans reader database, sharded session
-//! table) — so tests and simulations always start from a consistent
-//! key state.
+//! [`provision_lane`] builds both sides of the trust relationship for
+//! one curve lane at once — the devices (secrets, pairing keys,
+//! protocol state machines, energy ledgers) and the four suite servers
+//! that serve them (pairing-key store, Peeters–Hermans reader database,
+//! Schnorr public keys, symmetric key table, each with its sharded
+//! pending-session table) — so tests and simulations always start from
+//! a consistent key state.
 
 use medsec_ec::CurveSpec;
 use medsec_power::{EnergyReport, RadioModel};
 use medsec_protocols::mutual::{Device, Ordering, Pairing};
 use medsec_protocols::peeters_hermans::{PhReader, PhTag};
 use medsec_protocols::schnorr::SchnorrTag;
-use medsec_protocols::suite::{ProtocolId, SchnorrVerifier, SecurityProfile, SymmetricGate};
+use medsec_protocols::suite::{
+    MutualServer, PhServer, ProtocolId, SchnorrVerifier, SecurityProfile, SymmetricGate,
+};
 use medsec_protocols::symmetric::{SymmetricDevice, SymmetricServer};
 use medsec_protocols::EnergyLedger;
 use medsec_rng::SplitMix64;
 
-use crate::gateway::Gateway;
 use crate::sim::CurveChoice;
 
 /// Fleet-wide device identifier (also the Peeters–Hermans tag id).
@@ -77,13 +79,7 @@ impl DeviceKind {
         }
     }
 
-    /// Whether this kind runs the mutual-authentication telemetry
-    /// protocol.
-    pub fn uses_mutual_auth(&self) -> bool {
-        self.protocol() == ProtocolId::Mutual
-    }
-
-    /// Gateway↔device link distance in meters (bedside wand vs ward
+    /// Link distance to the gateway in meters (bedside wand vs ward
     /// base station).
     pub fn distance_m(&self) -> f64 {
         match self {
@@ -165,39 +161,6 @@ pub struct FleetDevice<C: CurveSpec> {
     pub ledger: EnergyLedger,
 }
 
-/// The device side of the fleet: every provisioned implant.
-#[derive(Debug, Clone)]
-pub struct DeviceRegistry<C: CurveSpec> {
-    devices: Vec<FleetDevice<C>>,
-}
-
-impl<C: CurveSpec> DeviceRegistry<C> {
-    /// Number of provisioned devices.
-    pub fn len(&self) -> usize {
-        self.devices.len()
-    }
-
-    /// Whether the registry is empty.
-    pub fn is_empty(&self) -> bool {
-        self.devices.is_empty()
-    }
-
-    /// Iterate over the devices.
-    pub fn iter(&self) -> impl Iterator<Item = &FleetDevice<C>> {
-        self.devices.iter()
-    }
-
-    /// Consume the registry, yielding the devices.
-    pub fn into_devices(self) -> Vec<FleetDevice<C>> {
-        self.devices
-    }
-
-    /// Borrow one device mutably by index.
-    pub fn device_mut(&mut self, idx: usize) -> &mut FleetDevice<C> {
-        &mut self.devices[idx]
-    }
-}
-
 /// Paper-chip point-multiplication cost: ≈86.5k cycles, ≈5.1 µJ at
 /// 847.5 kHz (§6 measurement).
 fn paper_ecpm() -> EnergyReport {
@@ -205,15 +168,15 @@ fn paper_ecpm() -> EnergyReport {
 }
 
 /// Everything one curve lane of a gateway hub needs: the provisioned
-/// devices plus the server-side state for every protocol family the
-/// lane can serve.
+/// devices plus one suite server per protocol the lane can serve.
 #[derive(Debug)]
 pub struct LaneProvision<C: CurveSpec> {
     /// Devices assigned to this lane, in assignment order.
     pub devices: Vec<FleetDevice<C>>,
-    /// Mutual-auth + Peeters–Hermans server (pairings, reader DB,
-    /// sharded session table).
-    pub gateway: Gateway<C>,
+    /// Mutual-authentication server (pairing-key store).
+    pub mutual: MutualServer<C>,
+    /// Peeters–Hermans server (reader key pair + tag database).
+    pub ph: PhServer<C>,
     /// Schnorr public-key registry.
     pub schnorr: SchnorrVerifier<C>,
     /// Symmetric key table behind the challenge-binding gate.
@@ -221,12 +184,11 @@ pub struct LaneProvision<C: CurveSpec> {
 }
 
 /// Provision one curve lane from explicit per-device assignments
-/// `(id, kind, profile)` — the heterogeneous-fleet entry point.
+/// `(id, kind, profile)`. Every server's pending-session table gets
+/// `shards` shards (rounded up to a power of two).
 ///
 /// All keys derive from `seed` in assignment order, so a lane is
-/// exactly reproducible; for the legacy assignment
-/// ([`DeviceKind::assign`] over `0..n`) the drawn keys are identical
-/// to the pre-hub `provision`.
+/// exactly reproducible.
 pub fn provision_lane<C: CurveSpec>(
     assignments: &[(DeviceId, DeviceKind, SecurityProfile)],
     shards: usize,
@@ -235,9 +197,9 @@ pub fn provision_lane<C: CurveSpec>(
 ) -> LaneProvision<C> {
     let mut root = SplitMix64::new(seed);
     let mut reader = PhReader::<C>::new(root.as_fn());
-    let mut schnorr = SchnorrVerifier::<C>::new();
+    let mut schnorr = SchnorrVerifier::<C>::with_shards(shards);
     let mut symmetric = SymmetricServer::new();
-    let mut gateway_pairings = Vec::with_capacity(assignments.len());
+    let mut pairings = Vec::with_capacity(assignments.len());
     let mut devices = Vec::with_capacity(assignments.len());
 
     for &(id, kind, suite) in assignments {
@@ -246,7 +208,7 @@ pub fn provision_lane<C: CurveSpec>(
             chunk.copy_from_slice(&root.next_u64().to_be_bytes());
         }
         let pairing = Pairing { auth_key };
-        gateway_pairings.push((id, pairing.clone()));
+        pairings.push((id, pairing.clone()));
 
         // Protocol-specific enrollment: the Peeters–Hermans reader DB,
         // the Schnorr public-key registry or the symmetric key table.
@@ -288,42 +250,13 @@ pub fn provision_lane<C: CurveSpec>(
         });
     }
 
-    let gateway = Gateway::new(gateway_pairings, reader, shards);
     LaneProvision {
         devices,
-        gateway,
+        mutual: MutualServer::with_shards(pairings, shards),
+        ph: PhServer::with_shards(reader, shards),
         schnorr,
-        symmetric: SymmetricGate::new(symmetric),
+        symmetric: SymmetricGate::with_shards(symmetric, shards),
     }
-}
-
-/// Provision `n` devices and the gateway that serves them — the
-/// single-curve fleet shape (the legacy mix of [`DeviceKind::assign`],
-/// every device at the canonical profile of its kind on `curve`).
-///
-/// All keys derive from `seed`, so a fleet is exactly reproducible.
-/// The gateway's session table uses `shards` shards (rounded up to a
-/// power of two).
-pub fn provision<C: CurveSpec>(
-    n: usize,
-    shards: usize,
-    curve: CurveChoice,
-    seed: u64,
-) -> (DeviceRegistry<C>, Gateway<C>) {
-    let assignments: Vec<(DeviceId, DeviceKind, SecurityProfile)> = (0..n)
-        .map(|i| {
-            let id = i as DeviceId;
-            let kind = DeviceKind::assign(id);
-            (id, kind, SecurityProfile::new(curve.id(), kind.protocol()))
-        })
-        .collect();
-    let lane = provision_lane::<C>(&assignments, shards, curve, seed);
-    (
-        DeviceRegistry {
-            devices: lane.devices,
-        },
-        lane.gateway,
-    )
 }
 
 #[cfg(test)]
@@ -331,29 +264,51 @@ mod tests {
     use super::*;
     use medsec_ec::Toy17;
 
+    /// `n` devices in the single-curve fleet mix of
+    /// [`DeviceKind::assign`].
+    fn provision_mix(n: u32, seed: u64) -> LaneProvision<Toy17> {
+        let assignments: Vec<(DeviceId, DeviceKind, SecurityProfile)> = (0..n)
+            .map(|id| {
+                let kind = DeviceKind::assign(id);
+                let profile = SecurityProfile::new(CurveChoice::Toy17.id(), kind.protocol());
+                (id, kind, profile)
+            })
+            .collect();
+        provision_lane(&assignments, 4, CurveChoice::Toy17, seed)
+    }
+
     #[test]
     fn provisioning_is_reproducible_and_complete() {
-        let (reg_a, _) = provision::<Toy17>(16, 4, CurveChoice::Toy17, 99);
-        let (reg_b, _) = provision::<Toy17>(16, 4, CurveChoice::Toy17, 99);
-        assert_eq!(reg_a.len(), 16);
-        for (a, b) in reg_a.iter().zip(reg_b.iter()) {
+        let a = provision_mix(16, 99);
+        let b = provision_mix(16, 99);
+        assert_eq!(a.devices.len(), 16);
+        for (a, b) in a.devices.iter().zip(&b.devices) {
             assert_eq!(a.profile, b.profile);
             assert_eq!(a.pairing.auth_key, b.pairing.auth_key);
         }
         // Different seeds give different keys.
-        let (reg_c, _) = provision::<Toy17>(16, 4, CurveChoice::Toy17, 100);
-        assert_ne!(
-            reg_a.iter().next().unwrap().pairing.auth_key,
-            reg_c.iter().next().unwrap().pairing.auth_key
-        );
+        let c = provision_mix(16, 100);
+        assert_ne!(a.devices[0].pairing.auth_key, c.devices[0].pairing.auth_key);
+        // Every server's table got the requested shards.
+        assert_eq!(a.mutual.pending().shard_count(), 4);
+        assert_eq!(a.ph.pending().shard_count(), 4);
+        assert_eq!(a.schnorr.pending().shard_count(), 4);
+        assert_eq!(a.symmetric.pending().shard_count(), 4);
     }
 
     #[test]
     fn fleet_mix_covers_all_kinds() {
-        let (reg, _) = provision::<Toy17>(8, 2, CurveChoice::Toy17, 1);
-        let kinds: Vec<_> = reg.iter().map(|d| d.profile.kind).collect();
+        let lane = provision_mix(8, 1);
+        let kinds: Vec<_> = lane.devices.iter().map(|d| d.profile.kind).collect();
         assert!(kinds.contains(&DeviceKind::Pacemaker));
         assert!(kinds.contains(&DeviceKind::Neurostimulator));
         assert!(kinds.contains(&DeviceKind::CardiacMonitor));
+        // Only the neurostimulators carry a Peeters–Hermans tag.
+        for d in &lane.devices {
+            assert_eq!(
+                d.tag.is_some(),
+                d.profile.kind == DeviceKind::Neurostimulator
+            );
+        }
     }
 }

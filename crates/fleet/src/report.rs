@@ -1,11 +1,10 @@
-//! The aggregated outcome of a fleet run: throughput, energy, failures
-//! and shard balance, with hand-rolled JSON for the bench trajectory.
+//! The aggregated outcome of a fleet run: throughput, energy and
+//! failures, with hand-rolled JSON for the bench trajectory.
 //!
 //! All JSON goes through `medsec_obs::json`: strings are escaped and
 //! non-finite floats are emitted as `null`, so a pathological run (zero
 //! wall time, quoted profile names) still produces parseable output.
 
-use crate::gateway::GatewayCounters;
 use medsec_obs::{json, EventLogSnapshot, LaneTelemetry, PrometheusExposition, Telemetry, STAGES};
 
 /// Render a float with the given pre-formatted representation, falling
@@ -87,31 +86,35 @@ pub struct FleetReport {
     pub devices: usize,
     /// Worker threads used.
     pub threads: usize,
-    /// Session-table shards.
+    /// Pending-session table shards, summed over curve lanes (every
+    /// server of a lane has this many).
     pub shards: usize,
     /// The gf2m backend the serving stack's field arithmetic ran on
     /// (`clmul`, `fast`, or a forced override — see
     /// `medsec_gf2m::select_backend`), so every trajectory point is
     /// attributable to the exact compute stack behind it.
     pub backend: &'static str,
-    /// Mutual-auth sessions established (telemetry verified).
+    /// Sessions that completed correctly, other than Peeters–Hermans
+    /// identifications: mutual authentications with verified telemetry
+    /// plus symmetric and Schnorr authentications.
     pub sessions_ok: u64,
-    /// Mutual-auth sessions that failed (forged hello rejected by the
-    /// device, or gateway-side auth/decode failure).
+    /// Non-PH sessions that failed: a forged hello a device accepted,
+    /// a device-side rejection, a rejected Negotiate, a server-side
+    /// error, or a verified session with the wrong outcome.
     pub sessions_failed: u64,
     /// Telemetry frames verified and decrypted.
     pub frames_ok: u64,
     /// Peeters–Hermans identifications that matched.
     pub ph_identified: u64,
-    /// Peeters–Hermans runs that failed.
+    /// Peeters–Hermans runs the server rejected.
     pub ph_failed: u64,
     /// Forged hellos the devices correctly rejected.
     pub forged_rejected: u64,
-    /// Session-traffic frames that failed to deframe or validate at
-    /// the gateway (wire-level `DecodeError`s in `telemetry_batch` and
-    /// the sigma paths). These always counted toward
-    /// `sessions_failed`; this field makes the wire-garbage share
-    /// visible instead of silently folding it into auth failures.
+    /// Session frames the servers failed to decode (`SuiteError::Decode`
+    /// from a hello or a verification). Each is also a failed session
+    /// (`sessions_failed` or `ph_failed`); this field makes the
+    /// wire-garbage share visible instead of folding it into auth
+    /// failures.
     pub decode_failures: u64,
     /// Arrivals the streaming front end turned away *before* any
     /// crypto work: token-bucket rate limiting plus failed
@@ -126,7 +129,7 @@ pub struct FleetReport {
     pub lane_queue_high_water: Vec<usize>,
     /// Wall-clock duration of the run, seconds.
     pub wall_s: f64,
-    /// Completed sessions (mutual + PH) per second of wall time.
+    /// Completed sessions (every protocol) per second of wall time.
     pub sessions_per_sec: f64,
     /// Verified telemetry frames per second of wall time.
     pub frames_per_sec: f64,
@@ -136,7 +139,7 @@ pub struct FleetReport {
     pub energy_per_session_j: f64,
     /// Worst single-device energy draw, joules.
     pub device_energy_max_j: f64,
-    /// Gateway-side energy (wall-powered, but it bounds rack sizing),
+    /// Server-side energy (wall-powered, but it bounds rack sizing),
     /// joules.
     pub server_energy_j: f64,
     /// Bytes on the air across all devices.
@@ -144,11 +147,7 @@ pub struct FleetReport {
     /// Mean sessions one battery sustains at the measured per-session
     /// draw (fleet-level lifetime figure).
     pub mean_sessions_per_battery: f64,
-    /// Live sessions per shard at the end of the run (concatenated
-    /// across curve lanes in a heterogeneous run).
-    pub shard_occupancy: Vec<usize>,
-    /// Per-profile breakdown (one row per pyramid point; empty on the
-    /// legacy monomorphized path).
+    /// Per-profile breakdown (one row per pyramid point).
     pub profiles: Vec<ProfileStats>,
     /// Wall-clock start of the run, milliseconds since the Unix epoch
     /// (read once before workers spawn — never in a hot path).
@@ -160,35 +159,9 @@ pub struct FleetReport {
 }
 
 impl FleetReport {
-    /// Fold the gateway counters into the report fields they feed.
-    pub(crate) fn apply_counters(&mut self, c: &GatewayCounters) {
-        self.sessions_ok = c.established;
-        self.frames_ok = c.frames;
-        self.ph_identified = c.ph_identified;
-        self.ph_failed = c.ph_failures;
-        self.sessions_failed += c.auth_failures + c.decode_failures;
-        // Also surfaced on its own: a decode failure is an attack
-        // signal (wire garbage), not a crypto verdict, and hiding it
-        // inside `sessions_failed` lost that distinction.
-        self.decode_failures = c.decode_failures;
-    }
-
-    /// Completed sessions of both protocol families.
+    /// Completed sessions of every protocol.
     pub fn sessions_completed(&self) -> u64 {
         self.sessions_ok + self.ph_identified
-    }
-
-    /// Ratio between the fullest shard and the mean occupancy (1.0 =
-    /// perfectly balanced; stays finite for sparse tables where some
-    /// shards are legitimately empty).
-    pub fn shard_imbalance(&self) -> f64 {
-        let total: usize = self.shard_occupancy.iter().sum();
-        let hi = self.shard_occupancy.iter().max().copied().unwrap_or(0);
-        if total == 0 || self.shard_occupancy.is_empty() {
-            return 1.0;
-        }
-        let mean = total as f64 / self.shard_occupancy.len() as f64;
-        hi as f64 / mean
     }
 
     /// Machine-readable summary (hand-rolled JSON object; no serde in
@@ -296,18 +269,6 @@ impl FleetReport {
             finite_or_null(
                 self.mean_sessions_per_battery,
                 format!("{:.1}", self.mean_sessions_per_battery),
-            ),
-        );
-        field(
-            &mut s,
-            "shard_occupancy",
-            format!(
-                "[{}]",
-                self.shard_occupancy
-                    .iter()
-                    .map(usize::to_string)
-                    .collect::<Vec<_>>()
-                    .join(",")
             ),
         );
         field(
@@ -462,10 +423,8 @@ impl core::fmt::Display for FleetReport {
         )?;
         write!(
             f,
-            "  sharding   {} shards, imbalance {:.2}, {} bytes on air",
-            self.shards,
-            self.shard_imbalance(),
-            self.bytes_on_air
+            "  sharding   {} shards, {} bytes on air",
+            self.shards, self.bytes_on_air
         )?;
         for p in &self.profiles {
             write!(
@@ -538,7 +497,6 @@ mod tests {
             server_energy_j: 3.0e-4,
             bytes_on_air: 1024,
             mean_sessions_per_battery: 2.0e9,
-            shard_occupancy: vec![2, 2, 2, 2],
             profiles: vec![ProfileStats {
                 profile: "mutual@Toy17".into(),
                 curve: "Toy17".into(),
@@ -565,7 +523,6 @@ mod tests {
             "sessions_ok",
             "frames_per_sec",
             "energy_per_session_j",
-            "shard_occupancy",
             "forged_rejected",
             "decode_failures",
             "admission_rejected",
@@ -637,11 +594,6 @@ mod tests {
         let text = r.to_string();
         assert!(text.contains("latency"));
         assert!(text.contains("forensics"));
-    }
-
-    #[test]
-    fn imbalance_of_balanced_table_is_one() {
-        assert!((sample().shard_imbalance() - 1.0).abs() < f64::EPSILON);
     }
 
     #[test]

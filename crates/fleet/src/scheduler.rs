@@ -1,8 +1,4 @@
-//! Work schedulers: the lane-affine work-stealing scheduler the hub
-//! and the monomorphized driver both serve from, plus the legacy
-//! mutex-guarded [`BatchScheduler`].
-//!
-//! # The lane-affine scheduler
+//! The lane-affine work-stealing scheduler the hub serves from.
 //!
 //! The pre-multicore fleet drained one global `Mutex<VecDeque>` of
 //! *global* device indices. That design has three scaling defects:
@@ -40,10 +36,8 @@
 //! integrated queue depth) are returned to the caller, which threads
 //! them into the observability counters when telemetry is on.
 
-use std::collections::VecDeque;
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 /// Pads (and aligns) its contents to 128 bytes — two 64-byte lines, so
 /// adjacent cursors stay apart even under the adjacent-line prefetcher.
@@ -273,9 +267,8 @@ impl LaneScheduler {
 
     /// Spawn `workers` scoped worker threads over this scheduler, each
     /// pinned to its greedy home lane, and hand every thread its
-    /// [`LaneWorker`] claim handle. Both the curve-erased hub and the
-    /// monomorphized `run_fleet_on` drive their serving loops through
-    /// this one harness, so they measure the same execution model.
+    /// [`LaneWorker`] claim handle. The hub's batch and streaming
+    /// drivers both serve through this one harness.
     pub fn run_workers<R, F>(&self, workers: usize, worker: F) -> Vec<R>
     where
         R: Send,
@@ -331,125 +324,11 @@ impl LaneWorker<'_> {
     }
 }
 
-/// A shared FIFO of pending jobs, drained in batches under one mutex.
-///
-/// This is the legacy scheduler the fleet served from before the
-/// lane-affine [`LaneScheduler`]; it remains for generic producer/
-/// consumer workloads (it supports `push`, which the static lane
-/// scheduler does not need) and as the baseline the fleet bench
-/// measures the lock-free claim path against.
-#[derive(Debug, Default)]
-pub struct BatchScheduler<T> {
-    queue: Mutex<VecDeque<T>>,
-}
-
-impl<T> BatchScheduler<T> {
-    /// Create a scheduler pre-loaded with `jobs`.
-    pub fn new(jobs: impl IntoIterator<Item = T>) -> Self {
-        Self {
-            queue: Mutex::new(jobs.into_iter().collect()),
-        }
-    }
-
-    /// Enqueue one job (e.g. a retry).
-    pub fn push(&self, job: T) {
-        self.queue
-            .lock()
-            .expect("scheduler queue poisoned")
-            .push_back(job);
-    }
-
-    /// Dequeue up to `max` jobs in one lock acquisition into `out`
-    /// (cleared first), reusing the caller's buffer so a worker loop
-    /// allocates once instead of once per pop. An empty `out` on
-    /// return means the queue is drained.
-    pub fn pop_batch_into(&self, max: usize, out: &mut Vec<T>) {
-        out.clear();
-        let mut q = self.queue.lock().expect("scheduler queue poisoned");
-        let take = max.max(1).min(q.len());
-        out.extend(q.drain(..take));
-    }
-
-    /// Dequeue up to `max` jobs into a fresh `Vec`. Prefer
-    /// [`pop_batch_into`](Self::pop_batch_into) in loops — this
-    /// convenience form allocates per call.
-    pub fn pop_batch(&self, max: usize) -> Vec<T> {
-        let mut out = Vec::new();
-        self.pop_batch_into(max, &mut out);
-        out
-    }
-
-    /// Jobs still queued.
-    pub fn remaining(&self) -> usize {
-        self.queue.lock().expect("scheduler queue poisoned").len()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
-
-    #[test]
-    fn batches_respect_size_and_drain() {
-        let s = BatchScheduler::new(0..10);
-        assert_eq!(s.pop_batch(4), vec![0, 1, 2, 3]);
-        assert_eq!(s.remaining(), 6);
-        s.push(10);
-        let rest: Vec<i32> = std::iter::from_fn(|| {
-            let b = s.pop_batch(3);
-            if b.is_empty() {
-                None
-            } else {
-                Some(b)
-            }
-        })
-        .flatten()
-        .collect();
-        assert_eq!(rest, vec![4, 5, 6, 7, 8, 9, 10]);
-    }
-
-    #[test]
-    fn pop_batch_into_reuses_the_buffer() {
-        let s = BatchScheduler::new(0..100u32);
-        let mut buf: Vec<u32> = Vec::with_capacity(64);
-        let ptr = buf.as_ptr();
-        let mut seen = 0usize;
-        loop {
-            s.pop_batch_into(32, &mut buf);
-            if buf.is_empty() {
-                break;
-            }
-            seen += buf.len();
-        }
-        assert_eq!(seen, 100);
-        // Capacity was never exceeded, so the allocation is the one the
-        // caller made up front.
-        assert_eq!(buf.as_ptr(), ptr);
-        assert_eq!(s.remaining(), 0);
-    }
-
-    #[test]
-    fn concurrent_workers_process_each_job_once() {
-        let s = BatchScheduler::new(0..1000u32);
-        let done = AtomicUsize::new(0);
-        std::thread::scope(|scope| {
-            for _ in 0..4 {
-                scope.spawn(|| {
-                    let mut buf = Vec::with_capacity(16);
-                    loop {
-                        s.pop_batch_into(16, &mut buf);
-                        if buf.is_empty() {
-                            break;
-                        }
-                        done.fetch_add(buf.len(), Ordering::Relaxed);
-                    }
-                });
-            }
-        });
-        assert_eq!(done.load(Ordering::Relaxed), 1000);
-        assert_eq!(s.remaining(), 0);
-    }
+    use std::sync::Mutex;
 
     #[test]
     fn lane_scheduler_chunks_never_cross_lanes() {

@@ -1,29 +1,12 @@
-//! The fleet driver: scoped worker threads pumping batched sessions
-//! between the provisioned devices and the shared gateway, every
-//! message passing through the `medsec_protocols::wire` codec.
+//! Fleet configuration and the one-call driver: a [`FleetConfig`]
+//! names the fleet (a single-curve mix or explicit wards), and
+//! [`run_fleet`] provisions a [`GatewayHub`](crate::hub::GatewayHub)
+//! and serves every device once.
 
-use std::collections::HashMap;
-use std::sync::Mutex;
-use std::time::Instant;
-
-use medsec_ec::CurveSpec;
-#[cfg(test)]
-use medsec_ec::Toy17;
-use medsec_power::{EnergyReport, RadioModel};
-use medsec_protocols::mutual::{self, SessionOutcome};
 use medsec_protocols::suite::{CurveId, SecurityProfile};
-use medsec_protocols::wire::{self, MsgType};
-use medsec_protocols::EnergyLedger;
-use medsec_rng::SplitMix64;
 
-#[cfg(test)]
-use crate::gateway::FleetError;
-use crate::gateway::Gateway;
-use crate::registry::{provision, DeviceId, FleetDevice};
+use crate::registry::DeviceId;
 use crate::report::FleetReport;
-use crate::scheduler::{LaneScheduler, LaneWorker};
-#[cfg(test)]
-use medsec_protocols::wire::DecodeError;
 
 /// Which curve a co-processor is configured for.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -201,299 +184,15 @@ pub(crate) fn unix_ms_now() -> u64 {
         .unwrap_or(0)
 }
 
-/// Worker-local tallies merged into the report after the scope joins.
-///
-/// Gateway-side `Err` outcomes are *not* tallied here — the gateway's
-/// own atomic counters record them — only outcomes the gateway cannot
-/// see: device-side rejections, and "verified but wrong" mismatches
-/// (decrypted telemetry differing from what the device sent, or a
-/// Peeters–Hermans run identifying the wrong tag).
-#[derive(Debug, Default, Clone, Copy)]
-struct WorkerTally {
-    forged_rejected: u64,
-    forged_accepted: u64,
-    device_rejections: u64,
-    mismatches: u64,
-    server_energy_j: f64,
-}
-
 /// Run a full fleet simulation as configured.
 ///
 /// Every run — heterogeneous or degenerate single-profile — goes
 /// through the curve-erased [`GatewayHub`](crate::hub::GatewayHub):
 /// devices advertise their profile in a wire-level Negotiate hello and
-/// the hub buckets them into per-curve lanes, each driven through the
-/// same batched fast paths the monomorphized [`run_fleet_on`] uses.
-/// (`run_fleet_on` is kept as the direct-dispatch reference the
-/// `suite_dispatch` bench pins the hub's overhead against.)
+/// the hub buckets them into per-curve lanes, each served through the
+/// batched `SecuritySuite` entry points.
 pub fn run_fleet(cfg: &FleetConfig) -> FleetReport {
     crate::hub::GatewayHub::provision(cfg).run(cfg)
-}
-
-/// Monomorphized single-curve fleet run — the pre-hub code path,
-/// kept as the dispatch-overhead baseline and for curve-generic
-/// callers.
-pub fn run_fleet_on<C: CurveSpec>(cfg: &FleetConfig) -> FleetReport {
-    assert!(cfg.devices > 0, "fleet needs at least one device");
-    let threads = cfg.threads.max(1);
-    let started_unix_ms = unix_ms_now();
-
-    let (registry, gateway) = provision::<C>(cfg.devices, cfg.shards, cfg.curve, cfg.seed);
-    let devices: Vec<Mutex<FleetDevice<C>>> = registry
-        .into_devices()
-        .into_iter()
-        .map(Mutex::new)
-        .collect();
-    // The monomorphized driver is the degenerate single-lane case of
-    // the same lane-affine scheduler the hub serves from, so the two
-    // paths measure one execution model (the `suite_dispatch` bench
-    // relies on this when it pins the hub's overhead).
-    let scheduler = LaneScheduler::new(&[devices.len()], cfg.batch_size);
-
-    let start = Instant::now();
-    let tallies: Vec<WorkerTally> =
-        scheduler.run_workers(threads, |w| worker_loop(w, cfg, &gateway, &devices));
-    let wall_s = start.elapsed().as_secs_f64().max(1e-9);
-
-    // Aggregate device-side energy.
-    let mut device_energy_total = 0.0f64;
-    let mut device_energy_max = 0.0f64;
-    let mut bytes_on_air = 0u64;
-    let mut battery_sessions_sum = 0.0f64;
-    let mut battery_sessions_n = 0u64;
-    for cell in &devices {
-        let d = cell.lock().expect("device poisoned");
-        let e = d.ledger.total();
-        device_energy_total += e;
-        device_energy_max = device_energy_max.max(e);
-        bytes_on_air += d.ledger.bytes_on_air() as u64;
-        if e > 0.0 {
-            battery_sessions_sum += d.profile.battery_j / e;
-            battery_sessions_n += 1;
-        }
-    }
-
-    let tally = tallies.iter().fold(WorkerTally::default(), |mut acc, t| {
-        acc.forged_rejected += t.forged_rejected;
-        acc.forged_accepted += t.forged_accepted;
-        acc.device_rejections += t.device_rejections;
-        acc.mismatches += t.mismatches;
-        acc.server_energy_j += t.server_energy_j;
-        acc
-    });
-
-    let counters = gateway.counters();
-    let completed = counters.established + counters.ph_identified;
-    let mut report = FleetReport {
-        devices: cfg.devices,
-        threads,
-        shards: gateway.sessions().shard_count(),
-        backend: medsec_gf2m::backend::active_backend_name(),
-        sessions_ok: 0,
-        sessions_failed: tally.device_rejections + tally.forged_accepted + tally.mismatches,
-        frames_ok: 0,
-        ph_identified: 0,
-        ph_failed: 0,
-        forged_rejected: tally.forged_rejected,
-        decode_failures: 0,
-        admission_rejected: 0,
-        shed_rate: 0.0,
-        lane_queue_high_water: Vec::new(),
-        wall_s,
-        sessions_per_sec: completed as f64 / wall_s,
-        frames_per_sec: counters.frames as f64 / wall_s,
-        device_energy_total_j: device_energy_total,
-        energy_per_session_j: if completed > 0 {
-            device_energy_total / completed as f64
-        } else {
-            0.0
-        },
-        device_energy_max_j: device_energy_max,
-        server_energy_j: tally.server_energy_j,
-        bytes_on_air,
-        mean_sessions_per_battery: if battery_sessions_n > 0 {
-            battery_sessions_sum / battery_sessions_n as f64
-        } else {
-            0.0
-        },
-        shard_occupancy: gateway.sessions().shard_sizes(),
-        // The monomorphized reference path predates per-profile
-        // reporting and telemetry; the hub path fills these.
-        profiles: Vec::new(),
-        started_unix_ms,
-        telemetry: None,
-    };
-    report.apply_counters(&counters);
-    report
-}
-
-/// One worker: claim batches from the (single-lane) scheduler, running
-/// each device's session against the gateway. The partition buffers
-/// are reused across batches — the steady-state loop allocates nothing
-/// for scheduling or partitioning.
-fn worker_loop<C: CurveSpec>(
-    mut w: LaneWorker<'_>,
-    cfg: &FleetConfig,
-    gateway: &Gateway<C>,
-    devices: &[Mutex<FleetDevice<C>>],
-) -> WorkerTally {
-    let mut tally = WorkerTally::default();
-    let mut rng = SplitMix64::new(cfg.seed ^ 0xB47C_0000_0000_0000 ^ w.index as u64);
-    // The gateway is wall-powered; its ledger exists to size the rack,
-    // using the same calibrated models.
-    let mut server_ledger = EnergyLedger::new(
-        EnergyReport::from_totals(86_000, 5.1e-6, 847_500.0),
-        RadioModel::first_order_default(),
-        2.0,
-    );
-    let mut mutual_jobs: Vec<usize> = Vec::new();
-    let mut ph_jobs: Vec<usize> = Vec::new();
-
-    while let Some(batch) = w.next_batch() {
-        // Partition by protocol family so hello generation can batch.
-        mutual_jobs.clear();
-        ph_jobs.clear();
-        for idx in batch.slots {
-            let kind = devices[idx].lock().expect("device poisoned").profile.kind;
-            if kind.uses_mutual_auth() {
-                mutual_jobs.push(idx);
-            } else {
-                ph_jobs.push(idx);
-            }
-        }
-
-        // §4 flood scenario: a slice of devices first receives a forged
-        // hello, which ServerFirst ordering must reject cheaply.
-        for &idx in &mutual_jobs {
-            let mut guard = devices[idx].lock().expect("device poisoned");
-            let d = &mut *guard;
-            if !is_forged_target(d.profile.id, cfg.forged_per_mille) {
-                continue;
-            }
-            let forged = mutual::forged_hello::<C>(rng.as_fn());
-            let telemetry = d.profile.kind.telemetry();
-            let out = d
-                .mutual
-                .run_session(&forged, telemetry, d.rng.as_fn(), &mut d.ledger);
-            match out {
-                SessionOutcome::ServerRejected => tally.forged_rejected += 1,
-                SessionOutcome::Established { .. } => tally.forged_accepted += 1,
-            }
-        }
-
-        // Batched genuine hellos: ephemerals generated in one pass,
-        // pending sessions inserted one lock per shard. Hellos are
-        // matched back to devices by the returned id — hello_batch may
-        // skip ids it does not know, so positional pairing would
-        // misalign the batch tail.
-        let idx_by_id: HashMap<DeviceId, usize> = mutual_jobs
-            .iter()
-            .map(|&idx| {
-                (
-                    devices[idx].lock().expect("device poisoned").profile.id,
-                    idx,
-                )
-            })
-            .collect();
-        let ids: Vec<DeviceId> = idx_by_id.keys().copied().collect();
-        let hellos = gateway.hello_batch(&ids, rng.as_fn(), &mut server_ledger);
-
-        // Devices answer with telemetry frames, which are collected and
-        // verified in one gateway batch: all ECDH ladders, then a single
-        // batched inversion for every shared secret.
-        let mut tele_frames: Vec<(DeviceId, bytes::Bytes, &'static [u8])> =
-            Vec::with_capacity(hellos.len());
-        for (id, hello_frame) in hellos {
-            let idx = idx_by_id[&id];
-            let mut guard = devices[idx].lock().expect("device poisoned");
-            let d = &mut *guard;
-            // Device-side processing straight from the wire payload:
-            // the CMAC is verified over the received encoding before
-            // the point is decompressed (ServerFirst all the way down).
-            let payload = match wire::deframe(&hello_frame) {
-                Ok((MsgType::ServerHello, payload)) => payload,
-                _ => {
-                    tally.device_rejections += 1;
-                    continue;
-                }
-            };
-            let telemetry = d.profile.kind.telemetry();
-            let outcome =
-                d.mutual
-                    .run_session_frame(payload, telemetry, d.rng.as_fn(), &mut d.ledger);
-            match outcome {
-                SessionOutcome::Established { telemetry_frame } => {
-                    let framed = wire::frame(MsgType::Telemetry, &telemetry_frame);
-                    tele_frames.push((id, framed, telemetry));
-                }
-                SessionOutcome::ServerRejected => tally.device_rejections += 1,
-            }
-        }
-        let frame_refs: Vec<(DeviceId, &[u8])> = tele_frames
-            .iter()
-            .map(|(id, frame, _)| (*id, frame.as_ref()))
-            .collect();
-        let verified = gateway.telemetry_batch(&frame_refs, &mut server_ledger);
-        for ((_, _, expect), (_, result)) in tele_frames.iter().zip(verified) {
-            match result {
-                Ok(plaintext) if plaintext == *expect => {}
-                // Verified but wrong plaintext: invisible to the
-                // gateway's counters, so tally it here.
-                Ok(_) => tally.mismatches += 1,
-                // Err cases are already in the gateway counters.
-                Err(_) => {}
-            }
-        }
-
-        // Peeters–Hermans: each tag's commit→challenge→respond state
-        // machine is sequential by design, but the expensive round-3
-        // identifications all go through one gateway batch.
-        let mut ph_responses: Vec<(DeviceId, bytes::Bytes)> = Vec::with_capacity(ph_jobs.len());
-        for &idx in &ph_jobs {
-            let mut guard = devices[idx].lock().expect("device poisoned");
-            let d = &mut *guard;
-            let id = d.profile.id;
-            let Some(tag) = d.tag.as_mut() else {
-                continue;
-            };
-            let commitment = tag.commit(d.rng.as_fn(), &mut d.ledger);
-            let commit_frame = wire::encode_point(MsgType::PhCommit, &commitment);
-            let challenge_frame =
-                match gateway.ph_challenge(id, &commit_frame, rng.as_fn(), &mut server_ledger) {
-                    Ok(f) => f,
-                    // Decode failures are in the gateway counters.
-                    Err(_) => continue,
-                };
-            let challenge = match wire::decode_scalar::<C>(MsgType::PhChallenge, &challenge_frame) {
-                Ok(c) => c,
-                Err(_) => {
-                    tally.device_rejections += 1;
-                    continue;
-                }
-            };
-            let response = tag.respond(&challenge, d.rng.as_fn(), &mut d.ledger);
-            ph_responses.push((id, wire::encode_scalar(MsgType::PhResponse, &response)));
-        }
-        let response_refs: Vec<(DeviceId, &[u8])> = ph_responses
-            .iter()
-            .map(|(id, frame)| (*id, frame.as_ref()))
-            .collect();
-        for (id, result) in
-            gateway.ph_identify_batch(&response_refs, rng.as_fn(), &mut server_ledger)
-        {
-            match result {
-                Ok(found) if found == id => {}
-                // Identified, but as the wrong tag: the gateway cannot
-                // know, so the driver tallies it.
-                Ok(_) => tally.mismatches += 1,
-                // Err cases are already in the gateway counters.
-                Err(_) => {}
-            }
-        }
-    }
-
-    tally.server_energy_j = server_ledger.total();
-    tally
 }
 
 /// Deterministically mark ~`per_mille`/1000 of devices as forged-hello
@@ -502,29 +201,17 @@ pub(crate) fn is_forged_target(id: DeviceId, per_mille: u32) -> bool {
     id.wrapping_mul(2_654_435_761) % 1000 < per_mille
 }
 
-/// Device-side parse of a wire-framed `ServerHello` into the struct
-/// form (the serving loop itself feeds the raw payload to
-/// `run_session_frame`, which MACs before decompressing).
-#[cfg(test)]
-fn parse_server_hello<C: CurveSpec>(bytes: &[u8]) -> Result<mutual::ServerHello<C>, FleetError> {
-    let (ty, payload) = wire::deframe(bytes)?;
-    if ty != MsgType::ServerHello {
-        return Err(FleetError::Decode(DecodeError::Malformed));
-    }
-    let plen = medsec_ec::Point::<C>::compressed_len();
-    if payload.len() != plen + 16 {
-        return Err(FleetError::Decode(DecodeError::Malformed));
-    }
-    let ephemeral =
-        medsec_ec::Point::<C>::decompress(&payload[..plen]).ok_or(FleetError::BadEphemeral)?;
-    let mac: [u8; 16] = payload[plen..].try_into().expect("16 bytes");
-    Ok(mutual::ServerHello { ephemeral, mac })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::registry::DeviceKind;
+    use crate::hub::{server_ledger, with_lane, GatewayHub};
+    use crate::registry::{provision_lane, DeviceKind, LaneProvision};
+    use medsec_ec::Toy17;
+    use medsec_protocols::suite::{
+        MutualSuite, ProtocolId, SecuritySuite, SuiteError, SuiteOutcome,
+    };
+    use medsec_protocols::wire::{self, MsgType};
+    use medsec_rng::SplitMix64;
 
     #[test]
     fn small_fleet_completes_every_session() {
@@ -545,90 +232,114 @@ mod tests {
         assert!(report.sessions_per_sec > 0.0);
     }
 
+    /// One pacemaker (id 0) on a Toy17 lane, with its servers.
+    fn pacemaker_lane(seed: u64) -> LaneProvision<Toy17> {
+        let profile = SecurityProfile::new(CurveId::Toy17, ProtocolId::Mutual);
+        provision_lane(
+            &[(0, DeviceKind::Pacemaker, profile)],
+            4,
+            CurveChoice::Toy17,
+            seed,
+        )
+    }
+
     #[test]
     fn session_establishment_single_device_round_trip() {
-        let (registry, gateway) = provision::<Toy17>(1, 4, CurveChoice::Toy17, 7);
-        let mut device = registry.into_devices().remove(0);
-        assert_eq!(device.profile.kind, DeviceKind::Pacemaker);
+        let LaneProvision {
+            mut devices,
+            mutual,
+            ..
+        } = pacemaker_lane(7);
+        let d = &mut devices[0];
+        assert_eq!(d.profile.kind, DeviceKind::Pacemaker);
         let mut rng = SplitMix64::new(42);
-        let mut server_ledger = EnergyLedger::new(
-            EnergyReport::from_totals(86_000, 5.1e-6, 847_500.0),
-            RadioModel::first_order_default(),
-            2.0,
-        );
+        let mut server_ledger = server_ledger();
 
-        let hellos = gateway.hello_batch(&[0], rng.as_fn(), &mut server_ledger);
-        assert_eq!(hellos.len(), 1);
-        let hello = parse_server_hello::<Toy17>(&hellos[0].1).unwrap();
-        let telemetry = device.profile.kind.telemetry();
-        let mut dev_rng = device.rng;
-        let SessionOutcome::Established { telemetry_frame } =
-            device
-                .mutual
-                .run_session(&hello, telemetry, dev_rng.as_fn(), &mut device.ledger)
-        else {
-            panic!("genuine hello must establish");
-        };
-        let framed = wire::frame(MsgType::Telemetry, &telemetry_frame);
-        let plaintext = gateway
-            .handle_telemetry(0, &framed, &mut server_ledger)
-            .unwrap();
-        assert_eq!(plaintext, telemetry);
-        // The session is promoted to Established in its shard.
-        assert_eq!(gateway.sessions().len(), 1);
-        assert_eq!(gateway.counters().established, 1);
+        let hello =
+            MutualSuite::<Toy17>::hello(&mutual, 0, None, rng.as_fn(), &mut server_ledger).unwrap();
+        assert_eq!(mutual.pending().len(), 1);
+        let telemetry = d.profile.kind.telemetry();
+        let closing = MutualSuite::device_turn(
+            &mut d.mutual,
+            &hello,
+            telemetry,
+            d.rng.as_fn(),
+            &mut d.ledger,
+        )
+        .unwrap();
+        let outcome = MutualSuite::<Toy17>::server_verify(
+            &mutual,
+            0,
+            &closing,
+            rng.as_fn(),
+            &mut server_ledger,
+        );
+        assert_eq!(
+            outcome,
+            Ok(SuiteOutcome::Established {
+                telemetry: telemetry.to_vec()
+            })
+        );
+        // The closing frame closed the session: nothing is kept.
+        assert!(mutual.pending().is_empty());
     }
 
     #[test]
     fn telemetry_is_rejected_without_a_pending_session() {
-        let (_registry, gateway) = provision::<Toy17>(1, 4, CurveChoice::Toy17, 8);
-        let mut ledger = EnergyLedger::new(
-            EnergyReport::from_totals(86_000, 5.1e-6, 847_500.0),
-            RadioModel::first_order_default(),
-            2.0,
-        );
+        let lane = pacemaker_lane(8);
         let bogus = wire::frame(MsgType::Telemetry, &[0u8; 24]);
-        match gateway.handle_telemetry(0, &bogus, &mut ledger) {
-            Err(FleetError::NoSession(0)) => {}
-            other => panic!("expected NoSession, got {other:?}"),
-        }
+        let mut rng = SplitMix64::new(44);
+        assert_eq!(
+            MutualSuite::<Toy17>::server_verify(
+                &lane.mutual,
+                0,
+                &bogus,
+                rng.as_fn(),
+                &mut server_ledger()
+            ),
+            Err(SuiteError::NoSession(0))
+        );
     }
 
     #[test]
     fn tampered_telemetry_fails_authentication() {
-        let (registry, gateway) = provision::<Toy17>(1, 4, CurveChoice::Toy17, 9);
-        let mut device = registry.into_devices().remove(0);
+        let LaneProvision {
+            mut devices,
+            mutual,
+            ..
+        } = pacemaker_lane(9);
+        let d = &mut devices[0];
         let mut rng = SplitMix64::new(43);
-        let mut server_ledger = EnergyLedger::new(
-            EnergyReport::from_totals(86_000, 5.1e-6, 847_500.0),
-            RadioModel::first_order_default(),
-            2.0,
-        );
-        let hellos = gateway.hello_batch(&[0], rng.as_fn(), &mut server_ledger);
-        let hello = parse_server_hello::<Toy17>(&hellos[0].1).unwrap();
-        let mut dev_rng = device.rng;
-        let SessionOutcome::Established {
-            mut telemetry_frame,
-        } = device
-            .mutual
-            .run_session(&hello, b"hr=200;panic", dev_rng.as_fn(), &mut device.ledger)
-        else {
-            panic!("genuine hello must establish");
-        };
+        let mut server_ledger = server_ledger();
+        let hello =
+            MutualSuite::<Toy17>::hello(&mutual, 0, None, rng.as_fn(), &mut server_ledger).unwrap();
+        let closing = MutualSuite::device_turn(
+            &mut d.mutual,
+            &hello,
+            b"hr=200;panic",
+            d.rng.as_fn(),
+            &mut d.ledger,
+        )
+        .unwrap();
         // Flip one ciphertext bit: "a modification on the ciphertext
         // may also lead to a corrupted therapy".
-        let mid = telemetry_frame.len() / 2;
-        telemetry_frame[mid] ^= 0x01;
-        let framed = wire::frame(MsgType::Telemetry, &telemetry_frame);
+        let mut tampered = closing.to_vec();
+        let mid = tampered.len() / 2;
+        tampered[mid] ^= 0x01;
         assert_eq!(
-            gateway.handle_telemetry(0, &framed, &mut server_ledger),
-            Err(FleetError::AuthFailed)
+            MutualSuite::<Toy17>::server_verify(
+                &mutual,
+                0,
+                &tampered,
+                rng.as_fn(),
+                &mut server_ledger
+            ),
+            Err(SuiteError::AuthFailed)
         );
-        assert_eq!(gateway.counters().auth_failures, 1);
     }
 
     #[test]
-    fn shard_occupancy_accounts_every_established_session() {
+    fn no_session_outlives_its_closing_frame() {
         let cfg = FleetConfig {
             devices: 128,
             threads: 2,
@@ -636,19 +347,19 @@ mod tests {
             forged_per_mille: 0,
             ..FleetConfig::default()
         };
-        let report = run_fleet(&cfg);
-        let live: usize = report.shard_occupancy.iter().sum();
-        // Established mutual sessions stay in the table; PH sessions
-        // are removed on identification.
-        assert_eq!(live as u64, report.sessions_ok);
-        assert_eq!(report.shard_occupancy.len(), 8);
-        // With 96 sessions over 8 shards, no shard should be empty or
-        // hold more than a third of the fleet.
-        assert!(
-            report.shard_imbalance() < 4.0,
-            "occupancy {:?}",
-            report.shard_occupancy
-        );
+        let hub = GatewayHub::provision(&cfg);
+        let report = hub.run(&cfg);
+        assert_eq!(report.sessions_completed(), 128);
+        assert_eq!(report.shards, 8);
+        // Every session closed: no server of any lane keeps state.
+        for lane in hub.lanes() {
+            with_lane!(lane, l => {
+                assert!(l.mutual.pending().is_empty());
+                assert!(l.ph.pending().is_empty());
+                assert!(l.schnorr.pending().is_empty());
+                assert!(l.symmetric.pending().is_empty());
+            });
+        }
     }
 
     #[test]

@@ -21,7 +21,10 @@
 //!   ([`EventKind::LoadShed`] + `QueueFull` reject) instead of growing
 //!   without bound, and each tick's drained batches are served through
 //!   the same lane-affine [`LaneScheduler`] workers and batched crypto
-//!   waves as the batch driver ([`serve_admitted`]);
+//!   waves as the batch driver (`serve_admitted`). A tick's drain takes
+//!   each device at most once: a device's later Negotiate stays queued
+//!   for the next tick, because the suite servers key a session's
+//!   pending state by device id;
 //! * each admitted session's **arrival→completion latency** is
 //!   recorded, so the run reports a p50/p99/max against a configured
 //!   SLO alongside the shed rate — throughput *at* a latency target,
@@ -38,12 +41,15 @@ pub use medsec_ingest::ClassPolicy;
 use medsec_ingest::{
     AdmissionControl, BoundedLaneQueue, ConnState, Connection, Ingress, Push, RejectReason,
 };
-use medsec_obs::{Event, EventKind, EventLog, Stage, Telemetry};
+use medsec_obs::{Event, EventKind, EventLog, Stage};
 use medsec_protocols::suite::{ProtocolId, SecurityProfile};
 use medsec_protocols::wire;
 use medsec_rng::SplitMix64;
 
-use crate::hub::{admit_negotiate, serve_admitted, server_ledger, with_lane, GatewayHub, HubTally};
+use crate::hub::{
+    admit_negotiate, open_events, serve_admitted, server_ledger, with_lane, GatewayHub, HubTally,
+    Partitions, WorkerState,
+};
 use crate::registry::DeviceKind;
 use crate::report::FleetReport;
 use crate::scheduler::LaneScheduler;
@@ -283,23 +289,7 @@ impl GatewayHub {
         let horizon = deliveries.len();
 
         // Observability: same provisioning as the batch driver.
-        let events: Option<EventLog> = cfg
-            .observe
-            .then(|| EventLog::new(cfg.event_capacity.max(2)));
-        if let Some(ev) = &events {
-            let name = medsec_gf2m::backend::active_backend_name();
-            let mut tag = [0u8; 8];
-            for (slot, b) in tag.iter_mut().zip(name.bytes()) {
-                *slot = b;
-            }
-            ev.log(Event::new(
-                EventKind::BackendSelected,
-                0,
-                0,
-                u64::from_le_bytes(tag),
-            ));
-            medsec_gf2m::invclock::set_enabled(true);
-        }
+        let events = open_events(cfg);
 
         let mut conns: Vec<Connection> = (0..n).map(|_| Connection::new()).collect();
         let mut last_arrival: Vec<Option<Instant>> = vec![None; n];
@@ -450,40 +440,37 @@ impl GatewayHub {
                 ingest_obs.end(span, m.lane, Stage::Admit);
             }
 
-            // Phase 2: drain up to `drain_per_tick` jobs per lane and
-            // serve them through the lane-affine scheduler — the same
-            // batched waves, scratch reuse and steal behaviour as the
-            // batch driver.
+            // Phase 2: drain up to `drain_per_tick` jobs per lane, each
+            // device at most once, and serve them through the
+            // lane-affine scheduler — the same batched waves, scratch
+            // reuse and steal behaviour as the batch driver.
             let drained: Vec<Vec<Job>> = queues
                 .iter_mut()
-                .map(|q| q.drain_batch(scfg.drain_per_tick))
+                .map(|q| q.drain_batch(scfg.drain_per_tick, |j| j.slot))
                 .collect();
             if drained.iter().any(|jobs| !jobs.is_empty()) {
                 let lane_sizes: Vec<usize> = drained.iter().map(Vec::len).collect();
                 let scheduler = LaneScheduler::new(&lane_sizes, cfg.batch_size);
                 let outcomes = scheduler.run_workers(threads, |mut w| {
-                    let mut tally = HubTally::default();
-                    let mut rng = SplitMix64::new(
-                        cfg.seed ^ 0x517E_0000_0000_0000 ^ ((tick as u64) << 8) ^ w.index as u64,
-                    );
-                    let mut ledger = server_ledger();
-                    let mut obs = WorkerObs::new(events.is_some(), lanes);
-                    let mut scratch = crate::hub::ProtoScratch::default();
+                    let seed =
+                        cfg.seed ^ 0x517E_0000_0000_0000 ^ ((tick as u64) << 8) ^ w.index as u64;
+                    let mut state = WorkerState::new(cfg, events.as_ref(), lanes, seed);
+                    let mut parts = Partitions::default();
+                    let mut pairs: Vec<(usize, ProtocolId)> = Vec::new();
                     let mut lat: Vec<u64> = Vec::new();
                     while let Some(batch) = w.next_batch() {
                         let jobs = &drained[batch.lane][batch.slots.clone()];
-                        let pairs: Vec<(usize, ProtocolId)> =
-                            jobs.iter().map(|j| (j.slot, j.proto)).collect();
+                        pairs.clear();
+                        pairs.extend(jobs.iter().map(|j| (j.slot, j.proto)));
                         with_lane!(&self.lanes()[batch.lane], l => serve_admitted(
-                            l, batch.lane, &pairs, cfg, &mut rng, &mut ledger,
-                            &mut tally, &mut scratch, &mut obs, events.as_ref(),
+                            l, batch.lane, &pairs, &mut parts, &mut state,
                         ));
                         let served = Instant::now();
                         for j in jobs {
                             lat.push(served.duration_since(j.arrived).as_nanos() as u64);
                         }
                     }
-                    tally.server_energy_j = ledger.total();
+                    let (tally, obs) = state.finish();
                     (tally, obs, lat)
                 });
                 for (t, obs, lat) in outcomes {
@@ -497,20 +484,10 @@ impl GatewayHub {
             tick += 1;
         }
         let wall_s = start.elapsed().as_secs_f64().max(1e-9);
-        if events.is_some() {
-            medsec_gf2m::invclock::set_enabled(false);
-        }
         stats.ticks = tick;
 
         tally.server_energy_j += ingest_ledger.total();
-        let mut telemetry: Option<Telemetry> = events.map(|ev| {
-            let labels: Vec<String> = self
-                .lanes()
-                .iter()
-                .map(|lane| with_lane!(lane, l => l.curve.name().to_string()))
-                .collect();
-            Telemetry::new(&labels, ev.snapshot())
-        });
+        let mut telemetry = self.close_events(events);
         if let Some(tele) = telemetry.as_mut() {
             for rec in &recorders {
                 tele.absorb(rec);
@@ -734,29 +711,158 @@ mod tests {
         );
     }
 
+    /// A device may negotiate again while its earlier Negotiate is
+    /// still queued; every admitted Negotiate must still complete
+    /// exactly once, with no failure and no panic. Two shapes:
+    ///
+    /// * two symmetric devices arriving twice, well apart (closed-loop);
+    /// * a 12-device ward of each protocol arriving at ticks 0, 1 and 2
+    ///   into a slow drain, so one tick's drain would otherwise hold a
+    ///   device twice. The suite servers key a session's pending state
+    ///   by device id, so a second hello in one wave replaces the
+    ///   first: a session is lost or fails, and a Schnorr badge asked
+    ///   to respond twice to one commitment panics its worker.
     #[test]
     fn renegotiation_serves_a_device_twice() {
-        let cfg = FleetConfig {
-            threads: 1,
-            shards: 4,
-            forged_per_mille: 0,
-            wards: vec![crate::sim::WardSpec::new(
-                SecurityProfile::new(medsec_protocols::CurveId::Toy17, ProtocolId::Symmetric),
-                2,
-            )],
-            ..FleetConfig::default()
+        use crate::sim::WardSpec;
+        use medsec_protocols::CurveId;
+        let apart = (
+            ProtocolId::Symmetric,
+            2,
+            vec![0, 20],
+            StreamingConfig::default(),
+        );
+        let crowded = |protocol| {
+            (
+                protocol,
+                12,
+                vec![0, 1, 2],
+                StreamingConfig {
+                    drain_per_tick: 8,
+                    queue_high_water: 4096,
+                    class_policies: [ClassPolicy::per_tick(4096, 4096); DEVICE_CLASSES],
+                    ..StreamingConfig::default()
+                },
+            )
         };
-        let hub = GatewayHub::provision(&cfg);
-        // Both devices arrive twice, well apart (closed-loop shape).
-        let schedule = vec![
-            Arrival::new(0, 0),
-            Arrival::new(1, 0),
-            Arrival::new(0, 20),
-            Arrival::new(1, 20),
-        ];
-        let out = hub.run_streaming(&cfg, &StreamingConfig::default(), &schedule);
-        assert_eq!(out.stats.arrivals, 4);
-        assert_eq!(out.stats.admitted, 4);
-        assert_eq!(out.report.sessions_completed(), 4);
+        let cases = std::iter::once(apart).chain(ProtocolId::ALL.into_iter().map(crowded));
+        for (protocol, devices, ticks, scfg) in cases {
+            for threads in [1usize, 2] {
+                let cfg = FleetConfig {
+                    threads,
+                    shards: 4,
+                    seed: 4,
+                    forged_per_mille: 0,
+                    wards: vec![WardSpec::new(
+                        SecurityProfile::new(CurveId::Toy17, protocol),
+                        devices,
+                    )],
+                    ..FleetConfig::default()
+                };
+                let hub = GatewayHub::provision(&cfg);
+                let schedule: Vec<Arrival> = ticks
+                    .iter()
+                    .flat_map(|&t| (0..devices).map(move |d| Arrival::new(d, t)))
+                    .collect();
+                let out = hub.run_streaming(&cfg, &scfg, &schedule);
+                let case = format!("{} × {devices} at {threads} workers", protocol.name());
+                let arrivals = schedule.len() as u64;
+                assert_eq!(out.stats.arrivals, arrivals, "{case}");
+                assert_eq!(out.stats.admitted, arrivals, "{case}");
+                assert_eq!(out.report.sessions_completed(), arrivals, "{case}");
+                assert_eq!(
+                    out.report.sessions_failed + out.report.ph_failed,
+                    0,
+                    "{case}"
+                );
+            }
+        }
+    }
+
+    /// `run_streaming`'s deterministic counters, session tallies and
+    /// device-energy books are a pure function of (config, schedule,
+    /// seed): equal at 1, 2 and 8 workers on a bursty schedule with
+    /// hostile bytes, shedding and repeat arrivals.
+    #[test]
+    fn streaming_outcome_is_identical_at_every_thread_count() {
+        fn view(out: &StreamingOutcome) -> impl PartialEq + std::fmt::Debug {
+            let s = &out.stats;
+            let r = &out.report;
+            (
+                [
+                    s.ticks as u64,
+                    s.arrivals,
+                    s.admitted,
+                    s.rate_limited,
+                    s.admission_denied,
+                    s.shed,
+                    s.garbage,
+                    s.violations,
+                    s.stray_sessions,
+                    s.dead_deliveries,
+                    s.reject_frames,
+                ],
+                s.lane_queue_high_water.clone(),
+                [
+                    r.sessions_ok,
+                    r.sessions_failed,
+                    r.frames_ok,
+                    r.ph_identified,
+                    r.ph_failed,
+                    r.forged_rejected,
+                    r.decode_failures,
+                    r.admission_rejected,
+                    r.bytes_on_air,
+                ],
+                r.device_energy_total_j.to_bits(),
+                r.device_energy_max_j.to_bits(),
+                r.profiles
+                    .iter()
+                    .map(|p| {
+                        (
+                            p.sessions_ok,
+                            p.sessions_failed,
+                            p.energy_per_session_j.to_bits(),
+                        )
+                    })
+                    .collect::<Vec<_>>(),
+            )
+        }
+        let scfg = StreamingConfig {
+            queue_high_water: 12,
+            drain_per_tick: 6,
+            hostile_per_mille: 150,
+            ..StreamingConfig::default()
+        };
+        let run = |threads: usize| {
+            let cfg = FleetConfig {
+                threads,
+                forged_per_mille: 60,
+                ..mixed_cfg()
+            };
+            let hub = GatewayHub::provision(&cfg);
+            let n = hub.device_count();
+            // Two bursts of the whole fleet on top of a trickle: queues
+            // shed, and devices arrive again while still queued.
+            let mut schedule = trickle(n, 10);
+            schedule.extend((0..n).map(|d| Arrival::new(d, 3)));
+            schedule.extend((0..n).step_by(2).map(|d| Arrival::new(d, 4)));
+            hub.run_streaming(&cfg, &scfg, &schedule)
+        };
+        let baseline = run(1);
+        assert!(baseline.stats.shed > 0, "the bursts must shed");
+        assert!(baseline.stats.garbage + baseline.stats.violations > 0);
+        assert!(
+            baseline.report.forged_rejected > 0,
+            "forged probes must fire"
+        );
+        assert_eq!(
+            baseline.report.sessions_completed(),
+            baseline.stats.admitted
+        );
+        let want = view(&baseline);
+        for threads in [2usize, 8] {
+            assert_eq!(view(&run(threads)), want, "drifted at {threads} workers");
+        }
     }
 }

@@ -39,7 +39,6 @@ fn deterministic_view(r: &FleetReport) -> impl PartialEq + std::fmt::Debug {
         ),
         r.device_energy_total_j.to_bits(),
         r.device_energy_max_j.to_bits(),
-        r.shard_occupancy.clone(),
         r.profiles
             .iter()
             .map(|p| {

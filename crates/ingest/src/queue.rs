@@ -58,10 +58,26 @@ impl<T> BoundedLaneQueue<T> {
     }
 
     /// Take up to `n` items for one serving batch, preserving arrival
-    /// order.
-    pub fn drain_batch(&mut self, n: usize) -> Vec<T> {
-        let take = n.min(self.items.len());
-        self.items.drain(..take).collect()
+    /// order, with at most one item per `key`: an item whose key is
+    /// already in the batch stays queued, ahead of later arrivals, for
+    /// the next drain.
+    pub fn drain_batch<K: PartialEq>(&mut self, n: usize, key: impl Fn(&T) -> K) -> Vec<T> {
+        let mut batch: Vec<T> = Vec::with_capacity(n.min(self.items.len()));
+        let mut deferred: Vec<T> = Vec::new();
+        while batch.len() < n {
+            let Some(item) = self.items.pop_front() else {
+                break;
+            };
+            if batch.iter().any(|b| key(b) == key(&item)) {
+                deferred.push(item);
+            } else {
+                batch.push(item);
+            }
+        }
+        for item in deferred.into_iter().rev() {
+            self.items.push_front(item);
+        }
+        batch
     }
 
     /// Items currently queued.
@@ -118,11 +134,28 @@ mod tests {
         q.push(1);
         q.push(2);
         assert_eq!(q.push(3), Push::Shed);
-        assert_eq!(q.drain_batch(1), vec![1]);
+        assert_eq!(q.drain_batch(1, |&i| i), vec![1]);
         assert_eq!(q.push(3), Push::Enqueued);
-        assert_eq!(q.drain_batch(8), vec![2, 3]);
+        assert_eq!(q.drain_batch(8, |&i| i), vec![2, 3]);
         assert!(q.is_empty());
         // The mark remembers the deepest point, not the current depth.
         assert_eq!(q.high_water_mark(), 2);
+    }
+
+    #[test]
+    fn drain_defers_repeated_keys_in_order() {
+        let mut q = BoundedLaneQueue::new(8);
+        for item in [(1, 'a'), (2, 'b'), (1, 'c'), (3, 'd'), (1, 'e'), (4, 'f')] {
+            q.push(item);
+        }
+        // Key 1 is taken once; its later items keep their place ahead
+        // of everything not yet drained.
+        let key = |&(k, _): &(u32, char)| k;
+        assert_eq!(q.drain_batch(3, key), vec![(1, 'a'), (2, 'b'), (3, 'd')]);
+        assert_eq!(q.len(), 3);
+        assert_eq!(q.drain_batch(8, key), vec![(1, 'c'), (4, 'f')]);
+        assert_eq!(q.drain_batch(8, key), vec![(1, 'e')]);
+        assert!(q.is_empty());
+        assert_eq!(q.enqueued(), 6);
     }
 }

@@ -4,29 +4,45 @@
 //! overwritten event as dropped — even under concurrent writers.
 //!
 //! The no-allocation property is enforced with a counting global
-//! allocator: every heap allocation in this test binary bumps an
-//! atomic, and the test asserts the count is unchanged across a
-//! multi-thread logging storm. "Never blocks" is structural (the ring
-//! is atomics-only — there is no lock to block on), witnessed here by
-//! concurrent writers making progress to an exact total.
+//! allocator: every heap allocation bumps a counter of the allocating
+//! thread, and each test asserts its own thread's count is unchanged
+//! across the logging it does. The counter is per thread so that
+//! other tests of this binary, running in parallel, cannot bump it.
+//! "Never blocks" is structural (the ring is atomics-only — there is
+//! no lock to block on), witnessed here by concurrent writers making
+//! progress to an exact total.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::thread;
 
 use medsec_obs::{Event, EventKind, EventLog, ALL_EVENT_KINDS};
 
-/// System allocator wrapper that counts allocations.
+/// System allocator wrapper that counts allocations per thread.
 struct CountingAlloc;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    // `const` and drop-free, so touching it from the allocator never
+    // allocates or registers a destructor.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_alloc() {
+    let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+}
+
+/// Allocations made so far by the calling thread.
+fn allocs() -> u64 {
+    ALLOCS.with(Cell::get)
+}
 
 // Test-binary-only instrumentation; the obs library itself is
 // `#![deny(unsafe_code)]`.
 #[allow(unsafe_code)]
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_alloc();
         unsafe { System.alloc(layout) }
     }
 
@@ -35,7 +51,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_alloc();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -48,14 +64,14 @@ fn logging_never_allocates_after_warmup() {
     // Warm-up: construct the ring (this is where all allocation is
     // allowed to happen).
     let log = EventLog::new(256);
-    let before = ALLOCS.load(Ordering::SeqCst);
+    let before = allocs();
 
     for i in 0..10_000u32 {
         let kind = ALL_EVENT_KINDS[(i as usize) % ALL_EVENT_KINDS.len()];
         log.log(Event::new(kind, (i % 5) as u8, i, u64::from(i) * 3));
     }
 
-    let after = ALLOCS.load(Ordering::SeqCst);
+    let after = allocs();
     assert_eq!(after - before, 0, "EventLog::log allocated on the hot path");
     assert_eq!(log.logged(), 10_000);
     assert_eq!(log.dropped(), 10_000 - 256);
@@ -112,8 +128,8 @@ fn concurrent_writers_never_lose_or_tear_events() {
 #[test]
 fn concurrent_writers_do_not_allocate() {
     let log = EventLog::new(64);
-    // Spawning threads allocates; measure only inside the workers and
-    // fold the per-worker delta through the shared counter *after*
+    // Spawning threads allocates; measure only inside the workers, on
+    // each worker's own counter, and fold the deltas together after
     // each worker finishes its loop.
     let inner_allocs = AtomicU64::new(0);
     thread::scope(|s| {
@@ -121,18 +137,17 @@ fn concurrent_writers_do_not_allocate() {
             let log = &log;
             let inner = &inner_allocs;
             s.spawn(move || {
-                let before = ALLOCS.load(Ordering::SeqCst);
+                let before = allocs();
                 for i in 0..2_000u32 {
                     log.log(Event::new(EventKind::AuthFailure, w, i, 0));
                 }
-                let after = ALLOCS.load(Ordering::SeqCst);
+                let after = allocs();
                 inner.fetch_add(after - before, Ordering::SeqCst);
             });
         }
     });
-    // The global counter is shared across threads, so only assert the
-    // single-threaded-quiet case strictly: with all writers doing only
-    // `log()`, nobody allocates, so every per-worker delta is zero.
+    // With all writers doing only `log()`, nobody allocates, so every
+    // per-worker delta is zero.
     assert_eq!(
         inner_allocs.load(Ordering::SeqCst),
         0,

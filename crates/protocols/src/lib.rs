@@ -19,7 +19,9 @@
 //! * [`suite`] — the security-suite seam: every protocol above behind
 //!   one profile-negotiated [`suite::SecuritySuite`] lifecycle
 //!   (`device_open → hello → device_turn → server_verify`, batched),
-//!   so a curve-erased gateway can serve heterogeneous fleets.
+//!   so a curve-erased gateway can serve heterogeneous fleets;
+//! * [`shard`] — the sharded pending-session table every suite server
+//!   keeps its in-flight sessions in.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -30,6 +32,7 @@ pub mod mutual;
 pub mod peeters_hermans;
 pub mod privacy;
 pub mod schnorr;
+pub mod shard;
 pub mod signature;
 pub mod suite;
 pub mod symmetric;
@@ -42,6 +45,7 @@ pub use privacy::{ph_tracking_game, schnorr_tracking_game, symmetric_tracking_ga
 pub use schnorr::{
     extract_public_key, schnorr_verify, schnorr_verify_batch, SchnorrTag, SchnorrTranscript,
 };
+pub use shard::PendingTable;
 pub use signature::{verify as verify_signature, Signature, SigningKey};
 pub use suite::{
     CountermeasureLevel, CurveId, MutualServer, MutualSuite, PhServer, PhSuite, ProtocolId,

@@ -26,15 +26,16 @@
 //! out-of-band configuration.
 
 use std::collections::HashMap;
-use std::sync::Mutex;
 
 use bytes::Bytes;
-use medsec_ec::{varbase_x_batch, CurveSpec, KeyPair, Point, Scalar};
+use medsec_ec::{varbase_x_batch_with, CurveSpec, KeyPair, Point, Scalar, XAffineScratch};
+use medsec_lwc::{Aes128, BlockCipher};
 
 use crate::energy::EnergyLedger;
 use crate::mutual::{self, open_telemetry, Pairing, SessionOutcome};
 use crate::peeters_hermans::{PhReader, PhTag, PhTranscript, TagId};
 use crate::schnorr::{schnorr_verify_batch, SchnorrTag, SchnorrTranscript};
+use crate::shard::PendingTable;
 use crate::symmetric::{SymmetricDevice, SymmetricServer, SymmetricTranscript};
 use crate::wire::{self, DecodeError, MsgType, NegotiateFrame, NEGOTIATE_VERSION};
 
@@ -47,7 +48,7 @@ type TelemetryPieces<'a> = (usize, SuiteDeviceId, &'a [u8], &'a [u8], &'a [u8]);
 
 /// Per-device pending sigma-protocol state: commitment `R` and
 /// challenge `e`.
-type SigmaPending<C> = Mutex<HashMap<SuiteDeviceId, (Point<C>, Scalar<C>)>>;
+type SigmaPending<C> = PendingTable<(Point<C>, Scalar<C>)>;
 
 /// Which curve a profile's co-processor is configured for (wire id).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -345,8 +346,9 @@ pub enum SuiteOutcome {
 pub trait SecuritySuite {
     /// Device-side protocol state.
     type Device;
-    /// Server-side protocol state (shared by reference; interior
-    /// mutability for pending-session maps).
+    /// Server-side protocol state (shared by reference; in-flight
+    /// sessions live in a sharded [`PendingTable`] from hello to
+    /// closing frame, so one server serves every worker thread).
     type Server;
 
     /// The protocol this suite speaks on the wire.
@@ -363,7 +365,9 @@ pub trait SecuritySuite {
 
     /// The server's hello for a whole wave of devices, given each
     /// device's opening frame. Entry `i` of the result corresponds to
-    /// `opens[i]`.
+    /// `opens[i]`. The server keys the session's pending state by
+    /// device id, so an id belongs in at most one entry of a wave: a
+    /// second hello to the same device replaces the first.
     fn hello_batch(
         server: &Self::Server,
         opens: &[(SuiteDeviceId, Option<&[u8]>)],
@@ -382,14 +386,36 @@ pub trait SecuritySuite {
         ledger: &mut EnergyLedger,
     ) -> Result<Bytes, SuiteError>;
 
-    /// The server's verification of a whole wave of closing frames.
-    /// Entry `i` of the result corresponds to `frames[i]`.
+    /// The server's verification of a whole wave of closing frames,
+    /// with caller-owned normalization scratch: serving workers thread
+    /// their per-thread [`XAffineScratch`] through here so the batched
+    /// inversion and `x·Z⁻¹` plane buffers are reused across waves
+    /// instead of reallocated per batch. Entry `i` of the result
+    /// corresponds to `frames[i]`.
+    fn server_verify_batch_with(
+        server: &Self::Server,
+        frames: &[(SuiteDeviceId, &[u8])],
+        next_u64: impl FnMut() -> u64,
+        ledger: &mut EnergyLedger,
+        ec: &mut XAffineScratch,
+    ) -> Vec<(SuiteDeviceId, Result<SuiteOutcome, SuiteError>)>;
+
+    /// [`server_verify_batch_with`](Self::server_verify_batch_with)
+    /// with a fresh scratch.
     fn server_verify_batch(
         server: &Self::Server,
         frames: &[(SuiteDeviceId, &[u8])],
         next_u64: impl FnMut() -> u64,
         ledger: &mut EnergyLedger,
-    ) -> Vec<(SuiteDeviceId, Result<SuiteOutcome, SuiteError>)>;
+    ) -> Vec<(SuiteDeviceId, Result<SuiteOutcome, SuiteError>)> {
+        Self::server_verify_batch_with(
+            server,
+            frames,
+            next_u64,
+            ledger,
+            &mut XAffineScratch::default(),
+        )
+    }
 
     /// Single-device hello (degenerate batch).
     fn hello(
@@ -452,16 +478,27 @@ pub trait SecuritySuite {
 #[derive(Debug)]
 pub struct SymmetricGate {
     server: SymmetricServer,
-    pending: Mutex<HashMap<SuiteDeviceId, [u8; 8]>>,
+    pending: PendingTable<[u8; 8]>,
 }
 
 impl SymmetricGate {
-    /// Wrap a provisioned key table.
+    /// Wrap a provisioned key table (one pending-table shard).
     pub fn new(server: SymmetricServer) -> Self {
+        Self::with_shards(server, 1)
+    }
+
+    /// Wrap a provisioned key table, sharding the pending nonces over
+    /// `shards` locks (rounded up to a power of two).
+    pub fn with_shards(server: SymmetricServer, shards: usize) -> Self {
         Self {
             server,
-            pending: Mutex::new(HashMap::new()),
+            pending: PendingTable::new(shards),
         }
+    }
+
+    /// The in-flight sessions.
+    pub fn pending(&self) -> &PendingTable<[u8; 8]> {
+        &self.pending
     }
 
     /// The wrapped key table.
@@ -501,12 +538,11 @@ impl SecuritySuite for SymmetricSuite {
         mut next_u64: impl FnMut() -> u64,
         ledger: &mut EnergyLedger,
     ) -> Vec<(SuiteDeviceId, Result<Bytes, SuiteError>)> {
-        let mut pending = server.pending.lock().expect("pending sessions poisoned");
         opens
             .iter()
             .map(|&(id, _)| {
                 let nonce = server.server.challenge(&mut next_u64);
-                pending.insert(id, nonce);
+                server.pending.insert(id, nonce);
                 let frame = wire::frame(MsgType::SymChallenge, &nonce);
                 ledger.tx(frame.len());
                 (id, Ok(frame))
@@ -535,13 +571,13 @@ impl SecuritySuite for SymmetricSuite {
         Ok(wire::frame(MsgType::SymResponse, &buf))
     }
 
-    fn server_verify_batch(
+    fn server_verify_batch_with(
         server: &Self::Server,
         frames: &[(SuiteDeviceId, &[u8])],
         _next_u64: impl FnMut() -> u64,
         ledger: &mut EnergyLedger,
+        _ec: &mut XAffineScratch,
     ) -> Vec<(SuiteDeviceId, Result<SuiteOutcome, SuiteError>)> {
-        let mut pending = server.pending.lock().expect("pending sessions poisoned");
         frames
             .iter()
             .map(|&(id, bytes)| {
@@ -562,7 +598,7 @@ impl SecuritySuite for SymmetricSuite {
                     // The response must answer the challenge *this*
                     // server issued for this id — a replayed or
                     // unsolicited transcript has no pending nonce.
-                    let issued = pending.remove(&id).ok_or(SuiteError::NoSession(id))?;
+                    let issued = server.pending.remove(id).ok_or(SuiteError::NoSession(id))?;
                     if t.device_id != id || t.server_nonce != issued {
                         return Err(SuiteError::AuthFailed);
                     }
@@ -587,16 +623,28 @@ impl SecuritySuite for SymmetricSuite {
 #[derive(Debug)]
 pub struct MutualServer<C: CurveSpec> {
     pairings: HashMap<SuiteDeviceId, Pairing>,
-    pending: Mutex<HashMap<SuiteDeviceId, KeyPair<C>>>,
+    pending: PendingTable<KeyPair<C>>,
 }
 
 impl<C: CurveSpec> MutualServer<C> {
-    /// Build a server from provisioning output.
+    /// Build a server from provisioning output (one pending-table
+    /// shard).
     pub fn new(pairings: Vec<(SuiteDeviceId, Pairing)>) -> Self {
+        Self::with_shards(pairings, 1)
+    }
+
+    /// Build a server from provisioning output, sharding the pending
+    /// ephemerals over `shards` locks (rounded up to a power of two).
+    pub fn with_shards(pairings: Vec<(SuiteDeviceId, Pairing)>, shards: usize) -> Self {
         Self {
             pairings: pairings.into_iter().collect(),
-            pending: Mutex::new(HashMap::new()),
+            pending: PendingTable::new(shards),
         }
+    }
+
+    /// The in-flight sessions.
+    pub fn pending(&self) -> &PendingTable<KeyPair<C>> {
+        &self.pending
     }
 }
 
@@ -628,31 +676,31 @@ impl<C: CurveSpec> SecuritySuite for MutualSuite<C> {
         ledger: &mut EnergyLedger,
     ) -> Vec<(SuiteDeviceId, Result<Bytes, SuiteError>)> {
         // One comb batch for every known device; unknown ids answered
-        // inline without burning a key pair.
-        let known: Vec<(SuiteDeviceId, &Pairing)> = opens
+        // without burning a key pair.
+        let mut results: Vec<(SuiteDeviceId, Result<Bytes, SuiteError>)> = opens
             .iter()
-            .filter_map(|&(id, _)| server.pairings.get(&id).map(|p| (id, p)))
+            .map(|&(id, _)| (id, Err(SuiteError::UnknownDevice(id))))
             .collect();
-        let pairing_refs: Vec<&Pairing> = known.iter().map(|&(_, p)| p).collect();
-        let hellos = mutual::server_hello_batch::<C>(&pairing_refs, &mut next_u64);
-        let mut by_id: HashMap<SuiteDeviceId, Bytes> = HashMap::with_capacity(known.len());
-        {
-            let mut pending = server.pending.lock().expect("pending sessions poisoned");
-            for ((id, _), (kp, hello, eph_bytes)) in known.into_iter().zip(hellos) {
-                ledger.point_mul();
-                let frame = wire::encode_server_hello_payload::<C>(&eph_bytes, &hello.mac);
-                ledger.tx(frame.len());
-                pending.insert(id, kp);
-                by_id.insert(id, frame);
+        let mut known: Vec<usize> = Vec::with_capacity(opens.len());
+        let mut pairing_refs: Vec<&Pairing> = Vec::with_capacity(opens.len());
+        for (i, &(id, _)) in opens.iter().enumerate() {
+            if let Some(p) = server.pairings.get(&id) {
+                known.push(i);
+                pairing_refs.push(p);
             }
         }
-        opens
-            .iter()
-            .map(|&(id, _)| {
-                let r = by_id.remove(&id).ok_or(SuiteError::UnknownDevice(id));
-                (id, r)
-            })
-            .collect()
+        let hellos = mutual::server_hello_batch::<C>(&pairing_refs, &mut next_u64);
+        for (i, (kp, hello, eph_bytes)) in known.into_iter().zip(hellos) {
+            // The ephemeral's point multiplication, then the hello MAC
+            // (three AES blocks of CMAC over the compressed point).
+            ledger.point_mul();
+            ledger.symmetric("AES-128", &Aes128::hw_profile(), 3);
+            let frame = wire::encode_server_hello_payload::<C>(&eph_bytes, &hello.mac);
+            ledger.tx(frame.len());
+            server.pending.insert(opens[i].0, kp);
+            results[i].1 = Ok(frame);
+        }
+        results
     }
 
     fn device_turn(
@@ -674,11 +722,12 @@ impl<C: CurveSpec> SecuritySuite for MutualSuite<C> {
         }
     }
 
-    fn server_verify_batch(
+    fn server_verify_batch_with(
         server: &Self::Server,
         frames: &[(SuiteDeviceId, &[u8])],
-        mut next_u64: impl FnMut() -> u64,
+        next_u64: impl FnMut() -> u64,
         ledger: &mut EnergyLedger,
+        ec: &mut XAffineScratch,
     ) -> Vec<(SuiteDeviceId, Result<SuiteOutcome, SuiteError>)> {
         let mut results: Vec<(SuiteDeviceId, Result<SuiteOutcome, SuiteError>)> = frames
             .iter()
@@ -714,26 +763,24 @@ impl<C: CurveSpec> SecuritySuite for MutualSuite<C> {
         // for every live ECDH, one inversion for the normalization.
         let mut live: Vec<TelemetryPieces<'_>> = Vec::with_capacity(framed.len());
         let mut items: Vec<(Scalar<C>, Point<C>)> = Vec::with_capacity(framed.len());
-        {
-            let mut pending = server.pending.lock().expect("pending sessions poisoned");
-            for ((i, id, eph_bytes, ct, tag), eph) in framed.into_iter().zip(points) {
-                let Some(eph) = eph else {
-                    results[i].1 = Err(SuiteError::BadEphemeral);
-                    continue;
-                };
-                if eph.is_infinity() {
-                    results[i].1 = Err(SuiteError::BadEphemeral);
-                    continue;
-                }
-                let Some(server_eph) = pending.remove(&id) else {
-                    continue; // stays NoSession
-                };
-                ledger.point_mul();
-                items.push((*server_eph.secret(), eph));
-                live.push((i, id, eph_bytes, ct, tag));
+        for ((i, id, eph_bytes, ct, tag), eph) in framed.into_iter().zip(points) {
+            let Some(eph) = eph else {
+                results[i].1 = Err(SuiteError::BadEphemeral);
+                continue;
+            };
+            if eph.is_infinity() {
+                results[i].1 = Err(SuiteError::BadEphemeral);
+                continue;
             }
+            let Some(server_eph) = server.pending.remove(id) else {
+                continue; // stays NoSession
+            };
+            ledger.point_mul();
+            items.push((*server_eph.secret(), eph));
+            live.push((i, id, eph_bytes, ct, tag));
         }
-        let shared_xs = varbase_x_batch(&items, &mut next_u64);
+        let mut shared_xs = Vec::with_capacity(items.len());
+        varbase_x_batch_with(&items, next_u64, ec, &mut shared_xs);
 
         for ((i, _, eph_bytes, ct, tag), shared) in live.into_iter().zip(shared_xs) {
             let Some(shared) = shared else {
@@ -762,12 +809,23 @@ pub struct SchnorrVerifier<C: CurveSpec> {
 }
 
 impl<C: CurveSpec> SchnorrVerifier<C> {
-    /// Empty verifier.
+    /// Empty verifier (one pending-table shard).
     pub fn new() -> Self {
+        Self::with_shards(1)
+    }
+
+    /// Empty verifier sharding the pending `(R, e)` over `shards`
+    /// locks (rounded up to a power of two).
+    pub fn with_shards(shards: usize) -> Self {
         Self {
             publics: HashMap::new(),
-            pending: Mutex::new(HashMap::new()),
+            pending: PendingTable::new(shards),
         }
+    }
+
+    /// The in-flight identifications.
+    pub fn pending(&self) -> &SigmaPending<C> {
+        &self.pending
     }
 
     /// Register a tag's long-term public key.
@@ -832,11 +890,7 @@ impl<C: CurveSpec> SecuritySuite for SchnorrSuite<C> {
                     ledger.rx(bytes.len());
                     let commitment = wire::decode_point::<C>(MsgType::PhCommit, bytes)?;
                     let challenge = Scalar::<C>::random_nonzero(&mut next_u64);
-                    server
-                        .pending
-                        .lock()
-                        .expect("pending sessions poisoned")
-                        .insert(id, (commitment, challenge));
+                    server.pending.insert(id, (commitment, challenge));
                     let frame = wire::encode_scalar(MsgType::PhChallenge, &challenge);
                     ledger.tx(frame.len());
                     Ok(frame)
@@ -858,11 +912,12 @@ impl<C: CurveSpec> SecuritySuite for SchnorrSuite<C> {
         Ok(wire::encode_scalar(MsgType::PhResponse, &response))
     }
 
-    fn server_verify_batch(
+    fn server_verify_batch_with(
         server: &Self::Server,
         frames: &[(SuiteDeviceId, &[u8])],
         mut next_u64: impl FnMut() -> u64,
         ledger: &mut EnergyLedger,
+        _ec: &mut XAffineScratch,
     ) -> Vec<(SuiteDeviceId, Result<SuiteOutcome, SuiteError>)> {
         let mut results: Vec<(SuiteDeviceId, Result<SuiteOutcome, SuiteError>)> = frames
             .iter()
@@ -873,34 +928,31 @@ impl<C: CurveSpec> SecuritySuite for SchnorrSuite<C> {
         // equations then run as one batch.
         let mut live: Vec<usize> = Vec::with_capacity(frames.len());
         let mut items: Vec<(SchnorrTranscript<C>, Point<C>)> = Vec::with_capacity(frames.len());
-        {
-            let mut pending = server.pending.lock().expect("pending sessions poisoned");
-            for (i, &(id, bytes)) in frames.iter().enumerate() {
-                ledger.rx(bytes.len());
-                let response = match wire::decode_scalar::<C>(MsgType::PhResponse, bytes) {
-                    Ok(s) => s,
-                    Err(e) => {
-                        results[i].1 = Err(e.into());
-                        continue;
-                    }
-                };
-                let Some((commitment, challenge)) = pending.remove(&id) else {
-                    continue; // stays NoSession
-                };
-                let Some(public) = server.publics.get(&id) else {
-                    results[i].1 = Err(SuiteError::UnknownDevice(id));
+        for (i, &(id, bytes)) in frames.iter().enumerate() {
+            ledger.rx(bytes.len());
+            let response = match wire::decode_scalar::<C>(MsgType::PhResponse, bytes) {
+                Ok(s) => s,
+                Err(e) => {
+                    results[i].1 = Err(e.into());
                     continue;
-                };
-                items.push((
-                    SchnorrTranscript {
-                        commitment,
-                        challenge,
-                        response,
-                    },
-                    *public,
-                ));
-                live.push(i);
-            }
+                }
+            };
+            let Some((commitment, challenge)) = server.pending.remove(id) else {
+                continue; // stays NoSession
+            };
+            let Some(public) = server.publics.get(&id) else {
+                results[i].1 = Err(SuiteError::UnknownDevice(id));
+                continue;
+            };
+            items.push((
+                SchnorrTranscript {
+                    commitment,
+                    challenge,
+                    response,
+                },
+                *public,
+            ));
+            live.push(i);
         }
         let verdicts = schnorr_verify_batch(&items, &mut next_u64);
         for (slot, ok) in live.into_iter().zip(verdicts) {
@@ -928,12 +980,23 @@ pub struct PhServer<C: CurveSpec> {
 }
 
 impl<C: CurveSpec> PhServer<C> {
-    /// Wrap a provisioned reader.
+    /// Wrap a provisioned reader (one pending-table shard).
     pub fn new(reader: PhReader<C>) -> Self {
+        Self::with_shards(reader, 1)
+    }
+
+    /// Wrap a provisioned reader, sharding the pending `(R, e)` over
+    /// `shards` locks (rounded up to a power of two).
+    pub fn with_shards(reader: PhReader<C>, shards: usize) -> Self {
         Self {
             reader,
-            pending: Mutex::new(HashMap::new()),
+            pending: PendingTable::new(shards),
         }
+    }
+
+    /// The in-flight identifications.
+    pub fn pending(&self) -> &SigmaPending<C> {
+        &self.pending
     }
 
     /// The wrapped reader (e.g. to register tags before serving).
@@ -977,11 +1040,7 @@ impl<C: CurveSpec> SecuritySuite for PhSuite<C> {
                     ledger.rx(bytes.len());
                     let commitment = wire::decode_point::<C>(MsgType::PhCommit, bytes)?;
                     let challenge = server.reader.challenge(&mut next_u64);
-                    server
-                        .pending
-                        .lock()
-                        .expect("pending sessions poisoned")
-                        .insert(id, (commitment, challenge));
+                    server.pending.insert(id, (commitment, challenge));
                     let frame = wire::encode_scalar(MsgType::PhChallenge, &challenge);
                     ledger.tx(frame.len());
                     Ok(frame)
@@ -1003,11 +1062,12 @@ impl<C: CurveSpec> SecuritySuite for PhSuite<C> {
         Ok(wire::encode_scalar(MsgType::PhResponse, &response))
     }
 
-    fn server_verify_batch(
+    fn server_verify_batch_with(
         server: &Self::Server,
         frames: &[(SuiteDeviceId, &[u8])],
-        mut next_u64: impl FnMut() -> u64,
+        next_u64: impl FnMut() -> u64,
         ledger: &mut EnergyLedger,
+        ec: &mut XAffineScratch,
     ) -> Vec<(SuiteDeviceId, Result<SuiteOutcome, SuiteError>)> {
         let mut results: Vec<(SuiteDeviceId, Result<SuiteOutcome, SuiteError>)> = frames
             .iter()
@@ -1016,29 +1076,28 @@ impl<C: CurveSpec> SecuritySuite for PhSuite<C> {
 
         let mut live: Vec<usize> = Vec::with_capacity(frames.len());
         let mut transcripts: Vec<PhTranscript<C>> = Vec::with_capacity(frames.len());
-        {
-            let mut pending = server.pending.lock().expect("pending sessions poisoned");
-            for (i, &(id, bytes)) in frames.iter().enumerate() {
-                ledger.rx(bytes.len());
-                let response = match wire::decode_scalar::<C>(MsgType::PhResponse, bytes) {
-                    Ok(s) => s,
-                    Err(e) => {
-                        results[i].1 = Err(e.into());
-                        continue;
-                    }
-                };
-                let Some((commitment, challenge)) = pending.remove(&id) else {
-                    continue; // stays NoSession
-                };
-                transcripts.push(PhTranscript {
-                    commitment,
-                    challenge,
-                    response,
-                });
-                live.push(i);
-            }
+        for (i, &(id, bytes)) in frames.iter().enumerate() {
+            ledger.rx(bytes.len());
+            let response = match wire::decode_scalar::<C>(MsgType::PhResponse, bytes) {
+                Ok(s) => s,
+                Err(e) => {
+                    results[i].1 = Err(e.into());
+                    continue;
+                }
+            };
+            let Some((commitment, challenge)) = server.pending.remove(id) else {
+                continue; // stays NoSession
+            };
+            transcripts.push(PhTranscript {
+                commitment,
+                challenge,
+                response,
+            });
+            live.push(i);
         }
-        let found = server.reader.identify_batch(&transcripts, &mut next_u64);
+        let found = server
+            .reader
+            .identify_batch_with(&transcripts, next_u64, ec);
         for (slot, tag_id) in live.into_iter().zip(found) {
             // ḋ plus three point multiplications per transcript —
             // the paper's asymmetric-cost rule, batching changes the
@@ -1193,6 +1252,36 @@ mod tests {
             MutualSuite::<Toy17>::server_verify(&server, 3, &closing, rng.as_fn(), &mut sl),
             Err(SuiteError::NoSession(3))
         );
+    }
+
+    #[test]
+    fn mutual_hello_books_point_mul_mac_and_tx() {
+        let mut rng = SplitMix64::new(7007);
+        let pairing = Pairing {
+            auth_key: *b"booking pairing!",
+        };
+        let server = MutualServer::<Toy17>::new(vec![(4, pairing)]);
+        let mut sl = ledger();
+        let hello = MutualSuite::<Toy17>::hello(&server, 4, None, rng.as_fn(), &mut sl).unwrap();
+        let kinds: Vec<(&str, u64, usize)> = sl
+            .events()
+            .iter()
+            .map(|e| match e {
+                crate::LedgerEvent::PointMul { .. } => ("point_mul", 0, 0),
+                crate::LedgerEvent::Symmetric { name, blocks, .. } => (name.as_str(), *blocks, 0),
+                crate::LedgerEvent::Tx { bytes, .. } => ("tx", 0, *bytes),
+                crate::LedgerEvent::Rx { bytes, .. } => ("rx", 0, *bytes),
+            })
+            .collect();
+        assert_eq!(
+            kinds,
+            vec![
+                ("point_mul", 0, 0),
+                ("AES-128", 3, 0),
+                ("tx", 0, hello.len())
+            ]
+        );
+        assert_eq!(server.pending().len(), 1);
     }
 
     #[test]

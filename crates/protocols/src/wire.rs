@@ -38,7 +38,7 @@ pub enum MsgType {
     /// Device → gateway: versioned profile negotiation hello
     /// (profile id ‖ curve id ‖ protocol id).
     Negotiate = 0x20,
-    /// Gateway → device: typed rejection (admission denied, rate
+    /// Server → device: typed rejection (admission denied, rate
     /// limited, queue full, protocol violation). One reason byte — the
     /// device learns *why* it was turned away without the gateway
     /// spending another frame's worth of radio energy on prose.

@@ -4,7 +4,7 @@
 //! cardiac monitors), then drives every device through an authenticated
 //! session — mutual authentication with an encrypted telemetry frame,
 //! or a Peeters–Hermans private identification — across worker threads
-//! with a sharded session table and batched hello generation. A slice
+//! with sharded pending-session tables and batched hello generation. A slice
 //! of the fleet is probed with forged hellos first; ServerFirst
 //! ordering keeps those rejections nearly free.
 //!
