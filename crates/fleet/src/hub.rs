@@ -230,7 +230,15 @@ impl GatewayHub {
     /// that appears in the ward list (or a single lane for the
     /// degenerate `wards: []` fleet, which reproduces the pre-hub
     /// single-curve provisioning bit for bit).
+    ///
+    /// # Panics
+    ///
+    /// If [`FleetConfig::validate`] rejects `cfg`: a fleet of zero
+    /// devices. Validate a config built from input before provisioning.
     pub fn provision(cfg: &FleetConfig) -> GatewayHub {
+        if let Err(e) = cfg.validate() {
+            panic!("invalid fleet config: {e}");
+        }
         // Resolve the gf2m backend selection (env read + CPUID) during
         // provisioning, outside any timed serving region.
         medsec_gf2m::select_backend();
@@ -251,7 +259,6 @@ impl GatewayHub {
         };
 
         if cfg.wards.is_empty() {
-            assert!(cfg.devices > 0, "fleet needs at least one device");
             for i in 0..cfg.devices {
                 let id = i as DeviceId;
                 let kind = DeviceKind::assign(id);
@@ -259,8 +266,6 @@ impl GatewayHub {
                 push(cfg.curve, (id, kind, profile), &mut order);
             }
         } else {
-            let total: usize = cfg.wards.iter().map(|w| w.devices).sum();
-            assert!(total > 0, "fleet needs at least one device");
             let mut next_id: DeviceId = 0;
             for ward in &cfg.wards {
                 let curve = CurveChoice::from_id(ward.profile.curve);

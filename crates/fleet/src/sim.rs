@@ -175,6 +175,53 @@ impl Default for FleetConfig {
     }
 }
 
+impl FleetConfig {
+    /// Check that the config names at least one device to serve.
+    /// [`GatewayHub::provision`](crate::hub::GatewayHub::provision)
+    /// panics on a config this rejects, so a config built from input
+    /// is validated first.
+    pub fn validate(&self) -> Result<(), FleetConfigError> {
+        if self.wards.is_empty() {
+            if self.devices == 0 {
+                return Err(FleetConfigError::NoDevices);
+            }
+        } else if self.wards.iter().all(|w| w.devices == 0) {
+            return Err(FleetConfigError::EmptyWards {
+                wards: self.wards.len(),
+            });
+        }
+        Ok(())
+    }
+}
+
+/// Why a [`FleetConfig`] names no servable fleet.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FleetConfigError {
+    /// No wards, and `devices` is zero.
+    NoDevices,
+    /// A ward list whose wards hold zero devices in total.
+    EmptyWards {
+        /// Number of (empty) wards in the list.
+        wards: usize,
+    },
+}
+
+impl std::fmt::Display for FleetConfigError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            FleetConfigError::NoDevices => {
+                write!(f, "fleet needs at least one device (devices = 0, no wards)")
+            }
+            FleetConfigError::EmptyWards { wards } => write!(
+                f,
+                "fleet needs at least one device ({wards} wards, 0 devices in total)"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for FleetConfigError {}
+
 /// Milliseconds since the Unix epoch, read once per run in cold code
 /// (never inside a serving path) so trajectory points are orderable.
 pub(crate) fn unix_ms_now() -> u64 {
@@ -191,6 +238,11 @@ pub(crate) fn unix_ms_now() -> u64 {
 /// devices advertise their profile in a wire-level Negotiate hello and
 /// the hub buckets them into per-curve lanes, each served through the
 /// batched `SecuritySuite` entry points.
+///
+/// # Panics
+///
+/// If [`FleetConfig::validate`] rejects `cfg`, as
+/// [`GatewayHub::provision`](crate::hub::GatewayHub::provision) does.
 pub fn run_fleet(cfg: &FleetConfig) -> FleetReport {
     crate::hub::GatewayHub::provision(cfg).run(cfg)
 }
@@ -230,6 +282,32 @@ mod tests {
         assert_eq!(report.ph_failed, 0);
         assert_eq!(report.frames_ok, 75);
         assert!(report.sessions_per_sec > 0.0);
+    }
+
+    #[test]
+    fn validate_rejects_zero_device_fleets() {
+        assert_eq!(FleetConfig::default().validate(), Ok(()));
+        let none = FleetConfig {
+            devices: 0,
+            ..FleetConfig::default()
+        };
+        assert_eq!(none.validate(), Err(FleetConfigError::NoDevices));
+        let empty_wards = FleetConfig {
+            devices: 0,
+            wards: mixed_hospital_wards(0),
+            ..FleetConfig::default()
+        };
+        assert_eq!(
+            empty_wards.validate(),
+            Err(FleetConfigError::EmptyWards { wards: 7 })
+        );
+        // Wards override `devices`: one non-empty ward is enough.
+        let wards = FleetConfig {
+            devices: 0,
+            wards: mixed_hospital_wards(1),
+            ..FleetConfig::default()
+        };
+        assert_eq!(wards.validate(), Ok(()));
     }
 
     /// One pacemaker (id 0) on a Toy17 lane, with its servers.

@@ -133,12 +133,30 @@ mod tests {
         );
     }
 
+    /// RFC 4231 test cases 6 and 7: a 131-byte key, longer than the
+    /// block, is hashed before use; case 7 also spans several blocks of
+    /// data.
     #[test]
     fn hmac_long_key_is_hashed() {
-        let key = vec![0xaau8; 100];
-        let t1 = hmac_sha256(&key, b"msg");
-        let t2 = hmac_sha256(&sha256(&key), b"msg");
-        assert_eq!(t1, t2);
+        let key = [0xaau8; 131];
+        let tag = hmac_sha256(
+            &key,
+            b"Test Using Larger Than Block-Size Key - Hash Key First",
+        );
+        assert_eq!(
+            hex(&tag),
+            "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54"
+        );
+        let tag = hmac_sha256(
+            &key,
+            b"This is a test using a larger than block-size key and a larger \
+              than block-size data. The key needs to be hashed before being \
+              used by the HMAC algorithm.",
+        );
+        assert_eq!(
+            hex(&tag),
+            "9b09ffa71b942fcb27635fbcd5b0e944bfdc63644f0713938a7f51535c3a35e2"
+        );
     }
 
     /// RFC 4493 test vectors (key of SP 800-38B).

@@ -5,30 +5,31 @@
 //! functions are *not* automatically cheap in lightweight hardware.
 //! SHA-256 backs the HMAC used by the protocol layer.
 //!
-//! The 64 SHA-256 round constants and 8 initial values are derived at
-//! startup from their definition (fractional parts of cube/square roots
-//! of the first primes) using exact integer root extraction, eliminating
-//! any transcription risk; the FIPS-180 known-answer tests pin the
+//! The 64 SHA-256 round constants and 8 initial values are *derived* at
+//! compile time from their definition (fractional parts of cube/square
+//! roots of the first primes) using exact integer root extraction, so no
+//! table had to be transcribed; the FIPS-180 known-answer tests pin the
 //! result.
 
 use crate::cipher::HwProfile;
 
-/// Exact integer k-th root helpers (binary search over u128).
-fn iroot(n: u128, k: u32) -> u128 {
+/// Exact integer k-th root: the largest r with r^k <= n (binary search
+/// over u128).
+const fn iroot(n: u128, k: u32) -> u128 {
     let mut lo = 0u128;
-    let mut hi = 1u128 << (128 / k + 1).min(127);
+    let bits = 128 / k + 1;
+    let mut hi = 1u128 << if bits < 127 { bits } else { 127 };
     while lo < hi {
         let mid = (lo + hi).div_ceil(2);
         let mut p = 1u128;
         let mut ok = true;
-        for _ in 0..k {
+        let mut j = 0;
+        while ok && j < k {
             match p.checked_mul(mid) {
                 Some(v) => p = v,
-                None => {
-                    ok = false;
-                    break;
-                }
+                None => ok = false,
             }
+            j += 1;
         }
         if ok && p <= n {
             lo = mid;
@@ -39,12 +40,20 @@ fn iroot(n: u128, k: u32) -> u128 {
     lo
 }
 
-fn first_primes(n: usize) -> Vec<u64> {
-    let mut primes = Vec::with_capacity(n);
+/// The first `N` primes, by trial division against the primes found so
+/// far.
+const fn first_primes<const N: usize>() -> [u64; N] {
+    let mut primes = [0u64; N];
+    let mut found = 0;
     let mut c = 2u64;
-    while primes.len() < n {
-        if primes.iter().all(|&p| !c.is_multiple_of(p)) {
-            primes.push(c);
+    while found < N {
+        let mut j = 0;
+        while j < found && !c.is_multiple_of(primes[j]) {
+            j += 1;
+        }
+        if j == found {
+            primes[found] = c;
+            found += 1;
         }
         c += 1;
     }
@@ -52,16 +61,33 @@ fn first_primes(n: usize) -> Vec<u64> {
 }
 
 /// frac(cbrt(p)) · 2^32 = floor(cbrt(p·2^96)) mod 2^32.
-fn sha256_round_constants() -> [u32; 64] {
-    let primes = first_primes(64);
-    core::array::from_fn(|i| (iroot((primes[i] as u128) << 96, 3) & 0xffff_ffff) as u32)
+const fn sha256_round_constants() -> [u32; 64] {
+    let primes = first_primes::<64>();
+    let mut k = [0u32; 64];
+    let mut i = 0;
+    while i < 64 {
+        k[i] = (iroot((primes[i] as u128) << 96, 3) & 0xffff_ffff) as u32;
+        i += 1;
+    }
+    k
 }
 
 /// frac(sqrt(p)) · 2^32 = floor(sqrt(p·2^64)) mod 2^32.
-fn sha256_initial_state() -> [u32; 8] {
-    let primes = first_primes(8);
-    core::array::from_fn(|i| (iroot((primes[i] as u128) << 64, 2) & 0xffff_ffff) as u32)
+const fn sha256_initial_state() -> [u32; 8] {
+    let primes = first_primes::<8>();
+    let mut h = [0u32; 8];
+    let mut i = 0;
+    while i < 8 {
+        h[i] = (iroot((primes[i] as u128) << 64, 2) & 0xffff_ffff) as u32;
+        i += 1;
+    }
+    h
 }
+
+/// The SHA-256 round constants K, generated from their definition.
+const SHA256_K: [u32; 64] = sha256_round_constants();
+/// The SHA-256 initial hash value H(0), generated from its definition.
+const SHA256_H0: [u32; 8] = sha256_initial_state();
 
 fn pad_md(message: &[u8]) -> Vec<u8> {
     let bit_len = (message.len() as u64) * 8;
@@ -141,8 +167,7 @@ pub fn sha1(message: &[u8]) -> [u8; 20] {
 /// assert_eq!(d[..4], [0xba, 0x78, 0x16, 0xbf]);
 /// ```
 pub fn sha256(message: &[u8]) -> [u8; 32] {
-    let k = sha256_round_constants();
-    let mut h = sha256_initial_state();
+    let mut h = SHA256_H0;
     let m = pad_md(message);
     for chunk in m.chunks_exact(64) {
         let mut w = [0u32; 64];
@@ -165,7 +190,7 @@ pub fn sha256(message: &[u8]) -> [u8; 32] {
             let t1 = hh
                 .wrapping_add(s1)
                 .wrapping_add(ch)
-                .wrapping_add(k[i])
+                .wrapping_add(SHA256_K[i])
                 .wrapping_add(w[i]);
             let s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
             let maj = (a & b) ^ (a & c) ^ (b & c);
@@ -254,21 +279,22 @@ mod tests {
 
     #[test]
     fn derived_constants_match_known_values() {
-        let k = sha256_round_constants();
-        assert_eq!(k[0], 0x428a2f98);
-        assert_eq!(k[63], 0xc67178f2);
-        let h = sha256_initial_state();
-        assert_eq!(h[0], 0x6a09e667);
-        assert_eq!(h[7], 0x5be0cd19);
+        assert_eq!(SHA256_K[0], 0x428a2f98);
+        assert_eq!(SHA256_K[1], 0x71374491);
+        assert_eq!(SHA256_K[63], 0xc67178f2);
+        assert_eq!(SHA256_H0[0], 0x6a09e667);
+        assert_eq!(SHA256_H0[7], 0x5be0cd19);
     }
 
+    /// FIPS 180-2 appendix B.3: one million repetitions of 'a'
+    /// (15,626 blocks).
     #[test]
     fn long_input_multi_block() {
-        let data = vec![0x61u8; 1000]; // 1000 × 'a'
-                                       // Self-consistency: incremental definition not exposed, but the
-                                       // digest must be stable and differ from the 999-byte prefix.
-        assert_eq!(sha256(&data), sha256(&data.clone()));
-        assert_ne!(sha256(&data), sha256(&data[..999]));
+        let data = vec![b'a'; 1_000_000];
+        assert_eq!(
+            hex(&sha256(&data)),
+            "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0"
+        );
     }
 
     #[test]

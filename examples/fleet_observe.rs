@@ -37,6 +37,10 @@ fn main() {
         event_capacity: 4096,
         ..FleetConfig::default()
     };
+    if let Err(e) = cfg.validate() {
+        eprintln!("fleet_observe: {e}");
+        std::process::exit(2);
+    }
     let total: usize = cfg.wards.iter().map(|w| w.devices).sum();
 
     println!("observing a mixed hospital: {total} devices, {threads} threads…\n");

@@ -42,6 +42,10 @@ fn main() {
         wards: Vec::new(),
         ..FleetConfig::default()
     };
+    if let Err(e) = cfg.validate() {
+        eprintln!("hospital_gateway: {e}");
+        std::process::exit(2);
+    }
 
     println!(
         "provisioning {} devices, serving on {} threads / {} shards…\n",

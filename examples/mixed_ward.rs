@@ -46,6 +46,10 @@ fn main() {
         wards,
         ..FleetConfig::default()
     };
+    if let Err(e) = cfg.validate() {
+        eprintln!("mixed_ward: {e}");
+        std::process::exit(2);
+    }
 
     println!(
         "provisioning a mixed hospital: {total} devices across {} wards \

@@ -33,6 +33,10 @@ fn main() {
         wards: mixed_hospital_wards(scale),
         ..FleetConfig::default()
     };
+    if let Err(e) = cfg.validate() {
+        eprintln!("streaming_gateway: {e}");
+        std::process::exit(2);
+    }
     let hub = GatewayHub::provision(&cfg);
     let devices = hub.device_count();
 
