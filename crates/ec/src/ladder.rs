@@ -14,7 +14,7 @@
 //!   "the chip randomizes the internal points representation by using a
 //!   random Z coordinate in each execution" (§7).
 
-use medsec_gf2m::{ct, Element};
+use medsec_gf2m::{add_planes, ct, mul_planes, sqr_planes, Element, FieldSpec, Planes};
 
 use crate::curve::{CurveSpec, Point};
 use crate::scalar::Scalar;
@@ -163,12 +163,7 @@ pub fn ladder_x_only_bits<C: CurveSpec>(
 
     // Projective coordinate randomization: R ← (x·r, r)   (Algorithm 1).
     let r = match blinding {
-        CoordinateBlinding::RandomZ => loop {
-            let c = Element::<C::Field>::random(&mut next_u64);
-            if !c.is_zero() {
-                break c;
-            }
-        },
+        CoordinateBlinding::RandomZ => random_z(&mut next_u64),
         CoordinateBlinding::Disabled => Element::one(),
         CoordinateBlinding::KnownZ(seed) => {
             let mut s = seed | 1;
@@ -190,31 +185,7 @@ pub fn ladder_x_only_bits<C: CurveSpec>(
     let (mut x2, mut z2) = mdouble::<C>(x1, z1);
 
     for &bit in bits[1..].iter() {
-        // Exceptional cases (a ladder leg at infinity) only occur when a
-        // scalar prefix hits 0 or −1 mod n — negligible on 163-bit curves
-        // but reachable on the toy curve's exhaustive small-scalar tests.
-        // They sit outside the ct region below on purpose: `is_zero` on a
-        // blinded Z is public (Z = 0 iff the point is O, independent of
-        // the random representative), and the x-only formulas cannot
-        // represent O, so a uniform schedule is impossible here.
-        if z1.is_zero() {
-            // R = O (so Q = P by the ladder invariant).
-            if bit {
-                // R ← R+Q = Q;  Q ← 2Q.
-                (x1, z1) = (x2, z2);
-                (x2, z2) = mdouble::<C>(x1, z1);
-            }
-            // else: Q ← Q+O = Q and R ← 2O = O — nothing changes.
-            continue;
-        }
-        if z2.is_zero() {
-            // Q = O (so R = −P; x-only cannot see the sign).
-            if !bit {
-                // Q ← Q+R = R;  R ← 2R.
-                (x2, z2) = (x1, z1);
-                (x1, z1) = mdouble::<C>(x2, z2);
-            }
-            // else: R ← R+O = R and Q ← 2O = O — nothing changes.
+        if step_at_infinity::<C>(bit, &mut x1, &mut z1, &mut x2, &mut z2) {
             continue;
         }
         // lint: ct-begin — branch-free per-bit schedule. The key bit
@@ -235,6 +206,243 @@ pub fn ladder_x_only_bits<C: CurveSpec>(
     }
 
     LadderState { x1, z1, x2, z2 }
+}
+
+/// A fresh nonzero projective Z for [`CoordinateBlinding::RandomZ`].
+fn random_z<F: FieldSpec>(mut next_u64: impl FnMut() -> u64) -> Element<F> {
+    loop {
+        let c = Element::<F>::random(&mut next_u64);
+        if !c.is_zero() {
+            break c;
+        }
+    }
+}
+
+/// The ladder step for a state `(X1 : Z1), (X2 : Z2)` with a leg at
+/// infinity, which the x-only formulas cannot represent. Returns
+/// `false`, leaving the state untouched, when both legs are finite.
+///
+/// Such states only occur when a scalar prefix hits 0 or −1 mod n —
+/// negligible on 163-bit curves but reachable on the toy curve's
+/// exhaustive small-scalar tests. Callers take this step outside their
+/// ct regions on purpose: `is_zero` on a blinded Z is public (Z = 0 iff
+/// the point is O, independent of the random representative), so a
+/// uniform schedule is neither possible nor needed here.
+#[inline]
+fn step_at_infinity<C: CurveSpec>(
+    bit: bool,
+    x1: &mut Element<C::Field>,
+    z1: &mut Element<C::Field>,
+    x2: &mut Element<C::Field>,
+    z2: &mut Element<C::Field>,
+) -> bool {
+    if z1.is_zero() {
+        // R = O (so Q = P by the ladder invariant).
+        if bit {
+            // R ← R+Q = Q;  Q ← 2Q.
+            (*x1, *z1) = (*x2, *z2);
+            (*x2, *z2) = mdouble::<C>(*x1, *z1);
+        }
+        // else: Q ← Q+O = Q and R ← 2O = O — nothing changes.
+        return true;
+    }
+    if z2.is_zero() {
+        // Q = O (so R = −P; x-only cannot see the sign).
+        if !bit {
+            // Q ← Q+R = R;  R ← 2R.
+            (*x2, *z2) = (*x1, *z1);
+            (*x1, *z1) = mdouble::<C>(*x2, *z2);
+        }
+        // else: R ← R+O = R and Q ← 2O = O — nothing changes.
+        return true;
+    }
+    false
+}
+
+/// Plane-major state of a lockstep ladder: both legs and the base
+/// x-coordinate of every lane, the curve's `b` in every slot (filled
+/// only when `b ≠ 1`), and three temporaries.
+#[derive(Debug, Default)]
+struct LockstepPlanes {
+    x1: Planes,
+    z1: Planes,
+    x2: Planes,
+    z2: Planes,
+    px: Planes,
+    b: Planes,
+    b_is_one: bool,
+    t0: Planes,
+    t1: Planes,
+    t2: Planes,
+}
+
+/// [`madd`] on every lane at once: `(X2 : Z2) ← x(R + Q)`.
+fn madd_planes<C: CurveSpec>(s: &mut LockstepPlanes) {
+    mul_planes::<C::Field>(&mut s.t0, &s.x1, &s.z2); // a = X1·Z2
+    mul_planes::<C::Field>(&mut s.t1, &s.x2, &s.z1); // b = X2·Z1
+    mul_planes::<C::Field>(&mut s.t2, &s.t0, &s.t1); // a·b
+    add_planes(&mut s.t0, &s.t1); // a + b
+    sqr_planes::<C::Field>(&mut s.z2, &s.t0); // Z' = (a + b)²
+    mul_planes::<C::Field>(&mut s.x2, &s.px, &s.z2); // x·Z'
+    add_planes(&mut s.x2, &s.t2); // X' = x·Z' + a·b
+}
+
+/// [`mdouble`] on every lane at once: `(X1 : Z1) ← x(2R)`.
+fn mdouble_planes<C: CurveSpec>(s: &mut LockstepPlanes) {
+    sqr_planes::<C::Field>(&mut s.t0, &s.x1); // X²
+    sqr_planes::<C::Field>(&mut s.t1, &s.z1); // Z²
+    mul_planes::<C::Field>(&mut s.z1, &s.t0, &s.t1); // Z' = X²·Z²
+    sqr_planes::<C::Field>(&mut s.x1, &s.t0); // X⁴
+    sqr_planes::<C::Field>(&mut s.t2, &s.t1); // Z⁴
+    if s.b_is_one {
+        add_planes(&mut s.x1, &s.t2); // X' = X⁴ + Z⁴
+    } else {
+        mul_planes::<C::Field>(&mut s.t0, &s.b, &s.t2); // b·Z⁴
+        add_planes(&mut s.x1, &s.t0); // X' = X⁴ + b·Z⁴
+    }
+}
+
+/// The x-only ladder of many `(k, x(P))` lanes run in lockstep — the
+/// server's batch form of [`ladder_x_only`] with
+/// [`CoordinateBlinding::RandomZ`]. Every lane takes the same step at
+/// the same time: each field operation is one plane operation over all
+/// lanes ([`mul_planes`]/[`sqr_planes`]), and each lane's key bit
+/// steers a masked lane swap ([`ct::ct_swap_lanes`]) instead of a
+/// branch. The ladder is constant-length, so no lane waits for another.
+///
+/// Entry `i` of the result is the state `ladder_x_only` returns for
+/// lane `i`, and `next_u64` ends where the per-lane calls in lane order
+/// leave it: each lane's Z is drawn, in lane order, before the first
+/// step. A lane with a leg at infinity takes the scalar ladder's
+/// exceptional rule for that step; which lanes do is public.
+///
+/// # Panics
+///
+/// Panics if any lane's base x-coordinate is zero (see [`ladder_mul`]).
+pub(crate) fn ladder_x_only_lockstep<C: CurveSpec>(
+    lanes: &[(Scalar<C>, Element<C::Field>)],
+    mut next_u64: impl FnMut() -> u64,
+) -> Vec<LadderState<C>> {
+    assert!(
+        lanes.iter().all(|(_, px)| !px.is_zero()),
+        "x-only ladder cannot process the x = 0 point"
+    );
+    let n = lanes.len();
+    let nbits = C::LADDER_BITS;
+    let mut s = LockstepPlanes::default();
+    for p in [&mut s.x1, &mut s.z1, &mut s.x2, &mut s.z2, &mut s.px] {
+        p.reset(n);
+    }
+    let b = C::b();
+    s.b_is_one = b == Element::one();
+    if !s.b_is_one {
+        s.b.reset(n);
+        s.b.broadcast(&b);
+    }
+    // Lane-major key bits (`nbits` per lane), and the blinded start
+    // state R ← (x·r, r), Q ← 2·P of every lane.
+    let mut bits = Vec::with_capacity(n * nbits);
+    for (i, (k, px)) in lanes.iter().enumerate() {
+        let r = random_z::<C::Field>(&mut next_u64);
+        let (x1, z1) = (*px * r, r);
+        let (x2, z2) = mdouble::<C>(x1, z1);
+        s.x1.set(i, &x1);
+        s.z1.set(i, &z1);
+        s.x2.set(i, &x2);
+        s.z2.set(i, &z2);
+        s.px.set(i, px);
+        bits.extend(k.ladder_bits());
+    }
+    let mut masks = vec![0u64; n];
+    let mut at_infinity: Vec<(usize, LadderState<C>)> = Vec::with_capacity(n);
+
+    // lint: hot-path — every step reuses the planes, masks and
+    // exceptional-lane list built above.
+    for j in 1..nbits {
+        // Public: lanes with a leg at infinity, and their pre-step
+        // state for the scalar rule below.
+        at_infinity.clear();
+        for i in 0..n {
+            if s.z1.is_zero_at(i) || s.z2.is_zero_at(i) {
+                at_infinity.push((i, lane_state(&s, i)));
+            }
+        }
+        for (mask, lane_bits) in masks.iter_mut().zip(bits.chunks_exact(nbits)) {
+            *mask = ct::ct_mask_u64(lane_bits[j]);
+        }
+        // lint: ct-begin — the scalar ladder's per-bit schedule on
+        // every lane at once: each lane's key bit only steers its
+        // masked lane swaps (gf2m::ct), and the plane operations run
+        // over all lanes whatever the bits are.
+        ct::ct_swap_lanes(&masks, &mut s.x1, &mut s.x2);
+        ct::ct_swap_lanes(&masks, &mut s.z1, &mut s.z2);
+        madd_planes::<C>(&mut s);
+        mdouble_planes::<C>(&mut s);
+        ct::ct_swap_lanes(&masks, &mut s.x1, &mut s.x2);
+        ct::ct_swap_lanes(&masks, &mut s.z1, &mut s.z2);
+        // lint: ct-end
+        for (i, mut st) in at_infinity.drain(..) {
+            let bit = bits[i * nbits + j];
+            step_at_infinity::<C>(bit, &mut st.x1, &mut st.z1, &mut st.x2, &mut st.z2);
+            s.x1.set(i, &st.x1);
+            s.z1.set(i, &st.z1);
+            s.x2.set(i, &st.x2);
+            s.z2.set(i, &st.z2);
+        }
+    }
+    // lint: hot-path-end
+    (0..n).map(|i| lane_state(&s, i)).collect()
+}
+
+/// Lane `i` of a lockstep ladder as a scalar ladder state.
+fn lane_state<C: CurveSpec>(s: &LockstepPlanes, i: usize) -> LadderState<C> {
+    LadderState {
+        x1: s.x1.get(i),
+        z1: s.z1.get(i),
+        x2: s.x2.get(i),
+        z2: s.z2.get(i),
+    }
+}
+
+/// [`ladder_mul`] with [`CoordinateBlinding::RandomZ`] for every item:
+/// the ladders run in lockstep ([`ladder_x_only_lockstep`]) and every
+/// y-recovery shares one batched inversion. Bases at infinity yield
+/// infinity and draw no Z, exactly as in `ladder_mul`.
+///
+/// # Panics
+///
+/// Panics if a base is the order-2 point with `x = 0`.
+pub(crate) fn ladder_mul_lockstep<C: CurveSpec>(
+    items: &[(Scalar<C>, Point<C>)],
+    next_u64: impl FnMut() -> u64,
+) -> Vec<Point<C>> {
+    let lanes: Vec<(Scalar<C>, Element<C::Field>)> = items
+        .iter()
+        .filter_map(|(k, p)| p.x().map(|px| (*k, px)))
+        .collect();
+    let states = ladder_x_only_lockstep::<C>(&lanes, next_u64);
+    let mut invs = Vec::with_capacity(3 * states.len());
+    for (st, (_, px)) in states.iter().zip(&lanes) {
+        if !st.z1.is_zero() && !st.z2.is_zero() {
+            invs.extend([st.z1, st.z2, *px]);
+        }
+    }
+    medsec_gf2m::batch_invert(&mut invs);
+    let mut invs = invs.chunks_exact(3);
+    let mut states = states.iter();
+    items
+        .iter()
+        .map(|(_, p)| {
+            let Point::Affine { x, y } = *p else {
+                return Point::Infinity;
+            };
+            let st = states.next().expect("one ladder state per finite base");
+            leg_at_infinity(st, x, y).unwrap_or_else(|| {
+                let inv = invs.next().expect("three inverses per finite result");
+                affine_from_inverses(st, x, y, inv)
+            })
+        })
+        .collect()
 }
 
 /// Scalar-blinded scalar multiplication: computes `k·P` through the
@@ -276,15 +484,38 @@ pub fn recover_y<C: CurveSpec>(
     px: Element<C::Field>,
     py: Element<C::Field>,
 ) -> Point<C> {
-    if state.z1.is_zero() {
-        return Point::Infinity;
-    }
-    if state.z2.is_zero() {
-        // Q = O ⇒ R = −P.
-        return Point::Affine { x: px, y: px + py };
+    if let Some(p) = leg_at_infinity(state, px, py) {
+        return p;
     }
     let mut invs = [state.z1, state.z2, px];
     medsec_gf2m::batch_invert(&mut invs);
+    affine_from_inverses(state, px, py, &invs)
+}
+
+/// The result of a final ladder state with a leg at infinity, which
+/// needs no inversion: `R = O`, or `Q = O` and so `R = −P`.
+fn leg_at_infinity<C: CurveSpec>(
+    state: &LadderState<C>,
+    px: Element<C::Field>,
+    py: Element<C::Field>,
+) -> Option<Point<C>> {
+    if state.z1.is_zero() {
+        return Some(Point::Infinity);
+    }
+    if state.z2.is_zero() {
+        // Q = O ⇒ R = −P.
+        return Some(Point::Affine { x: px, y: px + py });
+    }
+    None
+}
+
+/// [`recover_y`]'s formula, given `[Z₁⁻¹, Z₂⁻¹, x⁻¹]`.
+fn affine_from_inverses<C: CurveSpec>(
+    state: &LadderState<C>,
+    px: Element<C::Field>,
+    py: Element<C::Field>,
+    invs: &[Element<C::Field>],
+) -> Point<C> {
     let x1 = state.x1 * invs[0];
     let x2 = state.x2 * invs[1];
     let t = (x1 + px) * (x2 + px) + px.square() + py;
@@ -523,6 +754,70 @@ mod tests {
             ladder_mul(&s, &Point::infinity(), CoordinateBlinding::RandomZ, &mut r),
             Point::Infinity
         );
+    }
+
+    /// The lockstep kernel against one scalar ladder per lane, fed the
+    /// same stream: equal projective states and points, and the stream
+    /// left at the same place.
+    fn lockstep_matches_per_lane<C: CurveSpec>(ks: &[Scalar<C>], seed: u64) {
+        let mut r = rng_from(seed);
+        let g = C::generator();
+        let mut items: Vec<(Scalar<C>, Point<C>)> = ks
+            .iter()
+            .enumerate()
+            .map(|(i, k)| {
+                let base = if i % 3 == 0 {
+                    g
+                } else {
+                    let m = Scalar::<C>::random_nonzero(&mut r);
+                    ladder_mul(&m, &g, CoordinateBlinding::RandomZ, &mut r)
+                };
+                (*k, base)
+            })
+            .collect();
+        let lanes: Vec<(Scalar<C>, Element<C::Field>)> =
+            items.iter().map(|(k, p)| (*k, p.x().unwrap())).collect();
+        let (mut r1, mut r2) = (rng_from(seed ^ 0xA5), rng_from(seed ^ 0xA5));
+        let got = ladder_x_only_lockstep::<C>(&lanes, &mut r1);
+        let expect: Vec<LadderState<C>> = lanes
+            .iter()
+            .map(|(k, px)| ladder_x_only::<C>(k, *px, CoordinateBlinding::RandomZ, &mut r2))
+            .collect();
+        assert_eq!(got, expect, "{}: lockstep states", C::NAME);
+        assert_eq!(r1(), r2(), "{}: stream after x-only", C::NAME);
+
+        items.insert(items.len() / 2, (Scalar::one(), Point::infinity()));
+        let got = ladder_mul_lockstep(&items, &mut r1);
+        let expect: Vec<Point<C>> = items
+            .iter()
+            .map(|(k, p)| ladder_mul(k, p, CoordinateBlinding::RandomZ, &mut r2))
+            .collect();
+        assert_eq!(got, expect, "{}: lockstep points", C::NAME);
+        assert_eq!(r1(), r2(), "{}: stream after points", C::NAME);
+    }
+
+    #[test]
+    fn lockstep_kernel_matches_per_lane_ladders() {
+        // Toy-17's small scalars and their complements n − 1 − k drive
+        // legs to infinity mid-ladder (k = 0, 1) and at the end
+        // (k = n − 1), among ordinary lanes.
+        let n_minus_1 = Scalar::<Toy17>::zero() - Scalar::one();
+        let toy: Vec<Scalar<Toy17>> = (0u64..300)
+            .map(Scalar::from_u64)
+            .chain((0u64..300).map(|k| n_minus_1 - Scalar::from_u64(k)))
+            .collect();
+        lockstep_matches_per_lane::<Toy17>(&toy, 44);
+
+        let mut r = rng_from(45);
+        let k163: Vec<Scalar<K163>> = (0..5).map(|_| Scalar::random_nonzero(&mut r)).collect();
+        lockstep_matches_per_lane::<K163>(&k163, 46);
+        let mut b163: Vec<Scalar<B163>> = (0..5).map(|_| Scalar::random_nonzero(&mut r)).collect();
+        b163.extend([
+            Scalar::zero(),
+            Scalar::one(),
+            Scalar::zero() - Scalar::one(),
+        ]);
+        lockstep_matches_per_lane::<B163>(&b163, 47);
     }
 
     #[test]

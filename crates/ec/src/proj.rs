@@ -162,6 +162,16 @@ pub(crate) fn batch_to_affine<C: CurveSpec>(points: &[LdPoint<C>]) -> Vec<Point<
         .collect()
 }
 
+/// Affine `p_i + q_i` for every pair: one batched mixed addition
+/// ([`add_affine_batch`], each `p_i` lifted to projective with Z = 1)
+/// and one shared inversion to normalize the sums.
+pub(crate) fn add_pairs_batch<C: CurveSpec>(ps: &[Point<C>], qs: &[Point<C>]) -> Vec<Point<C>> {
+    let mut acc: Vec<LdPoint<C>> = ps.iter().map(LdPoint::from_affine).collect();
+    let jobs: Vec<(usize, Point<C>)> = qs.iter().copied().enumerate().collect();
+    add_affine_batch(&mut acc, &jobs, C::b(), &mut PointScratch::default());
+    batch_to_affine(&acc)
+}
+
 /// Reusable SoA scratch for the batched LD point operations: a pool of
 /// plane-major coordinate buffers plus a live-index list. Deliberately
 /// non-generic (raw plane words only), so one instance serves batches

@@ -18,6 +18,21 @@
 //!   curve). Non-Koblitz curves (B-163) and the toy curve fall back to
 //!   the ladder.
 //!
+//! On the ladder fallback, a batch entry point with at least four
+//! finite bases (`LOCKSTEP_MIN_LANES`) over a field with m ≥ 64 (B-163
+//! in practice) runs its ladders **in lockstep**: every item takes the
+//! same ladder step at the same time, each field operation is one
+//! batched plane operation over all items, and each item's key bit
+//! steers a masked per-lane swap (`gf2m::ct`) instead of a branch. The
+//! y-recoveries then share one batched inversion, and `mul_add`'s
+//! `a·G + b·Q` is one batched mixed addition normalized by a second.
+//! Each item's blinding Z is drawn in item order before the first
+//! step, so results and the caller's random stream match the per-item
+//! ladders bit for bit (`tests/varbase_equivalence.rs`). Smaller
+//! batches, the toy curve and the single-item entry points run one
+//! ladder per item, with one inversion each for y-recovery and the
+//! affine sum.
+//!
 //! The server-side entry points below dispatch on
 //! [`VarBaseStrategy::server_default`]; the fleet experiment records
 //! the selected strategy name in `BENCH_fleet.json` next to the field
@@ -28,10 +43,32 @@ use medsec_gf2m::{Element, FieldSpec};
 
 use crate::curve::{CurveSpec, Point};
 use crate::ladder::{
-    batch_x_affine_into, ladder_mul, ladder_x_only, CoordinateBlinding, LadderState, XAffineScratch,
+    batch_x_affine_into, ladder_mul, ladder_mul_lockstep, ladder_x_only, ladder_x_only_lockstep,
+    CoordinateBlinding, LadderState, XAffineScratch,
 };
+use crate::proj::add_pairs_batch;
 use crate::scalar::Scalar;
 use crate::tnaf;
+
+/// Fewest ladders a fallback batch must run before they go in
+/// lockstep. Below four lanes every plane operation runs the batch
+/// backend's scalar tail, with a gather and a scatter around it, and
+/// the lockstep ladder loses to per-item ladders. Measured with
+/// `varbase_x_batch` on B-163 over vpclmul (AVX-512 VPCLMULQDQ, 2-core
+/// x86-64 host), per item, median of five ~200 ms rounds, lockstep
+/// against per-item: width 1 233 µs against 191 µs, width 2 216 against
+/// 204, width 3 202 against 167, width 4 33 against 190, width 64 22
+/// against 184.
+const LOCKSTEP_MIN_LANES: usize = 4;
+
+/// Whether a fallback batch running `lanes` ladders (one per finite
+/// base) on curve `C` runs them in lockstep: on fields with m ≥ 64 (the
+/// cutoff [`VarBaseStrategy::server_default`] applies to τNAF; the toy
+/// field's planes are reduced one element at a time, so lockstep gains
+/// nothing there) and from [`LOCKSTEP_MIN_LANES`] ladders up.
+fn use_lockstep<C: CurveSpec>(lanes: usize) -> bool {
+    C::Field::M >= 64 && lanes >= LOCKSTEP_MIN_LANES
+}
 
 /// How a variable-base scalar multiplication is carried out.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -75,6 +112,12 @@ pub fn server_strategy_name<C: CurveSpec>() -> &'static str {
 /// Server-side `k·P` for a run-time base point. `next_u64` feeds the
 /// ladder's coordinate blinding on the fallback path; the τNAF path is
 /// deterministic (the server's scalars are not device secrets).
+///
+/// # Panics
+///
+/// On the ladder fallback, panics if `p` is the order-2 point with
+/// x = 0 (see [`ladder_mul`]); it is never in the prime-order subgroup,
+/// and servers refuse it before calling here.
 pub fn varbase_mul<C: CurveSpec>(
     k: &Scalar<C>,
     p: &Point<C>,
@@ -88,8 +131,15 @@ pub fn varbase_mul<C: CurveSpec>(
     }
 }
 
-/// Server-side batched `k_i·P_i` with the one-inversion-per-batch
-/// normalization contract on both strategies.
+/// Server-side batched `k_i·P_i`. τNAF normalizes every result with
+/// one inversion; the ladder fallback runs its ladders in lockstep
+/// with one inversion for every y-recovery (see the module doc), or
+/// one ladder per item in batches below the lockstep cutoff.
+///
+/// # Panics
+///
+/// On the ladder fallback, panics if a base is the order-2 point with
+/// x = 0.
 pub fn varbase_mul_batch<C: CurveSpec>(
     items: &[(Scalar<C>, Point<C>)],
     mut next_u64: impl FnMut() -> u64,
@@ -99,16 +149,26 @@ pub fn varbase_mul_batch<C: CurveSpec>(
     }
     match VarBaseStrategy::server_default::<C>() {
         VarBaseStrategy::ServerTnaf => tnaf::tnaf_mul_batch(items),
-        VarBaseStrategy::ProtectedLadder => items
-            .iter()
-            .map(|(k, p)| ladder_mul(k, p, CoordinateBlinding::RandomZ, &mut next_u64))
-            .collect(),
+        VarBaseStrategy::ProtectedLadder => {
+            if use_lockstep::<C>(items.iter().filter(|(_, p)| !p.is_infinity()).count()) {
+                return ladder_mul_lockstep(items, next_u64);
+            }
+            items
+                .iter()
+                .map(|(k, p)| ladder_mul(k, p, CoordinateBlinding::RandomZ, &mut next_u64))
+                .collect()
+        }
     }
 }
 
 /// Server-side batched shared-secret computation: the affine
 /// x-coordinate of `k_i·P_i` (`None` at infinity), every result
 /// normalized by one shared inversion — the gateway's ECDH shape.
+///
+/// # Panics
+///
+/// On the ladder fallback, panics if a base is the order-2 point with
+/// x = 0.
 pub fn varbase_x_batch<C: CurveSpec>(
     items: &[(Scalar<C>, Point<C>)],
     next_u64: impl FnMut() -> u64,
@@ -123,6 +183,14 @@ pub fn varbase_x_batch<C: CurveSpec>(
 /// and plane-multiplication buffers live in the worker's
 /// [`XAffineScratch`] and are reused across batches on both
 /// strategies. `out` is cleared and refilled.
+///
+/// On the ladder fallback the x-only ladders run in lockstep from four
+/// finite bases up (module doc).
+///
+/// # Panics
+///
+/// On the ladder fallback, panics if a base is the order-2 point with
+/// x = 0.
 pub fn varbase_x_batch_with<C: CurveSpec>(
     items: &[(Scalar<C>, Point<C>)],
     mut next_u64: impl FnMut() -> u64,
@@ -136,22 +204,26 @@ pub fn varbase_x_batch_with<C: CurveSpec>(
     match VarBaseStrategy::server_default::<C>() {
         VarBaseStrategy::ServerTnaf => tnaf::tnaf_x_batch_with(items, scratch, out),
         VarBaseStrategy::ProtectedLadder => {
-            // Mirror of the pre-seam gateway code: x-only ladders, one
-            // batched inversion. Bases at infinity have no x and yield
-            // `None` without running a ladder.
-            let mut states: Vec<LadderState<C>> = Vec::with_capacity(items.len());
+            // x-only ladders, one batched inversion. Bases at infinity
+            // have no x and yield `None` without running a ladder.
+            let mut lanes: Vec<(Scalar<C>, Element<C::Field>)> = Vec::with_capacity(items.len());
             let mut live: Vec<usize> = Vec::with_capacity(items.len());
             for (i, (k, p)) in items.iter().enumerate() {
                 if let Some(px) = p.x() {
-                    states.push(ladder_x_only::<C>(
-                        k,
-                        px,
-                        CoordinateBlinding::RandomZ,
-                        &mut next_u64,
-                    ));
+                    lanes.push((*k, px));
                     live.push(i);
                 }
             }
+            let states: Vec<LadderState<C>> = if use_lockstep::<C>(lanes.len()) {
+                ladder_x_only_lockstep(&lanes, next_u64)
+            } else {
+                lanes
+                    .iter()
+                    .map(|(k, px)| {
+                        ladder_x_only::<C>(k, *px, CoordinateBlinding::RandomZ, &mut next_u64)
+                    })
+                    .collect()
+            };
             let mut xs = Vec::with_capacity(states.len());
             batch_x_affine_into(&states, scratch, &mut xs);
             out.resize(items.len(), None);
@@ -165,7 +237,13 @@ pub fn varbase_x_batch_with<C: CurveSpec>(
 /// Server-side `a·G + b·Q` — the verification equation shape
 /// (`s·P − e·X` for Schnorr, `(s − ḋ)·P − e·R` for Peeters–Hermans).
 /// On Koblitz curves this is one interleaved Strauss pass over τNAF;
-/// the fallback runs the fixed-base comb plus one ladder.
+/// the fallback runs the fixed-base comb plus one per-item ladder (a
+/// single item never reaches the lockstep cutoff).
+///
+/// # Panics
+///
+/// On the ladder fallback, panics if `q` is the order-2 point with
+/// x = 0.
 pub fn varbase_mul_add_gen<C: CurveSpec>(
     a: &Scalar<C>,
     b: &Scalar<C>,
@@ -178,9 +256,18 @@ pub fn varbase_mul_add_gen<C: CurveSpec>(
 }
 
 /// Batched `a_i·G + b_i·Q_i`. τNAF shares one inversion across every
-/// per-item table and one across every result; the ladder fallback
-/// batches all fixed-base terms through one comb pass (one inversion)
-/// and runs one ladder per item, exactly like the pre-seam reader.
+/// per-item table and one across every result. The ladder fallback
+/// batches all fixed-base terms through one comb pass (one inversion).
+/// From four finite `Q_i` up on fields with m ≥ 64 it runs the
+/// `b_i·Q_i` ladders in lockstep, recovers every y with one inversion
+/// and forms every `a_i·G + b_i·Q_i` by one batched mixed addition
+/// normalized by one more. Smaller batches and the toy curve run one
+/// ladder and two inversions per item.
+///
+/// # Panics
+///
+/// On the ladder fallback, panics if a `Q_i` is the order-2 point with
+/// x = 0.
 pub fn varbase_mul_add_gen_batch<C: CurveSpec>(
     items: &[(Scalar<C>, Scalar<C>, Point<C>)],
     mut next_u64: impl FnMut() -> u64,
@@ -193,6 +280,11 @@ pub fn varbase_mul_add_gen_batch<C: CurveSpec>(
         VarBaseStrategy::ProtectedLadder => {
             let fixed_scalars: Vec<Scalar<C>> = items.iter().map(|(a, _, _)| *a).collect();
             let fixed = crate::comb::generator_mul_batch(&fixed_scalars);
+            if use_lockstep::<C>(items.iter().filter(|(_, _, q)| !q.is_infinity()).count()) {
+                let var: Vec<(Scalar<C>, Point<C>)> =
+                    items.iter().map(|(_, b, q)| (*b, *q)).collect();
+                return add_pairs_batch(&fixed, &ladder_mul_lockstep(&var, next_u64));
+            }
             items
                 .iter()
                 .zip(fixed)

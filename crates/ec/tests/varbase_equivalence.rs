@@ -11,10 +11,12 @@
 //! layer up.
 
 use medsec_ec::{
-    ladder::{ladder_mul, CoordinateBlinding},
+    ladder::{ladder_mul, ladder_x_affine, ladder_x_only, CoordinateBlinding},
     server_strategy_name, tnaf_mul, tnaf_mul_add_gen, tnaf_mul_batch, varbase_mul,
-    varbase_mul_add_gen, CurveSpec, Point, Scalar, Toy17, B163, K163, K233, K283,
+    varbase_mul_add_gen, varbase_mul_add_gen_batch, varbase_mul_batch, varbase_x_batch, CurveSpec,
+    Point, Scalar, Toy17, B163, K163, K233, K283,
 };
+use medsec_gf2m::Element;
 use proptest::prelude::*;
 
 fn rng_from(seed: u64) -> impl FnMut() -> u64 {
@@ -144,4 +146,106 @@ fn fallback_path_is_taken_and_correct() {
         let k = Scalar::<Toy17>::from_u64(kv);
         assert_eq!(varbase_mul(&k, &g, &mut r), g.mul_double_and_add(&k));
     }
+}
+
+/// One fallback batch of width `w`: lane `i % 16 == 4` has its base at
+/// infinity; for `mul_add`, lane `i % 16 == 1` cancels (`a·G = −b·Q`)
+/// and lane `i % 16 == 2` doubles (`a·G = b·Q`); lane `i % 16 == 7`
+/// has a zero variable-base scalar. Widths of four finite bases and up
+/// run the lockstep ladder on B-163; Toy-17 stays on per-item ladders.
+fn fallback_batch<C: CurveSpec>(
+    w: usize,
+    r: &mut impl FnMut() -> u64,
+) -> Vec<(Scalar<C>, Scalar<C>, Point<C>)> {
+    let g = C::generator();
+    (0..w)
+        .map(|i| {
+            let m = Scalar::<C>::random_nonzero(&mut *r);
+            let q = ladder_mul(&m, &g, CoordinateBlinding::RandomZ, &mut *r);
+            let b = Scalar::<C>::random_nonzero(&mut *r);
+            match i % 16 {
+                1 => (-(b * m), b, q),
+                2 => (b * m, b, q),
+                4 => (Scalar::random_nonzero(&mut *r), b, Point::infinity()),
+                7 => (Scalar::random_nonzero(&mut *r), Scalar::zero(), q),
+                _ => (Scalar::random_nonzero(&mut *r), b, q),
+            }
+        })
+        .collect()
+}
+
+/// The three batched fallback entry points against the per-item
+/// ladder, fed identical streams: bit-for-bit equal results, and the
+/// stream's next draw equal after every call.
+fn fallback_batches_equal_per_item<C: CurveSpec>(seed: u64) {
+    assert_eq!(server_strategy_name::<C>(), "ladder");
+    let g = C::generator();
+    for w in [1usize, 3, 4, 5, 64, 65] {
+        let mut r = rng_from(seed ^ w as u64);
+        let items = fallback_batch::<C>(w, &mut r);
+        let var: Vec<(Scalar<C>, Point<C>)> = items.iter().map(|(_, b, q)| (*b, *q)).collect();
+        let (mut r1, mut r2) = (
+            rng_from(seed.wrapping_add(1)),
+            rng_from(seed.wrapping_add(1)),
+        );
+        let ctx = format!("{} width {w}", C::NAME);
+
+        let got = varbase_mul_batch(&var, &mut r1);
+        let expect: Vec<Point<C>> = var
+            .iter()
+            .map(|(k, p)| ladder_mul(k, p, CoordinateBlinding::RandomZ, &mut r2))
+            .collect();
+        assert_eq!(got, expect, "{ctx}: mul_batch");
+        assert_eq!(r1(), r2(), "{ctx}: stream after mul_batch");
+
+        let got = varbase_x_batch(&var, &mut r1);
+        let expect: Vec<Option<Element<C::Field>>> = var
+            .iter()
+            .map(|(k, p)| {
+                p.x().and_then(|px| {
+                    ladder_x_affine(&ladder_x_only::<C>(
+                        k,
+                        px,
+                        CoordinateBlinding::RandomZ,
+                        &mut r2,
+                    ))
+                })
+            })
+            .collect();
+        assert_eq!(got, expect, "{ctx}: x_batch");
+        assert_eq!(r1(), r2(), "{ctx}: stream after x_batch");
+
+        let got = varbase_mul_add_gen_batch(&items, &mut r1);
+        let mut side = rng_from(seed ^ 0x51DE);
+        let expect: Vec<Point<C>> = items
+            .iter()
+            .map(|(a, b, q)| {
+                ladder_mul(a, &g, CoordinateBlinding::RandomZ, &mut side)
+                    + ladder_mul(b, q, CoordinateBlinding::RandomZ, &mut r2)
+            })
+            .collect();
+        assert_eq!(got, expect, "{ctx}: mul_add");
+        assert_eq!(r1(), r2(), "{ctx}: stream after mul_add");
+        // The special lanes are what they claim to be.
+        for (i, (p, (a, _, _))) in got.iter().zip(&items).enumerate() {
+            match i % 16 {
+                1 => assert_eq!(*p, Point::Infinity, "{ctx}: lane {i} cancels"),
+                2 => {
+                    let ag = ladder_mul(a, &g, CoordinateBlinding::Disabled, || 0);
+                    assert_eq!(*p, ag.double(), "{ctx}: lane {i} doubles");
+                }
+                _ => {}
+            }
+        }
+    }
+}
+
+#[test]
+fn b163_fallback_batches_equal_per_item_ladders() {
+    fallback_batches_equal_per_item::<B163>(0xB163);
+}
+
+#[test]
+fn toy17_fallback_batches_equal_per_item_ladders() {
+    fallback_batches_equal_per_item::<Toy17>(0x7017);
 }

@@ -2,8 +2,9 @@
 //! arrays and field elements, and an accumulate-OR byte comparison.
 //!
 //! This module is the single audited home for data-dependent selection
-//! in the workspace. The protected Montgomery ladder (`medsec-ec`) and
-//! the MAC tag comparison (`medsec-lwc`) route through these helpers
+//! in the workspace. The protected Montgomery ladder (`medsec-ec`), its
+//! lockstep server form (one swap per lane over plane-major batches)
+//! and the MAC tag comparison (`medsec-lwc`) route through these helpers
 //! instead of branching on secrets; `medsec-lint`'s `ct-*` rules
 //! forbid branchy constructs everywhere else in ct-pinned modules and
 //! allowlist exactly this file.
@@ -15,6 +16,7 @@
 //! XOR/AND only. No helper here branches, indexes, or early-returns on
 //! its secret inputs.
 
+use crate::batch::Planes;
 use crate::field::{Element, FieldSpec};
 use core::hint::black_box;
 
@@ -94,6 +96,35 @@ pub fn ct_swap<F: FieldSpec>(c: bool, a: &mut Element<F>, b: &mut Element<F>) {
     ct_swap_limbs(c, a.limbs_mut(), b.limbs_mut());
 }
 
+/// Lane-wise element swap over two plane-major batches: exchange slot
+/// `i` of `a` and `b` where `masks[i]` is all ones, leave it where
+/// `masks[i]` is zero. This is the lockstep ladder's cswap: each lane's
+/// key bit, expanded by [`ct_mask_u64`], steers its own swap, and the
+/// loads, XORs and stores are the same for every mask pattern.
+///
+/// # Panics
+///
+/// Panics unless `a`, `b` and `masks` all have the same (public)
+/// length.
+pub fn ct_swap_lanes(masks: &[u64], a: &mut Planes, b: &mut Planes) {
+    let n = masks.len();
+    assert!(a.len() == n && b.len() == n, "lane count mismatch");
+    if n == 0 {
+        return;
+    }
+    let planes = a
+        .data_mut()
+        .chunks_exact_mut(n)
+        .zip(b.data_mut().chunks_exact_mut(n));
+    for (pa, pb) in planes {
+        for ((x, y), mask) in pa.iter_mut().zip(pb.iter_mut()).zip(masks) {
+            let t = mask & (*x ^ *y);
+            *x ^= t;
+            *y ^= t;
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -141,5 +172,37 @@ mod tests {
         assert_eq!((x, y), (a, b));
         ct_swap(true, &mut x, &mut y);
         assert_eq!((x, y), (b, a));
+    }
+
+    #[test]
+    fn swap_lanes_matches_element_swap() {
+        let mut s = 0x5eed_u64;
+        let mut next = move || {
+            s = s.wrapping_mul(0x2545_f491_4f6c_dd1d).wrapping_add(1);
+            s
+        };
+        for n in [0usize, 1, 3, 8, 65] {
+            let xs: Vec<Element<F163>> = (0..n).map(|_| Element::random(&mut next)).collect();
+            let ys: Vec<Element<F163>> = (0..n).map(|_| Element::random(&mut next)).collect();
+            let bits: Vec<bool> = (0..n).map(|_| next() & 1 == 1).collect();
+            let (mut a, mut b) = (Planes::new(), Planes::new());
+            a.reset(n);
+            b.reset(n);
+            for i in 0..n {
+                a.set(i, &xs[i]);
+                b.set(i, &ys[i]);
+            }
+            let masks: Vec<u64> = bits.iter().map(|&c| ct_mask_u64(c)).collect();
+            ct_swap_lanes(&masks, &mut a, &mut b);
+            for i in 0..n {
+                let (mut x, mut y) = (xs[i], ys[i]);
+                ct_swap(bits[i], &mut x, &mut y);
+                assert_eq!(
+                    (a.get::<F163>(i), b.get::<F163>(i)),
+                    (x, y),
+                    "n={n} lane {i}"
+                );
+            }
+        }
     }
 }

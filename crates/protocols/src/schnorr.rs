@@ -89,8 +89,9 @@ impl<C: CurveSpec> SchnorrTag<C> {
 /// **one** pass through the variable-base engine's interleaved
 /// `mul_add` (`a·G + b·Q` with `a = s`, `b = −e`): on Koblitz curves a
 /// single Strauss loop over τNAF digits, on other curves the
-/// fixed-base comb plus one ladder. The device-side commitment path is
-/// untouched.
+/// fixed-base comb plus one protected ladder (a single transcript is
+/// below the cutoff for [`schnorr_verify_batch`]'s lockstep ladders).
+/// The device-side commitment path is untouched.
 pub fn schnorr_verify<C: CurveSpec>(
     transcript: &SchnorrTranscript<C>,
     public: &Point<C>,
@@ -109,8 +110,10 @@ pub fn schnorr_verify<C: CurveSpec>(
 /// public key, in one pass through the variable-base engine's batched
 /// interleaved `mul_add` (`s_i·P − e_i·X_i` for every entry, one
 /// shared inversion for the normalization — the serving-side shape
-/// the suite layer's `server_verify_batch` relies on). Entry `i` of
-/// the result corresponds to `items[i]`.
+/// the suite layer's `server_verify_batch` relies on). On B-163 a batch
+/// of four or more runs its `e_i·X_i` ladders in lockstep
+/// ([`medsec_ec::varbase`]). Entry `i` of the result corresponds to
+/// `items[i]`.
 pub fn schnorr_verify_batch<C: CurveSpec>(
     items: &[(SchnorrTranscript<C>, Point<C>)],
     mut next_u64: impl FnMut() -> u64,

@@ -50,6 +50,15 @@ type TelemetryPieces<'a> = (usize, SuiteDeviceId, &'a [u8], &'a [u8], &'a [u8]);
 /// challenge `e`.
 type SigmaPending<C> = PendingTable<(Point<C>, Scalar<C>)>;
 
+/// Whether `p` is the order-2 point (0, √b). It decompresses from the
+/// wire, but an honest ephemeral or commitment `r·G` lies in the
+/// odd-order subgroup and never has x = 0, and the x-only ladder
+/// cannot take it as a base, so the servers refuse it before any point
+/// multiplication.
+fn has_zero_x<C: CurveSpec>(p: &Point<C>) -> bool {
+    p.x().is_some_and(|x| x.is_zero())
+}
+
 /// Which curve a profile's co-processor is configured for (wire id).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[repr(u8)]
@@ -775,6 +784,11 @@ impl<C: CurveSpec> SecuritySuite for MutualSuite<C> {
             let Some(server_eph) = server.pending.remove(id) else {
                 continue; // stays NoSession
             };
+            // Like a failed MAC, this closes the session it answers.
+            if has_zero_x(&eph) {
+                results[i].1 = Err(SuiteError::BadEphemeral);
+                continue;
+            }
             ledger.point_mul();
             items.push((*server_eph.secret(), eph));
             live.push((i, id, eph_bytes, ct, tag));
@@ -889,6 +903,9 @@ impl<C: CurveSpec> SecuritySuite for SchnorrSuite<C> {
                     let bytes = open.ok_or(SuiteError::Decode(DecodeError::Malformed))?;
                     ledger.rx(bytes.len());
                     let commitment = wire::decode_point::<C>(MsgType::PhCommit, bytes)?;
+                    if has_zero_x(&commitment) {
+                        return Err(SuiteError::BadEphemeral);
+                    }
                     let challenge = Scalar::<C>::random_nonzero(&mut next_u64);
                     server.pending.insert(id, (commitment, challenge));
                     let frame = wire::encode_scalar(MsgType::PhChallenge, &challenge);
@@ -1039,6 +1056,9 @@ impl<C: CurveSpec> SecuritySuite for PhSuite<C> {
                     let bytes = open.ok_or(SuiteError::Decode(DecodeError::Malformed))?;
                     ledger.rx(bytes.len());
                     let commitment = wire::decode_point::<C>(MsgType::PhCommit, bytes)?;
+                    if has_zero_x(&commitment) {
+                        return Err(SuiteError::BadEphemeral);
+                    }
                     let challenge = server.reader.challenge(&mut next_u64);
                     server.pending.insert(id, (commitment, challenge));
                     let frame = wire::encode_scalar(MsgType::PhChallenge, &challenge);
@@ -1319,6 +1339,102 @@ mod tests {
         assert_eq!(out, Ok(SuiteOutcome::Identified(11)));
         // The tag pays exactly two point multiplications.
         assert!((dl.compute() - 2.0 * 5.1e-6).abs() < 1e-9);
+    }
+
+    /// The compressed encoding of the order-2 point (0, √b): tag 0, all
+    /// of x zero. It decompresses, but no honest device sends it.
+    fn zero_x_encoding<C: CurveSpec>() -> Vec<u8> {
+        let bytes = vec![0u8; Point::<C>::compressed_len()];
+        let p = Point::<C>::decompress(&bytes).expect("decodes to (0, sqrt b)");
+        assert_eq!(p.x(), Some(medsec_gf2m::Element::zero()));
+        bytes
+    }
+
+    fn refuses_zero_x_points<C: CurveSpec>(seed: u64) {
+        let mut rng = SplitMix64::new(seed);
+        let (mut dl, mut sl) = (ledger(), ledger());
+        let zero_x = zero_x_encoding::<C>();
+
+        // Mutual: a Telemetry frame whose ephemeral is (0, √b).
+        let pairing = Pairing {
+            auth_key: *b"zero-x pairing k",
+        };
+        let server = MutualServer::<C>::new(vec![(1, pairing.clone())]);
+        let mut device = mutual::Device::<C>::new(pairing, mutual::Ordering::ServerFirst);
+        let hello = MutualSuite::<C>::hello(&server, 1, None, rng.as_fn(), &mut sl).unwrap();
+        let closing =
+            MutualSuite::device_turn(&mut device, &hello, b"hr=070", rng.as_fn(), &mut dl).unwrap();
+        let (_, payload) = wire::deframe(&closing).unwrap();
+        let mut forged = payload.to_vec();
+        forged[..zero_x.len()].copy_from_slice(&zero_x);
+        let forged = wire::frame(MsgType::Telemetry, &forged);
+        assert_eq!(
+            MutualSuite::<C>::server_verify(&server, 1, &forged, rng.as_fn(), &mut sl),
+            Err(SuiteError::BadEphemeral),
+            "{}: mutual",
+            C::NAME
+        );
+        let out = MutualSuite::run_session(
+            &mut device,
+            &server,
+            1,
+            b"hr=071",
+            rng.as_fn(),
+            &mut dl,
+            &mut sl,
+        );
+        assert_eq!(
+            out,
+            Ok(SuiteOutcome::Established {
+                telemetry: b"hr=071".to_vec()
+            }),
+            "{}: mutual after the forged frame",
+            C::NAME
+        );
+
+        // Schnorr and Peeters–Hermans: a PhCommit carrying (0, √b).
+        let commit = wire::frame(MsgType::PhCommit, &zero_x);
+        let mut tag = SchnorrTag::<C>::new(rng.as_fn());
+        let mut verifier = SchnorrVerifier::<C>::new();
+        verifier.register(2, *tag.public());
+        assert_eq!(
+            SchnorrSuite::<C>::hello(&verifier, 2, Some(&commit), rng.as_fn(), &mut sl),
+            Err(SuiteError::BadEphemeral),
+            "{}: schnorr",
+            C::NAME
+        );
+        let out =
+            SchnorrSuite::run_session(&mut tag, &verifier, 2, b"", rng.as_fn(), &mut dl, &mut sl);
+        assert_eq!(
+            out,
+            Ok(SuiteOutcome::Authenticated),
+            "{}: schnorr after",
+            C::NAME
+        );
+
+        let mut reader = PhReader::<C>::new(rng.as_fn());
+        let mut tag = reader.register_tag(3, rng.as_fn());
+        let server = PhServer::new(reader);
+        assert_eq!(
+            PhSuite::<C>::hello(&server, 3, Some(&commit), rng.as_fn(), &mut sl),
+            Err(SuiteError::BadEphemeral),
+            "{}: ph",
+            C::NAME
+        );
+        let out = PhSuite::run_session(&mut tag, &server, 3, b"", rng.as_fn(), &mut dl, &mut sl);
+        assert_eq!(
+            out,
+            Ok(SuiteOutcome::Identified(3)),
+            "{}: ph after",
+            C::NAME
+        );
+    }
+
+    #[test]
+    fn zero_x_points_are_refused_on_every_curve() {
+        refuses_zero_x_points::<Toy17>(7008);
+        refuses_zero_x_points::<medsec_ec::B163>(7009);
+        refuses_zero_x_points::<medsec_ec::K163>(7010);
     }
 
     #[test]
