@@ -2,7 +2,8 @@
 //! isolation and whole-fleet throughput at several thread counts.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use medsec_fleet::{run_fleet, CurveChoice, FleetConfig, LaneScheduler, StealStats};
+use medsec_fleet::{run_fleet, FleetConfig, LaneScheduler, StealStats};
+use medsec_protocols::suite::CurveId;
 use std::hint::black_box;
 
 fn bench_scheduler(c: &mut Criterion) {
@@ -33,7 +34,7 @@ fn bench_fleet_throughput(c: &mut Criterion) {
                     threads,
                     shards: 32,
                     batch_size: 32,
-                    curve: CurveChoice::Toy17,
+                    curve: CurveId::Toy17,
                     seed: 0x5EED,
                     forged_per_mille: 10,
                     wards: Vec::new(),

@@ -14,7 +14,7 @@
 //! runs).
 
 use criterion::{black_box, Criterion};
-use medsec_fleet::{admit_negotiate, run_fleet, CurveChoice, FleetConfig};
+use medsec_fleet::{admit_negotiate, run_fleet, FleetConfig};
 use medsec_protocols::suite::{CurveId, ProtocolId, SecurityProfile};
 use std::time::{Duration, Instant};
 
@@ -24,7 +24,7 @@ fn pin_config() -> FleetConfig {
         threads: 1,
         shards: 16,
         batch_size: 32,
-        curve: CurveChoice::Toy17,
+        curve: CurveId::Toy17,
         seed: 0x5EED_D15B,
         forged_per_mille: 10,
         wards: Vec::new(),
@@ -47,7 +47,7 @@ fn bench_dispatch(c: &mut Criterion) {
     let profile = SecurityProfile::new(CurveId::K163, ProtocolId::Mutual);
     let frame = profile.negotiate_frame();
     c.bench_function("suite_dispatch/negotiate_admit", |b| {
-        b.iter(|| black_box(admit_negotiate(&frame, &profile, CurveChoice::K163)))
+        b.iter(|| black_box(admit_negotiate(&frame, &profile, CurveId::K163)))
     });
 }
 

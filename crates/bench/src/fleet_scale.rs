@@ -21,9 +21,10 @@
 //! (skipped, but still recorded, on smaller machines).
 
 use medsec_fleet::{
-    mixed_hospital_wards, run_fleet, CurveChoice, FleetConfig, FleetReport, GatewayHub,
-    StreamingConfig, StreamingOutcome,
+    mixed_hospital_wards, run_fleet, FleetConfig, FleetReport, GatewayHub, StreamingConfig,
+    StreamingOutcome,
 };
+use medsec_protocols::suite::CurveId;
 
 use crate::loadgen;
 use crate::table::{uj, Table};
@@ -44,7 +45,7 @@ pub fn trajectory_config(fast: bool) -> FleetConfig {
         threads: host_parallelism().clamp(1, 16),
         shards: 64,
         batch_size: 64,
-        curve: CurveChoice::Toy17,
+        curve: CurveId::Toy17,
         seed: 0x5EED_F1EE,
         forged_per_mille: 10,
         wards: Vec::new(),
@@ -233,16 +234,16 @@ pub fn run_with_json(fast: bool) -> (String, String) {
     // The paper-strength curves alongside, so the trajectory tracks
     // every pyramid point the hub can serve. Device counts shrink with
     // field size: the pinned device-side ladder dominates.
-    let curve_run = |curve: CurveChoice, devices: usize| {
+    let curve_run = |curve: CurveId, devices: usize| {
         run_fleet(&FleetConfig {
             devices,
             curve,
             ..cfg.clone()
         })
     };
-    let k163 = curve_run(CurveChoice::K163, if fast { 64 } else { 2048 });
-    let k233 = curve_run(CurveChoice::K233, if fast { 16 } else { 256 });
-    let k283 = curve_run(CurveChoice::K283, if fast { 8 } else { 128 });
+    let k163 = curve_run(CurveId::K163, if fast { 64 } else { 2048 });
+    let k233 = curve_run(CurveId::K233, if fast { 16 } else { 256 });
+    let k283 = curve_run(CurveId::K283, if fast { 8 } else { 128 });
 
     // One mixed heterogeneous run through the curve-erased hub, pinned
     // at 4 workers so the obs-overhead comparison below exercises the
@@ -576,10 +577,9 @@ mod tests {
         assert!(json.contains("\"toy17\":{"));
         // The recorded backend is whatever the process resolved to
         // (vpclmul on AVX-512 hosts, clmul on CLMUL-capable hosts,
-        // bitsliced otherwise, or the MEDSEC_GF2M_BACKEND override the
-        // CI matrix forces).
+        // bitsliced otherwise or when the CI matrix forces it).
         let backend = medsec_gf2m::backend::active_backend_name();
-        assert!(["vpclmul", "clmul", "bitsliced", "fast", "model"].contains(&backend));
+        assert!(["vpclmul", "clmul", "bitsliced"].contains(&backend));
         assert!(json.contains(&format!("\"backend\":\"{backend}\"")));
         assert!(json.contains(
             "\"varbase\":{\"toy17\":\"ladder\",\"k163\":\"tnaf\",\"k233\":\"tnaf\",\"k283\":\"tnaf\"}"

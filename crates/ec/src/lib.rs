@@ -18,10 +18,11 @@
 //! through `medsec_gf2m::Element`'s operators, which dispatch on the
 //! process-wide `medsec_gf2m::select_backend()` choice. On CLMUL-capable
 //! x86_64 hosts the whole serving stack therefore runs on hardware
-//! carry-less multiplication with no change here; the SCA/energy
-//! experiments bypass the seam entirely (they drive the digit-serial
-//! MALU model and `Element`'s `*_model` methods, which pin the bit-exact
-//! reference path).
+//! carry-less multiplication with no change here. The SCA/energy
+//! experiments take their traces from the digit-serial MALU model
+//! inside the co-processor simulator, not from this seam; the
+//! equivalence tests pin every backend bit-identical to the reference
+//! path, so the values they compute agree.
 //!
 //! # Example
 //!

@@ -39,8 +39,9 @@ use medsec_obs::{Event, EventKind, EventLog, Stage, Telemetry};
 use medsec_power::{EnergyReport, RadioModel};
 use medsec_protocols::mutual::{self, SessionOutcome};
 use medsec_protocols::suite::{
-    MutualServer, MutualSuite, PhServer, PhSuite, ProtocolId, SchnorrSuite, SchnorrVerifier,
-    SecurityProfile, SecuritySuite, SuiteError, SuiteOutcome, SymmetricGate, SymmetricSuite,
+    CurveId, MutualServer, MutualSuite, PhServer, PhSuite, ProtocolId, SchnorrSuite,
+    SchnorrVerifier, SecurityProfile, SecuritySuite, SuiteError, SuiteOutcome, SymmetricGate,
+    SymmetricSuite,
 };
 use medsec_protocols::wire;
 use medsec_protocols::EnergyLedger;
@@ -49,7 +50,7 @@ use medsec_rng::SplitMix64;
 use crate::registry::{provision_lane, DeviceId, DeviceKind, DeviceProfile, FleetDevice};
 use crate::report::{FleetReport, ProfileStats};
 use crate::scheduler::{LaneScheduler, LaneWorker};
-use crate::sim::{is_forged_target, unix_ms_now, CurveChoice, FleetConfig};
+use crate::sim::{is_forged_target, unix_ms_now, FleetConfig};
 use crate::telemetry::WorkerObs;
 
 /// One curve's worth of serving state: one suite server per protocol
@@ -57,7 +58,7 @@ use crate::telemetry::WorkerObs;
 #[derive(Debug)]
 pub struct CurveLane<C: CurveSpec> {
     /// The curve this lane is monomorphized over.
-    pub curve: CurveChoice,
+    pub curve: CurveId,
     /// Mutual-authentication server.
     pub mutual: MutualServer<C>,
     /// Peeters–Hermans server.
@@ -178,7 +179,7 @@ impl HubTally {
 pub fn admit_negotiate(
     frame: &[u8],
     provisioned: &SecurityProfile,
-    lane_curve: CurveChoice,
+    lane_curve: CurveId,
 ) -> Result<ProtocolId, SuiteError> {
     let decoded = wire::decode_negotiate(frame).map_err(SuiteError::Decode)?;
     let profile = SecurityProfile::from_negotiate(&decoded).ok_or(SuiteError::Negotiation)?;
@@ -186,7 +187,7 @@ pub fn admit_negotiate(
     // countermeasure level and energy budget are provisioning-side
     // policy, not wire state — a ward provisioned at an overridden
     // budget still negotiates with its canonical profile id.
-    if profile.curve != lane_curve.id() || profile.id() != provisioned.id() {
+    if profile.curve != lane_curve || profile.id() != provisioned.id() {
         return Err(SuiteError::Negotiation);
     }
     Ok(profile.protocol)
@@ -245,11 +246,11 @@ impl GatewayHub {
         // Expand the config into (global id, kind, profile) per curve,
         // in ward order so ids stay sequential across the fleet.
         type Assign = (DeviceId, DeviceKind, SecurityProfile);
-        let mut order: Vec<CurveChoice> = Vec::new();
-        let mut per_curve: HashMap<CurveChoice, Vec<Assign>> = HashMap::new();
-        let mut placement: Vec<(CurveChoice, usize)> = Vec::new(); // global id → (curve, slot)
+        let mut order: Vec<CurveId> = Vec::new();
+        let mut per_curve: HashMap<CurveId, Vec<Assign>> = HashMap::new();
+        let mut placement: Vec<(CurveId, usize)> = Vec::new(); // global id → (curve, slot)
 
-        let mut push = |curve: CurveChoice, a: Assign, order: &mut Vec<CurveChoice>| {
+        let mut push = |curve: CurveId, a: Assign, order: &mut Vec<CurveId>| {
             let bucket = per_curve.entry(curve).or_default();
             if bucket.is_empty() {
                 order.push(curve);
@@ -262,13 +263,13 @@ impl GatewayHub {
             for i in 0..cfg.devices {
                 let id = i as DeviceId;
                 let kind = DeviceKind::assign(id);
-                let profile = SecurityProfile::new(cfg.curve.id(), kind.protocol());
+                let profile = SecurityProfile::new(cfg.curve, kind.protocol());
                 push(cfg.curve, (id, kind, profile), &mut order);
             }
         } else {
             let mut next_id: DeviceId = 0;
             for ward in &cfg.wards {
-                let curve = CurveChoice::from_id(ward.profile.curve);
+                let curve = ward.profile.curve;
                 let kind = DeviceKind::for_protocol(ward.profile.protocol);
                 for _ in 0..ward.devices {
                     push(curve, (next_id, kind, ward.profile), &mut order);
@@ -287,13 +288,13 @@ impl GatewayHub {
                 let seed = if cfg.wards.is_empty() {
                     cfg.seed
                 } else {
-                    cfg.seed ^ ((curve.id() as u64) << 56)
+                    cfg.seed ^ ((curve as u64) << 56)
                 };
                 build_lane(curve, assignments, cfg.shards, seed)
             })
             .collect();
 
-        let lane_of: HashMap<CurveChoice, usize> =
+        let lane_of: HashMap<CurveId, usize> =
             order.iter().enumerate().map(|(i, &c)| (c, i)).collect();
         let index = placement
             .into_iter()
@@ -651,13 +652,13 @@ pub(crate) struct Partitions {
 /// Build one lane, dispatching the curve choice into a monomorphized
 /// [`CurveLane`].
 fn build_lane(
-    curve: CurveChoice,
+    curve: CurveId,
     assignments: &[(DeviceId, DeviceKind, SecurityProfile)],
     shards: usize,
     seed: u64,
 ) -> Lane {
     fn lane<C: CurveSpec>(
-        curve: CurveChoice,
+        curve: CurveId,
         assignments: &[(DeviceId, DeviceKind, SecurityProfile)],
         shards: usize,
         seed: u64,
@@ -673,11 +674,11 @@ fn build_lane(
         }
     }
     match curve {
-        CurveChoice::Toy17 => Lane::Toy17(lane::<Toy17>(curve, assignments, shards, seed)),
-        CurveChoice::B163 => Lane::B163(lane::<B163>(curve, assignments, shards, seed)),
-        CurveChoice::K163 => Lane::K163(lane::<K163>(curve, assignments, shards, seed)),
-        CurveChoice::K233 => Lane::K233(lane::<K233>(curve, assignments, shards, seed)),
-        CurveChoice::K283 => Lane::K283(lane::<K283>(curve, assignments, shards, seed)),
+        CurveId::Toy17 => Lane::Toy17(lane::<Toy17>(curve, assignments, shards, seed)),
+        CurveId::B163 => Lane::B163(lane::<B163>(curve, assignments, shards, seed)),
+        CurveId::K163 => Lane::K163(lane::<K163>(curve, assignments, shards, seed)),
+        CurveId::K233 => Lane::K233(lane::<K233>(curve, assignments, shards, seed)),
+        CurveId::K283 => Lane::K283(lane::<K283>(curve, assignments, shards, seed)),
     }
 }
 
@@ -985,7 +986,6 @@ fn serve_wave<C: CurveSpec, S: LaneSuite<C>>(
 mod tests {
     use super::*;
     use crate::sim::mixed_hospital_wards;
-    use medsec_protocols::suite::CurveId;
 
     #[test]
     fn mixed_fleet_completes_every_session() {
@@ -1141,30 +1141,30 @@ mod tests {
         let frame = profile.negotiate_frame();
         // Happy path.
         assert_eq!(
-            admit_negotiate(&frame, &profile, CurveChoice::K163),
+            admit_negotiate(&frame, &profile, CurveId::K163),
             Ok(ProtocolId::Mutual)
         );
         // Wrong lane: a K-163 profile knocking on the Toy17 lane.
         assert_eq!(
-            admit_negotiate(&frame, &profile, CurveChoice::Toy17),
+            admit_negotiate(&frame, &profile, CurveId::Toy17),
             Err(SuiteError::Negotiation)
         );
         // Provisioned at a different profile than advertised.
         let other = SecurityProfile::new(CurveId::K163, ProtocolId::Ph);
         assert_eq!(
-            admit_negotiate(&frame, &other, CurveChoice::K163),
+            admit_negotiate(&frame, &other, CurveId::K163),
             Err(SuiteError::Negotiation)
         );
         // Unknown version byte.
         let mut v9 = frame.to_vec();
         v9[2] = 9;
         assert!(matches!(
-            admit_negotiate(&v9, &profile, CurveChoice::K163),
+            admit_negotiate(&v9, &profile, CurveId::K163),
             Err(SuiteError::Decode(_))
         ));
         // Garbage frame.
         assert!(matches!(
-            admit_negotiate(b"zz", &profile, CurveChoice::K163),
+            admit_negotiate(b"zz", &profile, CurveId::K163),
             Err(SuiteError::Decode(_))
         ));
     }
@@ -1181,7 +1181,7 @@ mod tests {
             .with_budget(2.0e-4)
             .with_countermeasures(CountermeasureLevel::SpaHardened);
         assert_eq!(
-            admit_negotiate(&profile.negotiate_frame(), &profile, CurveChoice::K163),
+            admit_negotiate(&profile.negotiate_frame(), &profile, CurveId::K163),
             Ok(ProtocolId::Mutual)
         );
         let cfg = FleetConfig {
@@ -1209,7 +1209,6 @@ mod tests {
     #[test]
     fn one_device_per_lane_mixed_fleet() {
         use crate::sim::WardSpec;
-        use medsec_protocols::suite::CurveId;
         let wards = vec![
             WardSpec::new(SecurityProfile::new(CurveId::Toy17, ProtocolId::Mutual), 1),
             WardSpec::new(SecurityProfile::new(CurveId::B163, ProtocolId::Schnorr), 1),
@@ -1296,7 +1295,6 @@ mod tests {
     /// lane's servers hold their own pairing table and pending shards.
     #[test]
     fn colliding_ids_across_lanes_stay_isolated() {
-        use medsec_protocols::suite::CurveId;
         let kinds = [(0, DeviceKind::Pacemaker), (7, DeviceKind::CardiacMonitor)];
         let toy_assignments: Vec<_> = kinds
             .iter()
@@ -1319,8 +1317,8 @@ mod tests {
             })
             .collect();
         // Same ids, different lanes, different key streams.
-        let toy = provision_lane::<Toy17>(&toy_assignments, 8, CurveChoice::Toy17, 42);
-        let k163 = provision_lane::<K163>(&k_assignments, 8, CurveChoice::K163, 43);
+        let toy = provision_lane::<Toy17>(&toy_assignments, 8, CurveId::Toy17, 42);
+        let k163 = provision_lane::<K163>(&k_assignments, 8, CurveId::K163, 43);
         run_lane_sessions(toy);
         run_lane_sessions(k163);
     }

@@ -70,9 +70,7 @@ pub use registry::{
 };
 pub use report::{FleetReport, ProfileStats};
 pub use scheduler::{LaneBatch, LaneScheduler, LaneWorker, StealStats};
-pub use sim::{
-    mixed_hospital_wards, run_fleet, CurveChoice, FleetConfig, FleetConfigError, WardSpec,
-};
+pub use sim::{mixed_hospital_wards, run_fleet, FleetConfig, FleetConfigError, WardSpec};
 pub use streaming::{
     device_class, Arrival, ClassPolicy, StreamingConfig, StreamingOutcome, StreamingStats,
     DEVICE_CLASSES,

@@ -15,13 +15,11 @@ use medsec_protocols::mutual::{Device, Ordering, Pairing};
 use medsec_protocols::peeters_hermans::{PhReader, PhTag};
 use medsec_protocols::schnorr::SchnorrTag;
 use medsec_protocols::suite::{
-    MutualServer, PhServer, ProtocolId, SchnorrVerifier, SecurityProfile, SymmetricGate,
+    CurveId, MutualServer, PhServer, ProtocolId, SchnorrVerifier, SecurityProfile, SymmetricGate,
 };
 use medsec_protocols::symmetric::{SymmetricDevice, SymmetricServer};
 use medsec_protocols::EnergyLedger;
 use medsec_rng::SplitMix64;
-
-use crate::sim::CurveChoice;
 
 /// Fleet-wide device identifier (also the Peeters–Hermans tag id).
 pub type DeviceId = u32;
@@ -124,7 +122,7 @@ pub struct DeviceProfile {
     /// Implant class.
     pub kind: DeviceKind,
     /// Curve the device's co-processor is configured for.
-    pub curve: CurveChoice,
+    pub curve: CurveId,
     /// The pyramid point this device was provisioned at — the profile
     /// it advertises in its Negotiate hello and the gateway enforces.
     pub suite: SecurityProfile,
@@ -192,7 +190,7 @@ pub struct LaneProvision<C: CurveSpec> {
 pub fn provision_lane<C: CurveSpec>(
     assignments: &[(DeviceId, DeviceKind, SecurityProfile)],
     shards: usize,
-    curve: CurveChoice,
+    curve: CurveId,
     seed: u64,
 ) -> LaneProvision<C> {
     let mut root = SplitMix64::new(seed);
@@ -270,11 +268,11 @@ mod tests {
         let assignments: Vec<(DeviceId, DeviceKind, SecurityProfile)> = (0..n)
             .map(|id| {
                 let kind = DeviceKind::assign(id);
-                let profile = SecurityProfile::new(CurveChoice::Toy17.id(), kind.protocol());
+                let profile = SecurityProfile::new(CurveId::Toy17, kind.protocol());
                 (id, kind, profile)
             })
             .collect();
-        provision_lane(&assignments, 4, CurveChoice::Toy17, seed)
+        provision_lane(&assignments, 4, CurveId::Toy17, seed)
     }
 
     #[test]

@@ -90,9 +90,10 @@ pub struct FleetReport {
     /// server of a lane has this many).
     pub shards: usize,
     /// The gf2m backend the serving stack's field arithmetic ran on
-    /// (`clmul`, `fast`, or a forced override — see
-    /// `medsec_gf2m::select_backend`), so every trajectory point is
-    /// attributable to the exact compute stack behind it.
+    /// (`vpclmul`, `clmul` or `bitsliced` — see
+    /// `medsec_gf2m::backend::active_backend_name`), so every
+    /// trajectory point is attributable to the exact compute stack
+    /// behind it.
     pub backend: &'static str,
     /// Sessions that completed correctly, other than Peeters–Hermans
     /// identifications: mutual authentications with verified telemetry
@@ -477,7 +478,7 @@ mod tests {
             devices: 8,
             threads: 2,
             shards: 4,
-            backend: "fast",
+            backend: "bitsliced",
             sessions_ok: 6,
             sessions_failed: 0,
             frames_ok: 6,
@@ -535,7 +536,7 @@ mod tests {
         ] {
             assert!(j.contains(&format!("\"{key}\":")), "missing {key} in {j}");
         }
-        assert!(j.contains("\"backend\":\"fast\""));
+        assert!(j.contains("\"backend\":\"bitsliced\""));
         assert!(j.contains("\"telemetry\":null"));
         assert!(j.contains("\"shed_rate\":0.125000"));
         assert!(j.contains("\"lane_queue_high_water\":[3,1]"));
@@ -566,7 +567,7 @@ mod tests {
 
     #[test]
     fn observed_report_emits_telemetry_block_and_prometheus() {
-        use medsec_obs::{Event, EventKind, EventLog, Recorder, Stage, StageRecorder};
+        use medsec_obs::{Event, EventKind, EventLog, Stage, StageRecorder};
         let mut r = sample();
         let log = EventLog::new(16);
         log.log(Event::new(EventKind::SessionOpen, 0, 7, 1));

@@ -8,60 +8,6 @@ use medsec_protocols::suite::{CurveId, SecurityProfile};
 use crate::registry::DeviceId;
 use crate::report::FleetReport;
 
-/// Which curve a co-processor is configured for.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum CurveChoice {
-    /// The 17-bit toy curve — fast, for functional fleets and tests.
-    #[default]
-    Toy17,
-    /// The paper's K-163 Koblitz curve.
-    K163,
-    /// The B-163 random curve.
-    B163,
-    /// The K-233 Koblitz curve.
-    K233,
-    /// The K-283 Koblitz curve (gateway-of-gateways strength).
-    K283,
-}
-
-impl CurveChoice {
-    /// Every fleet-servable curve.
-    pub const ALL: [CurveChoice; 5] = [
-        CurveChoice::Toy17,
-        CurveChoice::K163,
-        CurveChoice::B163,
-        CurveChoice::K233,
-        CurveChoice::K283,
-    ];
-
-    /// Human-readable curve name.
-    pub fn name(&self) -> &'static str {
-        self.id().name()
-    }
-
-    /// The wire-level curve id of this choice.
-    pub fn id(&self) -> CurveId {
-        match self {
-            CurveChoice::Toy17 => CurveId::Toy17,
-            CurveChoice::K163 => CurveId::K163,
-            CurveChoice::B163 => CurveId::B163,
-            CurveChoice::K233 => CurveId::K233,
-            CurveChoice::K283 => CurveId::K283,
-        }
-    }
-
-    /// The fleet curve for a wire-level curve id.
-    pub fn from_id(id: CurveId) -> Self {
-        match id {
-            CurveId::Toy17 => CurveChoice::Toy17,
-            CurveId::K163 => CurveChoice::K163,
-            CurveId::B163 => CurveChoice::B163,
-            CurveId::K233 => CurveChoice::K233,
-            CurveId::K283 => CurveChoice::K283,
-        }
-    }
-}
-
 /// One homogeneous slice of a heterogeneous fleet: `devices` devices
 /// provisioned at one pyramid point.
 #[derive(Debug, Clone, PartialEq)]
@@ -135,7 +81,7 @@ pub struct FleetConfig {
     /// Jobs a worker pulls per queue lock.
     pub batch_size: usize,
     /// Curve of the single-curve fleet when `wards` is empty.
-    pub curve: CurveChoice,
+    pub curve: CurveId,
     /// Root seed; the whole run is a pure function of it.
     pub seed: u64,
     /// Per-mille of mutual-auth devices that are first probed with a
@@ -165,7 +111,7 @@ impl Default for FleetConfig {
             threads: 4,
             shards: 16,
             batch_size: 32,
-            curve: CurveChoice::Toy17,
+            curve: CurveId::Toy17,
             seed: 0x5EED_CAFE,
             forged_per_mille: 10,
             wards: Vec::new(),
@@ -316,7 +262,7 @@ mod tests {
         provision_lane(
             &[(0, DeviceKind::Pacemaker, profile)],
             4,
-            CurveChoice::Toy17,
+            CurveId::Toy17,
             seed,
         )
     }
@@ -487,7 +433,7 @@ mod tests {
         let cfg = FleetConfig {
             devices: 8,
             threads: 2,
-            curve: CurveChoice::K163,
+            curve: CurveId::K163,
             ..FleetConfig::default()
         };
         let report = run_fleet(&cfg);

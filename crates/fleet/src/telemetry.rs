@@ -15,7 +15,7 @@
 
 use std::time::Instant;
 
-use medsec_obs::{Recorder, Stage, StageRecorder};
+use medsec_obs::{Stage, StageRecorder};
 
 /// Per-worker observability handle: `Off` costs one branch per hook.
 #[derive(Debug)]

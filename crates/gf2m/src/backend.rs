@@ -1,43 +1,36 @@
 //! The backend seam: *what* the field computes, decoupled from *how*.
 //!
-//! Five implementations of the same F(2^m) arithmetic live behind
+//! Three implementations of the same F(2^m) arithmetic live behind
 //! [`FieldBackend`]:
 //!
 //! * [`ModelBackend`] — the bit-exact reference path (windowed-comb
-//!   carry-less multiply + bit-serial reduction) that mirrors how the
-//!   paper's MALU reduces every cycle. The digit-serial multiplier model
-//!   in [`crate::digit_serial`] and the SCA/energy experiments stay on
-//!   this path; its per-cycle states never change.
-//! * [`FastBackend`] — the portable serving path: word-bounded comb
+//!   carry-less multiply + bit-serial reduction): the oracle the
+//!   serving backends are tested against.
+//! * [`VpclmulBackend`] — the hardware path: scalar operations run
+//!   `PCLMULQDQ` carry-less 64×64→128 multiplies under a word-level
+//!   Karatsuba (see [`crate::clmul`]), and the batch entry points
+//!   multiply four elements per AVX-512 `VPCLMULQDQ` instruction over
+//!   the plane-major SoA layout of [`crate::batch`] (see
+//!   [`crate::vpclmul`]). Each kernel runs where CPUID reports its
+//!   instruction: without `PCLMULQDQ` scalars take the portable comb,
+//!   without `AVX512F` + `VPCLMULQDQ` batches take the scalar path per
+//!   element.
+//! * [`BitslicedBackend`] — the portable path: word-bounded comb
 //!   multiplication (only `ceil(m/64)` limbs do work), compile-time
-//!   squaring-spread tables, and word-level sparse-polynomial reduction.
-//! * [`ClmulBackend`] — the scalar hardware path: `PCLMULQDQ`
-//!   carry-less 64×64→128 multiplies under a word-level Karatsuba
-//!   (see [`crate::clmul`]), feeding the same word-level sparse
-//!   reduction. Runtime-detected; on hosts without the instruction it
-//!   falls back to a portable shift-and-add schoolbook, so the backend
-//!   is *correct* everywhere and *fast* where the silicon allows.
-//! * [`VpclmulBackend`] — the wide hardware path: scalar ops ride
-//!   CLMUL, but the batch entry points multiply four elements per
-//!   AVX-512 `VPCLMULQDQ` instruction over the plane-major SoA layout
-//!   of [`crate::batch`] (see [`crate::vpclmul`]).
-//! * [`BitslicedBackend`] — the wide portable path: batch entry points
-//!   run 64 products at once across `u64` bit-planes
-//!   (see [`crate::bitslice`]); scalar ops ride the fast comb.
+//!   squaring-spread tables and word-level sparse reduction for
+//!   scalars; batch entry points run 64 products at once across `u64`
+//!   bit-planes (see [`crate::bitslice`]).
 //!
 //! All backends produce identical canonical elements (proven by the
 //! exhaustive/property equivalence tests); only the instruction count
 //! differs.
 //!
-//! [`Element`](crate::Element)'s operators route through
-//! [`ActiveBackend`], which dispatches on the process-wide
-//! [`select_backend`] choice — `vpclmul` where the CPU supports the
-//! AVX-512 path, else `clmul`, else `bitsliced` — overridable through
-//! the [`BACKEND_ENV`](crate::backend::BACKEND_ENV) environment
-//! variable (the CI matrix forces `fast` and `bitsliced` legs so the
-//! portable paths cannot rot). The `*_model` methods on `Element` pin
-//! the reference path regardless of selection. Future backends
-//! (alternative fields, hardware offload) plug into the same trait.
+//! [`Element`]'s operators route through [`ActiveBackend`], which
+//! dispatches on the process-wide [`select_backend`] choice:
+//! [`VpclmulBackend`] where the CPU has a carry-less multiply
+//! instruction, else [`BitslicedBackend`]. Setting [`BACKEND_ENV`] to
+//! `bitsliced` forces the portable backend (a CI leg does, so it cannot
+//! rot).
 
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicU8, Ordering};
@@ -97,17 +90,10 @@ pub trait FieldBackend {
             batch::scatter(out, n, i, &Self::square(&x));
         }
     }
-
-    /// Batched sparse reduction: `PROD_LIMBS` unreduced product planes
-    /// in `prod` fold to `LIMBS` canonical planes in `out`. Shared by
-    /// all backends — the plane-wise transpose of the word-level
-    /// reduction (see [`batch::reduce_planes`]); `prod` is clobbered.
-    fn reduce_batch<F: FieldSpec>(prod: &mut [u64], out: &mut [u64]) {
-        batch::reduce_planes(prod, out, F::REDUCTION);
-    }
 }
 
-/// Bit-exact reference backend (windowed comb + bit-serial reduction).
+/// Bit-exact reference backend (windowed comb + bit-serial reduction):
+/// the oracle the serving backends are tested against.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ModelBackend;
 
@@ -125,45 +111,18 @@ impl FieldBackend for ModelBackend {
     }
 }
 
-/// Fast software backend: word-bounded comb multiplication, table-driven
-/// squaring, word-level sparse reduction.
+/// Hardware backend: scalar operations run the `PCLMULQDQ` Karatsuba
+/// of [`crate::clmul`] into the word-level sparse reduction, batch
+/// operations multiply four elements per AVX-512 `VPCLMULQDQ`
+/// instruction (see [`crate::vpclmul`]). Runtime-detected kernel by
+/// kernel — without `PCLMULQDQ` scalars take the portable comb, without
+/// `AVX512F` + `VPCLMULQDQ` every batch element takes the scalar path —
+/// so the backend is correct everywhere.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct FastBackend;
+pub struct VpclmulBackend;
 
-impl FieldBackend for FastBackend {
-    const NAME: &'static str = "fast";
-
-    fn mul<F: FieldSpec>(a: &Element<F>, b: &Element<F>) -> Element<F> {
-        let nw = F::M.div_ceil(64);
-        let prod = limbs::clmul_fast(a.limbs(), b.limbs(), nw);
-        Element::from_raw_limbs(limbs::reduce_fast(prod, F::REDUCTION))
-    }
-
-    fn square<F: FieldSpec>(a: &Element<F>) -> Element<F> {
-        let nw = F::M.div_ceil(64);
-        let prod = limbs::clsquare_fast(a.limbs(), nw);
-        Element::from_raw_limbs(limbs::reduce_fast(prod, F::REDUCTION))
-    }
-
-    /// Itoh–Tsujii with the squaring *runs* collapsed into cached
-    /// multi-squaring table applications (`x^(2^k)` is F₂-linear):
-    /// ~log₂(m) multiplications plus a handful of table passes, instead
-    /// of m−1 dependent squarings. Same addition chain, same value —
-    /// the equivalence suite pins it against [`ModelBackend::invert`].
-    fn invert<F: FieldSpec>(a: &Element<F>) -> Option<Element<F>> {
-        itoh_tsujii_multisquare::<Self, F>(a)
-    }
-}
-
-/// Hardware carry-less-multiply backend: `PCLMULQDQ` Karatsuba products
-/// (portable shift-and-add on non-CLMUL hosts — see [`crate::clmul`])
-/// with the fast path's word-level sparse reduction and multi-squaring
-/// inversions.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ClmulBackend;
-
-impl FieldBackend for ClmulBackend {
-    const NAME: &'static str = "clmul";
+impl FieldBackend for VpclmulBackend {
+    const NAME: &'static str = "vpclmul";
 
     fn mul<F: FieldSpec>(a: &Element<F>, b: &Element<F>) -> Element<F> {
         let nw = F::M.div_ceil(64);
@@ -177,34 +136,8 @@ impl FieldBackend for ClmulBackend {
         Element::from_raw_limbs(limbs::reduce_fast(prod, F::REDUCTION))
     }
 
-    /// Multi-squaring-table Itoh–Tsujii over the CLMUL primitives (same
-    /// chain as [`FastBackend::invert`]).
     fn invert<F: FieldSpec>(a: &Element<F>) -> Option<Element<F>> {
         itoh_tsujii_multisquare::<Self, F>(a)
-    }
-}
-
-/// Wide hardware backend: scalar operations ride the CLMUL path, batch
-/// operations multiply four elements per AVX-512 `VPCLMULQDQ`
-/// instruction (see [`crate::vpclmul`]). Runtime-detected; without the
-/// features every element takes the scalar CLMUL path, so selection is
-/// safe everywhere.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct VpclmulBackend;
-
-impl FieldBackend for VpclmulBackend {
-    const NAME: &'static str = "vpclmul";
-
-    fn mul<F: FieldSpec>(a: &Element<F>, b: &Element<F>) -> Element<F> {
-        ClmulBackend::mul(a, b)
-    }
-
-    fn square<F: FieldSpec>(a: &Element<F>) -> Element<F> {
-        ClmulBackend::square(a)
-    }
-
-    fn invert<F: FieldSpec>(a: &Element<F>) -> Option<Element<F>> {
-        ClmulBackend::invert(a)
     }
 
     fn mul_batch<F: FieldSpec>(out: &mut [u64], a: &[u64], b: &[u64]) {
@@ -216,10 +149,11 @@ impl FieldBackend for VpclmulBackend {
     }
 }
 
-/// Wide portable backend: scalar operations ride the fast comb path,
-/// batch operations run 64 products at once across `u64` bit-planes
-/// (see [`crate::bitslice`]). No intrinsics, no feature gates — the
-/// data-parallel fallback for hosts without `VPCLMULQDQ`.
+/// Portable backend: scalar operations run the word-bounded comb,
+/// table-driven squaring and word-level sparse reduction; batch
+/// operations run 64 products at once across `u64` bit-planes (see
+/// [`crate::bitslice`]). No intrinsics, no feature gates — the backend
+/// for hosts without a carry-less multiply instruction.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct BitslicedBackend;
 
@@ -227,15 +161,19 @@ impl FieldBackend for BitslicedBackend {
     const NAME: &'static str = "bitsliced";
 
     fn mul<F: FieldSpec>(a: &Element<F>, b: &Element<F>) -> Element<F> {
-        FastBackend::mul(a, b)
+        let nw = F::M.div_ceil(64);
+        let prod = limbs::clmul_fast(a.limbs(), b.limbs(), nw);
+        Element::from_raw_limbs(limbs::reduce_fast(prod, F::REDUCTION))
     }
 
     fn square<F: FieldSpec>(a: &Element<F>) -> Element<F> {
-        FastBackend::square(a)
+        let nw = F::M.div_ceil(64);
+        let prod = limbs::clsquare_fast(a.limbs(), nw);
+        Element::from_raw_limbs(limbs::reduce_fast(prod, F::REDUCTION))
     }
 
     fn invert<F: FieldSpec>(a: &Element<F>) -> Option<Element<F>> {
-        FastBackend::invert(a)
+        itoh_tsujii_multisquare::<Self, F>(a)
     }
 
     fn mul_batch<F: FieldSpec>(out: &mut [u64], a: &[u64], b: &[u64]) {
@@ -247,9 +185,12 @@ impl FieldBackend for BitslicedBackend {
     }
 }
 
-/// Itoh–Tsujii exponentiation to 2^m − 2 with the squaring runs
-/// collapsed into cached multi-squaring tables, over backend `B`'s
-/// `mul`/`square` primitives (shared by the fast and CLMUL backends).
+/// Itoh–Tsujii exponentiation to 2^m − 2 with the squaring *runs*
+/// collapsed into cached multi-squaring table applications
+/// (`x^(2^k)` is F₂-linear): ~log₂(m) multiplications plus a handful of
+/// table passes, instead of m−1 dependent squarings. Same addition
+/// chain and value as [`itoh_tsujii`], over backend `B`'s `mul`/`square`
+/// primitives (shared by both serving backends).
 fn itoh_tsujii_multisquare<B: FieldBackend + ?Sized, F: FieldSpec>(
     a: &Element<F>,
 ) -> Option<Element<F>> {
@@ -273,100 +214,69 @@ fn itoh_tsujii_multisquare<B: FieldBackend + ?Sized, F: FieldSpec>(
     Some(B::square(&t))
 }
 
-/// Which concrete backend the serving stack runs on — the value behind
-/// the process-wide [`select_backend`].
+/// Which backend serves — the value behind the process-wide
+/// [`select_backend`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BackendChoice {
-    /// Bit-exact reference path ([`ModelBackend`]).
-    Model,
-    /// Portable word-bounded comb path ([`FastBackend`]).
-    Fast,
-    /// Scalar hardware carry-less-multiply path ([`ClmulBackend`]).
-    Clmul,
-    /// Portable bitsliced batch path ([`BitslicedBackend`]).
-    Bitsliced,
-    /// AVX-512 `VPCLMULQDQ` batch path ([`VpclmulBackend`]).
-    Vpclmul,
+    /// Hardware carry-less-multiply path ([`VpclmulBackend`]).
+    Vpclmul = 1,
+    /// Portable comb + bitsliced path ([`BitslicedBackend`]).
+    Bitsliced = 2,
 }
 
 impl BackendChoice {
-    /// Short name, matching the backend's `NAME` (recorded in
-    /// `FleetReport`/`BENCH_fleet.json`).
+    /// Short name of the kernels serving (recorded in
+    /// `FleetReport`/`BENCH_fleet.json`): `vpclmul` when
+    /// [`VpclmulBackend`]'s AVX-512 batch kernel is live, `clmul` when
+    /// it runs on `PCLMULQDQ` scalars alone, `bitsliced` for
+    /// [`BitslicedBackend`].
     pub fn name(self) -> &'static str {
         match self {
-            BackendChoice::Model => ModelBackend::NAME,
-            BackendChoice::Fast => FastBackend::NAME,
-            BackendChoice::Clmul => ClmulBackend::NAME,
+            BackendChoice::Vpclmul if crate::vpclmul::hardware_available() => VpclmulBackend::NAME,
+            BackendChoice::Vpclmul => "clmul",
             BackendChoice::Bitsliced => BitslicedBackend::NAME,
-            BackendChoice::Vpclmul => VpclmulBackend::NAME,
-        }
-    }
-
-    fn code(self) -> u8 {
-        match self {
-            BackendChoice::Model => 1,
-            BackendChoice::Fast => 2,
-            BackendChoice::Clmul => 3,
-            BackendChoice::Bitsliced => 4,
-            BackendChoice::Vpclmul => 5,
         }
     }
 }
 
-/// Environment variable overriding the serving backend: `model`,
-/// `fast`, `clmul`, `bitsliced` or `vpclmul` (anything else —
-/// including `auto` — selects by CPU feature detection). Read once per
-/// process, at the first field operation.
+/// Environment variable forcing the portable backend: `bitsliced`
+/// (any case) selects [`BitslicedBackend`]; anything else — including
+/// `auto` — selects by CPU feature detection. Read once per process,
+/// at the first field operation.
 pub const BACKEND_ENV: &str = "MEDSEC_GF2M_BACKEND";
 
-/// Resolved process-wide choice: 0 = unresolved, else `BackendChoice::code`.
+/// Resolved process-wide choice: 0 = unresolved, else the
+/// `BackendChoice` discriminant.
 static SELECTED: AtomicU8 = AtomicU8::new(0);
 
-/// The process-wide serving-backend selection: `vpclmul` when the CPU
-/// supports `AVX512F`+`VPCLMULQDQ`, else `clmul` when it supports
-/// `PCLMULQDQ`, else `bitsliced` (fast scalar comb + bitsliced batch),
-/// overridable via [`BACKEND_ENV`]. Resolved once (env read + CPUID)
-/// on first call and cached; every [`Element`](crate::Element)
-/// operator dispatches on the cached value, so the per-operation cost
-/// is one relaxed atomic load.
+/// The process-wide serving-backend selection: [`VpclmulBackend`] when
+/// the CPU supports `PCLMULQDQ` (or `AVX512F` + `VPCLMULQDQ`), else
+/// [`BitslicedBackend`]; [`BACKEND_ENV`]`=bitsliced` forces the latter.
+/// Resolved once (env read + CPUID) on first call and cached; every
+/// [`Element`] operator dispatches on the cached value, so the
+/// per-operation cost is one relaxed atomic load.
 ///
-/// The SCA/energy paths never consult this — they pin the model
-/// backend through `Element`'s `*_model` methods and the digit-serial
-/// multiplier model, whose instruction streams are the measurement.
+/// The SCA/energy paths never consult this: their traces come from the
+/// digit-serial multiplier model ([`crate::digit_serial`]) inside the
+/// co-processor simulator.
 pub fn select_backend() -> BackendChoice {
     match SELECTED.load(Ordering::Relaxed) {
-        1 => BackendChoice::Model,
-        2 => BackendChoice::Fast,
-        3 => BackendChoice::Clmul,
-        4 => BackendChoice::Bitsliced,
-        5 => BackendChoice::Vpclmul,
+        1 => BackendChoice::Vpclmul,
+        2 => BackendChoice::Bitsliced,
         _ => resolve_backend(),
     }
 }
 
 #[cold]
 fn resolve_backend() -> BackendChoice {
-    let auto = || {
-        if crate::vpclmul::hardware_available() {
-            BackendChoice::Vpclmul
-        } else if crate::clmul::hardware_available() {
-            BackendChoice::Clmul
-        } else {
-            BackendChoice::Bitsliced
-        }
+    let forced = std::env::var(BACKEND_ENV).is_ok_and(|v| v.eq_ignore_ascii_case("bitsliced"));
+    let hardware = crate::vpclmul::hardware_available() || crate::clmul::hardware_available();
+    let choice = if hardware && !forced {
+        BackendChoice::Vpclmul
+    } else {
+        BackendChoice::Bitsliced
     };
-    let choice = match std::env::var(BACKEND_ENV) {
-        Ok(v) => match v.to_ascii_lowercase().as_str() {
-            "model" => BackendChoice::Model,
-            "fast" => BackendChoice::Fast,
-            "clmul" => BackendChoice::Clmul,
-            "bitsliced" => BackendChoice::Bitsliced,
-            "vpclmul" => BackendChoice::Vpclmul,
-            _ => auto(),
-        },
-        Err(_) => auto(),
-    };
-    SELECTED.store(choice.code(), Ordering::Relaxed);
+    SELECTED.store(choice as u8, Ordering::Relaxed);
     choice
 }
 
@@ -384,10 +294,7 @@ impl FieldBackend for ActiveBackend {
     fn mul<F: FieldSpec>(a: &Element<F>, b: &Element<F>) -> Element<F> {
         match select_backend() {
             BackendChoice::Vpclmul => VpclmulBackend::mul(a, b),
-            BackendChoice::Clmul => ClmulBackend::mul(a, b),
             BackendChoice::Bitsliced => BitslicedBackend::mul(a, b),
-            BackendChoice::Fast => FastBackend::mul(a, b),
-            BackendChoice::Model => ModelBackend::mul(a, b),
         }
     }
 
@@ -395,20 +302,14 @@ impl FieldBackend for ActiveBackend {
     fn square<F: FieldSpec>(a: &Element<F>) -> Element<F> {
         match select_backend() {
             BackendChoice::Vpclmul => VpclmulBackend::square(a),
-            BackendChoice::Clmul => ClmulBackend::square(a),
             BackendChoice::Bitsliced => BitslicedBackend::square(a),
-            BackendChoice::Fast => FastBackend::square(a),
-            BackendChoice::Model => ModelBackend::square(a),
         }
     }
 
     fn invert<F: FieldSpec>(a: &Element<F>) -> Option<Element<F>> {
         match select_backend() {
             BackendChoice::Vpclmul => VpclmulBackend::invert(a),
-            BackendChoice::Clmul => ClmulBackend::invert(a),
             BackendChoice::Bitsliced => BitslicedBackend::invert(a),
-            BackendChoice::Fast => FastBackend::invert(a),
-            BackendChoice::Model => ModelBackend::invert(a),
         }
     }
 
@@ -416,10 +317,7 @@ impl FieldBackend for ActiveBackend {
     fn mul_batch<F: FieldSpec>(out: &mut [u64], a: &[u64], b: &[u64]) {
         match select_backend() {
             BackendChoice::Vpclmul => VpclmulBackend::mul_batch::<F>(out, a, b),
-            BackendChoice::Clmul => ClmulBackend::mul_batch::<F>(out, a, b),
             BackendChoice::Bitsliced => BitslicedBackend::mul_batch::<F>(out, a, b),
-            BackendChoice::Fast => FastBackend::mul_batch::<F>(out, a, b),
-            BackendChoice::Model => ModelBackend::mul_batch::<F>(out, a, b),
         }
     }
 
@@ -427,10 +325,7 @@ impl FieldBackend for ActiveBackend {
     fn sqr_batch<F: FieldSpec>(out: &mut [u64], a: &[u64]) {
         match select_backend() {
             BackendChoice::Vpclmul => VpclmulBackend::sqr_batch::<F>(out, a),
-            BackendChoice::Clmul => ClmulBackend::sqr_batch::<F>(out, a),
             BackendChoice::Bitsliced => BitslicedBackend::sqr_batch::<F>(out, a),
-            BackendChoice::Fast => FastBackend::sqr_batch::<F>(out, a),
-            BackendChoice::Model => ModelBackend::sqr_batch::<F>(out, a),
         }
     }
 }
@@ -708,9 +603,9 @@ mod tests {
         for _ in 0..64 {
             let a = Element::<F163>::random(&mut r);
             let b = Element::<F163>::random(&mut r);
-            assert_eq!(FastBackend::mul(&a, &b), ModelBackend::mul(&a, &b));
-            assert_eq!(FastBackend::square(&a), ModelBackend::square(&a));
-            assert_eq!(FastBackend::invert(&a), ModelBackend::invert(&a));
+            assert_eq!(BitslicedBackend::mul(&a, &b), ModelBackend::mul(&a, &b));
+            assert_eq!(BitslicedBackend::square(&a), ModelBackend::square(&a));
+            assert_eq!(BitslicedBackend::invert(&a), ModelBackend::invert(&a));
         }
     }
 
@@ -777,37 +672,34 @@ mod tests {
         for _ in 0..64 {
             let a = Element::<F163>::random(&mut r);
             let b = Element::<F163>::random(&mut r);
-            assert_eq!(ClmulBackend::mul(&a, &b), ModelBackend::mul(&a, &b));
-            assert_eq!(ClmulBackend::square(&a), ModelBackend::square(&a));
-            assert_eq!(ClmulBackend::invert(&a), ModelBackend::invert(&a));
+            assert_eq!(VpclmulBackend::mul(&a, &b), ModelBackend::mul(&a, &b));
+            assert_eq!(VpclmulBackend::square(&a), ModelBackend::square(&a));
+            assert_eq!(VpclmulBackend::invert(&a), ModelBackend::invert(&a));
         }
     }
 
     #[test]
     fn active_backend_matches_selection_rules() {
         let name = active_backend_name();
-        // Match the resolver's case-insensitive env handling.
-        let env = std::env::var(BACKEND_ENV)
-            .ok()
-            .map(|v| v.to_ascii_lowercase());
-        match env.as_deref() {
-            Some("model") => assert_eq!(name, "model"),
-            Some("fast") => assert_eq!(name, "fast"),
-            Some("clmul") => assert_eq!(name, "clmul"),
-            Some("bitsliced") => assert_eq!(name, "bitsliced"),
-            Some("vpclmul") => assert_eq!(name, "vpclmul"),
-            // Unset or unrecognized: auto-select by CPU feature.
-            _ => {
-                let expect = if crate::vpclmul::hardware_available() {
-                    "vpclmul"
-                } else if crate::clmul::hardware_available() {
-                    "clmul"
-                } else {
-                    "bitsliced"
-                };
-                assert_eq!(name, expect);
-            }
-        }
+        // Match the resolver's case-insensitive env handling: only
+        // `bitsliced` is recognised, anything else auto-selects.
+        let forced = std::env::var(BACKEND_ENV).is_ok_and(|v| v.eq_ignore_ascii_case("bitsliced"));
+        let expect = if forced {
+            "bitsliced"
+        } else if crate::vpclmul::hardware_available() {
+            "vpclmul"
+        } else if crate::clmul::hardware_available() {
+            "clmul"
+        } else {
+            "bitsliced"
+        };
+        assert_eq!(name, expect);
+        let choice = if expect == "bitsliced" {
+            BackendChoice::Bitsliced
+        } else {
+            BackendChoice::Vpclmul
+        };
+        assert_eq!(select_backend(), choice);
         assert_eq!(select_backend().name(), name);
         // The dispatcher and the selected backend agree on values.
         let mut r = rng_from(104);

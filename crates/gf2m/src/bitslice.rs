@@ -10,12 +10,14 @@
 //! excess bit position. No per-bit branches, no tables, no intrinsics:
 //! plain integer ops the autovectorizer is free to widen.
 //!
-//! This is the batch fallback for hosts without `VPCLMULQDQ`
-//! ([`crate::vpclmul`]); correctness is pinned against the model
-//! backend by `tests/backend_equivalence.rs`. Scalar (single-element)
-//! operations don't benefit and stay on the word-level comb path.
+//! These are the batch kernels of the portable
+//! [`BitslicedBackend`](crate::BitslicedBackend), for hosts without
+//! `VPCLMULQDQ` ([`crate::vpclmul`]); correctness is pinned against the
+//! model backend by `tests/backend_equivalence.rs`. Scalar
+//! (single-element) operations don't benefit and stay on the
+//! word-level comb path.
 
-use crate::backend::{FastBackend, FieldBackend};
+use crate::backend::{BitslicedBackend, FieldBackend};
 use crate::batch::{gather, scatter};
 use crate::field::FieldSpec;
 use crate::{LIMBS, PROD_LIMBS};
@@ -130,8 +132,8 @@ fn sqr_block<F: FieldSpec>(out: &mut [u64], a: &[u64], n: usize, base: usize) {
 }
 
 /// Batched plane-major multiplication: full 64-element blocks run
-/// bitsliced, the ragged tail falls back to `tail` (a scalar
-/// per-element closure supplied by the backend).
+/// bitsliced, the ragged tail takes the backend's scalar comb per
+/// element.
 pub(crate) fn mul_batch_planes<F: FieldSpec>(out: &mut [u64], a: &[u64], b: &[u64]) {
     let n = crate::batch::width(out);
     let mut base = 0;
@@ -142,7 +144,7 @@ pub(crate) fn mul_batch_planes<F: FieldSpec>(out: &mut [u64], a: &[u64], b: &[u6
     for i in base..n {
         let x = gather::<F>(a, n, i);
         let y = gather::<F>(b, n, i);
-        scatter(out, n, i, &FastBackend::mul(&x, &y));
+        scatter(out, n, i, &BitslicedBackend::mul(&x, &y));
     }
 }
 
@@ -157,7 +159,7 @@ pub(crate) fn sqr_batch_planes<F: FieldSpec>(out: &mut [u64], a: &[u64]) {
     }
     for i in base..n {
         let x = gather::<F>(a, n, i);
-        scatter(out, n, i, &FastBackend::square(&x));
+        scatter(out, n, i, &BitslicedBackend::square(&x));
     }
 }
 

@@ -3,28 +3,29 @@
 //! The paper's MALU is small *because* GF(2^m) multiplication is
 //! carry-free; on the gateway side the same property means one x86
 //! `PCLMULQDQ` instruction replaces an entire 64×64 windowed-comb pass.
-//! This module provides the wide (unreduced) products the
-//! [`ClmulBackend`](crate::ClmulBackend) feeds into the existing
-//! word-level sparse reduction:
+//! This module provides the wide (unreduced) products the scalar
+//! operations of [`VpclmulBackend`](crate::VpclmulBackend) feed into
+//! the word-level sparse reduction:
 //!
 //! * on x86_64 with the `pclmulqdq` CPU feature (runtime-detected, no
 //!   compile-time flags), a word-level **Karatsuba** over
 //!   `_mm_clmulepi64_si128`: 1/3/7/9/17 carry-less multiplies for
 //!   operand widths 1–5 words instead of the schoolbook 1/4/9/16/25;
-//! * everywhere else, a portable shift-and-add u64 schoolbook, so
-//!   non-x86 builds (and x86 CPUs without CLMUL) stay correct — merely
-//!   slower, which the auto-selection in [`crate::backend`] accounts
-//!   for by preferring [`FastBackend`](crate::FastBackend) when the
-//!   hardware path is absent.
+//! * everywhere else, the portable word-bounded comb
+//!   (`limbs::clmul_fast`/`clsquare_fast`) that
+//!   [`BitslicedBackend`](crate::BitslicedBackend) runs, so non-x86
+//!   builds (and x86 CPUs without CLMUL) stay correct — merely slower.
+//!   Auto-selection picks the bitsliced backend on such hosts anyway.
 //!
-//! Everything here produces bit-identical products to
-//! [`limbs::clmul`](crate::limbs) — the backend-equivalence suite pins
-//! the whole stack against the model path on every field.
+//! Everything here produces bit-identical products to the reference
+//! comb `limbs::clmul` — the backend-equivalence suite pins the whole
+//! stack against the model path on every field.
 
 // The only unsafe code in this crate: calling the CPU-feature-gated
 // intrinsic path after `is_x86_feature_detected!` has proven it safe.
 #![allow(unsafe_code)]
 
+use crate::limbs;
 use crate::{LIMBS, PROD_LIMBS};
 
 /// Whether the host CPU offers the hardware carry-less-multiply path
@@ -41,8 +42,8 @@ pub fn hardware_available() -> bool {
 }
 
 /// Carry-less multiplication over the low `nw` words of each operand,
-/// through the hardware path when available and the portable
-/// shift-and-add fallback otherwise.
+/// through the hardware path when available and the portable comb
+/// otherwise.
 #[inline]
 pub(crate) fn clmul_accel(a: &[u64; LIMBS], b: &[u64; LIMBS], nw: usize) -> [u64; PROD_LIMBS] {
     debug_assert!((1..=LIMBS).contains(&nw));
@@ -51,7 +52,7 @@ pub(crate) fn clmul_accel(a: &[u64; LIMBS], b: &[u64; LIMBS], nw: usize) -> [u64
         // SAFETY: `pclmulqdq` was just detected on this CPU.
         return unsafe { x86::clmul_wide(a, b, nw) };
     }
-    clmul_wide_portable(a, b, nw)
+    limbs::clmul_fast(a, b, nw)
 }
 
 /// Carry-less squaring over the low `nw` words — one `PCLMULQDQ` per
@@ -64,44 +65,7 @@ pub(crate) fn clsquare_accel(a: &[u64; LIMBS], nw: usize) -> [u64; PROD_LIMBS] {
         // SAFETY: `pclmulqdq` was just detected on this CPU.
         return unsafe { x86::clsquare_wide(a, nw) };
     }
-    let mut out = [0u64; PROD_LIMBS];
-    for i in 0..nw {
-        let (lo, hi) = cl_portable(a[i], a[i]);
-        out[2 * i] = lo;
-        out[2 * i + 1] = hi;
-    }
-    out
-}
-
-/// Portable 64×64→128 carry-less multiply: shift-and-add over the set
-/// bits of `y`. The fallback primitive behind [`clmul_accel`] on
-/// non-CLMUL hosts.
-fn cl_portable(x: u64, y: u64) -> (u64, u64) {
-    let mut lo = 0u64;
-    let mut hi = 0u64;
-    let mut rest = y;
-    while rest != 0 {
-        let i = rest.trailing_zeros();
-        rest &= rest - 1;
-        lo ^= x << i;
-        if i != 0 {
-            hi ^= x >> (64 - i);
-        }
-    }
-    (lo, hi)
-}
-
-/// Portable word-level schoolbook over [`cl_portable`].
-fn clmul_wide_portable(a: &[u64; LIMBS], b: &[u64; LIMBS], nw: usize) -> [u64; PROD_LIMBS] {
-    let mut out = [0u64; PROD_LIMBS];
-    for i in 0..nw {
-        for (j, &bw) in b.iter().enumerate().take(nw) {
-            let (lo, hi) = cl_portable(a[i], bw);
-            out[i + j] ^= lo;
-            out[i + j + 1] ^= hi;
-        }
-    }
-    out
+    limbs::clsquare_fast(a, nw)
 }
 
 /// The x86_64 `PCLMULQDQ` path: word-level Karatsuba, each helper
@@ -232,7 +196,6 @@ mod x86 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::limbs;
 
     fn rng_from(seed: u64) -> impl FnMut() -> u64 {
         let mut s = seed;
@@ -253,32 +216,26 @@ mod tests {
         v
     }
 
-    #[test]
-    fn portable_primitive_matches_reference_comb() {
-        let mut r = rng_from(31);
-        for _ in 0..64 {
-            let a = random_limbs(&mut r, 1);
-            let b = random_limbs(&mut r, 1);
-            let (lo, hi) = cl_portable(a[0], b[0]);
-            let reference = limbs::clmul(&a, &b);
-            assert_eq!([lo, hi], [reference[0], reference[1]]);
-        }
-        assert_eq!(cl_portable(0, u64::MAX), (0, 0));
-        assert_eq!(cl_portable(u64::MAX, 1), (u64::MAX, 0));
-        assert_eq!(cl_portable(1 << 63, 1 << 63), (0, 1 << 62));
-    }
-
+    /// The fallback on hosts without `PCLMULQDQ` is the portable comb;
+    /// pin it against the reference comb at every operand width,
+    /// saturated operands included.
     #[test]
     fn portable_wide_matches_reference_all_widths() {
         let mut r = rng_from(32);
         for nw in 1..=LIMBS {
-            for _ in 0..32 {
-                let a = random_limbs(&mut r, nw);
-                let b = random_limbs(&mut r, nw);
+            let mut ones = [0u64; LIMBS];
+            ones[..nw].fill(u64::MAX);
+            let cases = (0..32).map(|_| (random_limbs(&mut r, nw), random_limbs(&mut r, nw)));
+            for (a, b) in cases.chain([(ones, ones)]) {
                 assert_eq!(
-                    clmul_wide_portable(&a, &b, nw),
+                    limbs::clmul_fast(&a, &b, nw),
                     limbs::clmul(&a, &b),
                     "nw={nw}"
+                );
+                assert_eq!(
+                    limbs::clsquare_fast(&a, nw),
+                    limbs::clsquare(&a),
+                    "square nw={nw}"
                 );
             }
         }

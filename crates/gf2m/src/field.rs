@@ -4,7 +4,7 @@ use core::fmt;
 use core::marker::PhantomData;
 use core::ops::{Add, AddAssign, Mul, MulAssign};
 
-use crate::backend::{ActiveBackend, FieldBackend, ModelBackend};
+use crate::backend::{ActiveBackend, FieldBackend};
 use crate::limbs;
 use crate::{LIMBS, PROD_LIMBS};
 
@@ -265,29 +265,10 @@ impl<F: FieldSpec> Element<F> {
     }
 
     /// Field squaring (linear in characteristic 2), on the active
-    /// (fast) backend.
+    /// backend.
     #[inline]
     pub fn square(&self) -> Self {
         ActiveBackend::square(self)
-    }
-
-    /// Field multiplication on the bit-exact model backend (windowed
-    /// comb + bit-serial reduction) — the reference the fast backend is
-    /// proven equivalent to.
-    #[inline]
-    pub fn mul_model(&self, rhs: &Self) -> Self {
-        ModelBackend::mul(self, rhs)
-    }
-
-    /// Field squaring on the bit-exact model backend.
-    #[inline]
-    pub fn square_model(&self) -> Self {
-        ModelBackend::square(self)
-    }
-
-    /// Multiplicative inverse on the bit-exact model backend.
-    pub fn inverse_model(&self) -> Option<Self> {
-        ModelBackend::invert(self)
     }
 
     /// `self^(2^k)` — k repeated squarings (the Frobenius map iterated).
@@ -446,7 +427,7 @@ impl<F: FieldSpec> AddAssign for Element<F> {
 
 impl<F: FieldSpec> Mul for Element<F> {
     type Output = Self;
-    /// Field multiplication on the active (fast) backend.
+    /// Field multiplication on the active backend.
     #[inline]
     fn mul(self, rhs: Self) -> Self {
         ActiveBackend::mul(&self, &rhs)

@@ -16,17 +16,17 @@
 //!   paper's architecture level, exposing per-cycle accumulator states so
 //!   the co-processor simulator can derive switching activity;
 //! * a **backend seam** ([`backend`]) separating what the field computes
-//!   from how: the bit-exact model path above, a fast portable serving
-//!   backend (word-bounded comb multiplication, table-driven squaring,
-//!   word-level sparse reduction, [`batch_invert`]), a CLMUL hardware
-//!   backend (`PCLMULQDQ` Karatsuba, runtime-detected with a portable
-//!   fallback), and two **batch-wide** backends over the plane-major
-//!   SoA layout of [`batch`]: AVX-512 `VPCLMULQDQ` (four carry-less
-//!   multiplies per instruction, see [`vpclmul`]) with a portable
-//!   bitsliced fallback (64 products across `u64` bit-planes, see
-//!   [`bitslice`]). `Element`'s operators dispatch on the process-wide
-//!   [`select_backend`] choice (env-overridable via
-//!   `MEDSEC_GF2M_BACKEND`).
+//!   from how, with three backends: the bit-exact model path above (the
+//!   test oracle); a hardware backend — `PCLMULQDQ` Karatsuba scalars
+//!   and AVX-512 `VPCLMULQDQ` batches (four carry-less multiplies per
+//!   instruction over the plane-major SoA layout of [`batch`], see
+//!   [`vpclmul`]), each runtime-detected; and a portable backend —
+//!   word-bounded comb scalars and bitsliced batches (64 products across
+//!   `u64` bit-planes, see [`bitslice`]). Both serving backends share
+//!   word-level sparse reduction, multi-squaring inversions and
+//!   [`batch_invert`]. `Element`'s operators dispatch on the
+//!   process-wide [`select_backend`] choice (`MEDSEC_GF2M_BACKEND=bitsliced`
+//!   forces the portable backend).
 //!
 //! # Example
 //!
@@ -63,7 +63,7 @@ pub mod vpclmul;
 
 pub use backend::{
     batch_invert, batch_invert_planes, select_backend, BackendChoice, BitslicedBackend,
-    ClmulBackend, FastBackend, FieldBackend, InvScratch, ModelBackend, VpclmulBackend, BACKEND_ENV,
+    FieldBackend, InvScratch, ModelBackend, VpclmulBackend, BACKEND_ENV,
 };
 pub use batch::{add_planes, mul_planes, sqr_planes, Planes};
 pub use cache::Registry;

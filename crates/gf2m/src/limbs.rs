@@ -168,7 +168,7 @@ static SPREAD: [u16; 256] = {
 };
 
 /// Carry-less multiplication over only the low `nw` words of each
-/// operand (the fast backend passes `nw = ceil(m/64)`, so F(2^163) does
+/// operand (the serving backends pass `nw = ceil(m/64)`, so F(2^163) does
 /// 3-word work instead of 5-word work).
 ///
 /// Same 4-bit windowed comb as [`clmul`], restructured so the wide
@@ -239,7 +239,7 @@ pub fn clsquare_fast(a: &[u64; LIMBS], nw: usize) -> [u64; PROD_LIMBS] {
 }
 
 /// Word-level reduction modulo a sparse (trinomial/pentanomial)
-/// polynomial — the fast backend's counterpart of the bit-serial
+/// polynomial — the serving backends' counterpart of the bit-serial
 /// [`reduce`]. Folds 64 bits at a time: every word above the degree-m
 /// boundary is replaced by copies of itself shifted down by `m − e` for
 /// each tail exponent `e`.

@@ -6,8 +6,10 @@
 //! the result. One k-fold squaring run then costs `ceil(m/8)` table
 //! lookups and XORs instead of `k` dependent squarings.
 //!
-//! The consumer is [`FastBackend::invert`](crate::FastBackend):
-//! Itoh–Tsujii exponentiation interleaves ~log₂(m) multiplications with
+//! The consumers are the serving backends' inversions
+//! ([`VpclmulBackend`](crate::VpclmulBackend) and
+//! [`BitslicedBackend`](crate::BitslicedBackend)): Itoh–Tsujii
+//! exponentiation interleaves ~log₂(m) multiplications with
 //! squaring *runs* of length 1, 2, 4, … (m−1)/2 — the runs dominate the
 //! inversion at ~m sequential squarings. With the tables, an inversion
 //! costs its multiplications plus a handful of lookups, which is what

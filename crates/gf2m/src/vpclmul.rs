@@ -28,14 +28,14 @@
 //!    stack round-trip.
 //!
 //! Runtime-gated on `avx512f` + `vpclmulqdq`; hosts without them fall
-//! back to the scalar CLMUL path per element, so the backend is
+//! back to the backend's scalar path per element, so the backend is
 //! correct everywhere and wide where the silicon allows.
 
 // CPU-feature-gated intrinsic calls, guarded by runtime detection —
 // the same contract as `crate::clmul`.
 #![allow(unsafe_code)]
 
-use crate::backend::{ClmulBackend, FieldBackend};
+use crate::backend::{FieldBackend, VpclmulBackend};
 use crate::batch::{gather, scatter};
 use crate::field::FieldSpec;
 
@@ -58,7 +58,7 @@ pub fn hardware_available() -> bool {
 
 /// Batched plane-major multiplication: full four-element chunks run on
 /// the ZMM path when detected; the ragged tail — and every element on
-/// hosts without the features — takes the scalar CLMUL backend.
+/// hosts without the features — takes the backend's scalar path.
 pub(crate) fn mul_batch_planes<F: FieldSpec>(out: &mut [u64], a: &[u64], b: &[u64]) {
     let n = crate::batch::width(out);
     let mut base = 0;
@@ -73,7 +73,7 @@ pub(crate) fn mul_batch_planes<F: FieldSpec>(out: &mut [u64], a: &[u64], b: &[u6
     for i in base..n {
         let x = gather::<F>(a, n, i);
         let y = gather::<F>(b, n, i);
-        scatter(out, n, i, &ClmulBackend::mul(&x, &y));
+        scatter(out, n, i, &VpclmulBackend::mul(&x, &y));
     }
 }
 
@@ -92,7 +92,7 @@ pub(crate) fn sqr_batch_planes<F: FieldSpec>(out: &mut [u64], a: &[u64]) {
     }
     for i in base..n {
         let x = gather::<F>(a, n, i);
-        scatter(out, n, i, &ClmulBackend::square(&x));
+        scatter(out, n, i, &VpclmulBackend::square(&x));
     }
 }
 

@@ -1,21 +1,19 @@
 //! Serving-backend ⇄ model-backend equivalence.
 //!
-//! The serving stack runs on [`FastBackend`] or [`ClmulBackend`]
-//! (whichever [`medsec_gf2m::select_backend`] resolves to); the
-//! SCA/energy experiments run on the bit-exact model path. These tests
-//! are the contract that lets them coexist: on the brute-forceable toy
-//! field the equivalence is **exhaustive**, on the NIST fields it is
-//! property-based, and the digit-serial MALU model is cross-checked
-//! against all of them. The CLMUL backend is exercised on whatever
-//! primitive the host resolves to (hardware `PCLMULQDQ` where detected,
-//! the portable shift-and-add fallback elsewhere) — both must be
-//! bit-exact against the model.
+//! The serving stack runs on [`VpclmulBackend`] or [`BitslicedBackend`]
+//! (whichever [`medsec_gf2m::select_backend`] resolves to); the model
+//! backend is the bit-exact oracle. These tests are the contract that
+//! lets them coexist: on the brute-forceable toy field the equivalence
+//! is **exhaustive**, on the NIST fields it is property-based, and the
+//! digit-serial MALU model is cross-checked against all of them. The
+//! hardware backend's scalar path is exercised on whatever primitive
+//! the host resolves to (hardware `PCLMULQDQ` where detected, the
+//! portable comb elsewhere) — both must be bit-exact against the model.
 
 use medsec_gf2m::digit_serial::mul_digit_serial;
 use medsec_gf2m::{
-    batch_invert, batch_invert_planes, BitslicedBackend, ClmulBackend, Element, FastBackend,
-    FieldBackend, FieldSpec, InvScratch, ModelBackend, Planes, VpclmulBackend, F163, F17, F233,
-    F283, LIMBS,
+    batch_invert, batch_invert_planes, BitslicedBackend, Element, FieldBackend, FieldSpec,
+    InvScratch, ModelBackend, Planes, VpclmulBackend, F163, F17, F233, F283, LIMBS,
 };
 use proptest::prelude::*;
 
@@ -89,8 +87,6 @@ fn assert_batch_matches_model<F: FieldSpec>(xs: &[Element<F>], ys: &[Element<F>]
         };
     }
     check!(ModelBackend);
-    check!(FastBackend);
-    check!(ClmulBackend);
     check!(BitslicedBackend);
     check!(VpclmulBackend);
 }
@@ -104,11 +100,15 @@ fn f17_all() -> impl Iterator<Item = Element<F17>> {
 fn f17_square_agrees_exhaustively() {
     for a in f17_all() {
         let model = ModelBackend::square(&a);
-        assert_eq!(FastBackend::square(&a), model, "square mismatch at {a}");
         assert_eq!(
-            ClmulBackend::square(&a),
+            BitslicedBackend::square(&a),
             model,
-            "clmul square mismatch at {a}"
+            "square mismatch at {a}"
+        );
+        assert_eq!(
+            VpclmulBackend::square(&a),
+            model,
+            "vpclmul square mismatch at {a}"
         );
     }
 }
@@ -116,10 +116,10 @@ fn f17_square_agrees_exhaustively() {
 #[test]
 fn f17_inverse_agrees_exhaustively() {
     for a in f17_all() {
-        let fast = FastBackend::invert(&a);
+        let fast = BitslicedBackend::invert(&a);
         let model = ModelBackend::invert(&a);
         assert_eq!(fast, model, "inverse mismatch at {a}");
-        assert_eq!(ClmulBackend::invert(&a), model, "clmul inverse at {a}");
+        assert_eq!(VpclmulBackend::invert(&a), model, "vpclmul inverse at {a}");
         if let Some(inv) = fast {
             assert_eq!(a * inv, Element::one(), "not an inverse at {a}");
         }
@@ -138,11 +138,15 @@ fn f17_mul_agrees_on_dense_grid() {
     for a in f17_all() {
         for &b in &panel {
             let model = ModelBackend::mul(&a, &b);
-            assert_eq!(FastBackend::mul(&a, &b), model, "mul mismatch at {a} * {b}");
             assert_eq!(
-                ClmulBackend::mul(&a, &b),
+                BitslicedBackend::mul(&a, &b),
                 model,
-                "clmul mul mismatch at {a} * {b}"
+                "mul mismatch at {a} * {b}"
+            );
+            assert_eq!(
+                VpclmulBackend::mul(&a, &b),
+                model,
+                "vpclmul mul mismatch at {a} * {b}"
             );
         }
     }
@@ -151,8 +155,8 @@ fn f17_mul_agrees_on_dense_grid() {
         for bv in 0u64..512 {
             let b = Element::<F17>::from_u64(bv);
             let model = ModelBackend::mul(&a, &b);
-            assert_eq!(FastBackend::mul(&a, &b), model);
-            assert_eq!(ClmulBackend::mul(&a, &b), model);
+            assert_eq!(BitslicedBackend::mul(&a, &b), model);
+            assert_eq!(VpclmulBackend::mul(&a, &b), model);
         }
     }
 }
@@ -165,7 +169,7 @@ fn f17_digit_serial_matches_both_backends() {
         let a = Element::<F17>::from_u64(av);
         let b = Element::<F17>::from_u64(av.wrapping_mul(0x9e37).wrapping_add(5) & 0x1ffff);
         let (p, _) = mul_digit_serial(a, b, 4);
-        assert_eq!(p, FastBackend::mul(&a, &b));
+        assert_eq!(p, BitslicedBackend::mul(&a, &b));
         assert_eq!(p, ModelBackend::mul(&a, &b));
     }
 }
@@ -188,15 +192,18 @@ macro_rules! field_equivalence {
             #[test]
             fn $name(a in arb_element::<$field>(), b in arb_element::<$field>()) {
                 let model_mul = ModelBackend::mul(&a, &b);
-                prop_assert_eq!(FastBackend::mul(&a, &b), model_mul);
-                prop_assert_eq!(ClmulBackend::mul(&a, &b), model_mul);
-                prop_assert_eq!(FastBackend::square(&a), ModelBackend::square(&a));
-                prop_assert_eq!(ClmulBackend::square(&a), ModelBackend::square(&a));
-                prop_assert_eq!(FastBackend::invert(&a), ModelBackend::invert(&a));
-                prop_assert_eq!(ClmulBackend::invert(&a), ModelBackend::invert(&a));
+                prop_assert_eq!(BitslicedBackend::mul(&a, &b), model_mul);
+                prop_assert_eq!(VpclmulBackend::mul(&a, &b), model_mul);
+                prop_assert_eq!(BitslicedBackend::square(&a), ModelBackend::square(&a));
+                prop_assert_eq!(VpclmulBackend::square(&a), ModelBackend::square(&a));
+                prop_assert_eq!(BitslicedBackend::invert(&a), ModelBackend::invert(&a));
+                prop_assert_eq!(VpclmulBackend::invert(&a), ModelBackend::invert(&a));
                 // The ring laws hold across the seam: (a·b)² = a²·b².
-                let lhs = FastBackend::square(&model_mul);
-                let rhs = ModelBackend::mul(&ClmulBackend::square(&a), &FastBackend::square(&b));
+                let lhs = BitslicedBackend::square(&model_mul);
+                let rhs = ModelBackend::mul(
+                    &VpclmulBackend::square(&a),
+                    &BitslicedBackend::square(&b),
+                );
                 prop_assert_eq!(lhs, rhs);
             }
         }

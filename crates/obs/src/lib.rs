@@ -9,12 +9,11 @@
 //! * [`hist`] — log-bucketed (HDR-style) latency [`Histogram`]s:
 //!   lock-free single-writer recording, element-wise mergeable,
 //!   p50/p99/p999 with a ≤3.1% quantization bound.
-//! * [`recorder`] — the [`Recorder`] trait the serving hot path talks
-//!   to. Disabled observability costs exactly one branch
-//!   ([`NoopRecorder`]); the live [`StageRecorder`] is thread-local by
-//!   ownership and folded into one fleet-wide [`Telemetry`] after the
-//!   run joins. [`Stage`] names the pipeline spans a session's wall
-//!   time decomposes into.
+//! * [`recorder`] — the live [`StageRecorder`], thread-local by
+//!   ownership (a worker without one pays one branch per hook) and
+//!   folded into one fleet-wide [`Telemetry`] after the run joins.
+//!   [`Stage`] names the pipeline spans a session's wall time
+//!   decomposes into.
 //! * [`events`] — a bounded, wait-free forensic [`EventLog`] ring
 //!   (session open/close, auth failure, rejected Negotiate, id
 //!   collision, backend selection) with global sequence numbers and a
@@ -37,6 +36,5 @@ pub use events::{Event, EventKind, EventLog, EventLogSnapshot, ALL_EVENT_KINDS, 
 pub use hist::{Histogram, LatencySnapshot};
 pub use prom::PrometheusExposition;
 pub use recorder::{
-    LaneRecorder, LaneTelemetry, NoopRecorder, Recorder, Stage, StageRecorder, Telemetry, STAGES,
-    STAGE_COUNT,
+    LaneRecorder, LaneTelemetry, Stage, StageRecorder, Telemetry, STAGES, STAGE_COUNT,
 };

@@ -130,7 +130,7 @@ impl fmt::Display for PrometheusExposition<'_> {
 mod tests {
     use super::*;
     use crate::events::{Event, EventKind, EventLog};
-    use crate::recorder::{Recorder, Stage, StageRecorder};
+    use crate::recorder::{Stage, StageRecorder};
 
     #[test]
     fn exposition_renders_all_families() {

@@ -2,11 +2,11 @@
 //! histograms, counters — thread-local by construction.
 //!
 //! The design rule is that **observability must cost one branch when
-//! disabled**: the serving loop talks to a [`Recorder`], whose methods
-//! all default to no-ops ([`NoopRecorder`] adds nothing on top), and
-//! the real [`StageRecorder`] is owned by exactly one worker thread —
-//! no locks, no atomics, no allocation after construction. Workers are
-//! merged after the run joins, yielding one fleet-wide [`Telemetry`].
+//! disabled**: a serving worker either holds no recorder at all (the
+//! disabled path is that one branch) or owns a [`StageRecorder`]
+//! outright — no locks, no atomics, no allocation after construction.
+//! Workers are merged after the run joins, yielding one fleet-wide
+//! [`Telemetry`].
 
 use crate::events::EventLogSnapshot;
 use crate::hist::Histogram;
@@ -84,44 +84,6 @@ impl Stage {
     }
 }
 
-/// The metric sink the serving hot path talks to. Every method
-/// defaults to a no-op, so a disabled pipeline pays exactly the branch
-/// that dispatches here and nothing else.
-pub trait Recorder {
-    /// Whether this recorder keeps anything (callers gate `Instant`
-    /// reads on it, so a disabled run never touches the clock).
-    #[inline]
-    fn enabled(&self) -> bool {
-        false
-    }
-
-    /// Book `ns` of wall time against `stage` on lane `lane`.
-    #[inline]
-    fn stage(&mut self, lane: usize, stage: Stage, ns: u64) {
-        let _ = (lane, stage, ns);
-    }
-
-    /// Record `n` completed sessions on lane `lane` that each observed
-    /// `ns` of wall latency (a batch wave completes its sessions
-    /// together, so they share one measurement).
-    #[inline]
-    fn session_latency(&mut self, lane: usize, ns: u64, n: u64) {
-        let _ = (lane, ns, n);
-    }
-
-    /// Bump a free-form counter by `n`.
-    #[inline]
-    fn count(&mut self, counter: &'static str, n: u64) {
-        let _ = (counter, n);
-    }
-}
-
-/// The always-off recorder: every method inherits the no-op default.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NoopRecorder;
-
-impl Recorder for NoopRecorder {}
-
 /// One lane's worth of thread-local metrics.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LaneRecorder {
@@ -169,28 +131,26 @@ impl StageRecorder {
     pub fn counters(&self) -> &[(&'static str, u64)] {
         &self.counters
     }
-}
 
-impl Recorder for StageRecorder {
+    /// Book `ns` of wall time against `stage` on lane `lane`.
     #[inline]
-    fn enabled(&self) -> bool {
-        true
-    }
-
-    #[inline]
-    fn stage(&mut self, lane: usize, stage: Stage, ns: u64) {
+    pub fn stage(&mut self, lane: usize, stage: Stage, ns: u64) {
         let l = &mut self.lanes[lane];
         let i = stage.index();
         l.stage_ns[i] += ns;
         l.stage_calls[i] += 1;
     }
 
+    /// Record `n` completed sessions on lane `lane` that each observed
+    /// `ns` of wall latency (a batch wave completes its sessions
+    /// together, so they share one measurement).
     #[inline]
-    fn session_latency(&mut self, lane: usize, ns: u64, n: u64) {
+    pub fn session_latency(&mut self, lane: usize, ns: u64, n: u64) {
         self.lanes[lane].latency.record_n(ns, n);
     }
 
-    fn count(&mut self, counter: &'static str, n: u64) {
+    /// Bump a free-form counter by `n`.
+    pub fn count(&mut self, counter: &'static str, n: u64) {
         if let Some(c) = self.counters.iter_mut().find(|(k, _)| *k == counter) {
             c.1 += n;
         } else {
@@ -274,15 +234,6 @@ impl Telemetry {
 mod tests {
     use super::*;
     use crate::events::EventLog;
-
-    #[test]
-    fn noop_recorder_is_disabled_and_inert() {
-        let mut r = NoopRecorder;
-        assert!(!r.enabled());
-        r.stage(0, Stage::Hello, 123);
-        r.session_latency(0, 456, 2);
-        r.count("x", 1);
-    }
 
     #[test]
     fn stage_recorder_books_time_and_merges() {

@@ -60,10 +60,11 @@ fn has_zero_x<C: CurveSpec>(p: &Point<C>) -> bool {
 }
 
 /// Which curve a profile's co-processor is configured for (wire id).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 #[repr(u8)]
 pub enum CurveId {
     /// 17-bit toy curve (test rigs, functional fleets).
+    #[default]
     Toy17 = 0x1,
     /// B-163 random curve.
     B163 = 0x2,

@@ -19,7 +19,8 @@
 //! cargo run --release --example hospital_gateway -- 20000 8   # devices, threads
 //! ```
 
-use medsec::fleet::{run_fleet, CurveChoice, FleetConfig};
+use medsec::fleet::{run_fleet, FleetConfig};
+use medsec::protocols::suite::CurveId;
 
 fn main() {
     let mut args = std::env::args().skip(1);
@@ -36,7 +37,7 @@ fn main() {
         threads,
         shards: 64,
         batch_size: 64,
-        curve: CurveChoice::Toy17,
+        curve: CurveId::Toy17,
         seed: 0x5EED_CAFE,
         forged_per_mille: 25,
         wards: Vec::new(),
@@ -59,7 +60,7 @@ fn main() {
     // designed around.
     let k163_cfg = FleetConfig {
         devices: (devices / 50).max(16),
-        curve: CurveChoice::K163,
+        curve: CurveId::K163,
         ..cfg
     };
     println!(
