@@ -9,9 +9,9 @@
 //! The pin at the end of `main` covers the observability seam: the
 //! *enabled* recorder must stay within 5% of the unobserved hub on
 //! this deliberately tiny single-threaded fleet (minimum of interleaved
-//! rounds, so scheduler jitter cannot masquerade as recorder cost; the
-//! fleet-scale campaign measures the realistic figure on full-size
-//! runs).
+//! rounds, so scheduler jitter cannot masquerade as recorder cost;
+//! perfbench's traced run reports the realistic figure on the full
+//! mixed hospital as `obs.overhead_pct`).
 
 use criterion::{black_box, Criterion};
 use medsec_fleet::{admit_negotiate, run_fleet, FleetConfig};

@@ -5,10 +5,6 @@
 //! experiments [--fast] e3 e5 ...    # selected experiments
 //! experiments --list                # list experiment ids
 //! ```
-//!
-//! Running the `fleet` experiment (directly or via `all`) also writes
-//! `BENCH_fleet.json` — the machine-readable serving-layer trajectory
-//! (throughput + energy per session) future PRs are measured against.
 
 use std::process::ExitCode;
 
@@ -35,16 +31,6 @@ fn main() -> ExitCode {
     };
 
     for id in &selected {
-        if *id == "fleet" {
-            // The fleet campaign also seeds the perf trajectory file.
-            let (report, json) = medsec_bench::fleet_scale::run_with_json(fast);
-            println!("{report}");
-            match std::fs::write("BENCH_fleet.json", format!("{json}\n")) {
-                Ok(()) => eprintln!("wrote BENCH_fleet.json"),
-                Err(e) => eprintln!("could not write BENCH_fleet.json: {e}"),
-            }
-            continue;
-        }
         match medsec_bench::run(id, fast) {
             Some(report) => {
                 println!("{report}");

@@ -1,5 +1,5 @@
 //! Experiment harness: regenerates every quantitative claim of the
-//! paper (see DESIGN.md §4 for the experiment index).
+//! paper (`experiments --list` prints the experiment index).
 //!
 //! Each `eN_*` module produces a formatted report comparing the paper's
 //! numbers with the values measured on the simulated system. Run them
@@ -28,12 +28,11 @@ pub mod e6_gates;
 pub mod e7_energy_xover;
 pub mod e8_privacy;
 pub mod e9_registers;
-pub mod fleet_scale;
 pub mod loadgen;
 
 /// All experiment ids in order.
 pub const ALL_EXPERIMENTS: &[&str] = &[
-    "e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "e10", "e11", "e12", "fleet",
+    "e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "e10", "e11", "e12",
 ];
 
 /// Run one experiment by id; `fast` shrinks statistical campaigns.
@@ -51,7 +50,6 @@ pub fn run(id: &str, fast: bool) -> Option<String> {
         "e10" => e10_ablation::run(fast),
         "e11" => e11_ordering::run(fast),
         "e12" => e12_faults::run(fast),
-        "fleet" => fleet_scale::run(fast),
         _ => return None,
     };
     Some(report)

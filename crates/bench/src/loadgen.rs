@@ -2,8 +2,7 @@
 //!
 //! `medsec_fleet::streaming` consumes a plain `Vec<Arrival>` — (device,
 //! tick) pairs — so load shapes are data, not policy baked into the
-//! runtime. This module provides the four canonical shapes the fleet
-//! campaign drives the gateway with:
+//! runtime. This module provides four canonical load shapes:
 //!
 //! * [`open_loop`] — arrivals at a fixed offered rate, independent of
 //!   how fast the gateway drains (the shape that exposes overload:
@@ -21,8 +20,8 @@
 //!
 //! Every generator is a pure function of its arguments and a
 //! `SplitMix64` seed: the same inputs replay the same schedule
-//! bit-for-bit, which is what lets `BENCH_fleet.json` streaming runs
-//! pin admission/shed counters exactly.
+//! bit-for-bit, which is what lets streaming runs pin admission/shed
+//! counters exactly.
 
 use medsec_fleet::Arrival;
 use medsec_rng::SplitMix64;

@@ -34,10 +34,10 @@
 //! affine sum.
 //!
 //! The server-side entry points below dispatch on
-//! [`VarBaseStrategy::server_default`]; the fleet experiment records
-//! the selected strategy name in `BENCH_fleet.json` next to the field
-//! backend, so every trajectory point is attributable to the exact
-//! compute stack behind it.
+//! [`VarBaseStrategy::server_default`]; perfbench's host fingerprint
+//! records the selected strategy name next to the field backend, so
+//! every benchmark run is attributable to the exact compute stack
+//! behind it.
 
 use medsec_gf2m::{Element, FieldSpec};
 

@@ -1,5 +1,5 @@
 //! The aggregated outcome of a fleet run: throughput, energy and
-//! failures, with hand-rolled JSON for the bench trajectory.
+//! failures, with hand-rolled JSON and Prometheus text exposition.
 //!
 //! All JSON goes through `medsec_obs::json`: strings are escaped and
 //! non-finite floats are emitted as `null`, so a pathological run (zero

@@ -431,8 +431,8 @@ mod tests {
         // The steal/home counters stay exact under the tapered plan:
         // total claims across any worker count equal the plan's chunk
         // count, and every claim is still a whole plan chunk (so the
-        // counters in `BENCH_fleet.json` remain comparable across
-        // runs). 4096@16 → 260 chunks, 64@16 → 4 chunks.
+        // `sched.*` counters perfbench reports remain comparable
+        // across runs). 4096@16 → 260 chunks, 64@16 → 4 chunks.
         for workers in [1usize, 2, 4, 8] {
             let s = LaneScheduler::new(&[4096, 64], 16);
             let stats = s.run_workers(workers, |mut w| {

@@ -860,6 +860,13 @@ mod tests {
             baseline.report.sessions_completed(),
             baseline.stats.admitted
         );
+        // Every turned-away arrival gets exactly one typed reject
+        // frame; garbage bytes get none.
+        let s = &baseline.stats;
+        assert_eq!(
+            s.reject_frames,
+            s.shed + s.rate_limited + s.admission_denied + s.violations
+        );
         let want = view(&baseline);
         for threads in [2usize, 8] {
             assert_eq!(view(&run(threads)), want, "drifted at {threads} workers");

@@ -225,8 +225,8 @@ pub enum BackendChoice {
 }
 
 impl BackendChoice {
-    /// Short name of the kernels serving (recorded in
-    /// `FleetReport`/`BENCH_fleet.json`): `vpclmul` when
+    /// Short name of the kernels serving (recorded in `FleetReport`
+    /// and in perfbench's host fingerprint): `vpclmul` when
     /// [`VpclmulBackend`]'s AVX-512 batch kernel is live, `clmul` when
     /// it runs on `PCLMULQDQ` scalars alone, `bitsliced` for
     /// [`BitslicedBackend`].
@@ -330,8 +330,9 @@ impl FieldBackend for ActiveBackend {
     }
 }
 
-/// Name of the backend behind `Element`'s operators — recorded by the
-/// fleet experiment next to its throughput numbers.
+/// Name of the backend behind `Element`'s operators — recorded in
+/// `FleetReport` and perfbench's host fingerprint next to throughput
+/// numbers.
 pub fn active_backend_name() -> &'static str {
     select_backend().name()
 }

@@ -5,8 +5,8 @@
 //! is: bytes (parsing) → tokens (one compare-and-subtract) → profile
 //! check (table lookups) → and only then crypto. The buckets are
 //! tick-driven rather than wall-clock-driven: the streaming simulator
-//! advances time explicitly, so every run is deterministic and the
-//! shed/reject numbers in `BENCH_fleet.json` reproduce bit-for-bit.
+//! advances time explicitly, so every run is deterministic and its
+//! shed/reject counters reproduce bit-for-bit.
 
 /// Refill policy for one device class, in millitokens (1 admission =
 /// 1000 millitokens) so sub-1-admission-per-tick rates stay integral.

@@ -6,58 +6,9 @@ use medsec_lwc::HwProfile;
 use medsec_power::{EnergyReport, RadioModel};
 use serde::{Deserialize, Serialize};
 
-/// A single accounted event.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub enum LedgerEvent {
-    /// A point multiplication on the ECC co-processor.
-    PointMul {
-        /// Energy in joules.
-        joules: f64,
-    },
-    /// Symmetric primitive execution.
-    Symmetric {
-        /// Primitive name.
-        name: String,
-        /// Blocks processed.
-        blocks: u64,
-        /// Energy in joules.
-        joules: f64,
-    },
-    /// Radio transmission.
-    Tx {
-        /// Payload bytes.
-        bytes: usize,
-        /// Energy in joules.
-        joules: f64,
-    },
-    /// Radio reception.
-    Rx {
-        /// Payload bytes.
-        bytes: usize,
-        /// Energy in joules.
-        joules: f64,
-    },
-}
-
-impl LedgerEvent {
-    fn joules(&self) -> f64 {
-        match self {
-            LedgerEvent::PointMul { joules }
-            | LedgerEvent::Symmetric { joules, .. }
-            | LedgerEvent::Tx { joules, .. }
-            | LedgerEvent::Rx { joules, .. } => *joules,
-        }
-    }
-
-    fn is_compute(&self) -> bool {
-        matches!(
-            self,
-            LedgerEvent::PointMul { .. } | LedgerEvent::Symmetric { .. }
-        )
-    }
-}
-
-/// Energy account of one protocol party.
+/// Energy account of one protocol party: running totals, each booking
+/// added in call order, so the account stays the same size however
+/// many sessions it books.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct EnergyLedger {
     /// Cost of one ECC point multiplication on this party's hardware.
@@ -68,7 +19,13 @@ pub struct EnergyLedger {
     radio: RadioModel,
     /// Link distance in meters.
     distance_m: f64,
-    events: Vec<LedgerEvent>,
+    /// Energy of every booking, joules.
+    total_j: f64,
+    /// Energy of the compute bookings (point multiplications and
+    /// symmetric blocks), joules.
+    compute_j: f64,
+    /// Bytes sent plus received.
+    bytes_on_air: usize,
 }
 
 impl EnergyLedger {
@@ -81,59 +38,56 @@ impl EnergyLedger {
             symmetric_scale: 4.7e-15,
             radio,
             distance_m,
-            events: Vec::new(),
+            total_j: 0.0,
+            compute_j: 0.0,
+            bytes_on_air: 0,
         }
+    }
+
+    fn book_compute(&mut self, joules: f64) {
+        self.total_j += joules;
+        self.compute_j += joules;
+    }
+
+    fn book_radio(&mut self, bytes: usize, joules: f64) {
+        self.total_j += joules;
+        self.bytes_on_air += bytes;
     }
 
     /// Record one ECC point multiplication.
     pub fn point_mul(&mut self) {
-        self.events.push(LedgerEvent::PointMul {
-            joules: self.ecpm.energy_j,
-        });
+        self.book_compute(self.ecpm.energy_j);
     }
 
     /// Record `blocks` invocations of a symmetric primitive with the
     /// given hardware profile.
-    pub fn symmetric(&mut self, name: &str, profile: &HwProfile, blocks: u64) {
-        let joules = profile.gate_equivalents as f64
-            * profile.cycles_per_block as f64
-            * blocks as f64
-            * self.symmetric_scale;
-        self.events.push(LedgerEvent::Symmetric {
-            name: name.to_string(),
-            blocks,
-            joules,
-        });
+    pub fn symmetric(&mut self, profile: &HwProfile, blocks: u64) {
+        self.book_compute(
+            profile.gate_equivalents as f64
+                * profile.cycles_per_block as f64
+                * blocks as f64
+                * self.symmetric_scale,
+        );
     }
 
     /// Record a transmission of `bytes`.
     pub fn tx(&mut self, bytes: usize) {
-        self.events.push(LedgerEvent::Tx {
-            bytes,
-            joules: self.radio.tx_energy(bytes, self.distance_m),
-        });
+        self.book_radio(bytes, self.radio.tx_energy(bytes, self.distance_m));
     }
 
     /// Record a reception of `bytes`.
     pub fn rx(&mut self, bytes: usize) {
-        self.events.push(LedgerEvent::Rx {
-            bytes,
-            joules: self.radio.rx_energy(bytes),
-        });
+        self.book_radio(bytes, self.radio.rx_energy(bytes));
     }
 
     /// Total energy spent, joules.
     pub fn total(&self) -> f64 {
-        self.events.iter().map(LedgerEvent::joules).sum()
+        self.total_j
     }
 
     /// Computation-only energy, joules.
     pub fn compute(&self) -> f64 {
-        self.events
-            .iter()
-            .filter(|e| e.is_compute())
-            .map(LedgerEvent::joules)
-            .sum()
+        self.compute_j
     }
 
     /// Communication-only energy, joules.
@@ -143,23 +97,7 @@ impl EnergyLedger {
 
     /// Bytes sent + received.
     pub fn bytes_on_air(&self) -> usize {
-        self.events
-            .iter()
-            .map(|e| match e {
-                LedgerEvent::Tx { bytes, .. } | LedgerEvent::Rx { bytes, .. } => *bytes,
-                _ => 0,
-            })
-            .sum()
-    }
-
-    /// All recorded events, in order.
-    pub fn events(&self) -> &[LedgerEvent] {
-        &self.events
-    }
-
-    /// Clear the account (start of a new session).
-    pub fn reset(&mut self) {
-        self.events.clear();
+        self.bytes_on_air
     }
 }
 
@@ -195,19 +133,24 @@ mod tests {
     #[test]
     fn symmetric_blocks_are_cheap() {
         let mut l = ledger(10.0);
-        l.symmetric("AES-128", &Aes128::hw_profile(), 2);
+        l.symmetric(&Aes128::hw_profile(), 2);
         assert!(l.compute() < 1.0e-6, "AES energy {}", l.compute());
     }
 
     #[test]
     fn ledger_bookkeeping() {
         let mut l = ledger(1.0);
+        assert_eq!((l.total(), l.bytes_on_air()), (0.0, 0));
         l.tx(10);
         l.rx(20);
         l.point_mul();
         assert_eq!(l.bytes_on_air(), 30);
-        assert_eq!(l.events().len(), 3);
-        l.reset();
-        assert_eq!(l.total(), 0.0);
+        // Bookings add up in call order: tx, then rx, then the point
+        // multiplication.
+        let radio = RadioModel::first_order_default();
+        let comm = radio.tx_energy(10, 1.0) + radio.rx_energy(20);
+        assert_eq!(l.total().to_bits(), (comm + 5.1e-6).to_bits());
+        assert_eq!(l.compute().to_bits(), 5.1e-6f64.to_bits());
+        assert_eq!(l.communication(), l.total() - l.compute());
     }
 }

@@ -26,27 +26,23 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod ecdsa;
 pub mod energy;
 pub mod mutual;
 pub mod peeters_hermans;
 pub mod privacy;
 pub mod schnorr;
 pub mod shard;
-pub mod signature;
 pub mod suite;
 pub mod symmetric;
 pub mod wire;
 
-pub use ecdsa::{ecdsa_verify, EcdsaKey, EcdsaSignature};
-pub use energy::{EnergyLedger, LedgerEvent};
+pub use energy::EnergyLedger;
 pub use peeters_hermans::{PhReader, PhTag, PhTranscript, TagId};
 pub use privacy::{ph_tracking_game, schnorr_tracking_game, symmetric_tracking_game, GameResult};
 pub use schnorr::{
     extract_public_key, schnorr_verify, schnorr_verify_batch, SchnorrTag, SchnorrTranscript,
 };
 pub use shard::PendingTable;
-pub use signature::{verify as verify_signature, Signature, SigningKey};
 pub use suite::{
     CountermeasureLevel, CurveId, MutualServer, MutualSuite, PhServer, PhSuite, ProtocolId,
     SchnorrSuite, SchnorrVerifier, SecurityProfile, SecuritySuite, SuiteError, SuiteOutcome,

@@ -112,7 +112,7 @@ impl<C: CurveSpec> Device<C> {
         let mac: [u8; 16] = mac_bytes.try_into().expect("16 bytes");
 
         let verify_bytes = |ledger: &mut EnergyLedger| -> bool {
-            ledger.symmetric("AES-128", &Aes128::hw_profile(), 3);
+            ledger.symmetric(&Aes128::hw_profile(), 3);
             let expect = aes_cmac(&self.pairing.auth_key, eph_bytes);
             // lint: ct-begin — secret-dependent compare; branch on the
             // (public) outcome happens at the call site.
@@ -178,7 +178,7 @@ impl<C: CurveSpec> Device<C> {
         ledger.point_mul();
         let shared = kp.shared_x(server_eph, &mut *next_u64)?;
         ledger.point_mul();
-        ledger.symmetric("SHA-256", &sha256_hw_profile(), 1);
+        ledger.symmetric(&sha256_hw_profile(), 1);
         Some((kp, sha256(&shared.to_bytes())))
     }
 
@@ -195,7 +195,7 @@ impl<C: CurveSpec> Device<C> {
 
         let verify_server = |ledger: &mut EnergyLedger| -> bool {
             // One CMAC over the compressed point: 3 AES blocks.
-            ledger.symmetric("AES-128", &Aes128::hw_profile(), 3);
+            ledger.symmetric(&Aes128::hw_profile(), 3);
             let expect = aes_cmac(&self.pairing.auth_key, &hello.ephemeral.compress());
             // lint: ct-begin — secret-dependent compare; branch on the
             // (public) outcome happens at the call site.
@@ -240,7 +240,7 @@ impl<C: CurveSpec> Device<C> {
         let mut ct = telemetry.to_vec();
         ctr_xor(&aes, &TELEMETRY_NONCE, &mut ct);
         let blocks = (telemetry.len() as u64).div_ceil(16).max(1);
-        ledger.symmetric("AES-128", &Aes128::hw_profile(), blocks);
+        ledger.symmetric(&Aes128::hw_profile(), blocks);
         // Frame: device ephemeral ‖ ciphertext ‖ 16-byte truncated tag.
         // The MAC input is exactly the frame prefix, so the point is
         // compressed once (compression pays a field inversion for the
@@ -248,7 +248,7 @@ impl<C: CurveSpec> Device<C> {
         let mut frame = kp.public().compress();
         frame.extend_from_slice(&ct);
         let tag = hmac_sha256(mac_key, &frame);
-        ledger.symmetric("SHA-256", &sha256_hw_profile(), 2);
+        ledger.symmetric(&sha256_hw_profile(), 2);
         frame.extend_from_slice(&tag[..16]);
         ledger.tx(frame.len());
         frame
@@ -321,12 +321,12 @@ pub fn open_telemetry<C: CurveSpec>(
     ledger: &mut EnergyLedger,
 ) -> Option<([u8; 32], Vec<u8>)> {
     let session_key = sha256(&shared_x.to_bytes());
-    ledger.symmetric("SHA-256", &sha256_hw_profile(), 1);
+    ledger.symmetric(&sha256_hw_profile(), 1);
     let mac_key = &session_key[16..];
     let mut mac_input = eph_bytes.to_vec();
     mac_input.extend_from_slice(ct);
     let expect = hmac_sha256(mac_key, &mac_input);
-    ledger.symmetric("SHA-256", &sha256_hw_profile(), 2);
+    ledger.symmetric(&sha256_hw_profile(), 2);
     // lint: ct-begin — secret-dependent compare runs to completion
     // before the (public) accept/reject decision below.
     let tag_ok = verify_tag(&expect[..16], tag);
@@ -338,11 +338,7 @@ pub fn open_telemetry<C: CurveSpec>(
     let aes = Aes128::new(&enc_key);
     let mut plaintext = ct.to_vec();
     ctr_xor(&aes, &TELEMETRY_NONCE, &mut plaintext);
-    ledger.symmetric(
-        "AES-128",
-        &Aes128::hw_profile(),
-        (ct.len() as u64).div_ceil(16).max(1),
-    );
+    ledger.symmetric(&Aes128::hw_profile(), (ct.len() as u64).div_ceil(16).max(1));
     Some((session_key, plaintext))
 }
 

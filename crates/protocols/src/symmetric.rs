@@ -54,7 +54,7 @@ impl SymmetricDevice {
         msg.extend_from_slice(&self.id.to_be_bytes());
         let mac = aes_cmac(&self.key, &msg);
         // CMAC over 20 bytes = 2 AES blocks + 1 subkey block.
-        ledger.symmetric("AES-128", &Aes128::hw_profile(), 3);
+        ledger.symmetric(&Aes128::hw_profile(), 3);
         // id (4) + device nonce (8) + tag (16).
         ledger.tx(4 + 8 + 16);
         SymmetricTranscript {

@@ -4,7 +4,6 @@
 use medsec_ec::{Scalar, Toy17};
 use medsec_power::{EnergyReport, RadioModel};
 use medsec_protocols::peeters_hermans::{run_session, PhReader, PhTranscript};
-use medsec_protocols::signature::{verify, SigningKey};
 use medsec_protocols::EnergyLedger;
 use medsec_rng::SplitMix64;
 use proptest::prelude::*;
@@ -53,22 +52,5 @@ proptest! {
             + Scalar::from_u64(delta);
         let t = PhTranscript { commitment, challenge, response };
         prop_assert_eq!(reader.identify(&t, rng.as_fn()), None);
-    }
-
-    /// Signature completeness and message binding for arbitrary inputs.
-    #[test]
-    fn signature_complete_and_bound(
-        seed in any::<u64>(),
-        msg in proptest::collection::vec(any::<u8>(), 0..64),
-        other in proptest::collection::vec(any::<u8>(), 0..64),
-    ) {
-        let mut rng = SplitMix64::new(seed);
-        let key = SigningKey::<Toy17>::generate(rng.as_fn());
-        let mut l = ledger();
-        let sig = key.sign(&msg, rng.as_fn(), &mut l);
-        prop_assert!(verify(key.public(), &msg, &sig, rng.as_fn()));
-        if msg != other {
-            prop_assert!(!verify(key.public(), &other, &sig, rng.as_fn()));
-        }
     }
 }
