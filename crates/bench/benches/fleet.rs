@@ -7,8 +7,10 @@
 //! hosts print the speedup without asserting.
 
 use criterion::{criterion_group, BenchmarkId, Criterion};
-use medsec_fleet::{mixed_hospital_wards, run_fleet, FleetConfig, LaneScheduler, StealStats};
-use medsec_protocols::suite::CurveId;
+use medsec_fleet::{
+    mixed_hospital_wards, run_fleet, FleetConfig, LaneScheduler, StealStats, WardSpec,
+};
+use medsec_protocols::suite::{CurveId, ProtocolId, SecurityProfile};
 use std::hint::black_box;
 
 fn bench_scheduler(c: &mut Criterion) {
@@ -34,15 +36,20 @@ fn bench_fleet_throughput(c: &mut Criterion) {
             BenchmarkId::from_parameter(threads),
             &threads,
             |b, &threads| {
+                // 384 pacemakers and 128 neurostimulators on Toy17.
                 let cfg = FleetConfig {
-                    devices: 512,
                     threads,
                     shards: 32,
                     batch_size: 32,
-                    curve: CurveId::Toy17,
                     seed: 0x5EED,
                     forged_per_mille: 10,
-                    wards: Vec::new(),
+                    wards: vec![
+                        WardSpec::new(
+                            SecurityProfile::new(CurveId::Toy17, ProtocolId::Mutual),
+                            384,
+                        ),
+                        WardSpec::new(SecurityProfile::new(CurveId::Toy17, ProtocolId::Ph), 128),
+                    ],
                     ..FleetConfig::default()
                 };
                 b.iter(|| black_box(run_fleet(&cfg)))

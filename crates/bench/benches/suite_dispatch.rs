@@ -14,20 +14,25 @@
 //! mixed hospital as `obs.overhead_pct`).
 
 use criterion::{black_box, Criterion};
-use medsec_fleet::{admit_negotiate, run_fleet, FleetConfig};
+use medsec_fleet::{admit_negotiate, run_fleet, FleetConfig, WardSpec};
 use medsec_protocols::suite::{CurveId, ProtocolId, SecurityProfile};
 use std::time::{Duration, Instant};
 
 fn pin_config() -> FleetConfig {
+    // 192 pacemakers and 64 neurostimulators on Toy17.
     FleetConfig {
-        devices: 256,
         threads: 1,
         shards: 16,
         batch_size: 32,
-        curve: CurveId::Toy17,
         seed: 0x5EED_D15B,
         forged_per_mille: 10,
-        wards: Vec::new(),
+        wards: vec![
+            WardSpec::new(
+                SecurityProfile::new(CurveId::Toy17, ProtocolId::Mutual),
+                192,
+            ),
+            WardSpec::new(SecurityProfile::new(CurveId::Toy17, ProtocolId::Ph), 64),
+        ],
         observe: false,
         event_capacity: 1024,
     }

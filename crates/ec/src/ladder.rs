@@ -76,9 +76,9 @@ pub fn madd<C: CurveSpec>(
 /// Projective doubling: `X' = X⁴ + b·Z⁴`, `Z' = X²·Z²`.
 ///
 /// On curves with `b = 1` (the Koblitz curves) the `b·Z⁴` product is a
-/// plain squaring — exactly the saving [`iteration_cost`] has always
-/// modeled (`5` muls instead of `6`); the branch is on a *curve
-/// constant*, so the operation flow stays key-independent.
+/// plain squaring, so a ladder iteration costs `5` field multiplications
+/// instead of `6`; the branch is on a *curve constant*, so the operation
+/// flow stays key-independent.
 pub fn mdouble<C: CurveSpec>(
     x: Element<C::Field>,
     z: Element<C::Field>,
@@ -591,30 +591,6 @@ pub fn batch_x_affine_into<C: CurveSpec>(
     scratch.x_over_z::<C::Field>(states.iter().map(|s| (s.x1, s.z1)), out);
 }
 
-/// Field-operation budget of one combined ladder iteration, used by the
-/// cycle-cost models: multiplications and squarings for
-/// `Madd` (3M + 1S, plus the x·Z mixed multiplication) and `Mdouble`
-/// (1M + 4S, plus the b·Z⁴ multiplication on curves with b ≠ 1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct IterationCost {
-    /// General field multiplications per iteration.
-    pub muls: usize,
-    /// Field squarings per iteration.
-    pub squarings: usize,
-    /// Field additions (XOR) per iteration.
-    pub additions: usize,
-}
-
-/// Cost of one ladder iteration; `b_is_one` skips the `b·Z⁴` product
-/// (Koblitz curves).
-pub fn iteration_cost(b_is_one: bool) -> IterationCost {
-    IterationCost {
-        muls: if b_is_one { 5 } else { 6 },
-        squarings: 5,
-        additions: 2,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -818,13 +794,6 @@ mod tests {
             Scalar::zero() - Scalar::one(),
         ]);
         lockstep_matches_per_lane::<B163>(&b163, 47);
-    }
-
-    #[test]
-    fn iteration_cost_shapes() {
-        assert_eq!(iteration_cost(true).muls, 5); // Koblitz: b=1
-        assert_eq!(iteration_cost(false).muls, 6);
-        assert_eq!(iteration_cost(true).squarings, 5);
     }
 
     #[test]

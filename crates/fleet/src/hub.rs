@@ -3,7 +3,7 @@
 //!
 //! The paper's thesis is that security is a *design dimension*: a
 //! hospital picks a pyramid point per device class, so a real ward
-//! mixes toy test rigs, K-163 pacemakers, K-233 monitors,
+//! mixes toy test rigs, K-163 pacemakers, K-233 pacemakers,
 //! symmetric-only sensors and K-283 uplinks in one deployment. The
 //! [`GatewayHub`] erases the curve at the API boundary:
 //!
@@ -47,14 +47,15 @@ use medsec_protocols::wire;
 use medsec_protocols::EnergyLedger;
 use medsec_rng::SplitMix64;
 
-use crate::registry::{provision_lane, DeviceId, DeviceKind, DeviceProfile, FleetDevice};
+use crate::registry::{provision_lane, DeviceId, DeviceProfile, DeviceState, FleetDevice};
 use crate::report::{FleetReport, ProfileStats};
 use crate::scheduler::{LaneScheduler, LaneWorker};
 use crate::sim::{is_forged_target, unix_ms_now, FleetConfig};
 use crate::telemetry::WorkerObs;
 
-/// One curve's worth of serving state: one suite server per protocol
-/// and the devices assigned here.
+/// One curve's worth of serving state, as
+/// [`provision_lane`] built it: one suite server per protocol and the
+/// devices assigned here.
 #[derive(Debug)]
 pub struct CurveLane<C: CurveSpec> {
     /// The curve this lane is monomorphized over.
@@ -228,9 +229,7 @@ pub(crate) fn server_ledger() -> EnergyLedger {
 
 impl GatewayHub {
     /// Provision a hub from a fleet configuration: one lane per curve
-    /// that appears in the ward list (or a single lane for the
-    /// degenerate `wards: []` fleet, which reproduces the pre-hub
-    /// single-curve provisioning bit for bit).
+    /// that appears in the ward list, in first-appearance order.
     ///
     /// # Panics
     ///
@@ -243,62 +242,36 @@ impl GatewayHub {
         // Resolve the gf2m backend selection (env read + CPUID) during
         // provisioning, outside any timed serving region.
         medsec_gf2m::select_backend();
-        // Expand the config into (global id, kind, profile) per curve,
-        // in ward order so ids stay sequential across the fleet.
-        type Assign = (DeviceId, DeviceKind, SecurityProfile);
-        let mut order: Vec<CurveId> = Vec::new();
-        let mut per_curve: HashMap<CurveId, Vec<Assign>> = HashMap::new();
-        let mut placement: Vec<(CurveId, usize)> = Vec::new(); // global id → (curve, slot)
-
-        let mut push = |curve: CurveId, a: Assign, order: &mut Vec<CurveId>| {
-            let bucket = per_curve.entry(curve).or_default();
-            if bucket.is_empty() {
-                order.push(curve);
-            }
-            placement.push((curve, bucket.len()));
-            bucket.push(a);
-        };
-
-        if cfg.wards.is_empty() {
-            for i in 0..cfg.devices {
-                let id = i as DeviceId;
-                let kind = DeviceKind::assign(id);
-                let profile = SecurityProfile::new(cfg.curve, kind.protocol());
-                push(cfg.curve, (id, kind, profile), &mut order);
-            }
-        } else {
-            let mut next_id: DeviceId = 0;
-            for ward in &cfg.wards {
-                let curve = ward.profile.curve;
-                let kind = DeviceKind::for_protocol(ward.profile.protocol);
-                for _ in 0..ward.devices {
-                    push(curve, (next_id, kind, ward.profile), &mut order);
-                    next_id += 1;
+        // Expand the wards into (global id, profile) assignments, one
+        // lane per curve in first-appearance order; ids run sequentially
+        // in ward order across the fleet.
+        let mut buckets: Vec<(CurveId, Vec<(DeviceId, SecurityProfile)>)> = Vec::new();
+        let mut index = Vec::new();
+        for ward in cfg.wards.iter().filter(|w| w.devices > 0) {
+            let curve = ward.profile.curve;
+            let lane = match buckets.iter().position(|(c, _)| *c == curve) {
+                Some(lane) => lane,
+                None => {
+                    buckets.push((curve, Vec::new()));
+                    buckets.len() - 1
                 }
+            };
+            let bucket = &mut buckets[lane].1;
+            for _ in 0..ward.devices {
+                let id = index.len() as DeviceId;
+                index.push((lane, bucket.len()));
+                bucket.push((id, ward.profile));
             }
         }
 
-        // One lane per curve. The degenerate fleet keeps the exact
-        // legacy seed; heterogeneous lanes get per-curve salts so two
-        // lanes never share a key stream.
-        let lanes: Vec<Lane> = order
+        // Lane keys are salted by curve, so two lanes never share a key
+        // stream.
+        let lanes = buckets
             .iter()
-            .map(|&curve| {
-                let assignments = &per_curve[&curve];
-                let seed = if cfg.wards.is_empty() {
-                    cfg.seed
-                } else {
-                    cfg.seed ^ ((curve as u64) << 56)
-                };
-                build_lane(curve, assignments, cfg.shards, seed)
+            .map(|(curve, assignments)| {
+                let seed = cfg.seed ^ ((*curve as u64) << 56);
+                build_lane(*curve, assignments, cfg.shards, seed)
             })
-            .collect();
-
-        let lane_of: HashMap<CurveId, usize> =
-            order.iter().enumerate().map(|(i, &c)| (c, i)).collect();
-        let index = placement
-            .into_iter()
-            .map(|(curve, slot)| (lane_of[&curve], slot))
             .collect();
         GatewayHub { lanes, index }
     }
@@ -377,9 +350,7 @@ impl GatewayHub {
     /// Fold a run's merged [`HubTally`] plus the lanes' post-run device
     /// ledgers into a [`FleetReport`]. Shared by the batch driver ([`run_at`](Self::run_at))
     /// and the streaming front end ([`run_streaming`](Self::run_streaming)),
-    /// so both report through one aggregation path. The streaming-only
-    /// fields (`shed_rate`, `admission_rejected`, queue high-water
-    /// marks) are zeroed here; the streaming runtime overwrites them.
+    /// so both report through one aggregation path.
     pub(crate) fn finalize_report(
         &self,
         threads: usize,
@@ -411,7 +382,7 @@ impl GatewayHub {
                     device_energy_max = device_energy_max.max(e);
                     bytes_on_air += d.ledger.bytes_on_air() as u64;
                     if e > 0.0 {
-                        battery_sessions_sum += d.profile.battery_j / e;
+                        battery_sessions_sum += d.profile.kind.battery_j() / e;
                         battery_sessions_n += 1;
                     }
                     let agg = per_profile
@@ -473,9 +444,6 @@ impl GatewayHub {
             ph_failed: tally.ph_failed,
             forged_rejected: tally.forged_rejected,
             decode_failures: tally.decode_failures,
-            admission_rejected: 0,
-            shed_rate: 0.0,
-            lane_queue_high_water: Vec::new(),
             wall_s,
             sessions_per_sec: completed as f64 / wall_s,
             frames_per_sec: tally.established as f64 / wall_s,
@@ -653,32 +621,16 @@ pub(crate) struct Partitions {
 /// [`CurveLane`].
 fn build_lane(
     curve: CurveId,
-    assignments: &[(DeviceId, DeviceKind, SecurityProfile)],
+    assignments: &[(DeviceId, SecurityProfile)],
     shards: usize,
     seed: u64,
 ) -> Lane {
-    fn lane<C: CurveSpec>(
-        curve: CurveId,
-        assignments: &[(DeviceId, DeviceKind, SecurityProfile)],
-        shards: usize,
-        seed: u64,
-    ) -> CurveLane<C> {
-        let lp = provision_lane::<C>(assignments, shards, curve, seed);
-        CurveLane {
-            curve,
-            mutual: lp.mutual,
-            ph: lp.ph,
-            schnorr: lp.schnorr,
-            symmetric: lp.symmetric,
-            devices: lp.devices.into_iter().map(Mutex::new).collect(),
-        }
-    }
     match curve {
-        CurveId::Toy17 => Lane::Toy17(lane::<Toy17>(curve, assignments, shards, seed)),
-        CurveId::B163 => Lane::B163(lane::<B163>(curve, assignments, shards, seed)),
-        CurveId::K163 => Lane::K163(lane::<K163>(curve, assignments, shards, seed)),
-        CurveId::K233 => Lane::K233(lane::<K233>(curve, assignments, shards, seed)),
-        CurveId::K283 => Lane::K283(lane::<K283>(curve, assignments, shards, seed)),
+        CurveId::Toy17 => Lane::Toy17(provision_lane(curve, assignments, shards, seed)),
+        CurveId::B163 => Lane::B163(provision_lane(curve, assignments, shards, seed)),
+        CurveId::K163 => Lane::K163(provision_lane(curve, assignments, shards, seed)),
+        CurveId::K233 => Lane::K233(provision_lane(curve, assignments, shards, seed)),
+        CurveId::K283 => Lane::K283(provision_lane(curve, assignments, shards, seed)),
     }
 }
 
@@ -795,19 +747,23 @@ fn forged_probes<C: CurveSpec>(
     let span = w.obs.begin();
     for &slot in jobs {
         let mut guard = lane.devices[slot].lock().expect("device poisoned");
-        let d = &mut *guard;
-        if !is_forged_target(d.profile.id, w.cfg.forged_per_mille) {
+        let FleetDevice {
+            profile,
+            state: DeviceState::Mutual(device),
+            rng,
+            ledger,
+        } = &mut *guard
+        else {
+            continue;
+        };
+        if !is_forged_target(profile.id, w.cfg.forged_per_mille) {
             continue;
         }
         let forged = mutual::forged_hello::<C>(w.rng.as_fn());
-        let telemetry = d.profile.kind.telemetry();
-        match d
-            .mutual
-            .run_session(&forged, telemetry, d.rng.as_fn(), &mut d.ledger)
-        {
+        match device.run_session(&forged, profile.kind.telemetry(), rng.as_fn(), ledger) {
             SessionOutcome::ServerRejected => {
                 w.tally.forged_rejected += 1;
-                w.log(EventKind::AuthFailure, lane_idx, d.profile.id, FORGED_PROBE);
+                w.log(EventKind::AuthFailure, lane_idx, profile.id, FORGED_PROBE);
             }
             SessionOutcome::Established { .. } => w.tally.forged_accepted += 1,
         }
@@ -816,13 +772,13 @@ fn forged_probes<C: CurveSpec>(
 }
 
 /// A device's protocol state machine, RNG stream and energy ledger,
-/// borrowed together for one suite call (`None`: the device holds no
-/// state for the protocol).
+/// borrowed together for one suite call (`None`: the device runs
+/// another protocol).
 type DeviceParts<'a, D> = Option<(&'a mut D, &'a mut SplitMix64, &'a mut EnergyLedger)>;
 
 /// Per-protocol glue between a lane and a [`SecuritySuite`]: which
-/// lane server speaks the suite and which device field holds its
-/// state machine.
+/// lane server speaks the suite and which [`DeviceState`] variant holds
+/// its device state machine.
 trait LaneSuite<C: CurveSpec>: SecuritySuite {
     fn server(lane: &CurveLane<C>) -> &Self::Server;
     fn device(d: &mut FleetDevice<C>) -> DeviceParts<'_, Self::Device>;
@@ -833,7 +789,10 @@ impl<C: CurveSpec> LaneSuite<C> for MutualSuite<C> {
         &lane.mutual
     }
     fn device(d: &mut FleetDevice<C>) -> DeviceParts<'_, Self::Device> {
-        Some((&mut d.mutual, &mut d.rng, &mut d.ledger))
+        match &mut d.state {
+            DeviceState::Mutual(device) => Some((device, &mut d.rng, &mut d.ledger)),
+            _ => None,
+        }
     }
 }
 
@@ -842,7 +801,10 @@ impl<C: CurveSpec> LaneSuite<C> for PhSuite<C> {
         &lane.ph
     }
     fn device(d: &mut FleetDevice<C>) -> DeviceParts<'_, Self::Device> {
-        Some((d.tag.as_mut()?, &mut d.rng, &mut d.ledger))
+        match &mut d.state {
+            DeviceState::Ph(tag) => Some((tag, &mut d.rng, &mut d.ledger)),
+            _ => None,
+        }
     }
 }
 
@@ -851,7 +813,10 @@ impl<C: CurveSpec> LaneSuite<C> for SymmetricSuite {
         &lane.symmetric
     }
     fn device(d: &mut FleetDevice<C>) -> DeviceParts<'_, Self::Device> {
-        Some((d.sym.as_mut()?, &mut d.rng, &mut d.ledger))
+        match &mut d.state {
+            DeviceState::Symmetric(sym) => Some((sym, &mut d.rng, &mut d.ledger)),
+            _ => None,
+        }
     }
 }
 
@@ -860,7 +825,10 @@ impl<C: CurveSpec> LaneSuite<C> for SchnorrSuite<C> {
         &lane.schnorr
     }
     fn device(d: &mut FleetDevice<C>) -> DeviceParts<'_, Self::Device> {
-        Some((d.badge.as_mut()?, &mut d.rng, &mut d.ledger))
+        match &mut d.state {
+            DeviceState::Schnorr(badge) => Some((badge, &mut d.rng, &mut d.ledger)),
+            _ => None,
+        }
     }
 }
 
@@ -1111,22 +1079,25 @@ mod tests {
     }
 
     #[test]
-    fn degenerate_hub_fleet_matches_monomorphized_counts() {
+    fn forged_probes_hit_exactly_the_targeted_mutual_devices() {
+        use crate::sim::WardSpec;
         let cfg = FleetConfig {
-            devices: 96,
             threads: 2,
             shards: 8,
             batch_size: 16,
+            wards: vec![
+                WardSpec::new(SecurityProfile::new(CurveId::Toy17, ProtocolId::Mutual), 72),
+                WardSpec::new(SecurityProfile::new(CurveId::Toy17, ProtocolId::Ph), 24),
+            ],
             ..FleetConfig::default()
         };
         let hub = crate::sim::run_fleet(&cfg);
-        // The single-curve mix: ids % 4 ∈ {0,1,3} run mutual auth (72),
-        // {2} runs Peeters–Hermans (24); 1% of the mutual devices are
-        // probed with a forged hello first.
-        let mutual_ids = (0..96u32).filter(|id| id % 4 != 2);
-        let probed = mutual_ids
+        // Ids 0..72 run mutual auth, 72..96 Peeters–Hermans; 1% of the
+        // mutual devices are probed with a forged hello first.
+        let probed = (0..72u32)
             .filter(|&id| is_forged_target(id, cfg.forged_per_mille))
             .count() as u64;
+        assert!(probed > 0);
         assert_eq!(hub.sessions_ok, 72);
         assert_eq!(hub.frames_ok, 72);
         assert_eq!(hub.ph_identified, 24);
@@ -1244,31 +1215,26 @@ mod tests {
 
     /// Drive every mutual-auth device of one provisioned lane through a
     /// full hello → telemetry session against its own mutual server.
-    fn run_lane_sessions<C: CurveSpec>(lp: crate::registry::LaneProvision<C>) {
+    fn run_lane_sessions<C: CurveSpec>(lane: CurveLane<C>) {
         let mut rng = SplitMix64::new(0x1D5);
         let mut ledger = server_ledger();
-        let crate::registry::LaneProvision {
-            mut devices,
-            mutual,
-            ..
-        } = lp;
+        let mut devices: Vec<FleetDevice<C>> = lane
+            .devices
+            .into_iter()
+            .map(|d| d.into_inner().unwrap())
+            .collect();
         let opens: Vec<(DeviceId, Option<&[u8]>)> =
             devices.iter().map(|d| (d.profile.id, None)).collect();
-        let hellos = MutualSuite::<C>::hello_batch(&mutual, &opens, rng.as_fn(), &mut ledger);
+        let hellos = MutualSuite::<C>::hello_batch(&lane.mutual, &opens, rng.as_fn(), &mut ledger);
         assert_eq!(hellos.len(), devices.len());
         let mut closings = Vec::new();
         for (d, (id, hello)) in devices.iter_mut().zip(hellos) {
             assert_eq!(id, d.profile.id);
             let hello = hello.expect("hello for a provisioned id");
             let telemetry = d.profile.kind.telemetry();
-            let closing = MutualSuite::device_turn(
-                &mut d.mutual,
-                &hello,
-                telemetry,
-                d.rng.as_fn(),
-                &mut d.ledger,
-            )
-            .unwrap_or_else(|e| panic!("genuine hello must establish for id {id}: {e}"));
+            let (device, rng, ledger) = MutualSuite::device(d).expect("a mutual device");
+            let closing = MutualSuite::device_turn(device, &hello, telemetry, rng.as_fn(), ledger)
+                .unwrap_or_else(|e| panic!("genuine hello must establish for id {id}: {e}"));
             closings.push((id, closing, telemetry));
         }
         let frames: Vec<(DeviceId, &[u8])> = closings
@@ -1276,7 +1242,7 @@ mod tests {
             .map(|(id, f, _)| (*id, f.as_ref()))
             .collect();
         let verdicts =
-            MutualSuite::<C>::server_verify_batch(&mutual, &frames, rng.as_fn(), &mut ledger);
+            MutualSuite::<C>::server_verify_batch(&lane.mutual, &frames, rng.as_fn(), &mut ledger);
         for ((_, _, sent), (_, verdict)) in closings.iter().zip(verdicts) {
             assert_eq!(
                 verdict,
@@ -1285,7 +1251,7 @@ mod tests {
                 })
             );
         }
-        assert!(mutual.pending().is_empty());
+        assert!(lane.mutual.pending().is_empty());
     }
 
     /// Device ids are global (the hub assigns them sequentially), but
@@ -1295,32 +1261,66 @@ mod tests {
     /// lane's servers hold their own pairing table and pending shards.
     #[test]
     fn colliding_ids_across_lanes_stay_isolated() {
-        let kinds = [(0, DeviceKind::Pacemaker), (7, DeviceKind::CardiacMonitor)];
-        let toy_assignments: Vec<_> = kinds
-            .iter()
-            .map(|&(id, kind)| {
-                (
-                    id,
-                    kind,
-                    SecurityProfile::new(CurveId::Toy17, ProtocolId::Mutual),
-                )
-            })
-            .collect();
-        let k_assignments: Vec<_> = kinds
-            .iter()
-            .map(|&(id, kind)| {
-                (
-                    id,
-                    kind,
-                    SecurityProfile::new(CurveId::K163, ProtocolId::Mutual),
-                )
-            })
-            .collect();
+        let assignments = |curve| {
+            let profile = SecurityProfile::new(curve, ProtocolId::Mutual);
+            [(0, profile), (7, profile)]
+        };
         // Same ids, different lanes, different key streams.
-        let toy = provision_lane::<Toy17>(&toy_assignments, 8, CurveId::Toy17, 42);
-        let k163 = provision_lane::<K163>(&k_assignments, 8, CurveId::K163, 43);
+        let toy = provision_lane::<Toy17>(CurveId::Toy17, &assignments(CurveId::Toy17), 8, 42);
+        let k163 = provision_lane::<K163>(CurveId::K163, &assignments(CurveId::K163), 8, 43);
         run_lane_sessions(toy);
         run_lane_sessions(k163);
+    }
+
+    /// Check that every device of `lane` holds its own protocol's state
+    /// and that only mutual devices are enrolled with the lane's mutual
+    /// server. Returns how many devices the mutual server turned away.
+    fn check_enrolment<C: CurveSpec>(lane: &CurveLane<C>) -> usize {
+        let mut rng = SplitMix64::new(0xE1);
+        let mut ledger = server_ledger();
+        let mut unknown = 0;
+        for cell in &lane.devices {
+            let d = cell.lock().unwrap();
+            let (id, protocol) = (d.profile.id, d.profile.suite.protocol);
+            assert!(
+                matches!(
+                    (&d.state, protocol),
+                    (DeviceState::Mutual(_), ProtocolId::Mutual)
+                        | (DeviceState::Ph(_), ProtocolId::Ph)
+                        | (DeviceState::Symmetric(_), ProtocolId::Symmetric)
+                        | (DeviceState::Schnorr(_), ProtocolId::Schnorr)
+                ),
+                "device {id} holds the wrong state for {}",
+                protocol.name()
+            );
+            let hello = MutualSuite::<C>::hello(&lane.mutual, id, None, rng.as_fn(), &mut ledger);
+            if protocol == ProtocolId::Mutual {
+                assert!(hello.is_ok(), "mutual device {id} must be enrolled");
+            } else {
+                assert_eq!(hello, Err(SuiteError::UnknownDevice(id)));
+                unknown += 1;
+            }
+        }
+        unknown
+    }
+
+    /// Each device holds only its own protocol's state and enrolls only
+    /// with that protocol's server: a Schnorr, Peeters–Hermans or
+    /// symmetric device's id is unknown to its lane's mutual server.
+    #[test]
+    fn devices_enrol_only_with_their_own_protocol_server() {
+        let cfg = FleetConfig {
+            wards: mixed_hospital_wards(1),
+            ..FleetConfig::default()
+        };
+        let hub = GatewayHub::provision(&cfg);
+        let unknown: usize = hub
+            .lanes()
+            .iter()
+            .map(|lane| with_lane!(lane, l => check_enrolment(l)))
+            .sum();
+        // The mixed hospital's symmetric, PH and Schnorr wards.
+        assert_eq!(unknown, 12 + 6 + 4);
     }
 
     #[test]

@@ -10,9 +10,9 @@
 //! Architecture:
 //!
 //! * [`registry`] — provisions each curve lane: devices (pacemakers,
-//!   neurostimulators, cardiac monitors, ward sensors, staff badges)
-//!   with per-device keys, protocol state machines and an energy
-//!   ledger, plus the four `SecuritySuite` servers that serve them;
+//!   neurostimulators, ward sensors, staff badges), each with its keys,
+//!   its one protocol's state machine and an energy ledger, plus the
+//!   four `SecuritySuite` servers that serve them;
 //! * [`hub`] — the curve-erased [`GatewayHub`]: devices negotiate
 //!   their `SecurityProfile` on the wire and are bucketed into
 //!   enum-dispatched per-curve lanes, and every protocol is served by
@@ -23,8 +23,8 @@
 //!   cursors, workers pinned to a home lane and stealing whole chunks
 //!   across lanes once it drains, so batches never mix curve lanes and
 //!   big lanes keep every core busy;
-//! * [`sim`] — the fleet configuration and the one-call [`run_fleet`]
-//!   driver;
+//! * [`sim`] — the fleet configuration (a list of wards, each at one
+//!   `SecurityProfile`) and the one-call [`run_fleet`] driver;
 //! * [`streaming`] — the byte-oriented wire front end: each device's
 //!   traffic arrives as arbitrarily split/coalesced byte chunks, is
 //!   reassembled by `medsec-ingest` connection state machines, passes
@@ -42,11 +42,15 @@
 //! arrives.
 //!
 //! ```
-//! use medsec_fleet::{run_fleet, FleetConfig};
+//! use medsec_fleet::{run_fleet, FleetConfig, WardSpec};
+//! use medsec_protocols::suite::{CurveId, ProtocolId, SecurityProfile};
 //!
 //! let report = run_fleet(&FleetConfig {
-//!     devices: 64,
 //!     threads: 2,
+//!     wards: vec![
+//!         WardSpec::new(SecurityProfile::new(CurveId::Toy17, ProtocolId::Mutual), 48),
+//!         WardSpec::new(SecurityProfile::new(CurveId::Toy17, ProtocolId::Ph), 16),
+//!     ],
 //!     ..FleetConfig::default()
 //! });
 //! assert_eq!(report.sessions_ok + report.ph_identified, 64);
@@ -65,9 +69,7 @@ pub mod streaming;
 mod telemetry;
 
 pub use hub::{admit_negotiate, CurveLane, GatewayHub, Lane};
-pub use registry::{
-    provision_lane, DeviceId, DeviceKind, DeviceProfile, FleetDevice, LaneProvision,
-};
+pub use registry::{provision_lane, DeviceId, DeviceKind, DeviceProfile, DeviceState, FleetDevice};
 pub use report::{FleetReport, ProfileStats};
 pub use scheduler::{LaneBatch, LaneScheduler, LaneWorker, StealStats};
 pub use sim::{mixed_hospital_wards, run_fleet, FleetConfig, FleetConfigError, WardSpec};

@@ -19,8 +19,7 @@ fn finite_or_null(v: f64, rendered: String) -> String {
 }
 
 /// Per-profile slice of a fleet run: one row per pyramid point the
-/// fleet was provisioned at, so a heterogeneous trajectory stays
-/// comparable to its degenerate single-profile ancestors.
+/// fleet was provisioned at.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ProfileStats {
     /// Profile name (`protocol@curve`).
@@ -117,17 +116,6 @@ pub struct FleetReport {
     /// wire-garbage share visible instead of folding it into auth
     /// failures.
     pub decode_failures: u64,
-    /// Arrivals the streaming front end turned away *before* any
-    /// crypto work: token-bucket rate limiting plus failed
-    /// `admit_negotiate` (zero for in-process runs).
-    pub admission_rejected: u64,
-    /// Load shed by the ingestion queues: shed arrivals / offered
-    /// arrivals (0.0 for in-process runs, which cannot shed).
-    pub shed_rate: f64,
-    /// Deepest each ingest lane queue ever got (the high-water mark a
-    /// bounded queue plateaus at under overload). Empty for
-    /// in-process runs.
-    pub lane_queue_high_water: Vec<usize>,
     /// Wall-clock duration of the run, seconds.
     pub wall_s: f64,
     /// Completed sessions (every protocol) per second of wall time.
@@ -190,28 +178,6 @@ impl FleetReport {
         field(&mut s, "ph_failed", self.ph_failed.to_string());
         field(&mut s, "forged_rejected", self.forged_rejected.to_string());
         field(&mut s, "decode_failures", self.decode_failures.to_string());
-        field(
-            &mut s,
-            "admission_rejected",
-            self.admission_rejected.to_string(),
-        );
-        field(
-            &mut s,
-            "shed_rate",
-            finite_or_null(self.shed_rate, format!("{:.6}", self.shed_rate)),
-        );
-        field(
-            &mut s,
-            "lane_queue_high_water",
-            format!(
-                "[{}]",
-                self.lane_queue_high_water
-                    .iter()
-                    .map(usize::to_string)
-                    .collect::<Vec<_>>()
-                    .join(",")
-            ),
-        );
         field(&mut s, "started_unix_ms", self.started_unix_ms.to_string());
         field(
             &mut s,
@@ -395,19 +361,11 @@ impl core::fmt::Display for FleetReport {
             "  security   {:>8} forged hellos rejected by devices",
             self.forged_rejected
         )?;
-        if self.decode_failures > 0
-            || self.admission_rejected > 0
-            || self.shed_rate > 0.0
-            || !self.lane_queue_high_water.is_empty()
-        {
+        if self.decode_failures > 0 {
             writeln!(
                 f,
-                "  ingestion  {:>8} bad session frames  {:>6} admission rejects  \
-                 shed rate {:.2}%  queue high-water {:?}",
-                self.decode_failures,
-                self.admission_rejected,
-                self.shed_rate * 100.0,
-                self.lane_queue_high_water
+                "  ingestion  {:>8} bad session frames",
+                self.decode_failures
             )?;
         }
         writeln!(
@@ -486,9 +444,6 @@ mod tests {
             ph_failed: 0,
             forged_rejected: 1,
             decode_failures: 1,
-            admission_rejected: 2,
-            shed_rate: 0.125,
-            lane_queue_high_water: vec![3, 1],
             wall_s: 0.5,
             sessions_per_sec: 16.0,
             frames_per_sec: 12.0,
@@ -526,9 +481,6 @@ mod tests {
             "energy_per_session_j",
             "forged_rejected",
             "decode_failures",
-            "admission_rejected",
-            "shed_rate",
-            "lane_queue_high_water",
             "profiles",
             "backend",
             "started_unix_ms",
@@ -538,8 +490,7 @@ mod tests {
         }
         assert!(j.contains("\"backend\":\"bitsliced\""));
         assert!(j.contains("\"telemetry\":null"));
-        assert!(j.contains("\"shed_rate\":0.125000"));
-        assert!(j.contains("\"lane_queue_high_water\":[3,1]"));
+        assert!(j.contains("\"decode_failures\":1"));
         // The per-profile row carries its pyramid point and budget.
         assert!(j.contains("\"profile\":\"mutual@Toy17\""));
         assert!(j.contains("\"within_budget\":true"));
@@ -555,12 +506,13 @@ mod tests {
         r.profiles[0].profile = "mutual@\"Toy\\17\"".into();
         r.profiles[0].sessions_per_sec = f64::NAN;
         r.wall_s = f64::INFINITY;
-        r.mean_sessions_per_battery = f64::NEG_INFINITY;
-        r.shed_rate = f64::NAN;
+        r.device_energy_max_j = f64::NEG_INFINITY;
+        r.mean_sessions_per_battery = f64::NAN;
         let j = r.to_json();
         json::validate(&j).unwrap_or_else(|e| panic!("invalid JSON ({e}): {j}"));
         assert!(j.contains("\"wall_s\":null"));
-        assert!(j.contains("\"shed_rate\":null"));
+        assert!(j.contains("\"device_energy_max_j\":null"));
+        assert!(j.contains("\"mean_sessions_per_battery\":null"));
         assert!(j.contains("\"sessions_per_sec\":null"));
         assert!(j.contains(r#""profile":"mutual@\"Toy\\17\"""#));
     }
@@ -602,15 +554,11 @@ mod tests {
         let text = sample().to_string();
         assert!(text.contains("sessions"));
         assert!(text.contains("µJ/session"));
-        // The sample has ingestion activity, so the row appears…
-        assert!(text.contains("ingestion"));
-        assert!(text.contains("shed rate 12.50%"));
-        // …and a purely in-process run keeps its legacy shape.
+        // The sample has a bad session frame, so the row appears…
+        assert!(text.contains("ingestion         1 bad session frames"));
+        // …and a clean run leaves it out.
         let mut quiet = sample();
         quiet.decode_failures = 0;
-        quiet.admission_rejected = 0;
-        quiet.shed_rate = 0.0;
-        quiet.lane_queue_high_water.clear();
         assert!(!quiet.to_string().contains("ingestion"));
     }
 }

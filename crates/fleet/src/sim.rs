@@ -1,7 +1,6 @@
 //! Fleet configuration and the one-call driver: a [`FleetConfig`]
-//! names the fleet (a single-curve mix or explicit wards), and
-//! [`run_fleet`] provisions a [`GatewayHub`](crate::hub::GatewayHub)
-//! and serves every device once.
+//! names the fleet as a list of wards, and [`run_fleet`] provisions a
+//! [`GatewayHub`](crate::hub::GatewayHub) and serves every device once.
 
 use medsec_protocols::suite::{CurveId, SecurityProfile};
 
@@ -28,7 +27,7 @@ impl WardSpec {
 /// The canonical heterogeneous hospital: seven wards spanning five
 /// curves and four protocols (toy test rigs, symmetric-only sensors,
 /// K-163 pacemakers and neurostimulators, B-163 Schnorr staff badges,
-/// K-233 monitors, a K-283 uplink tier). One shared definition drives
+/// K-233 pacemakers, a K-283 uplink tier). One shared definition drives
 /// the hub tests, the `mixed_ward` example and the fleet bench, so a
 /// ward added here is exercised everywhere. `scale` multiplies every
 /// ward (scale 1 = 51 devices).
@@ -69,10 +68,6 @@ pub fn mixed_hospital_wards(scale: usize) -> Vec<WardSpec> {
 /// Parameters of one fleet run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FleetConfig {
-    /// Number of devices to provision when `wards` is empty (the
-    /// single-curve fleet with the legacy kind mix). Ignored when
-    /// `wards` names explicit profiles.
-    pub devices: usize,
     /// Worker threads.
     pub threads: usize,
     /// Session-table shards per curve lane (rounded up to a power of
@@ -80,18 +75,14 @@ pub struct FleetConfig {
     pub shards: usize,
     /// Jobs a worker pulls per queue lock.
     pub batch_size: usize,
-    /// Curve of the single-curve fleet when `wards` is empty.
-    pub curve: CurveId,
     /// Root seed; the whole run is a pure function of it.
     pub seed: u64,
     /// Per-mille of mutual-auth devices that are first probed with a
     /// forged `ServerHello` (the §4 flood scenario); devices must
     /// reject it cheaply before their real session runs.
     pub forged_per_mille: u32,
-    /// Heterogeneous fleet composition: one entry per ward, each at
-    /// its own [`SecurityProfile`] (mixing curves and protocols
-    /// freely). Empty = degenerate single-profile fleet from `curve` +
-    /// `devices`.
+    /// Fleet composition: one entry per ward, each at its own
+    /// [`SecurityProfile`] (mixing curves and protocols freely).
     pub wards: Vec<WardSpec>,
     /// Record telemetry (per-lane latency histograms, pipeline stage
     /// spans, the forensic event ring) for this run. Off by default:
@@ -107,14 +98,12 @@ pub struct FleetConfig {
 impl Default for FleetConfig {
     fn default() -> Self {
         Self {
-            devices: 256,
             threads: 4,
             shards: 16,
             batch_size: 32,
-            curve: CurveId::Toy17,
             seed: 0x5EED_CAFE,
             forged_per_mille: 10,
-            wards: Vec::new(),
+            wards: mixed_hospital_wards(1),
             observe: false,
             event_capacity: 1024,
         }
@@ -127,12 +116,8 @@ impl FleetConfig {
     /// panics on a config this rejects, so a config built from input
     /// is validated first.
     pub fn validate(&self) -> Result<(), FleetConfigError> {
-        if self.wards.is_empty() {
-            if self.devices == 0 {
-                return Err(FleetConfigError::NoDevices);
-            }
-        } else if self.wards.iter().all(|w| w.devices == 0) {
-            return Err(FleetConfigError::EmptyWards {
+        if self.wards.iter().all(|w| w.devices == 0) {
+            return Err(FleetConfigError::NoDevices {
                 wards: self.wards.len(),
             });
         }
@@ -143,10 +128,8 @@ impl FleetConfig {
 /// Why a [`FleetConfig`] names no servable fleet.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FleetConfigError {
-    /// No wards, and `devices` is zero.
-    NoDevices,
-    /// A ward list whose wards hold zero devices in total.
-    EmptyWards {
+    /// The wards hold zero devices in total (or there are none).
+    NoDevices {
         /// Number of (empty) wards in the list.
         wards: usize,
     },
@@ -155,10 +138,7 @@ pub enum FleetConfigError {
 impl std::fmt::Display for FleetConfigError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            FleetConfigError::NoDevices => {
-                write!(f, "fleet needs at least one device (devices = 0, no wards)")
-            }
-            FleetConfigError::EmptyWards { wards } => write!(
+            FleetConfigError::NoDevices { wards } => write!(
                 f,
                 "fleet needs at least one device ({wards} wards, 0 devices in total)"
             ),
@@ -179,11 +159,11 @@ pub(crate) fn unix_ms_now() -> u64 {
 
 /// Run a full fleet simulation as configured.
 ///
-/// Every run — heterogeneous or degenerate single-profile — goes
-/// through the curve-erased [`GatewayHub`](crate::hub::GatewayHub):
-/// devices advertise their profile in a wire-level Negotiate hello and
-/// the hub buckets them into per-curve lanes, each served through the
-/// batched `SecuritySuite` entry points.
+/// Every run goes through the curve-erased
+/// [`GatewayHub`](crate::hub::GatewayHub): devices advertise their
+/// profile in a wire-level Negotiate hello and the hub buckets them into
+/// per-curve lanes, each served through the batched `SecuritySuite`
+/// entry points.
 ///
 /// # Panics
 ///
@@ -202,8 +182,8 @@ pub(crate) fn is_forged_target(id: DeviceId, per_mille: u32) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::hub::{server_ledger, with_lane, GatewayHub};
-    use crate::registry::{provision_lane, DeviceKind, LaneProvision};
+    use crate::hub::{server_ledger, with_lane, CurveLane, GatewayHub};
+    use crate::registry::{provision_lane, DeviceKind, DeviceState, FleetDevice};
     use medsec_ec::Toy17;
     use medsec_protocols::suite::{
         MutualSuite, ProtocolId, SecuritySuite, SuiteError, SuiteOutcome,
@@ -211,17 +191,25 @@ mod tests {
     use medsec_protocols::wire::{self, MsgType};
     use medsec_rng::SplitMix64;
 
+    /// A `curve` fleet of `mutual` pacemakers (ids `0..mutual`) and
+    /// `ph` neurostimulators after them.
+    fn pacemakers_and_neurostimulators(curve: CurveId, mutual: usize, ph: usize) -> Vec<WardSpec> {
+        vec![
+            WardSpec::new(SecurityProfile::new(curve, ProtocolId::Mutual), mutual),
+            WardSpec::new(SecurityProfile::new(curve, ProtocolId::Ph), ph),
+        ]
+    }
+
     #[test]
     fn small_fleet_completes_every_session() {
         let cfg = FleetConfig {
-            devices: 100,
             threads: 4,
             shards: 8,
             batch_size: 8,
+            wards: pacemakers_and_neurostimulators(CurveId::Toy17, 75, 25),
             ..FleetConfig::default()
         };
         let report = run_fleet(&cfg);
-        // ids % 4 ∈ {0,1,3} run mutual auth (75), {2} runs PH (25).
         assert_eq!(report.sessions_ok, 75);
         assert_eq!(report.ph_identified, 25);
         assert_eq!(report.sessions_failed, 0);
@@ -234,65 +222,76 @@ mod tests {
     fn validate_rejects_zero_device_fleets() {
         assert_eq!(FleetConfig::default().validate(), Ok(()));
         let none = FleetConfig {
-            devices: 0,
+            wards: Vec::new(),
             ..FleetConfig::default()
         };
-        assert_eq!(none.validate(), Err(FleetConfigError::NoDevices));
+        assert_eq!(
+            none.validate(),
+            Err(FleetConfigError::NoDevices { wards: 0 })
+        );
         let empty_wards = FleetConfig {
-            devices: 0,
             wards: mixed_hospital_wards(0),
             ..FleetConfig::default()
         };
         assert_eq!(
             empty_wards.validate(),
-            Err(FleetConfigError::EmptyWards { wards: 7 })
+            Err(FleetConfigError::NoDevices { wards: 7 })
         );
-        // Wards override `devices`: one non-empty ward is enough.
-        let wards = FleetConfig {
-            devices: 0,
-            wards: mixed_hospital_wards(1),
+        assert_eq!(
+            empty_wards.validate().unwrap_err().to_string(),
+            "fleet needs at least one device (7 wards, 0 devices in total)"
+        );
+        // One non-empty ward is enough.
+        let mut one = mixed_hospital_wards(0);
+        one[3].devices = 1;
+        let one = FleetConfig {
+            wards: one,
             ..FleetConfig::default()
         };
-        assert_eq!(wards.validate(), Ok(()));
+        assert_eq!(one.validate(), Ok(()));
     }
 
     /// One pacemaker (id 0) on a Toy17 lane, with its servers.
-    fn pacemaker_lane(seed: u64) -> LaneProvision<Toy17> {
+    fn pacemaker_lane(seed: u64) -> CurveLane<Toy17> {
         let profile = SecurityProfile::new(CurveId::Toy17, ProtocolId::Mutual);
-        provision_lane(
-            &[(0, DeviceKind::Pacemaker, profile)],
-            4,
-            CurveId::Toy17,
-            seed,
-        )
+        provision_lane(CurveId::Toy17, &[(0, profile)], 4, seed)
+    }
+
+    /// The pacemaker's answer to `hello` carrying `telemetry`.
+    fn pacemaker_turn(
+        lane: &CurveLane<Toy17>,
+        hello: &[u8],
+        telemetry: &[u8],
+    ) -> Result<bytes::Bytes, SuiteError> {
+        let mut guard = lane.devices[0].lock().unwrap();
+        let FleetDevice {
+            state: DeviceState::Mutual(device),
+            rng,
+            ledger,
+            ..
+        } = &mut *guard
+        else {
+            panic!("a pacemaker runs mutual authentication");
+        };
+        MutualSuite::device_turn(device, hello, telemetry, rng.as_fn(), ledger)
     }
 
     #[test]
     fn session_establishment_single_device_round_trip() {
-        let LaneProvision {
-            mut devices,
-            mutual,
-            ..
-        } = pacemaker_lane(7);
-        let d = &mut devices[0];
-        assert_eq!(d.profile.kind, DeviceKind::Pacemaker);
+        let lane = pacemaker_lane(7);
+        let kind = lane.devices[0].lock().unwrap().profile.kind;
+        assert_eq!(kind, DeviceKind::Pacemaker);
+        let telemetry = kind.telemetry();
         let mut rng = SplitMix64::new(42);
         let mut server_ledger = server_ledger();
 
         let hello =
-            MutualSuite::<Toy17>::hello(&mutual, 0, None, rng.as_fn(), &mut server_ledger).unwrap();
-        assert_eq!(mutual.pending().len(), 1);
-        let telemetry = d.profile.kind.telemetry();
-        let closing = MutualSuite::device_turn(
-            &mut d.mutual,
-            &hello,
-            telemetry,
-            d.rng.as_fn(),
-            &mut d.ledger,
-        )
-        .unwrap();
+            MutualSuite::<Toy17>::hello(&lane.mutual, 0, None, rng.as_fn(), &mut server_ledger)
+                .unwrap();
+        assert_eq!(lane.mutual.pending().len(), 1);
+        let closing = pacemaker_turn(&lane, &hello, telemetry).unwrap();
         let outcome = MutualSuite::<Toy17>::server_verify(
-            &mutual,
+            &lane.mutual,
             0,
             &closing,
             rng.as_fn(),
@@ -305,7 +304,7 @@ mod tests {
             })
         );
         // The closing frame closed the session: nothing is kept.
-        assert!(mutual.pending().is_empty());
+        assert!(lane.mutual.pending().is_empty());
     }
 
     #[test]
@@ -327,24 +326,13 @@ mod tests {
 
     #[test]
     fn tampered_telemetry_fails_authentication() {
-        let LaneProvision {
-            mut devices,
-            mutual,
-            ..
-        } = pacemaker_lane(9);
-        let d = &mut devices[0];
+        let lane = pacemaker_lane(9);
         let mut rng = SplitMix64::new(43);
         let mut server_ledger = server_ledger();
         let hello =
-            MutualSuite::<Toy17>::hello(&mutual, 0, None, rng.as_fn(), &mut server_ledger).unwrap();
-        let closing = MutualSuite::device_turn(
-            &mut d.mutual,
-            &hello,
-            b"hr=200;panic",
-            d.rng.as_fn(),
-            &mut d.ledger,
-        )
-        .unwrap();
+            MutualSuite::<Toy17>::hello(&lane.mutual, 0, None, rng.as_fn(), &mut server_ledger)
+                .unwrap();
+        let closing = pacemaker_turn(&lane, &hello, b"hr=200;panic").unwrap();
         // Flip one ciphertext bit: "a modification on the ciphertext
         // may also lead to a corrupted therapy".
         let mut tampered = closing.to_vec();
@@ -352,7 +340,7 @@ mod tests {
         tampered[mid] ^= 0x01;
         assert_eq!(
             MutualSuite::<Toy17>::server_verify(
-                &mutual,
+                &lane.mutual,
                 0,
                 &tampered,
                 rng.as_fn(),
@@ -365,10 +353,10 @@ mod tests {
     #[test]
     fn no_session_outlives_its_closing_frame() {
         let cfg = FleetConfig {
-            devices: 128,
             threads: 2,
             shards: 8,
             forged_per_mille: 0,
+            wards: pacemakers_and_neurostimulators(CurveId::Toy17, 96, 32),
             ..FleetConfig::default()
         };
         let hub = GatewayHub::provision(&cfg);
@@ -388,14 +376,14 @@ mod tests {
 
     #[test]
     fn energy_aggregation_matches_protocol_costs() {
-        // A 4-device single-thread fleet: 3 mutual (ids 0,1,3) + 1 PH
-        // (id 2). Every device pays at least two point multiplications
-        // (≈5.1 µJ each) plus radio.
+        // A 4-device single-thread fleet: 3 mutual + 1 PH. Every device
+        // pays at least two point multiplications (≈5.1 µJ each) plus
+        // radio.
         let cfg = FleetConfig {
-            devices: 4,
             threads: 1,
             shards: 4,
             forged_per_mille: 0,
+            wards: pacemakers_and_neurostimulators(CurveId::Toy17, 3, 1),
             ..FleetConfig::default()
         };
         let report = run_fleet(&cfg);
@@ -416,13 +404,12 @@ mod tests {
     #[test]
     fn forged_hellos_are_rejected_and_do_not_block_service() {
         let cfg = FleetConfig {
-            devices: 64,
             threads: 2,
             forged_per_mille: 1000, // every mutual device gets probed
+            wards: pacemakers_and_neurostimulators(CurveId::Toy17, 48, 16),
             ..FleetConfig::default()
         };
         let report = run_fleet(&cfg);
-        // ids % 4 ∈ {0,1,3} → 48 mutual devices, all probed.
         assert_eq!(report.forged_rejected, 48);
         assert_eq!(report.sessions_ok, 48);
         assert_eq!(report.sessions_failed, 0);
@@ -431,9 +418,8 @@ mod tests {
     #[test]
     fn k163_fleet_runs_end_to_end() {
         let cfg = FleetConfig {
-            devices: 8,
             threads: 2,
-            curve: CurveId::K163,
+            wards: pacemakers_and_neurostimulators(CurveId::K163, 6, 2),
             ..FleetConfig::default()
         };
         let report = run_fleet(&cfg);

@@ -57,7 +57,7 @@ use crate::sim::{unix_ms_now, FleetConfig};
 use crate::telemetry::WorkerObs;
 
 /// Number of admission classes (one token bucket each).
-pub const DEVICE_CLASSES: usize = 5;
+pub const DEVICE_CLASSES: usize = 4;
 
 /// Token-bucket class index of a device kind. Implant classes are
 /// rate-limited independently: a flood of staff-badge Negotiates must
@@ -66,9 +66,8 @@ pub fn device_class(kind: DeviceKind) -> usize {
     match kind {
         DeviceKind::Pacemaker => 0,
         DeviceKind::Neurostimulator => 1,
-        DeviceKind::CardiacMonitor => 2,
-        DeviceKind::WardSensor => 3,
-        DeviceKind::StaffBadge => 4,
+        DeviceKind::WardSensor => 2,
+        DeviceKind::StaffBadge => 3,
     }
 }
 
@@ -168,8 +167,8 @@ pub struct StreamingStats {
     pub lane_queue_high_water: Vec<usize>,
 }
 
-/// A streaming run's result: the standard [`FleetReport`] (streaming
-/// fields populated) plus the ingest-side [`StreamingStats`].
+/// A streaming run's result: the standard [`FleetReport`] plus the
+/// ingest-side [`StreamingStats`].
 #[derive(Debug)]
 pub struct StreamingOutcome {
     /// The aggregated fleet report (same shape as the batch driver's).
@@ -512,10 +511,7 @@ impl GatewayHub {
             .map(BoundedLaneQueue::high_water_mark)
             .collect();
 
-        let mut report = self.finalize_report(threads, tally, wall_s, telemetry, started_unix_ms);
-        report.admission_rejected = stats.rate_limited + stats.admission_denied;
-        report.shed_rate = stats.shed_rate;
-        report.lane_queue_high_water = stats.lane_queue_high_water.clone();
+        let report = self.finalize_report(threads, tally, wall_s, telemetry, started_unix_ms);
         StreamingOutcome { report, stats }
     }
 }
@@ -610,14 +606,14 @@ mod tests {
         assert_eq!(out.stats.garbage + out.stats.violations, 0);
         assert_eq!(out.report.sessions_completed(), n as u64);
         assert_eq!(out.report.sessions_failed + out.report.ph_failed, 0);
-        assert_eq!(out.report.shed_rate, 0.0);
-        assert_eq!(out.report.admission_rejected, 0);
+        assert_eq!(out.stats.shed_rate, 0.0);
+        assert_eq!(out.stats.admission_denied, 0);
         assert!(out.stats.p99_ms >= out.stats.p50_ms);
         assert!(out.stats.max_ms >= out.stats.p99_ms);
-        // Queues stayed bounded and the report carries the marks.
-        assert_eq!(out.report.lane_queue_high_water.len(), hub.lanes().len());
+        // Queues stayed bounded, and the stats carry one mark per lane.
+        assert_eq!(out.stats.lane_queue_high_water.len(), hub.lanes().len());
         assert!(out
-            .report
+            .stats
             .lane_queue_high_water
             .iter()
             .all(|&m| m <= StreamingConfig::default().queue_high_water));
@@ -637,7 +633,7 @@ mod tests {
         let burst: Vec<Arrival> = (0..n).map(|d| Arrival::new(d, 0)).collect();
         let out = hub.run_streaming(&cfg, &scfg, &burst);
         assert!(out.stats.shed > 0, "a tick-0 fleet burst must shed");
-        assert!(out.report.shed_rate > 0.0);
+        assert!(out.stats.shed_rate > 0.0);
         // Bounded queues: the mark never exceeds the shed threshold.
         assert!(out
             .stats
@@ -671,11 +667,12 @@ mod tests {
         };
         let burst: Vec<Arrival> = (0..n).map(|d| Arrival::new(d, 0)).collect();
         let out = hub.run_streaming(&cfg, &scfg, &burst);
-        // Ward fleets span four admission classes (mutual wards all
-        // map to the pacemaker class); exactly one admission each.
+        // The mixed hospital spans all four admission classes (mutual
+        // wards all map to the pacemaker class); exactly one admission
+        // each.
         assert_eq!(out.stats.admitted, 4);
         assert_eq!(out.stats.rate_limited, n as u64 - 4);
-        assert_eq!(out.report.admission_rejected, n as u64 - 4);
+        assert_eq!(out.stats.admission_denied, 0);
         assert_eq!(out.report.sessions_completed(), 4);
     }
 
@@ -811,7 +808,6 @@ mod tests {
                     r.ph_failed,
                     r.forged_rejected,
                     r.decode_failures,
-                    r.admission_rejected,
                     r.bytes_on_air,
                 ],
                 r.device_energy_total_j.to_bits(),

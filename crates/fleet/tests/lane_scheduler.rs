@@ -60,6 +60,20 @@ fn mixed_fleet_outcome_is_identical_at_every_thread_count() {
     assert_eq!(baseline.devices, 51);
     assert!(baseline.sessions_completed() > 0);
     assert!(baseline.forged_rejected > 0, "forged probes must fire");
+    // Device energy pinned by value, not only across thread counts: a
+    // provisioning change that moves what a device pays fails here.
+    assert_eq!(
+        baseline.device_energy_total_j.to_bits(),
+        0x3f5f_f3f8_1cfe_2c31,
+        "device energy total {} J moved",
+        baseline.device_energy_total_j
+    );
+    assert_eq!(
+        baseline.energy_per_session_j.to_bits(),
+        0x3f04_0c87_99b8_9433,
+        "device energy per session {} J moved",
+        baseline.energy_per_session_j
+    );
     let want = deterministic_view(&baseline);
     for threads in [2usize, 8, 16] {
         let r = run_fleet(&mixed_cfg(threads));

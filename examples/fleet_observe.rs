@@ -35,7 +35,6 @@ fn main() {
         wards: mixed_hospital_wards(scale),
         observe: true,
         event_capacity: 4096,
-        ..FleetConfig::default()
     };
     if let Err(e) = cfg.validate() {
         eprintln!("fleet_observe: {e}");

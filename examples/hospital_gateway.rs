@@ -1,12 +1,14 @@
 //! A hospital gateway serving ten thousand implants.
 //!
-//! Provisions a 10 000-device fleet (pacemakers, neurostimulators,
-//! cardiac monitors), then drives every device through an authenticated
-//! session — mutual authentication with an encrypted telemetry frame,
-//! or a Peeters–Hermans private identification — across worker threads
-//! with sharded pending-session tables and batched hello generation. A slice
-//! of the fleet is probed with forged hellos first; ServerFirst
-//! ordering keeps those rejections nearly free.
+//! Provisions a 10 000-device Toy17 fleet as two wards, three quarters
+//! pacemakers and one quarter neurostimulators, then drives every device
+//! through an authenticated session — mutual authentication with an
+//! encrypted telemetry frame, or a Peeters–Hermans private
+//! identification — across worker threads with sharded pending-session
+//! tables and batched hello generation. A slice of the fleet is probed
+//! with forged hellos first; ServerFirst ordering keeps those
+//! rejections nearly free. A smaller K-163 fleet of the same shape
+//! follows at paper-chip cost.
 //!
 //! Every run goes through the curve-erased `GatewayHub`: devices
 //! advertise their `SecurityProfile` in a wire-level Negotiate hello
@@ -19,8 +21,21 @@
 //! cargo run --release --example hospital_gateway -- 20000 8   # devices, threads
 //! ```
 
-use medsec::fleet::{run_fleet, FleetConfig};
-use medsec::protocols::suite::CurveId;
+use medsec::fleet::{run_fleet, FleetConfig, WardSpec};
+use medsec::protocols::suite::{CurveId, ProtocolId, SecurityProfile};
+
+/// `devices` devices on `curve`: three quarters pacemakers (mutual
+/// authentication), one quarter neurostimulators (Peeters–Hermans).
+fn wards(curve: CurveId, devices: usize) -> Vec<WardSpec> {
+    let ph = devices / 4;
+    vec![
+        WardSpec::new(
+            SecurityProfile::new(curve, ProtocolId::Mutual),
+            devices - ph,
+        ),
+        WardSpec::new(SecurityProfile::new(curve, ProtocolId::Ph), ph),
+    ]
+}
 
 fn main() {
     let mut args = std::env::args().skip(1);
@@ -33,14 +48,12 @@ fn main() {
     });
 
     let cfg = FleetConfig {
-        devices,
         threads,
         shards: 64,
         batch_size: 64,
-        curve: CurveId::Toy17,
         seed: 0x5EED_CAFE,
         forged_per_mille: 25,
-        wards: Vec::new(),
+        wards: wards(CurveId::Toy17, devices),
         ..FleetConfig::default()
     };
     if let Err(e) = cfg.validate() {
@@ -49,8 +62,8 @@ fn main() {
     }
 
     println!(
-        "provisioning {} devices, serving on {} threads / {} shards…\n",
-        cfg.devices, cfg.threads, cfg.shards
+        "provisioning {devices} devices, serving on {} threads / {} shards…\n",
+        cfg.threads, cfg.shards
     );
     let report = run_fleet(&cfg);
     println!("{report}\n");
@@ -58,15 +71,12 @@ fn main() {
     // The same gateway also serves a (smaller) paper-strength K-163
     // ward: the per-session energy is what the co-processor was
     // designed around.
+    let k163_devices = (devices / 50).max(16);
     let k163_cfg = FleetConfig {
-        devices: (devices / 50).max(16),
-        curve: CurveId::K163,
+        wards: wards(CurveId::K163, k163_devices),
         ..cfg
     };
-    println!(
-        "K-163 ward: {} devices at paper-chip cost…\n",
-        k163_cfg.devices
-    );
+    println!("K-163 ward: {k163_devices} devices at paper-chip cost…\n");
     let k163 = run_fleet(&k163_cfg);
     println!("{k163}");
 

@@ -4,7 +4,7 @@
 //! Each ward sits at its own point on the energy/security pyramid:
 //! toy test rigs, symmetric-only disposable sensors, K-163 pacemakers,
 //! K-163 privacy-preserving neurostimulators, B-163 Schnorr staff
-//! badges, K-233 cardiac monitors and a K-283 uplink tier (the
+//! badges, K-233 pacemakers and a K-283 uplink tier (the
 //! canonical `mixed_hospital_wards` mix, shared with the hub tests and
 //! the fleet bench). Devices advertise their `SecurityProfile` in a
 //! wire-level Negotiate hello; the curve-erased `GatewayHub` validates
