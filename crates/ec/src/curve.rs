@@ -219,10 +219,11 @@ impl<C: CurveSpec> Point<C> {
 
     /// Decompress a point encoded by [`compress`](Self::compress).
     ///
-    /// Returns `None` if the encoding is malformed or x does not
-    /// correspond to a point on the curve. Allocation-free — the
-    /// per-frame device path decodes one point per session; batches
-    /// should use [`decompress_batch`](Self::decompress_batch).
+    /// Returns `None` if the encoding is malformed (wrong width, unknown
+    /// tag, a bit of x set at or above m) or x does not correspond to a
+    /// point on the curve. Allocation-free — the per-frame device path
+    /// decodes one point per session; batches should use
+    /// [`decompress_batch`](Self::decompress_batch).
     pub fn decompress(bytes: &[u8]) -> Option<Self> {
         let (x, tag) = Self::decompress_parse(bytes)?;
         match tag {
@@ -282,9 +283,9 @@ impl<C: CurveSpec> Point<C> {
         out
     }
 
-    /// Shared parsing front of [`decompress`](Self::decompress): width
-    /// and tag checks plus the x-coordinate, classifying which solve
-    /// (if any) the encoding needs. `None` means malformed.
+    /// Shared parsing front of [`decompress`](Self::decompress): width,
+    /// tag and canonical-x checks plus the x-coordinate, classifying
+    /// which solve (if any) the encoding needs. `None` means malformed.
     fn decompress_parse(bytes: &[u8]) -> Option<(Element<C::Field>, ParsedTag)> {
         if bytes.len() != Self::compressed_len() {
             return None;
@@ -297,6 +298,12 @@ impl<C: CurveSpec> Point<C> {
                 .then_some((Element::zero(), ParsedTag::Infinity));
         }
         if tag > 1 {
+            return None;
+        }
+        // A canonical x has no bit at or above m. Reducing a longer one
+        // would let 2^(8·ceil(m/8) − m) byte strings name the same point.
+        let spare_bits = 8 * C::Field::M.div_ceil(8) - C::Field::M;
+        if u32::from(bytes[1]) >> (8 - spare_bits) != 0 {
             return None;
         }
         let x = Element::<C::Field>::from_bytes_reduced(&bytes[1..]);
@@ -617,6 +624,57 @@ mod tests {
         assert_eq!(with_inf[0], Some(Point::infinity()));
         assert_eq!(with_inf[1], None);
         assert_eq!(with_inf[2], Point::<K163>::decompress(&valid[0]));
+    }
+
+    /// Setting any spare bit above m in the x bytes of a valid encoding
+    /// makes it non-canonical: refused solo, and in a mixed batch only
+    /// its own slot is refused.
+    fn rejects_non_canonical_x<C: CurveSpec>(seed: u64) {
+        let mut r = rng_from(seed);
+        let g = C::generator();
+        let p = g.mul_double_and_add(&Scalar::<C>::random_nonzero(&mut r));
+        let q = g.mul_double_and_add(&Scalar::<C>::random_nonzero(&mut r));
+        let (enc, other) = (p.compress(), q.compress());
+        let inf = Point::<C>::infinity().compress();
+        let spare_bits = 8 * C::Field::M.div_ceil(8) - C::Field::M;
+        assert!(spare_bits > 0, "{} has spare bits", C::NAME);
+        for bit in 8 - spare_bits..8 {
+            let mut bad = enc.clone();
+            bad[1] |= 1 << bit;
+            assert_eq!(Point::<C>::decompress(&bad), None, "{} bit {bit}", C::NAME);
+            let batch = Point::<C>::decompress_batch(&[&other, &bad, &enc, &inf, &bad]);
+            assert_eq!(
+                batch,
+                [Some(q), None, Some(p), Some(Point::infinity()), None],
+                "{} bit {bit}",
+                C::NAME
+            );
+        }
+    }
+
+    #[test]
+    fn decompress_rejects_non_canonical_x_toy17() {
+        rejects_non_canonical_x::<Toy17>(23);
+    }
+
+    #[test]
+    fn decompress_rejects_non_canonical_x_k163() {
+        rejects_non_canonical_x::<K163>(24);
+    }
+
+    #[test]
+    fn decompress_rejects_non_canonical_x_b163() {
+        rejects_non_canonical_x::<B163>(25);
+    }
+
+    #[test]
+    fn decompress_rejects_non_canonical_x_k233() {
+        rejects_non_canonical_x::<K233>(26);
+    }
+
+    #[test]
+    fn decompress_rejects_non_canonical_x_k283() {
+        rejects_non_canonical_x::<K283>(27);
     }
 
     #[test]

@@ -64,6 +64,22 @@ pub trait FieldBackend {
         itoh_tsujii::<Self, F>(a)
     }
 
+    /// Half-trace H(a) = Σ a^(4^i) for i in 0..=(m−1)/2, defined for
+    /// odd m: when Tr(a) = 0, `z = H(a)` solves `z² + z = a`.
+    ///
+    /// The default is the chain of (m−1)/2 dependent double squarings
+    /// over `Self::square`; the serving backends apply a cached
+    /// linear-map table instead.
+    fn half_trace<F: FieldSpec>(a: &Element<F>) -> Element<F> {
+        let mut acc = *a;
+        let mut t = *a;
+        for _ in 0..(F::M - 1) / 2 {
+            t = Self::square(&Self::square(&t));
+            acc += t;
+        }
+        acc
+    }
+
     /// Batched field multiplication over plane-major SoA slices (see
     /// [`crate::batch`] for the layout): `out[i] = a[i] * b[i]` for
     /// `n = out.len() / LIMBS` elements. `a` and `b` may alias each
@@ -140,6 +156,10 @@ impl FieldBackend for VpclmulBackend {
         itoh_tsujii_multisquare::<Self, F>(a)
     }
 
+    fn half_trace<F: FieldSpec>(a: &Element<F>) -> Element<F> {
+        crate::multisquare::half_trace(a)
+    }
+
     fn mul_batch<F: FieldSpec>(out: &mut [u64], a: &[u64], b: &[u64]) {
         crate::vpclmul::mul_batch_planes::<F>(out, a, b);
     }
@@ -174,6 +194,10 @@ impl FieldBackend for BitslicedBackend {
 
     fn invert<F: FieldSpec>(a: &Element<F>) -> Option<Element<F>> {
         itoh_tsujii_multisquare::<Self, F>(a)
+    }
+
+    fn half_trace<F: FieldSpec>(a: &Element<F>) -> Element<F> {
+        crate::multisquare::half_trace(a)
     }
 
     fn mul_batch<F: FieldSpec>(out: &mut [u64], a: &[u64], b: &[u64]) {
@@ -310,6 +334,13 @@ impl FieldBackend for ActiveBackend {
         match select_backend() {
             BackendChoice::Vpclmul => VpclmulBackend::invert(a),
             BackendChoice::Bitsliced => BitslicedBackend::invert(a),
+        }
+    }
+
+    fn half_trace<F: FieldSpec>(a: &Element<F>) -> Element<F> {
+        match select_backend() {
+            BackendChoice::Vpclmul => VpclmulBackend::half_trace(a),
+            BackendChoice::Bitsliced => BitslicedBackend::half_trace(a),
         }
     }
 

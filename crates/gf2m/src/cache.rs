@@ -1,5 +1,5 @@
 //! A tiny process-wide memo map for per-type precomputation registries
-//! (comb tables, τ-adic curve parameters, multi-squaring tables, …).
+//! (comb tables, τ-adic curve parameters, linear-map tables, …).
 //!
 //! Each call site keeps its own `static` of a concrete `Registry` type
 //! and supplies a builder closure; the registry handles the lazy init,

@@ -296,18 +296,23 @@ impl<F: FieldSpec> Element<F> {
     }
 
     /// Absolute trace Tr(a) = Σ a^(2^i) for i in 0..m; always 0 or 1.
+    ///
+    /// Computed through the half-trace identity
+    /// `Tr(a) = H(a)² + H(a) + a` (odd m): one half-trace and one
+    /// squaring instead of m−1 squarings.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the extension degree m is even.
     pub fn trace(&self) -> u8 {
-        let mut acc = *self;
-        let mut t = *self;
-        for _ in 1..F::M {
-            t = t.square();
-            acc += t;
-        }
-        debug_assert!(acc.is_zero() || acc == Self::one());
-        u8::from(!acc.is_zero())
+        let h = self.half_trace();
+        let tr = h.square() + h + *self;
+        debug_assert!(tr.is_zero() || tr == Self::one());
+        u8::from(!tr.is_zero())
     }
 
-    /// Half-trace H(a) = Σ a^(2^(2i)) for i in 0..=(m−1)/2 (odd m only).
+    /// Half-trace H(a) = Σ a^(2^(2i)) for i in 0..=(m−1)/2 (odd m only),
+    /// on the active backend.
     ///
     /// If `Tr(a) == 0`, then `z = H(a)` solves `z² + z = a` — the key
     /// step when decompressing points on binary curves.
@@ -317,31 +322,21 @@ impl<F: FieldSpec> Element<F> {
     /// Panics if the extension degree m is even.
     pub fn half_trace(&self) -> Self {
         assert!(F::M % 2 == 1, "half-trace requires odd extension degree");
-        let mut acc = *self;
-        let mut t = *self;
-        for _ in 0..(F::M - 1) / 2 {
-            t = t.square().square();
-            acc += t;
-        }
-        acc
+        ActiveBackend::half_trace(self)
     }
 
     /// Solve `z² + z = self`; returns the two solutions `z` and `z + 1`
     /// when `Tr(self) == 0`, or `None` otherwise.
     ///
-    /// Computes the half-trace candidate first and verifies it with one
-    /// squaring — solvability falls out of the check, so the separate
-    /// m-squaring trace computation (as expensive as the half-trace
-    /// itself) is never paid. Point decompression calls this once per
-    /// received point.
+    /// Computes the half-trace candidate and verifies it with one
+    /// squaring, so solvability falls out of the check. Point
+    /// decompression calls this once per received point.
     pub fn solve_quadratic(&self) -> Option<(Self, Self)> {
         let z = self.half_trace();
         if z.square() + z != *self {
             // No solution exists exactly when Tr(self) = 1.
-            debug_assert_eq!(self.trace(), 1);
             return None;
         }
-        debug_assert_eq!(self.trace(), 0);
         Some((z, z + Self::one()))
     }
 

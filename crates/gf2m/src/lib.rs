@@ -23,7 +23,8 @@
 //!   [`vpclmul`]), each runtime-detected; and a portable backend —
 //!   word-bounded comb scalars and bitsliced batches (64 products across
 //!   `u64` bit-planes, see [`bitslice`]). Both serving backends share
-//!   word-level sparse reduction, multi-squaring inversions and
+//!   word-level sparse reduction, cached linear-map tables for the
+//!   multi-squarings of inversion and for the half-trace, and
 //!   [`batch_invert`]. `Element`'s operators dispatch on the
 //!   process-wide [`select_backend`] choice (`MEDSEC_GF2M_BACKEND=bitsliced`
 //!   forces the portable backend).

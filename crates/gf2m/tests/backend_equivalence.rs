@@ -127,6 +127,23 @@ fn f17_inverse_agrees_exhaustively() {
 }
 
 #[test]
+fn f17_half_trace_agrees_exhaustively() {
+    for a in f17_all() {
+        let model = ModelBackend::half_trace(&a);
+        assert_eq!(
+            BitslicedBackend::half_trace(&a),
+            model,
+            "half_trace mismatch at {a}"
+        );
+        assert_eq!(
+            VpclmulBackend::half_trace(&a),
+            model,
+            "vpclmul half_trace mismatch at {a}"
+        );
+    }
+}
+
+#[test]
 fn f17_mul_agrees_on_dense_grid() {
     // All pairs is 2^34 — instead sweep every element against a fixed
     // panel of structurally diverse multipliers (low, high, sparse,
@@ -198,6 +215,9 @@ macro_rules! field_equivalence {
                 prop_assert_eq!(VpclmulBackend::square(&a), ModelBackend::square(&a));
                 prop_assert_eq!(BitslicedBackend::invert(&a), ModelBackend::invert(&a));
                 prop_assert_eq!(VpclmulBackend::invert(&a), ModelBackend::invert(&a));
+                let model_ht = ModelBackend::half_trace(&a);
+                prop_assert_eq!(BitslicedBackend::half_trace(&a), model_ht);
+                prop_assert_eq!(VpclmulBackend::half_trace(&a), model_ht);
                 // The ring laws hold across the seam: (a·b)² = a²·b².
                 let lhs = BitslicedBackend::square(&model_mul);
                 let rhs = ModelBackend::mul(

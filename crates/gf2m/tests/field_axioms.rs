@@ -1,7 +1,8 @@
 //! Property-based verification that `Element<F>` forms a field, for the
-//! paper's field F(2^163) and the toy field F(2^17).
+//! paper's field F(2^163), the larger NIST fields F(2^233) and F(2^283),
+//! and the toy field F(2^17).
 
-use medsec_gf2m::{digit_serial, Element, FieldSpec, F163, F17, F233};
+use medsec_gf2m::{digit_serial, Element, FieldSpec, F163, F17, F233, F283};
 use proptest::prelude::*;
 
 fn arb_element<F: FieldSpec>() -> impl Strategy<Value = Element<F>> {
@@ -10,6 +11,19 @@ fn arb_element<F: FieldSpec>() -> impl Strategy<Value = Element<F>> {
         l.copy_from_slice(&v);
         Element::<F>::from_limbs_reduced(l)
     })
+}
+
+/// Tr(a) = Σ a^(2^i) for i in 0..m by the squaring chain: an oracle
+/// independent of the half-trace identity `Element::trace` uses.
+fn trace_by_squaring_chain<F: FieldSpec>(a: Element<F>) -> u8 {
+    let mut acc = a;
+    let mut t = a;
+    for _ in 1..F::M {
+        t = t.square();
+        acc += t;
+    }
+    assert!(acc.is_zero() || acc == Element::one());
+    u8::from(!acc.is_zero())
 }
 
 macro_rules! field_axioms {
@@ -93,6 +107,23 @@ macro_rules! field_axioms {
                 fn bytes_round_trip(a in arb_element::<$field>()) {
                     prop_assert_eq!(Element::<$field>::from_bytes_reduced(&a.to_bytes()), a);
                 }
+
+                #[test]
+                fn trace_matches_squaring_chain(a in arb_element::<$field>()) {
+                    prop_assert_eq!(a.trace(), trace_by_squaring_chain(a));
+                }
+
+                /// Solving z^2 + z = c succeeds exactly when Tr(c) = 0.
+                #[test]
+                fn quadratic_solvability(a in arb_element::<$field>()) {
+                    match a.solve_quadratic() {
+                        Some((z, _)) => {
+                            prop_assert_eq!(trace_by_squaring_chain(a), 0);
+                            prop_assert_eq!(z.square() + z, a);
+                        }
+                        None => prop_assert_eq!(trace_by_squaring_chain(a), 1),
+                    }
+                }
             }
         }
     };
@@ -101,6 +132,7 @@ macro_rules! field_axioms {
 field_axioms!(f163, F163);
 field_axioms!(f17, F17);
 field_axioms!(f233, F233);
+field_axioms!(f283, F283);
 
 proptest! {
     /// The digit-serial hardware datapath must agree with the software
@@ -114,17 +146,5 @@ proptest! {
         let (p, cycles) = digit_serial::mul_digit_serial(a, b, d);
         prop_assert_eq!(p, a * b);
         prop_assert_eq!(cycles, digit_serial::cycles_per_mul(163, d));
-    }
-
-    /// Solving z^2 + z = c succeeds exactly when Tr(c) = 0.
-    #[test]
-    fn quadratic_solvability(a in arb_element::<F163>()) {
-        match a.solve_quadratic() {
-            Some((z, _)) => {
-                prop_assert_eq!(a.trace(), 0);
-                prop_assert_eq!(z.square() + z, a);
-            }
-            None => prop_assert_eq!(a.trace(), 1),
-        }
     }
 }

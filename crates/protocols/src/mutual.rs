@@ -90,12 +90,14 @@ impl<C: CurveSpec> Device<C> {
     /// a session and emit one encrypted telemetry frame.
     ///
     /// Under [`Ordering::ServerFirst`] the CMAC is checked over the
-    /// *received encoding* before the point is even decompressed —
-    /// decompression costs a field inversion plus a half-trace, so the
-    /// paper's "server authentication should be performed before other
-    /// operations" rule (§4) applies to it exactly as it does to the
-    /// two point multiplications. A forged hello is now rejected for
-    /// the price of one CMAC over raw bytes.
+    /// *received encoding* before the point is even decompressed, so
+    /// the paper's "server authentication should be performed before
+    /// other operations" rule (§4) covers decompression as it does the
+    /// two point multiplications. On the device, decompression costs a
+    /// field inversion plus a half-trace of (m−1)/2 double squarings
+    /// (the gateway's table half-trace needs hundreds of KiB an implant
+    /// does not have); the ledger books neither. A forged hello is
+    /// rejected for the price of one CMAC over raw bytes.
     pub fn run_session_frame(
         &self,
         payload: &[u8],
