@@ -1,20 +1,21 @@
-//! Variable-base scalar-multiplication strategies head to head:
-//! protected ladder vs τNAF vs the interleaved two-scalar `mul_add`,
-//! single and batched, per curve. This is the serving-path regression
-//! tripwire — if the τNAF engine stops beating the ladder on Koblitz
-//! curves, fleet throughput regressed.
+//! The server's variable-base scalar multiplication per curve: one
+//! protected ladder, the single and batched verification shape
+//! `a·G + b·Q`, and the batched ECDH shape, all through the
+//! `medsec_ec::varbase` entry points the suite servers call. Every
+//! server curve runs the ladder; batches on fields with m ≥ 64 run it
+//! in lockstep over plane-major data.
 //!
-//! Before Criterion runs, `lockstep_cost_gate` aborts the bench if the
-//! B-163 ladder fallback stops batching: with the vpclmul backend
-//! active and its AVX-512 batch kernel live, a 64-item
+//! Before Criterion runs, `lockstep_cost_gate` aborts the bench if a
+//! server curve's batches stop running in lockstep: with the vpclmul
+//! backend active and its AVX-512 batch kernel live, a 64-item
 //! `varbase_mul_add_gen_batch` must cost at most 1/3 per item of 64
-//! single `varbase_mul_add_gen` calls.
+//! single `varbase_mul_add_gen` calls, on B-163 and on K-163.
 
 use criterion::{criterion_group, Criterion};
 use medsec_ec::{
     ladder::{ladder_mul, CoordinateBlinding},
-    server_strategy_name, tnaf_mul, tnaf_mul_add_gen, varbase_mul_add_gen,
-    varbase_mul_add_gen_batch, CurveSpec, Point, Scalar, B163, K163, K233, K283,
+    server_strategy_name, varbase_mul, varbase_mul_add_gen, varbase_mul_add_gen_batch,
+    varbase_x_batch, CurveSpec, Point, Scalar, B163, K163, K233, K283,
 };
 use medsec_gf2m::{select_backend, vpclmul, BackendChoice};
 use medsec_rng::SplitMix64;
@@ -40,29 +41,20 @@ fn bench_curve<C: CurveSpec>(c: &mut Criterion) {
     let name = format!("varbase/{}[{}]", C::NAME, server_strategy_name::<C>());
     let mut group = c.benchmark_group(&name);
     group.bench_function("ladder", |b| {
-        b.iter(|| {
-            black_box(ladder_mul(
-                &k,
-                &base,
-                CoordinateBlinding::RandomZ,
-                rng.as_fn(),
-            ))
-        })
+        b.iter(|| black_box(varbase_mul(&k, &base, rng.as_fn())))
     });
-    if medsec_ec::is_koblitz::<C>() {
-        group.bench_function("tnaf", |b| b.iter(|| black_box(tnaf_mul(&k, &base))));
-        group.bench_function("tnaf_mul_add", |b| {
-            b.iter(|| black_box(tnaf_mul_add_gen(&k, &e, &base)))
-        });
-    }
-    // The seam-dispatched verification shape on every curve (τNAF or
-    // comb + ladder fallback), single and as one 64-item batch.
-    group.bench_function("engine_mul_add", |b| {
+    // The verification shape, single and as one 64-item batch, and the
+    // ECDH shape as one 64-item batch.
+    group.bench_function("mul_add", |b| {
         b.iter(|| black_box(varbase_mul_add_gen(&k, &e, &base, rng.as_fn())))
     });
     let items = mul_add_items::<C>(64, &mut rng);
-    group.bench_function("engine_mul_add_batch64", |b| {
+    group.bench_function("mul_add_batch64", |b| {
         b.iter(|| black_box(varbase_mul_add_gen_batch(&items, rng.as_fn())))
+    });
+    let pairs: Vec<(Scalar<C>, Point<C>)> = items.iter().map(|(_, b, q)| (*b, *q)).collect();
+    group.bench_function("x_batch64", |b| {
+        b.iter(|| black_box(varbase_x_batch(&pairs, rng.as_fn())))
     });
     group.finish();
 }
@@ -93,23 +85,23 @@ fn per_item_s(items: usize, mut f: impl FnMut()) -> f64 {
     t0.elapsed().as_secs_f64() / (calls * items) as f64
 }
 
-/// B-163 has no τNAF, so its verification runs the ladder fallback:
-/// one protected ladder per item for single calls, the lockstep ladder
-/// for batches. The gate times 64 single `varbase_mul_add_gen` calls
-/// against one `varbase_mul_add_gen_batch` of the same 64 items in five
-/// alternating ~200 ms rounds and takes the median per-item ratio.
-/// With the vpclmul backend active and its AVX-512 kernel detected,
-/// where plane operations run four products per instruction, the batch
-/// must be at least 3x cheaper per item (it read 8–10x on a 2-core
-/// AVX-512 host, and 1.1–1.4x with one ladder per item in the batch).
-/// Elsewhere — the bitsliced backend, or `PCLMULQDQ` scalars alone,
-/// where lockstep gains only ~1.2–1.6x — the gate only prints its
-/// result.
-fn lockstep_cost_gate() {
+/// A single call runs one ladder (in lockstep with itself); a batch
+/// runs every item's ladder in lockstep, eight elements per chunk of
+/// the AVX-512 kernel. The gate times 64 single
+/// `varbase_mul_add_gen` calls against one `varbase_mul_add_gen_batch`
+/// of the same 64 items on curve `C` in five alternating ~200 ms rounds
+/// and takes the median per-item ratio. With the vpclmul backend active
+/// and its AVX-512 kernel detected, the batch must be at least 3x
+/// cheaper per item (on a 2-core AVX-512 host it read 6.5–6.6x on
+/// B-163 and on K-163; a batch running one ladder per item reads under
+/// 1x). Elsewhere, the bitsliced backend or `PCLMULQDQ` scalars
+/// alone, where a batch narrower than 64 runs scalar products per
+/// element, the gate only prints its result.
+fn lockstep_cost_gate<C: CurveSpec>() {
     const N: usize = 64;
     const ROUNDS: usize = 5;
     let mut rng = SplitMix64::new(0x10C5);
-    let items = mul_add_items::<B163>(N, &mut rng);
+    let items = mul_add_items::<C>(N, &mut rng);
     let singles = |rng: &mut SplitMix64| {
         for (a, b, q) in &items {
             black_box(varbase_mul_add_gen(a, b, q, rng.as_fn()));
@@ -131,9 +123,10 @@ fn lockstep_cost_gate() {
     let median = ratios[ROUNDS / 2];
     let backend = select_backend();
     println!(
-        "varbase lockstep gate: B-163 mul_add, {N} single calls / one batch of {N}, per item \
+        "varbase lockstep gate: {} mul_add, {N} single calls / one batch of {N}, per item \
          over {ROUNDS} rounds: median {median:.2}x (min {:.2}x, max {:.2}x; backend {}, \
          vpclmulqdq detected: {})",
+        C::NAME,
         ratios[0],
         ratios[ROUNDS - 1],
         backend.name(),
@@ -142,8 +135,9 @@ fn lockstep_cost_gate() {
     if backend == BackendChoice::Vpclmul && vpclmul::hardware_available() {
         assert!(
             median >= 3.0,
-            "a 64-item B-163 varbase_mul_add_gen_batch must cost at most 1/3 per item of \
-             single calls on vpclmul (got {median:.2}x cheaper)"
+            "a 64-item {} varbase_mul_add_gen_batch must cost at most 1/3 per item of \
+             single calls on vpclmul (got {median:.2}x cheaper)",
+            C::NAME
         );
     }
 }
@@ -160,6 +154,7 @@ fn bench_varbase(c: &mut Criterion) {
 criterion_group!(benches, bench_varbase);
 
 fn main() {
-    lockstep_cost_gate();
+    lockstep_cost_gate::<B163>();
+    lockstep_cost_gate::<K163>();
     benches();
 }

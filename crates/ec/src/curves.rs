@@ -8,7 +8,7 @@
 //!   Koblitz curve (b = 1) optimizes away.
 //! * [`K233`], [`K283`] — the next two NIST Koblitz curves (sect233k1,
 //!   sect283k1), the design-space sweep's higher security levels and the
-//!   other two curves the τNAF variable-base engine serves.
+//!   other two Koblitz curves the gateway serves.
 //! * [`Toy17`] — a cofactor-2 curve over F(2^17) whose group order
 //!   (2 × 65587) was obtained by exhaustive point counting, so every
 //!   scalar-multiplication algorithm can be validated against brute

@@ -328,6 +328,9 @@ pub(crate) fn ladder_x_only_lockstep<C: CurveSpec>(
         "x-only ladder cannot process the x = 0 point"
     );
     let n = lanes.len();
+    if n == 0 {
+        return Vec::new();
+    }
     let nbits = C::LADDER_BITS;
     let mut s = LockstepPlanes::default();
     for p in [&mut s.x1, &mut s.z1, &mut s.x2, &mut s.z2, &mut s.px] {

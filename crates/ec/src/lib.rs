@@ -13,9 +13,10 @@
 //! # Field-backend threading
 //!
 //! Every field operation in this crate — the fixed-base [`comb`], the
-//! τNAF engine ([`tnaf`]), the shared LD-projective kernel (`proj`),
-//! batched x-affine normalization and point (de)compression — goes
-//! through `medsec_gf2m::Element`'s operators, which dispatch on the
+//! server's lockstep ladders ([`varbase`]), the shared LD-projective
+//! kernel (`proj`), batched x-affine normalization and point
+//! (de)compression — goes through `medsec_gf2m::Element`'s operators
+//! or its plane-major batch entry points, which dispatch on the
 //! process-wide `medsec_gf2m::select_backend()` choice. On CLMUL-capable
 //! x86_64 hosts the whole serving stack therefore runs on hardware
 //! carry-less multiplication with no change here. The SCA/energy
@@ -60,5 +61,5 @@ pub use scalar::{parse_hex_limbs, Scalar, SCALAR_LIMBS};
 pub use tnaf::{is_koblitz, tnaf_mul, tnaf_mul_add_gen, tnaf_mul_add_gen_batch, tnaf_mul_batch};
 pub use varbase::{
     server_strategy_name, varbase_mul, varbase_mul_add_gen, varbase_mul_add_gen_batch,
-    varbase_mul_batch, varbase_x_batch, varbase_x_batch_with, VarBaseStrategy,
+    varbase_mul_batch, varbase_x_batch, varbase_x_batch_with,
 };

@@ -1,6 +1,6 @@
-//! Shared López–Dahab projective point arithmetic for the serving-side
-//! scalar-multiplication engines (the fixed-base comb and the τNAF
-//! variable-base engine).
+//! Shared López–Dahab projective point arithmetic for the fixed-base
+//! comb, the batched point additions of the server's `mul_add`, and
+//! the τNAF engine.
 //!
 //! Coordinates are `x = X/Z`, `y = Y/Z²`, with `Z = 0` encoding the
 //! point at infinity. Everything here is *compute*-path code: the
@@ -48,10 +48,10 @@ impl<C: CurveSpec> LdPoint<C> {
     /// The Frobenius endomorphism τ(x, y) = (x², y²) applied to the
     /// projective representative: squaring all three coordinates squares
     /// both `X/Z` and `Y/Z²`, so τ costs three field squarings and no
-    /// multiplication — the whole reason the τNAF engine wins.
+    /// multiplication.
     ///
-    /// The serving path now batches this ([`tau_batch`]); the scalar
-    /// form stays as the per-point oracle the batched op is pinned to.
+    /// The τNAF engine batches this ([`tau_batch`]); the scalar form
+    /// stays as the per-point oracle the batched op is pinned to.
     #[cfg_attr(not(test), allow(dead_code))]
     pub(crate) fn tau(&self) -> Self {
         Self {

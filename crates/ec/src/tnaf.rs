@@ -1,20 +1,25 @@
-//! τ-adic variable-base scalar multiplication for Koblitz curves — the
-//! serving-side engine behind [`crate::varbase`].
+//! τ-adic variable-base scalar multiplication for Koblitz curves. No
+//! serving path calls it: every server entry point in
+//! [`crate::varbase`] runs the protected ladder. The engine stays only
+//! because perfbench's `ec.tnaf_*` probes call it by name.
 //!
 //! The paper's chip deliberately rejects Solinas' τ-adic expansions: on
 //! the implant, constant operation flow (the Montgomery ladder) beats
-//! raw speed because SPA is in the threat model (§4, §7). The *reader*
-//! faces the opposite trade — it is wall-powered, holds no long-term
-//! device secrets in its scalar-multiplication hot loop, and serves
-//! thousands of sessions — so it is exactly the place to exploit the
-//! curve structure [`crate::frobenius`] verifies: on a Koblitz curve
-//! (`a ∈ {0, 1}`, `b = 1`) the field Frobenius lifts to the curve
-//! endomorphism `τ(x, y) = (x², y²)` with `τ² − μτ + 2 = 0`,
-//! `μ = (−1)^(1−a)`, and squaring is nearly free in F(2^m). A width-w
-//! τ-adic NAF replaces every ladder step (≈5 field multiplications per
-//! scalar bit) with one τ (three squarings) plus a sparse stream of
-//! mixed additions — the dual-factor asymmetry Maji et al. exploit
-//! between in-device and server-side crypto.
+//! raw speed because SPA is in the threat model (§4, §7). The reader
+//! holds secrets in the same place: the Peeters–Hermans reader's
+//! long-term key y and the mutual server's ephemeral keys are scalars
+//! of its variable-base multiplications, and this engine reads its
+//! odd-multiple table at indices given by the recoded digits of the
+//! scalar. The gateway therefore runs the ladder too, in lockstep over
+//! each batch, which is also the faster of the two at batch width.
+//!
+//! The engine exploits the curve structure [`crate::frobenius`]
+//! verifies: on a Koblitz curve (`a ∈ {0, 1}`, `b = 1`) the field
+//! Frobenius lifts to the curve endomorphism `τ(x, y) = (x², y²)` with
+//! `τ² − μτ + 2 = 0`, `μ = (−1)^(1−a)`, and squaring is nearly free in
+//! F(2^m). A width-w τ-adic NAF replaces every ladder step (≈5 field
+//! multiplications per scalar bit) with one τ (three squarings) plus a
+//! sparse stream of mixed additions.
 //!
 //! Pipeline, following Solinas (and Hankerson–Menezes–Vanstone §3.4):
 //!

@@ -1,43 +1,37 @@
-//! The variable-base scalar-multiplication seam: *what* is computed
-//! (`k·P` for a run-time base point) decoupled from *how*.
+//! The server's variable-base scalar multiplication: `k·P` for a
+//! run-time base point, computed on every curve by the paper's
+//! protected Montgomery ladder ([`crate::ladder`]): constant length,
+//! with randomized projective coordinates.
 //!
-//! This mirrors the gf2m `FieldBackend` seam one layer up. Two
-//! strategies implement the same group operation:
+//! The device-side paths (the implant's ECDH `shared_x`, the tag's
+//! `r·Y`) and every SCA and energy experiment call `ladder::*`
+//! directly. The entry points here are the gateway's: the same ladder,
+//! batched.
 //!
-//! * [`VarBaseStrategy::ProtectedLadder`] — the paper's constant-length
-//!   Montgomery ladder with randomized projective coordinates
-//!   ([`crate::ladder`]). Every **device-side** path (the implant's
-//!   ECDH `shared_x`, the tag's `r·Y`) and every SCA/energy experiment
-//!   is pinned to it directly — those call sites import `ladder::*`
-//!   and never dispatch through this seam, so τNAF is unreachable from
-//!   the modeled hardware.
-//! * [`VarBaseStrategy::ServerTnaf`] — the τ-adic engine
-//!   ([`crate::tnaf`]) for the wall-powered serving side, selected for
-//!   Koblitz curves over fields large enough that the per-scalar
-//!   recoding and table cost pays for itself (everything but the toy
-//!   curve). Non-Koblitz curves (B-163) and the toy curve fall back to
-//!   the ladder.
+//! A batch over a field with m ≥ 64 runs its ladders **in lockstep**:
+//! every item takes the same ladder step at the same time, each field
+//! operation is one batched plane operation over all items, and each
+//! item's key bit steers a masked per-lane swap (`gf2m::ct`) instead of
+//! a branch. The y-recoveries then share one batched inversion, and
+//! `mul_add`'s `a·G + b·Q` is one batched mixed addition normalized by
+//! a second. Each item's blinding Z is drawn in item order before the
+//! first step, so results and the caller's random stream match the
+//! per-item ladders bit for bit (`tests/varbase_equivalence.rs`). The
+//! toy curve and [`varbase_mul`] run one ladder per item, each with its
+//! own inversions for y-recovery (and, in `mul_add`, the affine sum).
 //!
-//! On the ladder fallback, a batch entry point with at least four
-//! finite bases (`LOCKSTEP_MIN_LANES`) over a field with m ≥ 64 (B-163
-//! in practice) runs its ladders **in lockstep**: every item takes the
-//! same ladder step at the same time, each field operation is one
-//! batched plane operation over all items, and each item's key bit
-//! steers a masked per-lane swap (`gf2m::ct`) instead of a branch. The
-//! y-recoveries then share one batched inversion, and `mul_add`'s
-//! `a·G + b·Q` is one batched mixed addition normalized by a second.
-//! Each item's blinding Z is drawn in item order before the first
-//! step, so results and the caller's random stream match the per-item
-//! ladders bit for bit (`tests/varbase_equivalence.rs`). Smaller
-//! batches, the toy curve and the single-item entry points run one
-//! ladder per item, with one inversion each for y-recovery and the
-//! affine sum.
+//! Two of the server's scalars are secrets: the Peeters–Hermans
+//! reader's long-term key y (every ḋ = xcoord(y·R)) and the mutual
+//! server's ephemeral key. The ladder's operation flow does not depend
+//! on either: a lane's key bit only steers its masked swaps, inside a
+//! lint-checked constant-time region. The τ-adic engine
+//! ([`crate::tnaf`]) indexes a table by the scalar's digits, so no
+//! serving path calls it.
 //!
-//! The server-side entry points below dispatch on
-//! [`VarBaseStrategy::server_default`]; perfbench's host fingerprint
-//! records the selected strategy name next to the field backend, so
-//! every benchmark run is attributable to the exact compute stack
-//! behind it.
+//! [`server_strategy_name`] names the algorithm behind these entry
+//! points; perfbench's host fingerprint records it next to the field
+//! backend, so every benchmark run is attributable to the compute
+//! stack behind it.
 
 use medsec_gf2m::{Element, FieldSpec};
 
@@ -48,98 +42,51 @@ use crate::ladder::{
 };
 use crate::proj::add_pairs_batch;
 use crate::scalar::Scalar;
-use crate::tnaf;
 
-/// Fewest ladders a fallback batch must run before they go in
-/// lockstep. Below four lanes every plane operation runs the batch
-/// backend's scalar tail, with a gather and a scatter around it, and
-/// the lockstep ladder loses to per-item ladders. Measured with
-/// `varbase_x_batch` on B-163 over vpclmul (AVX-512 VPCLMULQDQ, 2-core
-/// x86-64 host), per item, median of five ~200 ms rounds, lockstep
-/// against per-item: width 1 233 µs against 191 µs, width 2 216 against
-/// 204, width 3 202 against 167, width 4 33 against 190, width 64 22
-/// against 184.
-const LOCKSTEP_MIN_LANES: usize = 4;
-
-/// Whether a fallback batch running `lanes` ladders (one per finite
-/// base) on curve `C` runs them in lockstep: on fields with m ≥ 64 (the
-/// cutoff [`VarBaseStrategy::server_default`] applies to τNAF; the toy
-/// field's planes are reduced one element at a time, so lockstep gains
-/// nothing there) and from [`LOCKSTEP_MIN_LANES`] ladders up.
-fn use_lockstep<C: CurveSpec>(lanes: usize) -> bool {
-    C::Field::M >= 64 && lanes >= LOCKSTEP_MIN_LANES
+/// Whether batches on curve `C` run their ladders in lockstep: on
+/// fields with m ≥ 64, at every batch width. The AVX-512 kernel runs a
+/// batch's last one to seven elements as one masked chunk, so on the
+/// vpclmul backend lockstep beats one ladder per item from width 1
+/// (K-163 x-only, per item on a 2-core AVX-512 host: 87 µs at width 1,
+/// 24 at width 4, 16 at width 8, 12 at width 64, against 140–156 µs
+/// for separate ladders).
+/// On the bitsliced backend, whose batches narrower than 64 run scalar
+/// products per element, it reads within noise of separate ladders.
+/// The toy field's planes are reduced one element at a time, so
+/// lockstep gains nothing there.
+fn use_lockstep<C: CurveSpec>() -> bool {
+    C::Field::M >= 64
 }
 
-/// How a variable-base scalar multiplication is carried out.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum VarBaseStrategy {
-    /// Constant-length Montgomery ladder with coordinate blinding — the
-    /// device/SCA/energy path (and the fallback for curves τNAF cannot
-    /// or should not serve).
-    ProtectedLadder,
-    /// Width-w τNAF over the Frobenius endomorphism — the serving path
-    /// on Koblitz curves.
-    ServerTnaf,
-}
-
-impl VarBaseStrategy {
-    /// The strategy the serving side uses for curve `C`: τNAF exactly
-    /// when the curve is Koblitz **and** the field is large enough for
-    /// the recoding/table overhead to pay off (m ≥ 64 — i.e. K-163,
-    /// K-233, K-283 but not the 17-bit toy curve).
-    pub fn server_default<C: CurveSpec>() -> Self {
-        if tnaf::is_koblitz::<C>() && C::Field::M >= 64 {
-            VarBaseStrategy::ServerTnaf
-        } else {
-            VarBaseStrategy::ProtectedLadder
-        }
-    }
-
-    /// Short name, recorded next to throughput numbers.
-    pub fn name(self) -> &'static str {
-        match self {
-            VarBaseStrategy::ProtectedLadder => "ladder",
-            VarBaseStrategy::ServerTnaf => "tnaf",
-        }
-    }
-}
-
-/// Name of the server-side strategy for curve `C` (for bench metadata).
+/// Name of the server's variable-base algorithm for curve `C` (for
+/// bench metadata): `"ladder"` on every curve.
 pub fn server_strategy_name<C: CurveSpec>() -> &'static str {
-    VarBaseStrategy::server_default::<C>().name()
+    "ladder"
 }
 
-/// Server-side `k·P` for a run-time base point. `next_u64` feeds the
-/// ladder's coordinate blinding on the fallback path; the τNAF path is
-/// deterministic (the server's scalars are not device secrets).
+/// Server-side `k·P` for a run-time base point: one protected ladder,
+/// blinded from `next_u64`.
 ///
 /// # Panics
 ///
-/// On the ladder fallback, panics if `p` is the order-2 point with
-/// x = 0 (see [`ladder_mul`]); it is never in the prime-order subgroup,
-/// and servers refuse it before calling here.
+/// Panics if `p` is the order-2 point with x = 0 (see [`ladder_mul`]);
+/// it is never in the prime-order subgroup, and servers refuse it
+/// before calling here.
 pub fn varbase_mul<C: CurveSpec>(
     k: &Scalar<C>,
     p: &Point<C>,
-    mut next_u64: impl FnMut() -> u64,
+    next_u64: impl FnMut() -> u64,
 ) -> Point<C> {
-    match VarBaseStrategy::server_default::<C>() {
-        VarBaseStrategy::ServerTnaf => tnaf::tnaf_mul(k, p),
-        VarBaseStrategy::ProtectedLadder => {
-            ladder_mul(k, p, CoordinateBlinding::RandomZ, &mut next_u64)
-        }
-    }
+    ladder_mul(k, p, CoordinateBlinding::RandomZ, next_u64)
 }
 
-/// Server-side batched `k_i·P_i`. τNAF normalizes every result with
-/// one inversion; the ladder fallback runs its ladders in lockstep
-/// with one inversion for every y-recovery (see the module doc), or
-/// one ladder per item in batches below the lockstep cutoff.
+/// Server-side batched `k_i·P_i`: the ladders run in lockstep with one
+/// inversion for every y-recovery (see the module doc), or one ladder
+/// per item on the toy curve.
 ///
 /// # Panics
 ///
-/// On the ladder fallback, panics if a base is the order-2 point with
-/// x = 0.
+/// Panics if a base is the order-2 point with x = 0.
 pub fn varbase_mul_batch<C: CurveSpec>(
     items: &[(Scalar<C>, Point<C>)],
     mut next_u64: impl FnMut() -> u64,
@@ -147,18 +94,13 @@ pub fn varbase_mul_batch<C: CurveSpec>(
     if items.is_empty() {
         return Vec::new();
     }
-    match VarBaseStrategy::server_default::<C>() {
-        VarBaseStrategy::ServerTnaf => tnaf::tnaf_mul_batch(items),
-        VarBaseStrategy::ProtectedLadder => {
-            if use_lockstep::<C>(items.iter().filter(|(_, p)| !p.is_infinity()).count()) {
-                return ladder_mul_lockstep(items, next_u64);
-            }
-            items
-                .iter()
-                .map(|(k, p)| ladder_mul(k, p, CoordinateBlinding::RandomZ, &mut next_u64))
-                .collect()
-        }
+    if use_lockstep::<C>() {
+        return ladder_mul_lockstep(items, next_u64);
     }
+    items
+        .iter()
+        .map(|(k, p)| ladder_mul(k, p, CoordinateBlinding::RandomZ, &mut next_u64))
+        .collect()
 }
 
 /// Server-side batched shared-secret computation: the affine
@@ -167,8 +109,7 @@ pub fn varbase_mul_batch<C: CurveSpec>(
 ///
 /// # Panics
 ///
-/// On the ladder fallback, panics if a base is the order-2 point with
-/// x = 0.
+/// Panics if a base is the order-2 point with x = 0.
 pub fn varbase_x_batch<C: CurveSpec>(
     items: &[(Scalar<C>, Point<C>)],
     next_u64: impl FnMut() -> u64,
@@ -181,16 +122,15 @@ pub fn varbase_x_batch<C: CurveSpec>(
 /// [`varbase_x_batch`] with caller-owned normalization scratch and
 /// output buffer — the hub-worker entry point: the batched-inversion
 /// and plane-multiplication buffers live in the worker's
-/// [`XAffineScratch`] and are reused across batches on both
-/// strategies. `out` is cleared and refilled.
+/// [`XAffineScratch`] and are reused across batches. `out` is cleared
+/// and refilled.
 ///
-/// On the ladder fallback the x-only ladders run in lockstep from four
-/// finite bases up (module doc).
+/// The x-only ladders run in lockstep on fields with m ≥ 64 (module
+/// doc).
 ///
 /// # Panics
 ///
-/// On the ladder fallback, panics if a base is the order-2 point with
-/// x = 0.
+/// Panics if a base is the order-2 point with x = 0.
 pub fn varbase_x_batch_with<C: CurveSpec>(
     items: &[(Scalar<C>, Point<C>)],
     mut next_u64: impl FnMut() -> u64,
@@ -201,49 +141,40 @@ pub fn varbase_x_batch_with<C: CurveSpec>(
     if items.is_empty() {
         return;
     }
-    match VarBaseStrategy::server_default::<C>() {
-        VarBaseStrategy::ServerTnaf => tnaf::tnaf_x_batch_with(items, scratch, out),
-        VarBaseStrategy::ProtectedLadder => {
-            // x-only ladders, one batched inversion. Bases at infinity
-            // have no x and yield `None` without running a ladder.
-            let mut lanes: Vec<(Scalar<C>, Element<C::Field>)> = Vec::with_capacity(items.len());
-            let mut live: Vec<usize> = Vec::with_capacity(items.len());
-            for (i, (k, p)) in items.iter().enumerate() {
-                if let Some(px) = p.x() {
-                    lanes.push((*k, px));
-                    live.push(i);
-                }
-            }
-            let states: Vec<LadderState<C>> = if use_lockstep::<C>(lanes.len()) {
-                ladder_x_only_lockstep(&lanes, next_u64)
-            } else {
-                lanes
-                    .iter()
-                    .map(|(k, px)| {
-                        ladder_x_only::<C>(k, *px, CoordinateBlinding::RandomZ, &mut next_u64)
-                    })
-                    .collect()
-            };
-            let mut xs = Vec::with_capacity(states.len());
-            batch_x_affine_into(&states, scratch, &mut xs);
-            out.resize(items.len(), None);
-            for (slot, x) in live.into_iter().zip(xs) {
-                out[slot] = x;
-            }
+    // x-only ladders, one batched inversion. Bases at infinity have no
+    // x and yield `None` without running a ladder.
+    let mut lanes: Vec<(Scalar<C>, Element<C::Field>)> = Vec::with_capacity(items.len());
+    let mut live: Vec<usize> = Vec::with_capacity(items.len());
+    for (i, (k, p)) in items.iter().enumerate() {
+        if let Some(px) = p.x() {
+            lanes.push((*k, px));
+            live.push(i);
         }
+    }
+    let states: Vec<LadderState<C>> = if use_lockstep::<C>() {
+        ladder_x_only_lockstep(&lanes, next_u64)
+    } else {
+        lanes
+            .iter()
+            .map(|(k, px)| ladder_x_only::<C>(k, *px, CoordinateBlinding::RandomZ, &mut next_u64))
+            .collect()
+    };
+    let mut xs = Vec::with_capacity(states.len());
+    batch_x_affine_into(&states, scratch, &mut xs);
+    out.resize(items.len(), None);
+    for (slot, x) in live.into_iter().zip(xs) {
+        out[slot] = x;
     }
 }
 
 /// Server-side `a·G + b·Q` — the verification equation shape
-/// (`s·P − e·X` for Schnorr, `(s − ḋ)·P − e·R` for Peeters–Hermans).
-/// On Koblitz curves this is one interleaved Strauss pass over τNAF;
-/// the fallback runs the fixed-base comb plus one per-item ladder (a
-/// single item never reaches the lockstep cutoff).
+/// (`s·P − e·X` for Schnorr, `(s − ḋ)·P − e·R` for Peeters–Hermans):
+/// the fixed-base comb for `a·G` plus one protected ladder for `b·Q`,
+/// as a batch of one.
 ///
 /// # Panics
 ///
-/// On the ladder fallback, panics if `q` is the order-2 point with
-/// x = 0.
+/// Panics if `q` is the order-2 point with x = 0.
 pub fn varbase_mul_add_gen<C: CurveSpec>(
     a: &Scalar<C>,
     b: &Scalar<C>,
@@ -255,19 +186,16 @@ pub fn varbase_mul_add_gen<C: CurveSpec>(
         .expect("one result per input")
 }
 
-/// Batched `a_i·G + b_i·Q_i`. τNAF shares one inversion across every
-/// per-item table and one across every result. The ladder fallback
-/// batches all fixed-base terms through one comb pass (one inversion).
-/// From four finite `Q_i` up on fields with m ≥ 64 it runs the
-/// `b_i·Q_i` ladders in lockstep, recovers every y with one inversion
-/// and forms every `a_i·G + b_i·Q_i` by one batched mixed addition
-/// normalized by one more. Smaller batches and the toy curve run one
-/// ladder and two inversions per item.
+/// Batched `a_i·G + b_i·Q_i`. Every fixed-base term goes through one
+/// comb pass (one inversion). On fields with m ≥ 64 the `b_i·Q_i`
+/// ladders run in lockstep, every y is recovered with one inversion,
+/// and every `a_i·G + b_i·Q_i` is one batched mixed addition normalized
+/// by one more. The toy curve runs one ladder and two inversions per
+/// item.
 ///
 /// # Panics
 ///
-/// On the ladder fallback, panics if a `Q_i` is the order-2 point with
-/// x = 0.
+/// Panics if a `Q_i` is the order-2 point with x = 0.
 pub fn varbase_mul_add_gen_batch<C: CurveSpec>(
     items: &[(Scalar<C>, Scalar<C>, Point<C>)],
     mut next_u64: impl FnMut() -> u64,
@@ -275,25 +203,17 @@ pub fn varbase_mul_add_gen_batch<C: CurveSpec>(
     if items.is_empty() {
         return Vec::new();
     }
-    match VarBaseStrategy::server_default::<C>() {
-        VarBaseStrategy::ServerTnaf => tnaf::tnaf_mul_add_gen_batch(items),
-        VarBaseStrategy::ProtectedLadder => {
-            let fixed_scalars: Vec<Scalar<C>> = items.iter().map(|(a, _, _)| *a).collect();
-            let fixed = crate::comb::generator_mul_batch(&fixed_scalars);
-            if use_lockstep::<C>(items.iter().filter(|(_, _, q)| !q.is_infinity()).count()) {
-                let var: Vec<(Scalar<C>, Point<C>)> =
-                    items.iter().map(|(_, b, q)| (*b, *q)).collect();
-                return add_pairs_batch(&fixed, &ladder_mul_lockstep(&var, next_u64));
-            }
-            items
-                .iter()
-                .zip(fixed)
-                .map(|((_, b, q), ag)| {
-                    ag + ladder_mul(b, q, CoordinateBlinding::RandomZ, &mut next_u64)
-                })
-                .collect()
-        }
+    let fixed_scalars: Vec<Scalar<C>> = items.iter().map(|(a, _, _)| *a).collect();
+    let fixed = crate::comb::generator_mul_batch(&fixed_scalars);
+    if use_lockstep::<C>() {
+        let var: Vec<(Scalar<C>, Point<C>)> = items.iter().map(|(_, b, q)| (*b, *q)).collect();
+        return add_pairs_batch(&fixed, &ladder_mul_lockstep(&var, next_u64));
     }
+    items
+        .iter()
+        .zip(fixed)
+        .map(|((_, b, q), ag)| ag + ladder_mul(b, q, CoordinateBlinding::RandomZ, &mut next_u64))
+        .collect()
 }
 
 #[cfg(test)]
@@ -315,12 +235,10 @@ mod tests {
     #[test]
     fn strategy_selection_per_curve() {
         use crate::curves::{K233, K283};
-        assert_eq!(server_strategy_name::<K163>(), "tnaf");
-        assert_eq!(server_strategy_name::<K233>(), "tnaf");
-        assert_eq!(server_strategy_name::<K283>(), "tnaf");
-        // Not Koblitz → ladder.
+        assert_eq!(server_strategy_name::<K163>(), "ladder");
+        assert_eq!(server_strategy_name::<K233>(), "ladder");
+        assert_eq!(server_strategy_name::<K283>(), "ladder");
         assert_eq!(server_strategy_name::<B163>(), "ladder");
-        // Koblitz but too small to pay the recoding overhead → ladder.
         assert_eq!(server_strategy_name::<Toy17>(), "ladder");
     }
 
@@ -344,12 +262,11 @@ mod tests {
     #[test]
     fn fallback_curves_produce_ladder_results() {
         let mut r = rng_from(62);
-        // B-163: not Koblitz — fallback must be taken and correct.
         let g = B163::generator();
         let k = Scalar::<B163>::random_nonzero(&mut r);
         let expect = ladder_mul(&k, &g, CoordinateBlinding::RandomZ, &mut r);
         assert_eq!(varbase_mul(&k, &g, &mut r), expect);
-        // Toy17: Koblitz but below the size cutoff.
+        // Toy17: against brute force.
         let g = Toy17::generator();
         for kv in [0u64, 1, 2, 12345, 65586] {
             let k = Scalar::<Toy17>::from_u64(kv);

@@ -1,14 +1,18 @@
-//! τNAF ⇄ protected-ladder equivalence — the contract behind the
-//! variable-base strategy seam.
+//! The serving contract of the variable-base seam, and the τNAF
+//! engine against the protected ladder.
 //!
-//! The serving stack multiplies with the τ-adic engine on Koblitz
-//! curves; the device/SCA paths stay on the Montgomery ladder. These
-//! tests pin the two bit-for-bit equal on every Koblitz curve the
-//! engine serves (K-163, K-233, K-283), pin the interleaved two-scalar
-//! `mul_add` against separately computed terms, and prove the
-//! non-Koblitz / too-small fallback (B-163, Toy-17) is both taken and
-//! correct — mirroring `crates/gf2m/tests/backend_equivalence.rs` one
-//! layer up.
+//! Every server entry point in `medsec_ec::varbase` runs the protected
+//! Montgomery ladder: in lockstep over plane-major batches on fields
+//! with m ≥ 64, one ladder per item on Toy-17. These tests pin every
+//! batched entry point bit-for-bit equal to one per-item ladder per
+//! item on all five curves, results and random stream alike, at every
+//! width that ends the batch kernels in a ragged chunk. They mirror
+//! `crates/gf2m/tests/backend_equivalence.rs` one layer up.
+//!
+//! The τNAF engine serves no session; perfbench's `ec.tnaf_*` probes
+//! still call it, so its tests against the ladder (every Koblitz curve,
+//! and the interleaved two-scalar `mul_add` against separately
+//! computed terms) stay until it is deleted.
 
 use medsec_ec::{
     ladder::{ladder_mul, ladder_x_affine, ladder_x_only, CoordinateBlinding},
@@ -119,16 +123,15 @@ fn edge_scalars_on_every_koblitz_curve() {
 
 use medsec_gf2m::FieldSpec;
 
-/// The fallback contract: B-163 (not Koblitz) and Toy-17 (Koblitz but
-/// below the size cutoff) must select the ladder — and the dispatched
-/// entry points must still be correct there.
+/// Every curve serves on the ladder, and the single-item entry points
+/// are correct through the seam.
 #[test]
 fn fallback_path_is_taken_and_correct() {
     assert_eq!(server_strategy_name::<B163>(), "ladder");
     assert_eq!(server_strategy_name::<Toy17>(), "ladder");
-    assert_eq!(server_strategy_name::<K163>(), "tnaf");
-    assert_eq!(server_strategy_name::<K233>(), "tnaf");
-    assert_eq!(server_strategy_name::<K283>(), "tnaf");
+    assert_eq!(server_strategy_name::<K163>(), "ladder");
+    assert_eq!(server_strategy_name::<K233>(), "ladder");
+    assert_eq!(server_strategy_name::<K283>(), "ladder");
 
     // B-163: correct through the seam.
     let mut r = rng_from(0xFA11);
@@ -148,12 +151,11 @@ fn fallback_path_is_taken_and_correct() {
     }
 }
 
-/// One fallback batch of width `w`: lane `i % 16 == 4` has its base at
-/// infinity; for `mul_add`, lane `i % 16 == 1` cancels (`a·G = −b·Q`)
-/// and lane `i % 16 == 2` doubles (`a·G = b·Q`); lane `i % 16 == 7`
-/// has a zero variable-base scalar. Widths of four finite bases and up
-/// run the lockstep ladder on B-163; Toy-17 stays on per-item ladders.
-fn fallback_batch<C: CurveSpec>(
+/// One batch of width `w` with edge lanes: lane `i % 16 == 4` has its
+/// base at infinity; for `mul_add`, lane `i % 16 == 1` cancels
+/// (`a·G = −b·Q`) and lane `i % 16 == 2` doubles (`a·G = b·Q`); lane
+/// `i % 16 == 7` has a zero variable-base scalar.
+fn edge_batch<C: CurveSpec>(
     w: usize,
     r: &mut impl FnMut() -> u64,
 ) -> Vec<(Scalar<C>, Scalar<C>, Point<C>)> {
@@ -174,15 +176,18 @@ fn fallback_batch<C: CurveSpec>(
         .collect()
 }
 
-/// The three batched fallback entry points against the per-item
-/// ladder, fed identical streams: bit-for-bit equal results, and the
-/// stream's next draw equal after every call.
-fn fallback_batches_equal_per_item<C: CurveSpec>(seed: u64) {
+/// The three batched entry points against the per-item ladder, fed
+/// identical streams: bit-for-bit equal results, and the stream's next
+/// draw equal after every call. On fields with m ≥ 64 the batches run
+/// in lockstep; widths 1–7 run the AVX-512 plane kernel as one masked
+/// chunk alone, and widths 9, 15 and 65 put a masked chunk behind full
+/// ones.
+fn batches_equal_per_item<C: CurveSpec>(seed: u64) {
     assert_eq!(server_strategy_name::<C>(), "ladder");
     let g = C::generator();
-    for w in [1usize, 3, 4, 5, 64, 65] {
+    for w in [1usize, 2, 3, 4, 5, 6, 7, 8, 9, 15, 64, 65] {
         let mut r = rng_from(seed ^ w as u64);
-        let items = fallback_batch::<C>(w, &mut r);
+        let items = edge_batch::<C>(w, &mut r);
         let var: Vec<(Scalar<C>, Point<C>)> = items.iter().map(|(_, b, q)| (*b, *q)).collect();
         let (mut r1, mut r2) = (
             rng_from(seed.wrapping_add(1)),
@@ -241,11 +246,26 @@ fn fallback_batches_equal_per_item<C: CurveSpec>(seed: u64) {
 }
 
 #[test]
-fn b163_fallback_batches_equal_per_item_ladders() {
-    fallback_batches_equal_per_item::<B163>(0xB163);
+fn b163_batches_equal_per_item_ladders() {
+    batches_equal_per_item::<B163>(0xB163);
 }
 
 #[test]
-fn toy17_fallback_batches_equal_per_item_ladders() {
-    fallback_batches_equal_per_item::<Toy17>(0x7017);
+fn k163_batches_equal_per_item_ladders() {
+    batches_equal_per_item::<K163>(0xA163);
+}
+
+#[test]
+fn k233_batches_equal_per_item_ladders() {
+    batches_equal_per_item::<K233>(0xA233);
+}
+
+#[test]
+fn k283_batches_equal_per_item_ladders() {
+    batches_equal_per_item::<K283>(0xA283);
+}
+
+#[test]
+fn toy17_batches_equal_per_item_ladders() {
+    batches_equal_per_item::<Toy17>(0x7017);
 }

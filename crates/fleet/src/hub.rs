@@ -21,7 +21,7 @@
 //! device_open            devices (commit-first protocols commit)
 //! hello_batch            server: one fixed-base-comb batch per wave
 //! device_turn            devices
-//! server_verify_batch    server: one inversion per ECDH batch, τNAF mul_add
+//! server_verify_batch    server: one inversion per ECDH batch, lockstep-ladder mul_add
 //! ```
 //!
 //! The batch driver ([`GatewayHub::run_at`]) and the streaming front

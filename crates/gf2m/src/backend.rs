@@ -456,8 +456,8 @@ pub fn batch_invert<F: FieldSpec>(elems: &mut [Element<F>]) -> usize {
 }
 
 /// Lanes walked in lockstep by the blocked Montgomery pass: wide
-/// enough to fill a bitsliced tail reasonably and two `VPCLMULQDQ`
-/// chunks exactly.
+/// enough to fill a bitsliced tail reasonably and one `VPCLMULQDQ`
+/// chunk exactly.
 const INV_LANES: usize = 8;
 
 /// Below this many nonzero elements the blocked pass cannot pay for

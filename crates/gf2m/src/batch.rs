@@ -1,7 +1,7 @@
 //! Structure-of-arrays operand layout for batched field arithmetic.
 //!
 //! The serving path is batch-shaped (comb batches, one inversion per
-//! batch, τNAF `mul_add` over whole lanes), but an
+//! batch, lockstep ladders over whole lanes), but an
 //! array-of-`Element`s keeps each element's limbs contiguous — exactly
 //! the wrong layout for data-level parallelism, where a vector lane
 //! wants limb *j* of many *independent* elements side by side. This

@@ -295,7 +295,7 @@ fn f17_batch_agrees_exhaustively() {
         .collect();
     // 131072 elements = 2048 bitslice blocks; chunk to keep each call's
     // planes cache-resident and to exercise many widths, including a
-    // non-multiple-of-64/4 tail (131072 mod 173 != 0).
+    // non-multiple-of-64/8 tail (131072 mod 173 != 0).
     for chunk in all.chunks(173) {
         for &b in &panel {
             let ys = vec![b; chunk.len()];
@@ -314,7 +314,7 @@ macro_rules! field_batch_equivalence {
     ($name:ident, $field:ty) => {
         proptest! {
             /// Batch entry points of every backend vs the scalar model,
-            /// at widths straddling the VPCLMULQDQ chunk (4) and the
+            /// at widths straddling the VPCLMULQDQ chunk (8) and the
             /// bitslice block (64) including ragged tails on both.
             #[test]
             fn $name(

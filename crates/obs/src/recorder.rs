@@ -23,7 +23,7 @@ use crate::hist::Histogram;
 /// * [`DeviceTurn`](Stage::DeviceTurn) — device-side deframe/decode
 ///   plus the device's ladder crypto and reply framing;
 /// * [`Verify`](Stage::Verify) — batched server-side verification
-///   (τNAF `mul_add` / ECDH engine batches, symmetric open);
+///   (lockstep-ladder `mul_add` and ECDH batches, symmetric open);
 /// * [`BatchInvert`](Stage::BatchInvert) — the shared Montgomery
 ///   batch inversions, measured inside `medsec_gf2m` and *subtracted*
 ///   from the containing stage, so the one-inversion-per-batch

@@ -204,16 +204,18 @@ impl<C: CurveSpec> PhReader<C> {
     /// Batched round 3: identify many transcripts in one call.
     ///
     /// Both variable-base stages run through the
-    /// [`medsec_ec::varbase`] engine (τNAF on Koblitz curves, the
-    /// ladder elsewhere), keeping the one-inversion-per-batch
-    /// normalization contract:
+    /// [`medsec_ec::varbase`] entry points, the protected ladder in
+    /// lockstep over the batch, keeping the one-inversion-per-batch
+    /// normalization contract. The reader's long-term key y is one of
+    /// the ladder's scalars, so phase 1 steers only masked swaps with
+    /// it:
     ///
     /// 1. every ḋ = xcoord(y·R) in one [`varbase_x_batch_with`] call;
     /// 2. every candidate `X̂ = s·P − ḋ·P − e·R`, rewritten as the
     ///    single two-scalar form `(s − ḋ)·P + (−e)·R`, in one
-    ///    [`varbase_mul_add_gen_batch`] call — one interleaved pass per
-    ///    transcript instead of two fixed-base multiplications, a full
-    ///    ladder and two affine additions.
+    ///    [`varbase_mul_add_gen_batch`] call — one comb term and one
+    ///    ladder per transcript instead of two fixed-base
+    ///    multiplications, a full ladder and two affine additions.
     ///
     /// Entry `i` of the result corresponds to `transcripts[i]`.
     pub fn identify_batch(

@@ -86,11 +86,9 @@ impl<C: CurveSpec> SchnorrTag<C> {
 /// `s·P == R + e·X`, checked as `s·P − e·X == R`.
 ///
 /// Verification is server-side, so the whole left-hand side runs as
-/// **one** pass through the variable-base engine's interleaved
-/// `mul_add` (`a·G + b·Q` with `a = s`, `b = −e`): on Koblitz curves a
-/// single Strauss loop over τNAF digits, on other curves the
-/// fixed-base comb plus one protected ladder (a single transcript is
-/// below the cutoff for [`schnorr_verify_batch`]'s lockstep ladders).
+/// **one** call of the variable-base seam's `mul_add` (`a·G + b·Q`
+/// with `a = s`, `b = −e`): the fixed-base comb plus one protected
+/// ladder, the path of [`schnorr_verify_batch`] with a batch of one.
 /// The device-side commitment path is untouched.
 pub fn schnorr_verify<C: CurveSpec>(
     transcript: &SchnorrTranscript<C>,
@@ -107,13 +105,12 @@ pub fn schnorr_verify<C: CurveSpec>(
 }
 
 /// Verify a whole batch of Schnorr transcripts, each against its own
-/// public key, in one pass through the variable-base engine's batched
-/// interleaved `mul_add` (`s_i·P − e_i·X_i` for every entry, one
-/// shared inversion for the normalization — the serving-side shape
-/// the suite layer's `server_verify_batch` relies on). On B-163 a batch
-/// of four or more runs its `e_i·X_i` ladders in lockstep
-/// ([`medsec_ec::varbase`]). Entry `i` of the result corresponds to
-/// `items[i]`.
+/// public key, in one call of the variable-base seam's batched
+/// `mul_add` (`s_i·P − e_i·X_i` for every entry, one shared inversion
+/// for the normalization — the serving-side shape the suite layer's
+/// `server_verify_batch` relies on). On fields with m ≥ 64 the
+/// `e_i·X_i` ladders run in lockstep ([`medsec_ec::varbase`]). Entry
+/// `i` of the result corresponds to `items[i]`.
 pub fn schnorr_verify_batch<C: CurveSpec>(
     items: &[(SchnorrTranscript<C>, Point<C>)],
     mut next_u64: impl FnMut() -> u64,

@@ -18,11 +18,11 @@
 //! ```
 //!
 //! The `*_batch` entry points preserve the serving-side fast paths:
-//! one fixed-base-comb batch per hello wave, one inversion per
-//! batch of ECDH normalizations, and the τNAF interleaved `mul_add`
-//! for every verification equation. Profile selection is carried on
-//! the wire by the versioned [`wire::MsgType::Negotiate`] frame, so a
-//! curve-erased gateway can bucket heterogeneous fleets without
+//! one fixed-base-comb batch per hello wave, one inversion per batch
+//! of ECDH normalizations, and one lockstep-ladder `mul_add` batch for
+//! every wave of verification equations. Profile selection is carried
+//! on the wire by the versioned [`wire::MsgType::Negotiate`] frame, so
+//! a curve-erased gateway can bucket heterogeneous fleets without
 //! out-of-band configuration.
 
 use std::collections::HashMap;
@@ -350,9 +350,9 @@ pub enum SuiteOutcome {
 /// type and keep the device state machines of the underlying protocol
 /// modules as `Device`. The batch entry points are the serving-side
 /// hot path: they must preserve the one-inversion-per-batch and
-/// fixed-base-comb/τNAF `mul_add` contracts of the monomorphized
-/// protocol code — `suite_equivalence.rs` pins each implementation
-/// byte-identical to its pre-suite entry points.
+/// fixed-base-comb/lockstep-ladder `mul_add` contracts of the
+/// monomorphized protocol code — `suite_equivalence.rs` pins each
+/// implementation byte-identical to its pre-suite entry points.
 pub trait SecuritySuite {
     /// Device-side protocol state.
     type Device;
