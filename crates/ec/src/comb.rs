@@ -117,8 +117,8 @@ impl<C: CurveSpec> FixedBaseComb<C> {
     /// and normalizing all results with a single batched inversion.
     ///
     /// The column loop runs SoA-style across the whole batch: one
-    /// [`double_batch`] per column (all accumulators), then one
-    /// [`add_affine_batch`] over the scalars whose digit is nonzero —
+    /// `double_batch` per column (all accumulators), then one
+    /// `add_affine_batch` over the scalars whose digit is nonzero —
     /// so every field operation is a batched plane op eligible for the
     /// `VPCLMULQDQ`/bitsliced backends.
     pub fn mul_batch(&self, ks: &[Scalar<C>]) -> Vec<Point<C>> {

@@ -13,8 +13,19 @@
 //! * **Randomized projective coordinates** (`R ← (x·r, r)`) prevent DPA:
 //!   "the chip randomizes the internal points representation by using a
 //!   random Z coordinate in each execution" (§7).
+//!
+//! The gateway runs the same ladder on many keys at once: the lockstep
+//! form draws every lane's blinding Z, builds the lanes' start states
+//! and key bits, and hands the whole ladder to the field backend's
+//! batch entry point ([`medsec_gf2m::ladder_planes`]) — on AVX-512
+//! hosts one register-resident kernel per chunk of eight lanes, on the
+//! others the scalar ladder's step schedule with one batch operation
+//! per field operation. Both keep the
+//! scalar ladder's key-independent schedule: each lane's key bit only
+//! steers masked swaps, and a lane with a leg at infinity takes
+//! `step_at_infinity`'s rule through the seam.
 
-use medsec_gf2m::{add_planes, ct, mul_planes, sqr_planes, Element, FieldSpec, Planes};
+use medsec_gf2m::{ct, ladder_planes, Element, FieldSpec, LadderPlanes};
 
 use crate::curve::{CurveSpec, Point};
 use crate::scalar::Scalar;
@@ -22,7 +33,7 @@ use crate::scalar::Scalar;
 /// Number of field-element registers the ladder needs, including the
 /// fixed x(P) operand and one temporary: X1, Z1, X2, Z2, T, x — the
 /// paper's six 163-bit registers (§4). The best prime-field co-Z method
-/// needs eight (Hutter–Joye–Sierra, cited as [6]).
+/// needs eight (Hutter–Joye–Sierra, cited as \[6\]).
 pub const REGISTERS_USED: usize = 6;
 
 /// Configuration of the ladder's DPA countermeasure.
@@ -259,62 +270,21 @@ fn step_at_infinity<C: CurveSpec>(
     false
 }
 
-/// Plane-major state of a lockstep ladder: both legs and the base
-/// x-coordinate of every lane, the curve's `b` in every slot (filled
-/// only when `b ≠ 1`), and three temporaries.
-#[derive(Debug, Default)]
-struct LockstepPlanes {
-    x1: Planes,
-    z1: Planes,
-    x2: Planes,
-    z2: Planes,
-    px: Planes,
-    b: Planes,
-    b_is_one: bool,
-    t0: Planes,
-    t1: Planes,
-    t2: Planes,
-}
-
-/// [`madd`] on every lane at once: `(X2 : Z2) ← x(R + Q)`.
-fn madd_planes<C: CurveSpec>(s: &mut LockstepPlanes) {
-    mul_planes::<C::Field>(&mut s.t0, &s.x1, &s.z2); // a = X1·Z2
-    mul_planes::<C::Field>(&mut s.t1, &s.x2, &s.z1); // b = X2·Z1
-    mul_planes::<C::Field>(&mut s.t2, &s.t0, &s.t1); // a·b
-    add_planes(&mut s.t0, &s.t1); // a + b
-    sqr_planes::<C::Field>(&mut s.z2, &s.t0); // Z' = (a + b)²
-    mul_planes::<C::Field>(&mut s.x2, &s.px, &s.z2); // x·Z'
-    add_planes(&mut s.x2, &s.t2); // X' = x·Z' + a·b
-}
-
-/// [`mdouble`] on every lane at once: `(X1 : Z1) ← x(2R)`.
-fn mdouble_planes<C: CurveSpec>(s: &mut LockstepPlanes) {
-    sqr_planes::<C::Field>(&mut s.t0, &s.x1); // X²
-    sqr_planes::<C::Field>(&mut s.t1, &s.z1); // Z²
-    mul_planes::<C::Field>(&mut s.z1, &s.t0, &s.t1); // Z' = X²·Z²
-    sqr_planes::<C::Field>(&mut s.x1, &s.t0); // X⁴
-    sqr_planes::<C::Field>(&mut s.t2, &s.t1); // Z⁴
-    if s.b_is_one {
-        add_planes(&mut s.x1, &s.t2); // X' = X⁴ + Z⁴
-    } else {
-        mul_planes::<C::Field>(&mut s.t0, &s.b, &s.t2); // b·Z⁴
-        add_planes(&mut s.x1, &s.t0); // X' = X⁴ + b·Z⁴
-    }
-}
-
 /// The x-only ladder of many `(k, x(P))` lanes run in lockstep — the
 /// server's batch form of [`ladder_x_only`] with
 /// [`CoordinateBlinding::RandomZ`]. Every lane takes the same step at
-/// the same time: each field operation is one plane operation over all
-/// lanes ([`mul_planes`]/[`sqr_planes`]), and each lane's key bit
-/// steers a masked lane swap ([`ct::ct_swap_lanes`]) instead of a
-/// branch. The ladder is constant-length, so no lane waits for another.
+/// the same time through the field backend's whole-ladder batch entry
+/// point ([`medsec_gf2m::ladder_planes`]): each field operation runs on
+/// all lanes at once, and each lane's key bit steers a masked lane swap
+/// instead of a branch. The ladder is constant-length, so no lane waits
+/// for another.
 ///
 /// Entry `i` of the result is the state `ladder_x_only` returns for
 /// lane `i`, and `next_u64` ends where the per-lane calls in lane order
 /// leave it: each lane's Z is drawn, in lane order, before the first
 /// step. A lane with a leg at infinity takes the scalar ladder's
-/// exceptional rule for that step; which lanes do is public.
+/// exceptional rule ([`step_at_infinity`]) for that step; which lanes
+/// do is public.
 ///
 /// # Panics
 ///
@@ -331,80 +301,25 @@ pub(crate) fn ladder_x_only_lockstep<C: CurveSpec>(
     if n == 0 {
         return Vec::new();
     }
-    let nbits = C::LADDER_BITS;
-    let mut s = LockstepPlanes::default();
-    for p in [&mut s.x1, &mut s.z1, &mut s.x2, &mut s.z2, &mut s.px] {
-        p.reset(n);
-    }
-    let b = C::b();
-    s.b_is_one = b == Element::one();
-    if !s.b_is_one {
-        s.b.reset(n);
-        s.b.broadcast(&b);
-    }
-    // Lane-major key bits (`nbits` per lane), and the blinded start
-    // state R ← (x·r, r), Q ← 2·P of every lane.
-    let mut bits = Vec::with_capacity(n * nbits);
+    // The blinded start state R ← (x·r, r), Q ← 2·P of every lane, and
+    // its key bits after the leading 1.
+    let mut s = LadderPlanes::default();
+    s.reset(n, C::LADDER_BITS - 1);
     for (i, (k, px)) in lanes.iter().enumerate() {
         let r = random_z::<C::Field>(&mut next_u64);
         let (x1, z1) = (*px * r, r);
         let (x2, z2) = mdouble::<C>(x1, z1);
-        s.x1.set(i, &x1);
-        s.z1.set(i, &z1);
-        s.x2.set(i, &x2);
-        s.z2.set(i, &z2);
-        s.px.set(i, px);
-        bits.extend(k.ladder_bits());
+        s.set(i, &[x1, z1, x2, z2], px, &k.ladder_bits()[1..]);
     }
-    let mut masks = vec![0u64; n];
-    let mut at_infinity: Vec<(usize, LadderState<C>)> = Vec::with_capacity(n);
-
-    // lint: hot-path — every step reuses the planes, masks and
-    // exceptional-lane list built above.
-    for j in 1..nbits {
-        // Public: lanes with a leg at infinity, and their pre-step
-        // state for the scalar rule below.
-        at_infinity.clear();
-        for i in 0..n {
-            if s.z1.is_zero_at(i) || s.z2.is_zero_at(i) {
-                at_infinity.push((i, lane_state(&s, i)));
-            }
-        }
-        for (mask, lane_bits) in masks.iter_mut().zip(bits.chunks_exact(nbits)) {
-            *mask = ct::ct_mask_u64(lane_bits[j]);
-        }
-        // lint: ct-begin — the scalar ladder's per-bit schedule on
-        // every lane at once: each lane's key bit only steers its
-        // masked lane swaps (gf2m::ct), and the plane operations run
-        // over all lanes whatever the bits are.
-        ct::ct_swap_lanes(&masks, &mut s.x1, &mut s.x2);
-        ct::ct_swap_lanes(&masks, &mut s.z1, &mut s.z2);
-        madd_planes::<C>(&mut s);
-        mdouble_planes::<C>(&mut s);
-        ct::ct_swap_lanes(&masks, &mut s.x1, &mut s.x2);
-        ct::ct_swap_lanes(&masks, &mut s.z1, &mut s.z2);
-        // lint: ct-end
-        for (i, mut st) in at_infinity.drain(..) {
-            let bit = bits[i * nbits + j];
-            step_at_infinity::<C>(bit, &mut st.x1, &mut st.z1, &mut st.x2, &mut st.z2);
-            s.x1.set(i, &st.x1);
-            s.z1.set(i, &st.z1);
-            s.x2.set(i, &st.x2);
-            s.z2.set(i, &st.z2);
-        }
-    }
-    // lint: hot-path-end
-    (0..n).map(|i| lane_state(&s, i)).collect()
-}
-
-/// Lane `i` of a lockstep ladder as a scalar ladder state.
-fn lane_state<C: CurveSpec>(s: &LockstepPlanes, i: usize) -> LadderState<C> {
-    LadderState {
-        x1: s.x1.get(i),
-        z1: s.z1.get(i),
-        x2: s.x2.get(i),
-        z2: s.z2.get(i),
-    }
+    ladder_planes::<C::Field>(&mut s, &C::b(), |bit, [x1, z1, x2, z2]| {
+        step_at_infinity::<C>(bit, x1, z1, x2, z2);
+    });
+    (0..n)
+        .map(|i| {
+            let [x1, z1, x2, z2] = s.get(i);
+            LadderState { x1, z1, x2, z2 }
+        })
+        .collect()
 }
 
 /// [`ladder_mul`] with [`CoordinateBlinding::RandomZ`] for every item:
@@ -597,7 +512,7 @@ pub fn batch_x_affine_into<C: CurveSpec>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::curves::{Toy17, B163, K163};
+    use crate::curves::{Toy17, B163, K163, K233, K283};
 
     fn rng_from(seed: u64) -> impl FnMut() -> u64 {
         let mut s = seed;
@@ -797,6 +712,30 @@ mod tests {
             Scalar::zero() - Scalar::one(),
         ]);
         lockstep_matches_per_lane::<B163>(&b163, 47);
+
+        // Batches ending in a ragged chunk of one lane (the AVX-512
+        // kernel runs eight lanes per chunk), that lane holding each
+        // edge scalar in turn: 0 and 1 put a leg at infinity before the
+        // last step, n − 1 ends with Q at infinity.
+        fn ragged<C: CurveSpec>(seed: u64) {
+            let mut r = rng_from(seed);
+            for (width, edge) in [9, 65].into_iter().flat_map(|w| {
+                [
+                    Scalar::<C>::zero(),
+                    Scalar::one(),
+                    Scalar::zero() - Scalar::one(),
+                ]
+                .map(|e| (w, e))
+            }) {
+                let mut ks: Vec<Scalar<C>> =
+                    (1..width).map(|_| Scalar::random_nonzero(&mut r)).collect();
+                ks.push(edge);
+                lockstep_matches_per_lane::<C>(&ks, r());
+            }
+        }
+        ragged::<K163>(48);
+        ragged::<K233>(49);
+        ragged::<K283>(50);
     }
 
     #[test]

@@ -24,8 +24,8 @@
 //! Pipeline, following Solinas (and Hankerson–Menezes–Vanstone §3.4):
 //!
 //! 1. **Partial reduction** (`partmod`): reduce the integer scalar k
-//!    modulo `δ = (τ^m − 1)/(τ − 1)` by rounding division in Z[τ],
-//!    using exact multi-limb integer arithmetic ([`SInt`]). Since
+//!    modulo `δ = (τ^m − 1)/(τ − 1)` by rounding division in Z\[τ\],
+//!    using exact multi-limb integer arithmetic (`SInt`). Since
 //!    `δ·P = O` for every point P of the prime-order subgroup, the
 //!    reduced element ρ = ρ₀ + ρ₁τ (norm ≈ n) satisfies ρ·P = k·P
 //!    while its τ-adic expansion has length ≈ m instead of 2m.

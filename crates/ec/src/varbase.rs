@@ -9,10 +9,13 @@
 //! batched.
 //!
 //! A batch over a field with m ≥ 64 runs its ladders **in lockstep**:
-//! every item takes the same ladder step at the same time, each field
-//! operation is one batched plane operation over all items, and each
-//! item's key bit steers a masked per-lane swap (`gf2m::ct`) instead of
-//! a branch. The y-recoveries then share one batched inversion, and
+//! every item takes the same ladder step at the same time, and each
+//! item's key bit steers a masked per-lane swap instead of a branch.
+//! The whole ladder is one call into the field backend
+//! (`gf2m::ladder_planes`): on AVX-512 hosts each chunk of up to eight
+//! items stays in ZMM registers from the first step to the last; on
+//! the others each field operation is one batched plane operation over
+//! all items. The y-recoveries then share one batched inversion, and
 //! `mul_add`'s `a·G + b·Q` is one batched mixed addition normalized by
 //! a second. Each item's blinding Z is drawn in item order before the
 //! first step, so results and the caller's random stream match the
@@ -24,7 +27,10 @@
 //! reader's long-term key y (every ḋ = xcoord(y·R)) and the mutual
 //! server's ephemeral key. The ladder's operation flow does not depend
 //! on either: a lane's key bit only steers its masked swaps, inside a
-//! lint-checked constant-time region. The τ-adic engine
+//! lint-checked constant-time region, and every field multiplication
+//! under it takes a fixed operation sequence (the AVX-512 kernel's
+//! plane folds, and the scalar `mul`/`sqr`'s straight-line reduction
+//! whose schedule depends only on the field). The τ-adic engine
 //! ([`crate::tnaf`]) indexes a table by the scalar's digits, so no
 //! serving path calls it.
 //!
@@ -47,9 +53,9 @@ use crate::scalar::Scalar;
 /// fields with m ≥ 64, at every batch width. The AVX-512 kernel runs a
 /// batch's last one to seven elements as one masked chunk, so on the
 /// vpclmul backend lockstep beats one ladder per item from width 1
-/// (K-163 x-only, per item on a 2-core AVX-512 host: 87 µs at width 1,
-/// 24 at width 4, 16 at width 8, 12 at width 64, against 140–156 µs
-/// for separate ladders).
+/// (K-163 x-only with the normalization, per item on a 2-core AVX-512
+/// host: 29–33 µs at width 1, 4.2–5.3 at width 8, 4.1–4.8 at width 64,
+/// against 90–114 µs for one scalar ladder).
 /// On the bitsliced backend, whose batches narrower than 64 run scalar
 /// products per element, it reads within noise of separate ladders.
 /// The toy field's planes are reduced one element at a time, so

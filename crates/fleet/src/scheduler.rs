@@ -23,7 +23,7 @@
 //! * a claim is one `fetch_add` on the lane's chunk cursor — no lock,
 //!   no allocation; the batch is handed off as a slot [`Range`], not a
 //!   `Vec`;
-//! * each cursor lives on its own cache line ([`CachePadded`]), so
+//! * each cursor lives on its own cache line (`CachePadded`), so
 //!   workers hammering different lanes never false-share;
 //! * workers are pinned to a **home lane** (assigned greedily in
 //!   proportion to lane size by [`LaneScheduler::home_lanes`]) and
@@ -58,9 +58,9 @@ const TAPER_TAIL_CHUNKS: usize = 4;
 /// Chunk-boundary plan for one lane: offsets such that chunk `i`
 /// covers slots `plan[i]..plan[i+1]`.
 ///
-/// Small lanes (< [`TAPER_MIN_CHUNKS`] chunks) are fixed-size. Big
+/// Small lanes (< `TAPER_MIN_CHUNKS` chunks) are fixed-size. Big
 /// lanes emit full `batch_size` chunks until the remainder fits in
-/// [`TAPER_TAIL_CHUNKS`] full chunks, then halve: each tail chunk is
+/// `TAPER_TAIL_CHUNKS` full chunks, then halve: each tail chunk is
 /// `min(batch_size, max(1, remaining/2))`. The last claims shrink
 /// geometrically (16,16,16,8,4,2,1,1 for a 64-job tail at size 16),
 /// so a drained lane's tail is shared by however many workers are

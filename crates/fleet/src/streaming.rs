@@ -150,13 +150,13 @@ pub struct StreamingStats {
     pub dead_deliveries: u64,
     /// Typed reject frames sent back on the wire.
     pub reject_frames: u64,
-    /// Arrival→completion latency percentiles over served jobs [ms].
+    /// Arrival→completion latency percentiles over served jobs (ms).
     pub p50_ms: f64,
-    /// 99th-percentile service latency [ms].
+    /// 99th-percentile service latency (ms).
     pub p99_ms: f64,
-    /// Worst observed service latency [ms].
+    /// Worst observed service latency (ms).
     pub max_ms: f64,
-    /// The SLO this run was judged against [ms].
+    /// The SLO this run was judged against (ms).
     pub slo_p99_ms: f64,
     /// Whether the measured p99 met the SLO.
     pub slo_met: bool,

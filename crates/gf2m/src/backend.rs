@@ -11,16 +11,19 @@
 //!   Karatsuba (see [`crate::clmul`]), and the batch entry points
 //!   multiply four elements per AVX-512 `VPCLMULQDQ` instruction over
 //!   the plane-major SoA layout of [`crate::batch`] (see
-//!   [`crate::vpclmul`]). Each kernel runs where CPUID reports its
-//!   instruction: without `PCLMULQDQ` scalars take the portable comb,
-//!   without `AVX512F` + `VPCLMULQDQ` batches take the scalar path per
-//!   element.
+//!   [`crate::vpclmul`]); its [`FieldBackend::ladder_batch`] runs a
+//!   whole lockstep Montgomery ladder in ZMM registers. Each kernel runs
+//!   where CPUID reports its instruction: without `PCLMULQDQ` scalars
+//!   take the portable comb, without `AVX512F` + `VPCLMULQDQ` batches
+//!   take the scalar path per element and ladders the default schedule.
 //! * [`BitslicedBackend`] — the portable path: word-bounded comb
-//!   multiplication (only `ceil(m/64)` limbs do work), compile-time
-//!   squaring-spread tables and word-level sparse reduction for
-//!   scalars; batch entry points run 64 products at once across `u64`
-//!   bit-planes (see [`crate::bitslice`]).
+//!   multiplication (only `ceil(m/64)` limbs do work) and compile-time
+//!   squaring-spread tables for scalars; batch entry points run 64
+//!   products at once across `u64` bit-planes (see [`crate::bitslice`]).
 //!
+//! Both serving backends reduce every scalar product with
+//! `limbs::reduce_words`, whose fold schedule is fixed by the field, so
+//! a scalar `mul` or `sqr` takes the same time whatever its operands.
 //! All backends produce identical canonical elements (proven by the
 //! exhaustive/property equivalence tests); only the instruction count
 //! differs.
@@ -35,7 +38,7 @@
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicU8, Ordering};
 
-use crate::batch::{self, Planes};
+use crate::batch::{self, LadderLanes, Planes};
 use crate::field::{Element, FieldSpec};
 use crate::limbs;
 use crate::LIMBS;
@@ -106,6 +109,29 @@ pub trait FieldBackend {
             batch::scatter(out, n, i, &Self::square(&x));
         }
     }
+
+    /// A whole x-only Montgomery ladder on every lane at once, in
+    /// place: `lanes.steps` steps of the paper's Algorithm 1 on the
+    /// curve with constant `b` (`y² + xy = x³ + ax² + b`; the x-only
+    /// formulas do not use `a`), each lane's key bit steering its own
+    /// masked swaps around a fixed madd/mdouble schedule. A lane with a
+    /// leg at infinity (Z1 = 0 or Z2 = 0) before a step, which the
+    /// x-only formulas cannot represent, takes `at_infinity` on its
+    /// pre-step legs `[X1, Z1, X2, Z2]` and key bit for that step
+    /// instead; which lanes do is public.
+    ///
+    /// The default runs the schedule as batch operations
+    /// ([`Self::mul_batch`]/[`Self::sqr_batch`]) over all lanes, one
+    /// pass over memory per operation; [`VpclmulBackend`] overrides it
+    /// with a kernel that keeps each chunk of lanes in registers for
+    /// the whole ladder. Every backend leaves the same states.
+    fn ladder_batch<F: FieldSpec>(
+        lanes: &mut LadderLanes<'_>,
+        b: &Element<F>,
+        at_infinity: impl FnMut(bool, &mut [Element<F>; 4]),
+    ) {
+        batch::ladder_steps::<Self, F>(lanes, b, at_infinity);
+    }
 }
 
 /// Bit-exact reference backend (windowed comb + bit-serial reduction):
@@ -128,9 +154,10 @@ impl FieldBackend for ModelBackend {
 }
 
 /// Hardware backend: scalar operations run the `PCLMULQDQ` Karatsuba
-/// of [`crate::clmul`] into the word-level sparse reduction, batch
-/// operations multiply four elements per AVX-512 `VPCLMULQDQ`
-/// instruction (see [`crate::vpclmul`]). Runtime-detected kernel by
+/// of [`crate::clmul`] and the straight-line word-level reduction in
+/// one function per field, batch operations multiply four elements per
+/// AVX-512 `VPCLMULQDQ` instruction and whole lockstep ladders run in
+/// ZMM registers (see [`crate::vpclmul`]). Runtime-detected kernel by
 /// kernel — without `PCLMULQDQ` scalars take the portable comb, without
 /// `AVX512F` + `VPCLMULQDQ` every batch element takes the scalar path —
 /// so the backend is correct everywhere.
@@ -141,15 +168,11 @@ impl FieldBackend for VpclmulBackend {
     const NAME: &'static str = "vpclmul";
 
     fn mul<F: FieldSpec>(a: &Element<F>, b: &Element<F>) -> Element<F> {
-        let nw = F::M.div_ceil(64);
-        let prod = crate::clmul::clmul_accel(a.limbs(), b.limbs(), nw);
-        Element::from_raw_limbs(limbs::reduce_fast(prod, F::REDUCTION))
+        Element::from_raw_limbs(crate::clmul::mul_reduced::<F>(a.limbs(), b.limbs()))
     }
 
     fn square<F: FieldSpec>(a: &Element<F>) -> Element<F> {
-        let nw = F::M.div_ceil(64);
-        let prod = crate::clmul::clsquare_accel(a.limbs(), nw);
-        Element::from_raw_limbs(limbs::reduce_fast(prod, F::REDUCTION))
+        Element::from_raw_limbs(crate::clmul::square_reduced::<F>(a.limbs()))
     }
 
     fn invert<F: FieldSpec>(a: &Element<F>) -> Option<Element<F>> {
@@ -167,10 +190,19 @@ impl FieldBackend for VpclmulBackend {
     fn sqr_batch<F: FieldSpec>(out: &mut [u64], a: &[u64]) {
         crate::vpclmul::sqr_batch_planes::<F>(out, a);
     }
+
+    fn ladder_batch<F: FieldSpec>(
+        lanes: &mut LadderLanes<'_>,
+        b: &Element<F>,
+        at_infinity: impl FnMut(bool, &mut [Element<F>; 4]),
+    ) {
+        crate::vpclmul::ladder_batch_planes::<F>(lanes, b, at_infinity);
+    }
 }
 
 /// Portable backend: scalar operations run the word-bounded comb,
-/// table-driven squaring and word-level sparse reduction; batch
+/// table-driven squaring and the straight-line word-level reduction;
+/// batch
 /// operations run 64 products at once across `u64` bit-planes (see
 /// [`crate::bitslice`]). No intrinsics, no feature gates — the backend
 /// for hosts without a carry-less multiply instruction.
@@ -183,13 +215,13 @@ impl FieldBackend for BitslicedBackend {
     fn mul<F: FieldSpec>(a: &Element<F>, b: &Element<F>) -> Element<F> {
         let nw = F::M.div_ceil(64);
         let prod = limbs::clmul_fast(a.limbs(), b.limbs(), nw);
-        Element::from_raw_limbs(limbs::reduce_fast(prod, F::REDUCTION))
+        Element::from_raw_limbs(limbs::reduce_words(prod, F::REDUCTION))
     }
 
     fn square<F: FieldSpec>(a: &Element<F>) -> Element<F> {
         let nw = F::M.div_ceil(64);
         let prod = limbs::clsquare_fast(a.limbs(), nw);
-        Element::from_raw_limbs(limbs::reduce_fast(prod, F::REDUCTION))
+        Element::from_raw_limbs(limbs::reduce_words(prod, F::REDUCTION))
     }
 
     fn invert<F: FieldSpec>(a: &Element<F>) -> Option<Element<F>> {
@@ -359,6 +391,17 @@ impl FieldBackend for ActiveBackend {
             BackendChoice::Bitsliced => BitslicedBackend::sqr_batch::<F>(out, a),
         }
     }
+
+    fn ladder_batch<F: FieldSpec>(
+        lanes: &mut LadderLanes<'_>,
+        b: &Element<F>,
+        at_infinity: impl FnMut(bool, &mut [Element<F>; 4]),
+    ) {
+        match select_backend() {
+            BackendChoice::Vpclmul => VpclmulBackend::ladder_batch::<F>(lanes, b, at_infinity),
+            BackendChoice::Bitsliced => BitslicedBackend::ladder_batch::<F>(lanes, b, at_infinity),
+        }
+    }
 }
 
 /// Name of the backend behind `Element`'s operators — recorded in
@@ -482,7 +525,7 @@ pub struct InvScratch {
 /// caller-owned scratch: same zero-element contract and single field
 /// inversion, no per-call allocation in steady state, and the
 /// Montgomery prefix/suffix product passes run through the selected
-/// backend's `mul_batch` — [`INV_LANES`] lanes of independent
+/// backend's `mul_batch` — `INV_LANES` (8) lanes of independent
 /// prefix chains walked in lockstep, lane totals combined by one
 /// scalar Montgomery chain around the single inversion.
 pub fn batch_invert_planes<F: FieldSpec>(elems: &mut Planes, scratch: &mut InvScratch) -> usize {

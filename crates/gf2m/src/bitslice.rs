@@ -11,7 +11,7 @@
 //! plain integer ops the autovectorizer is free to widen.
 //!
 //! These are the batch kernels of the portable
-//! [`BitslicedBackend`](crate::BitslicedBackend), for hosts without
+//! [`BitslicedBackend`], for hosts without
 //! `VPCLMULQDQ` ([`crate::vpclmul`]); correctness is pinned against the
 //! model backend by `tests/backend_equivalence.rs`. Scalar
 //! (single-element) operations don't benefit and stay on the

@@ -3,9 +3,10 @@
 //! The paper's MALU is small *because* GF(2^m) multiplication is
 //! carry-free; on the gateway side the same property means one x86
 //! `PCLMULQDQ` instruction replaces an entire 64×64 windowed-comb pass.
-//! This module provides the wide (unreduced) products the scalar
-//! operations of [`VpclmulBackend`](crate::VpclmulBackend) feed into
-//! the word-level sparse reduction:
+//! This module provides the scalar `mul` and `sqr` of
+//! [`VpclmulBackend`](crate::VpclmulBackend): a wide (unreduced)
+//! product, then the straight-line word-level reduction, compiled
+//! together into one function per field on the hardware path:
 //!
 //! * on x86_64 with the `pclmulqdq` CPU feature (runtime-detected, no
 //!   compile-time flags), a word-level **Karatsuba** over
@@ -17,16 +18,18 @@
 //!   builds (and x86 CPUs without CLMUL) stay correct — merely slower.
 //!   Auto-selection picks the bitsliced backend on such hosts anyway.
 //!
-//! Everything here produces bit-identical products to the reference
-//! comb `limbs::clmul` — the backend-equivalence suite pins the whole
-//! stack against the model path on every field.
+//! Everything here produces bit-identical results to the reference
+//! path (`limbs::clmul` and the bit-serial `limbs::reduce`) — the
+//! backend-equivalence suite pins the whole stack against the model
+//! path on every field.
 
 // The only unsafe code in this crate: calling the CPU-feature-gated
 // intrinsic path after `is_x86_feature_detected!` has proven it safe.
 #![allow(unsafe_code)]
 
+use crate::field::FieldSpec;
 use crate::limbs;
-use crate::{LIMBS, PROD_LIMBS};
+use crate::LIMBS;
 
 /// Whether the host CPU offers the hardware carry-less-multiply path
 /// (`PCLMULQDQ` on x86_64). Always `false` on other architectures.
@@ -41,31 +44,32 @@ pub fn hardware_available() -> bool {
     }
 }
 
-/// Carry-less multiplication over the low `nw` words of each operand,
-/// through the hardware path when available and the portable comb
-/// otherwise.
+/// Field multiplication of canonical elements: the carry-less product
+/// of the low `ceil(m/64)` words, through the hardware path when
+/// available and the portable comb otherwise, then
+/// [`limbs::reduce_words`]. On the hardware path product and reduction
+/// compile into one straight-line function per field.
 #[inline]
-pub(crate) fn clmul_accel(a: &[u64; LIMBS], b: &[u64; LIMBS], nw: usize) -> [u64; PROD_LIMBS] {
-    debug_assert!((1..=LIMBS).contains(&nw));
+pub(crate) fn mul_reduced<F: FieldSpec>(a: &[u64; LIMBS], b: &[u64; LIMBS]) -> [u64; LIMBS] {
     #[cfg(target_arch = "x86_64")]
     if hardware_available() {
         // SAFETY: `pclmulqdq` was just detected on this CPU.
-        return unsafe { x86::clmul_wide(a, b, nw) };
+        return unsafe { x86::mul_reduced::<F>(a, b) };
     }
-    limbs::clmul_fast(a, b, nw)
+    limbs::reduce_words(limbs::clmul_fast(a, b, F::M.div_ceil(64)), F::REDUCTION)
 }
 
-/// Carry-less squaring over the low `nw` words — one `PCLMULQDQ` per
-/// word on the hardware path (squaring never crosses word boundaries).
+/// Field squaring of a canonical element — one `PCLMULQDQ` per word on
+/// the hardware path (squaring never crosses word boundaries), then
+/// [`limbs::reduce_words`]; the portable spread table elsewhere.
 #[inline]
-pub(crate) fn clsquare_accel(a: &[u64; LIMBS], nw: usize) -> [u64; PROD_LIMBS] {
-    debug_assert!((1..=LIMBS).contains(&nw));
+pub(crate) fn square_reduced<F: FieldSpec>(a: &[u64; LIMBS]) -> [u64; LIMBS] {
     #[cfg(target_arch = "x86_64")]
     if hardware_available() {
         // SAFETY: `pclmulqdq` was just detected on this CPU.
-        return unsafe { x86::clsquare_wide(a, nw) };
+        return unsafe { x86::square_reduced::<F>(a) };
     }
-    limbs::clsquare_fast(a, nw)
+    limbs::reduce_words(limbs::clsquare_fast(a, F::M.div_ceil(64)), F::REDUCTION)
 }
 
 /// The x86_64 `PCLMULQDQ` path: word-level Karatsuba, each helper
@@ -77,7 +81,35 @@ mod x86 {
         _mm_clmulepi64_si128, _mm_cvtsi128_si64, _mm_set_epi64x, _mm_srli_si128,
     };
 
+    use crate::field::FieldSpec;
+    use crate::limbs;
     use crate::{LIMBS, PROD_LIMBS};
+
+    /// [`super::mul_reduced`]'s hardware path: the Karatsuba product
+    /// for the field's word count and the reduction, inlined together.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support `pclmulqdq` (checked by the caller via
+    /// [`super::hardware_available`]).
+    #[target_feature(enable = "pclmulqdq")]
+    pub(super) unsafe fn mul_reduced<F: FieldSpec>(
+        a: &[u64; LIMBS],
+        b: &[u64; LIMBS],
+    ) -> [u64; LIMBS] {
+        limbs::reduce_words(clmul_wide(a, b, F::M.div_ceil(64)), F::REDUCTION)
+    }
+
+    /// [`super::square_reduced`]'s hardware path.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support `pclmulqdq` (checked by the caller via
+    /// [`super::hardware_available`]).
+    #[target_feature(enable = "pclmulqdq")]
+    pub(super) unsafe fn square_reduced<F: FieldSpec>(a: &[u64; LIMBS]) -> [u64; LIMBS] {
+        limbs::reduce_words(clsquare_wide(a, F::M.div_ceil(64)), F::REDUCTION)
+    }
 
     /// One 64×64→128 carry-less multiply.
     #[inline]
@@ -154,6 +186,7 @@ mod x86 {
     ///
     /// The CPU must support `pclmulqdq` (checked by the caller via
     /// [`super::hardware_available`]).
+    #[inline]
     #[target_feature(enable = "pclmulqdq")]
     pub(super) unsafe fn clmul_wide(
         a: &[u64; LIMBS],
@@ -181,6 +214,7 @@ mod x86 {
     ///
     /// The CPU must support `pclmulqdq` (checked by the caller via
     /// [`super::hardware_available`]).
+    #[inline]
     #[target_feature(enable = "pclmulqdq")]
     pub(super) unsafe fn clsquare_wide(a: &[u64; LIMBS], nw: usize) -> [u64; PROD_LIMBS] {
         let mut out = [0u64; PROD_LIMBS];
@@ -274,12 +308,26 @@ mod tests {
 
     #[test]
     fn accel_entry_points_match_reference() {
-        let mut r = rng_from(34);
-        for nw in 1..=LIMBS {
-            let a = random_limbs(&mut r, nw);
-            let b = random_limbs(&mut r, nw);
-            assert_eq!(clmul_accel(&a, &b, nw), limbs::clmul(&a, &b));
-            assert_eq!(clsquare_accel(&a, nw), limbs::clsquare(&a));
+        fn check<F: FieldSpec>(r: &mut impl FnMut() -> u64) {
+            let nw = F::M.div_ceil(64);
+            let top = (1u64 << (F::M % 64)) - 1;
+            let mut canonical = || {
+                let mut v = random_limbs(r, nw);
+                v[nw - 1] &= top;
+                v
+            };
+            for _ in 0..32 {
+                let (a, b) = (canonical(), canonical());
+                let expect = limbs::reduce(limbs::clmul(&a, &b), F::REDUCTION);
+                assert_eq!(mul_reduced::<F>(&a, &b), expect, "{}", F::NAME);
+                let expect = limbs::reduce(limbs::clsquare(&a), F::REDUCTION);
+                assert_eq!(square_reduced::<F>(&a), expect, "square {}", F::NAME);
+            }
         }
+        let mut r = rng_from(34);
+        check::<crate::F163>(&mut r);
+        check::<crate::F233>(&mut r);
+        check::<crate::F283>(&mut r);
+        check::<crate::F17>(&mut r);
     }
 }

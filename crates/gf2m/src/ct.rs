@@ -16,8 +16,8 @@
 //! XOR/AND only. No helper here branches, indexes, or early-returns on
 //! its secret inputs.
 
-use crate::batch::Planes;
 use crate::field::{Element, FieldSpec};
+use crate::LIMBS;
 use core::hint::black_box;
 
 /// Expand a secret boolean into an all-ones (`true`) or all-zeros
@@ -96,26 +96,27 @@ pub fn ct_swap<F: FieldSpec>(c: bool, a: &mut Element<F>, b: &mut Element<F>) {
     ct_swap_limbs(c, a.limbs_mut(), b.limbs_mut());
 }
 
-/// Lane-wise element swap over two plane-major batches: exchange slot
-/// `i` of `a` and `b` where `masks[i]` is all ones, leave it where
-/// `masks[i]` is zero. This is the lockstep ladder's cswap: each lane's
-/// key bit, expanded by [`ct_mask_u64`], steers its own swap, and the
-/// loads, XORs and stores are the same for every mask pattern.
+/// Lane-wise element swap over two plane-major batches (the layout of
+/// [`crate::batch`]): exchange slot `i` of `a` and `b` where `masks[i]`
+/// is all ones, leave it where `masks[i]` is zero. This is the
+/// lockstep ladder's cswap: each lane's key bit, expanded by
+/// [`ct_mask_u64`], steers its own swap, and the loads, XORs and stores
+/// are the same for every mask pattern.
 ///
 /// # Panics
 ///
-/// Panics unless `a`, `b` and `masks` all have the same (public)
-/// length.
-pub fn ct_swap_lanes(masks: &[u64], a: &mut Planes, b: &mut Planes) {
+/// Panics unless `a` and `b` both hold `LIMBS` planes of
+/// `masks.len()` (public) words.
+pub fn ct_swap_lanes(masks: &[u64], a: &mut [u64], b: &mut [u64]) {
     let n = masks.len();
-    assert!(a.len() == n && b.len() == n, "lane count mismatch");
+    assert!(
+        a.len() == LIMBS * n && b.len() == LIMBS * n,
+        "lane count mismatch"
+    );
     if n == 0 {
         return;
     }
-    let planes = a
-        .data_mut()
-        .chunks_exact_mut(n)
-        .zip(b.data_mut().chunks_exact_mut(n));
+    let planes = a.chunks_exact_mut(n).zip(b.chunks_exact_mut(n));
     for (pa, pb) in planes {
         for ((x, y), mask) in pa.iter_mut().zip(pb.iter_mut()).zip(masks) {
             let t = mask & (*x ^ *y);
@@ -128,6 +129,7 @@ pub fn ct_swap_lanes(masks: &[u64], a: &mut Planes, b: &mut Planes) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::batch::Planes;
     use crate::fields::F163;
 
     #[test]
@@ -193,7 +195,7 @@ mod tests {
                 b.set(i, &ys[i]);
             }
             let masks: Vec<u64> = bits.iter().map(|&c| ct_mask_u64(c)).collect();
-            ct_swap_lanes(&masks, &mut a, &mut b);
+            ct_swap_lanes(&masks, a.data_mut(), b.data_mut());
             for i in 0..n {
                 let (mut x, mut y) = (xs[i], ys[i]);
                 ct_swap(bits[i], &mut x, &mut y);

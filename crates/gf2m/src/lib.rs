@@ -23,9 +23,11 @@
 //!   [`vpclmul`]), each runtime-detected; and a portable backend —
 //!   word-bounded comb scalars and bitsliced batches (64 products across
 //!   `u64` bit-planes, see [`bitslice`]). Both serving backends share
-//!   word-level sparse reduction, cached linear-map tables for the
-//!   multi-squarings of inversion and for the half-trace, and
-//!   [`batch_invert`]. `Element`'s operators dispatch on the
+//!   a straight-line word-level reduction whose schedule is fixed by
+//!   the field, cached linear-map tables for the multi-squarings of
+//!   inversion and for the half-trace, and [`batch_invert`]; a
+//!   whole lockstep Montgomery ladder is one seam call
+//!   ([`ladder_planes`]), run in registers on AVX-512. `Element`'s operators dispatch on the
 //!   process-wide [`select_backend`] choice (`MEDSEC_GF2M_BACKEND=bitsliced`
 //!   forces the portable backend).
 //!
@@ -66,7 +68,9 @@ pub use backend::{
     batch_invert, batch_invert_planes, select_backend, BackendChoice, BitslicedBackend,
     FieldBackend, InvScratch, ModelBackend, VpclmulBackend, BACKEND_ENV,
 };
-pub use batch::{add_planes, mul_planes, sqr_planes, Planes};
+pub use batch::{
+    add_planes, ladder_planes, mul_planes, sqr_planes, LadderLanes, LadderPlanes, Planes,
+};
 pub use cache::Registry;
 pub use field::{Element, FieldSpec, ParseElementError};
 pub use fields::{F163, F17, F233, F283};

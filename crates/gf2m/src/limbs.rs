@@ -3,6 +3,14 @@
 //! All values are little-endian arrays of `u64` words; polynomials over
 //! GF(2) are stored with bit *i* of the array representing the coefficient
 //! of x^i.
+//!
+//! Two reductions live here: the bit-serial [`reduce`] of the model
+//! path, and [`reduce_words`], the straight-line word-level reduction
+//! under every scalar `mul` and `sqr` of the serving backends. The
+//! latter's fold schedule — trip counts, word offsets, shift counts —
+//! derives from the field alone, so a multiplication takes the same
+//! operation sequence whatever its operands; its body is a lint-checked
+//! constant-time region.
 
 use crate::{LIMBS, PROD_LIMBS};
 
@@ -239,59 +247,66 @@ pub fn clsquare_fast(a: &[u64; LIMBS], nw: usize) -> [u64; PROD_LIMBS] {
 }
 
 /// Word-level reduction modulo a sparse (trinomial/pentanomial)
-/// polynomial — the serving backends' counterpart of the bit-serial
-/// [`reduce`]. Folds 64 bits at a time: every word above the degree-m
-/// boundary is replaced by copies of itself shifted down by `m − e` for
-/// each tail exponent `e`.
+/// polynomial, in a schedule fixed by the field — the serving backends'
+/// counterpart of the bit-serial [`reduce`], under every scalar `mul`
+/// and `sqr`.
 ///
-/// Folding a word can reintroduce bits at or above position m when
-/// `m − e < 64` (e.g. the toy trinomial x¹⁷+x³+1), so both the whole-word
-/// pass and the final partial-word pass loop until the region is clear;
-/// every fold strictly lowers the top degree, so the loops terminate.
-pub fn reduce_fast(mut prod: [u64; PROD_LIMBS], reduction: &[usize]) -> [u64; LIMBS] {
+/// `prod` must have degree at most 2m − 2, as every product or square
+/// of two canonical elements does. With H = ⌊prod / x^m⌋, one fold
+/// replaces `prod` by `(prod mod x^m) + H·(f(x) − x^m)`: H shifted left
+/// by each tail exponent e and XORed in, word by word. Two folds finish
+/// the job on every field whose largest tail exponent e₁ satisfies
+/// 2·e₁ ≤ m + 1 (all four here, the toy F17 included): the first leaves
+/// degree ≤ m − 2 + e₁, the second ≤ 2·e₁ − 2 < m. The trip counts,
+/// word offsets and shift counts all derive from the field, so the
+/// operation sequence is the same for every operand — no loop runs
+/// until a word clears.
+#[inline(always)]
+pub fn reduce_words(prod: [u64; PROD_LIMBS], reduction: &[usize]) -> [u64; LIMBS] {
     let m = reduction[0];
+    let e1 = reduction[1];
     debug_assert!(reduction.windows(2).all(|w| w[0] > w[1]));
-    let mw = m / 64;
-    let mb = m % 64;
-    // Whole words strictly above the word holding bit m.
-    let mut i = PROD_LIMBS - 1;
-    while i > mw {
-        while prod[i] != 0 {
-            let w = prod[i];
-            prod[i] = 0;
-            for &e in &reduction[1..] {
-                // x^(64·i + j) ≡ x^(64·i + j − m + e)
-                let base = 64 * i + e - m;
-                let wi = base / 64;
-                let sh = base % 64;
-                prod[wi] ^= w << sh;
-                if sh != 0 {
-                    prod[wi + 1] ^= w >> (64 - sh);
-                }
+    debug_assert!(2 * e1 <= m + 1, "two folds need 2·e₁ ≤ m + 1");
+    let (mw, mb) = (m / 64, m % 64);
+    // Words of H in each fold: H has at most m − 1 bits in the first,
+    // at most e₁ − 1 in the second.
+    let folds = [(m - 1).div_ceil(64), (e1 - 1).div_ceil(64).max(1)];
+    // Ones below bit m.
+    let mut keep = [0u64; PROD_LIMBS];
+    for (j, k) in keep.iter_mut().enumerate() {
+        *k = match j.cmp(&mw) {
+            core::cmp::Ordering::Less => u64::MAX,
+            core::cmp::Ordering::Equal => (1u64 << mb) - 1,
+            core::cmp::Ordering::Greater => 0,
+        };
+    }
+    let tail = &reduction[1..];
+    let mut p = prod;
+    // lint: ct-begin — the fold schedule depends only on the field.
+    // `h` holds H one word up, between zero guard words, so each
+    // shifted copy reads its word and the one below without a branch
+    // at either end; `(w >> 1) >> (63 − s)` is `w >> (64 − s)`, and 0
+    // when s = 0.
+    for hw in folds {
+        let mut h = [0u64; LIMBS + 2];
+        let high = p.iter().skip(mw).zip(p.iter().skip(mw + 1));
+        for (d, (lo, hi)) in h.iter_mut().skip(1).take(hw).zip(high) {
+            *d = (lo >> mb) | ((hi << 1) << (63 - mb));
+        }
+        for (w, k) in p.iter_mut().zip(keep) {
+            *w &= k;
+        }
+        for &e in tail {
+            let (ew, eb) = (e >> 6, e & 63);
+            let shifted = h.iter().skip(1).zip(h.iter()).take(hw + 1);
+            for (d, (lo, hi)) in p.iter_mut().skip(ew).zip(shifted) {
+                *d ^= (lo << eb) | ((hi >> 1) >> (63 - eb));
             }
         }
-        i -= 1;
     }
-    // Bits ≥ m inside the boundary word.
-    let low_mask = (1u64 << mb).wrapping_sub(1);
-    loop {
-        let t = prod[mw] >> mb;
-        if t == 0 {
-            break;
-        }
-        prod[mw] &= low_mask;
-        for &e in &reduction[1..] {
-            // x^(m + j) ≡ x^(j + e): place t at bit offset e.
-            let wi = e / 64;
-            let sh = e % 64;
-            prod[wi] ^= t << sh;
-            if sh != 0 {
-                prod[wi + 1] ^= t >> (64 - sh);
-            }
-        }
-    }
+    // lint: ct-end
     let mut out = [0u64; LIMBS];
-    out.copy_from_slice(&prod[..LIMBS]);
+    out.copy_from_slice(&p[..LIMBS]);
     out
 }
 
@@ -401,29 +416,80 @@ mod tests {
         let b = [0xdead_beef_cafe_f00d, 0x1234_5678_9abc_def0, 0x5, 0, 0];
         assert_eq!(clmul_fast(&a, &b, 3), clmul(&a, &b));
         assert_eq!(clsquare_fast(&a, 3), clsquare(&a));
-        for reduction in [
-            &[163usize, 7, 6, 3, 0][..],
-            &[233, 74, 0][..],
-            &[283, 12, 7, 5, 0][..],
-            &[17, 3, 0][..],
-        ] {
-            let p = clmul(&a, &b);
-            assert_eq!(
-                reduce_fast(p, reduction),
-                reduce(p, reduction),
-                "reduction {reduction:?}"
-            );
+    }
+
+    const FIELDS: [&[usize]; 4] = [
+        &[163, 7, 6, 3, 0],
+        &[233, 74, 0],
+        &[283, 12, 7, 5, 0],
+        &[17, 3, 0],
+    ];
+
+    /// Every bit below 2m − 1 set: the largest product the contract
+    /// admits, with every word it can occupy full.
+    fn saturated(m: usize) -> [u64; PROD_LIMBS] {
+        let mut p = [0u64; PROD_LIMBS];
+        for i in 0..2 * m - 1 {
+            set_bit(&mut p, i);
+        }
+        p
+    }
+
+    #[test]
+    fn reduce_words_matches_bit_serial_reduce() {
+        let mut s = 0x5EED_u64;
+        let mut next = move || {
+            s = s.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = s;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        };
+        for reduction in FIELDS {
+            let m = reduction[0];
+            let nw = m.div_ceil(64);
+            let top = m % 64;
+            let canonical = |next: &mut dyn FnMut() -> u64| {
+                let mut a = [0u64; LIMBS];
+                for w in a.iter_mut().take(nw) {
+                    *w = next();
+                }
+                if top != 0 {
+                    a[nw - 1] &= (1u64 << top) - 1;
+                }
+                a
+            };
+            for _ in 0..256 {
+                let a = canonical(&mut next);
+                let b = canonical(&mut next);
+                for p in [clmul(&a, &b), clsquare(&a)] {
+                    assert_eq!(
+                        reduce_words(p, reduction),
+                        reduce(p, reduction),
+                        "{reduction:?}"
+                    );
+                }
+            }
+            // All-ones operands, and every word of the product set.
+            let ones = canonical(&mut || u64::MAX);
+            for p in [clmul(&ones, &ones), clsquare(&ones), saturated(m)] {
+                assert_eq!(
+                    reduce_words(p, reduction),
+                    reduce(p, reduction),
+                    "{reduction:?}"
+                );
+            }
         }
     }
 
     #[test]
-    fn reduce_fast_toy_field_refolds_high_bits() {
-        // F(2^17): folding word 1 lands back inside word 0 above bit 17,
-        // exercising the refold loops.
+    fn reduce_words_toy_field_refolds_high_bits() {
+        // F(2^17): x^32 + x^31 folds to x^18 + x^17 + …, back at or
+        // above x^17, so the second fold must run.
         let mut p = [0u64; PROD_LIMBS];
-        p[1] = u64::MAX;
-        p[0] = u64::MAX;
-        assert_eq!(reduce_fast(p, &[17, 3, 0]), reduce(p, &[17, 3, 0]));
+        set_bit(&mut p, 32);
+        set_bit(&mut p, 31);
+        assert_eq!(reduce_words(p, &[17, 3, 0]), reduce(p, &[17, 3, 0]));
     }
 
     #[test]

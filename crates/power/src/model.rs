@@ -23,7 +23,7 @@ pub enum LogicStyle {
     #[default]
     StandardCell,
     /// Wave Dynamic Differential Logic: synthesis-compatible dual-rail
-    /// precharge style (Tiri & Verbauwhede, cited as [19]).
+    /// precharge style (Tiri & Verbauwhede, cited as \[19\]).
     Wddl,
     /// Sense-amplifier based logic: full-custom dual-rail.
     Sabl,

@@ -12,7 +12,7 @@
 //! The tag-side cost is exactly what the paper's co-processor was built
 //! for: "the main operation on the tag is two point multiplications
 //! (namely r·P and r·Y), and one modular multiplication (namely e·r)"
-//! (§4). The protocol achieves wide-forward-insider privacy [14]: a
+//! (§4). The protocol achieves wide-forward-insider privacy \[14\]: a
 //! transcript (R, e, s) is unlinkable without the reader's secret y.
 
 use medsec_ec::{

@@ -6,7 +6,7 @@
 //! Game (left-or-right unlinkability): two tags T₀, T₁ are registered;
 //! the adversary first *observes* labeled sessions of each (learning
 //! phase), then receives transcripts of the hidden challenge tag T_b and
-//! guesses b. Advantage = 2·|Pr[win] − ½|.
+//! guesses b. Advantage = 2·|Pr\[win\] − ½|.
 
 use medsec_ec::CurveSpec;
 use medsec_power::{EnergyReport, RadioModel};

@@ -59,6 +59,64 @@ fn has_zero_x<C: CurveSpec>(p: &Point<C>) -> bool {
     p.x().is_some_and(|x| x.is_zero())
 }
 
+/// The server's half of a sigma-protocol hello wave: decode every
+/// device's `PhCommit` frame and answer each valid commitment with the
+/// challenge frame `challenge` returns for it.
+///
+/// Every frame is deframed first, then every payload decompresses in
+/// one `Point::decompress_batch`, so the wave shares one field
+/// inversion instead of paying one per device. Answers then go out in
+/// wave order, booking the ledger and calling `challenge` exactly as
+/// one `wire::decode_point` per device did: a device's received bytes
+/// are booked unless its id is unknown or it sent nothing, and its
+/// error is `UnknownDevice`, else a decode error (`Malformed` when the
+/// point does not decompress), else `BadEphemeral` for the x = 0 point.
+fn commitment_wave<C: CurveSpec>(
+    opens: &[(SuiteDeviceId, Option<&[u8]>)],
+    known: impl Fn(SuiteDeviceId) -> bool,
+    ledger: &mut EnergyLedger,
+    mut challenge: impl FnMut(SuiteDeviceId, Point<C>) -> Bytes,
+) -> Vec<(SuiteDeviceId, Result<Bytes, SuiteError>)> {
+    let framed: Vec<Result<&[u8], SuiteError>> = opens
+        .iter()
+        .map(|&(id, open)| {
+            if !known(id) {
+                return Err(SuiteError::UnknownDevice(id));
+            }
+            let bytes = open.ok_or(SuiteError::Decode(DecodeError::Malformed))?;
+            Ok(wire::point_payload(MsgType::PhCommit, bytes)?)
+        })
+        .collect();
+    let payloads: Vec<&[u8]> = framed
+        .iter()
+        .filter_map(|f| f.as_ref().ok().copied())
+        .collect();
+    let mut points = Point::<C>::decompress_batch(&payloads).into_iter();
+    opens
+        .iter()
+        .zip(framed)
+        .map(|(&(id, open), payload)| {
+            let r = (|| {
+                if let (true, Some(bytes)) = (known(id), open) {
+                    ledger.rx(bytes.len());
+                }
+                payload?;
+                let commitment = points
+                    .next()
+                    .expect("one decoding per payload")
+                    .ok_or(SuiteError::Decode(DecodeError::Malformed))?;
+                if has_zero_x(&commitment) {
+                    return Err(SuiteError::BadEphemeral);
+                }
+                let frame = challenge(id, commitment);
+                ledger.tx(frame.len());
+                Ok(frame)
+            })();
+            (id, r)
+        })
+        .collect()
+}
+
 /// Which curve a profile's co-processor is configured for (wire id).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 #[repr(u8)]
@@ -894,28 +952,12 @@ impl<C: CurveSpec> SecuritySuite for SchnorrSuite<C> {
         mut next_u64: impl FnMut() -> u64,
         ledger: &mut EnergyLedger,
     ) -> Vec<(SuiteDeviceId, Result<Bytes, SuiteError>)> {
-        opens
-            .iter()
-            .map(|&(id, open)| {
-                let r = (|| {
-                    if !server.publics.contains_key(&id) {
-                        return Err(SuiteError::UnknownDevice(id));
-                    }
-                    let bytes = open.ok_or(SuiteError::Decode(DecodeError::Malformed))?;
-                    ledger.rx(bytes.len());
-                    let commitment = wire::decode_point::<C>(MsgType::PhCommit, bytes)?;
-                    if has_zero_x(&commitment) {
-                        return Err(SuiteError::BadEphemeral);
-                    }
-                    let challenge = Scalar::<C>::random_nonzero(&mut next_u64);
-                    server.pending.insert(id, (commitment, challenge));
-                    let frame = wire::encode_scalar(MsgType::PhChallenge, &challenge);
-                    ledger.tx(frame.len());
-                    Ok(frame)
-                })();
-                (id, r)
-            })
-            .collect()
+        let known = |id| server.publics.contains_key(&id);
+        commitment_wave::<C>(opens, known, ledger, |id, commitment| {
+            let challenge = Scalar::<C>::random_nonzero(&mut next_u64);
+            server.pending.insert(id, (commitment, challenge));
+            wire::encode_scalar(MsgType::PhChallenge, &challenge)
+        })
     }
 
     fn device_turn(
@@ -1050,25 +1092,17 @@ impl<C: CurveSpec> SecuritySuite for PhSuite<C> {
         mut next_u64: impl FnMut() -> u64,
         ledger: &mut EnergyLedger,
     ) -> Vec<(SuiteDeviceId, Result<Bytes, SuiteError>)> {
-        opens
-            .iter()
-            .map(|&(id, open)| {
-                let r = (|| {
-                    let bytes = open.ok_or(SuiteError::Decode(DecodeError::Malformed))?;
-                    ledger.rx(bytes.len());
-                    let commitment = wire::decode_point::<C>(MsgType::PhCommit, bytes)?;
-                    if has_zero_x(&commitment) {
-                        return Err(SuiteError::BadEphemeral);
-                    }
-                    let challenge = server.reader.challenge(&mut next_u64);
-                    server.pending.insert(id, (commitment, challenge));
-                    let frame = wire::encode_scalar(MsgType::PhChallenge, &challenge);
-                    ledger.tx(frame.len());
-                    Ok(frame)
-                })();
-                (id, r)
-            })
-            .collect()
+        // Tags stay anonymous until verification: every id is known.
+        commitment_wave::<C>(
+            opens,
+            |_| true,
+            ledger,
+            |id, commitment| {
+                let challenge = server.reader.challenge(&mut next_u64);
+                server.pending.insert(id, (commitment, challenge));
+                wire::encode_scalar(MsgType::PhChallenge, &challenge)
+            },
+        )
     }
 
     fn device_turn(
@@ -1426,6 +1460,139 @@ mod tests {
         refuses_zero_x_points::<Toy17>(7008);
         refuses_zero_x_points::<medsec_ec::B163>(7009);
         refuses_zero_x_points::<medsec_ec::K163>(7010);
+    }
+
+    /// A hello wave as one `wire::decode_point` per device answered it:
+    /// the reference `commitment_wave` must match result for result,
+    /// booking for booking and draw for draw.
+    fn hello_per_frame<C: CurveSpec>(
+        opens: &[(SuiteDeviceId, Option<&[u8]>)],
+        known: impl Fn(SuiteDeviceId) -> bool,
+        ledger: &mut EnergyLedger,
+        mut challenge: impl FnMut(SuiteDeviceId, Point<C>) -> Bytes,
+    ) -> Vec<(SuiteDeviceId, Result<Bytes, SuiteError>)> {
+        opens
+            .iter()
+            .map(|&(id, open)| {
+                let r = (|| {
+                    if !known(id) {
+                        return Err(SuiteError::UnknownDevice(id));
+                    }
+                    let bytes = open.ok_or(SuiteError::Decode(DecodeError::Malformed))?;
+                    ledger.rx(bytes.len());
+                    let commitment = wire::decode_point::<C>(MsgType::PhCommit, bytes)?;
+                    if has_zero_x(&commitment) {
+                        return Err(SuiteError::BadEphemeral);
+                    }
+                    let frame = challenge(id, commitment);
+                    ledger.tx(frame.len());
+                    Ok(frame)
+                })();
+                (id, r)
+            })
+            .collect()
+    }
+
+    fn hello_waves_match_per_frame<C: CurveSpec>(seed: u64) {
+        let mut rng = SplitMix64::new(seed);
+        let mut dl = ledger();
+        // Genuine commitments, then every way a frame can fail, each
+        // kind twice so a bad entry sits between good ones.
+        let mut tag = SchnorrTag::<C>::new(rng.as_fn());
+        let good: Vec<Bytes> = (0..4)
+            .map(|_| wire::encode_point(MsgType::PhCommit, &tag.commit(rng.as_fn(), &mut dl)))
+            .collect();
+        let plen = Point::<C>::compressed_len();
+        let mut not_canonical = vec![0xffu8; plen];
+        not_canonical[0] = 1;
+        let bad = [
+            wire::frame(MsgType::PhCommit, &zero_x_encoding::<C>()),
+            wire::frame(MsgType::PhCommit, &not_canonical),
+            wire::frame(MsgType::PhCommit, &[1u8; 3]),
+            wire::frame(MsgType::PhResponse, &good[0][2..]),
+            Bytes::copy_from_slice(&good[1][..plen / 2]),
+            wire::encode_point::<C>(MsgType::PhCommit, &Point::infinity()),
+        ];
+        let mut opens: Vec<(SuiteDeviceId, Option<&[u8]>)> = Vec::new();
+        for (i, frame) in bad.iter().chain(&good).chain(&bad).enumerate() {
+            opens.push((i as u32, Some(frame)));
+            opens.push((100 + i as u32, Some(frame)));
+        }
+        opens.extend([(3, None), (103, None), (2, Some(&good[2][..]))]);
+        let known = |id: SuiteDeviceId| id < 100;
+
+        // Schnorr: registered ids only.
+        let verifiers = [0, 1].map(|_| {
+            let mut v = SchnorrVerifier::<C>::new();
+            for i in 0..30 {
+                v.register(i, *tag.public());
+            }
+            v
+        });
+        let (mut want_rng, mut got_rng) = (SplitMix64::new(seed ^ 1), SplitMix64::new(seed ^ 1));
+        let (mut want_l, mut got_l) = (ledger(), ledger());
+        let want = hello_per_frame::<C>(&opens, known, &mut want_l, |id, commitment| {
+            let challenge = Scalar::<C>::random_nonzero(want_rng.as_fn());
+            verifiers[0].pending.insert(id, (commitment, challenge));
+            wire::encode_scalar(MsgType::PhChallenge, &challenge)
+        });
+        let got =
+            SchnorrSuite::<C>::hello_batch(&verifiers[1], &opens, got_rng.as_fn(), &mut got_l);
+        assert_eq!(got, want, "{}: schnorr results", C::NAME);
+        assert!(got.iter().any(|(_, r)| r.is_ok()), "{}", C::NAME);
+        for kind in [
+            SuiteError::UnknownDevice(100),
+            SuiteError::Decode(DecodeError::Malformed),
+            SuiteError::Decode(DecodeError::Truncated),
+            SuiteError::BadEphemeral,
+        ] {
+            assert!(
+                got.iter().any(|(_, r)| r.as_ref().err() == Some(&kind)),
+                "{kind:?}"
+            );
+        }
+        assert_eq!(got_l.total().to_bits(), want_l.total().to_bits());
+        assert_eq!(got_l.bytes_on_air(), want_l.bytes_on_air());
+        assert_eq!(got_rng.next_u64(), want_rng.next_u64());
+        for (id, _) in &opens {
+            assert_eq!(
+                verifiers[1].pending.remove(*id),
+                verifiers[0].pending.remove(*id)
+            );
+        }
+
+        // Peeters–Hermans: tags stay anonymous, every id is known.
+        let servers =
+            [0, 1].map(|_| PhServer::new(PhReader::<C>::new(SplitMix64::new(seed).as_fn())));
+        let (mut want_l, mut got_l) = (ledger(), ledger());
+        let want = hello_per_frame::<C>(
+            &opens,
+            |_| true,
+            &mut want_l,
+            |id, commitment| {
+                let challenge = servers[0].reader.challenge(want_rng.as_fn());
+                servers[0].pending.insert(id, (commitment, challenge));
+                wire::encode_scalar(MsgType::PhChallenge, &challenge)
+            },
+        );
+        let got = PhSuite::<C>::hello_batch(&servers[1], &opens, got_rng.as_fn(), &mut got_l);
+        assert_eq!(got, want, "{}: ph results", C::NAME);
+        assert_eq!(got_l.total().to_bits(), want_l.total().to_bits());
+        assert_eq!(got_l.bytes_on_air(), want_l.bytes_on_air());
+        assert_eq!(got_rng.next_u64(), want_rng.next_u64());
+        for (id, _) in &opens {
+            assert_eq!(
+                servers[1].pending.remove(*id),
+                servers[0].pending.remove(*id)
+            );
+        }
+    }
+
+    #[test]
+    fn hello_waves_match_one_decode_per_frame() {
+        hello_waves_match_per_frame::<Toy17>(7011);
+        hello_waves_match_per_frame::<medsec_ec::K163>(7012);
+        hello_waves_match_per_frame::<medsec_ec::B163>(7013);
     }
 
     #[test]

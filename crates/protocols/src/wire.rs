@@ -153,11 +153,18 @@ pub fn encode_point<C: CurveSpec>(ty: MsgType, p: &Point<C>) -> Bytes {
 
 /// Decode a point message, validating curve membership.
 pub fn decode_point<C: CurveSpec>(ty: MsgType, bytes: &[u8]) -> Result<Point<C>, DecodeError> {
+    Point::<C>::decompress(point_payload(ty, bytes)?).ok_or(DecodeError::Malformed)
+}
+
+/// The compressed-point payload of a `ty` frame, not yet decoded: the
+/// deframing half of [`decode_point`], for callers that decompress a
+/// whole wave of points with one `Point::decompress_batch`.
+pub fn point_payload(ty: MsgType, bytes: &[u8]) -> Result<&[u8], DecodeError> {
     let (got, payload) = deframe(bytes)?;
     if got != ty {
         return Err(DecodeError::Malformed);
     }
-    Point::<C>::decompress(payload).ok_or(DecodeError::Malformed)
+    Ok(payload)
 }
 
 /// Encode a scalar message — allocation-free staging via

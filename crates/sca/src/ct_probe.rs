@@ -1,6 +1,7 @@
-//! Wall-clock fixed-vs-random probes over the `gf2m::ct` helpers.
+//! Wall-clock fixed-vs-random probes over the `gf2m::ct` helpers, the
+//! ladder and scalar field multiplication.
 //!
-//! The cost-model study in [`crate::timing`] proves the *architecture*
+//! The cost-model study in the `timing` module proves the *architecture*
 //! is constant-time; this module spot-checks that the *software*
 //! constant-time primitives the ladder and MAC verifiers now route
 //! through ([`medsec_gf2m::ct`]) don't regress into data-dependent
@@ -17,6 +18,7 @@ use std::time::Instant;
 
 use medsec_ec::{ladder, CoordinateBlinding, CurveSpec, Scalar, K163};
 use medsec_gf2m::ct::{ct_eq_bytes, ct_swap_limbs};
+use medsec_gf2m::{Element, F163};
 use medsec_rng::SplitMix64;
 
 /// Outcome of one fixed-vs-random probe: median per-batch latency of
@@ -136,6 +138,49 @@ pub fn probe_ladder_fixed_vs_random(runs: usize) -> CtProbe {
     CtProbe::from_samples(a, b)
 }
 
+/// Fixed-vs-random probe over scalar F(2^163) multiplication, the
+/// operation under every ladder step, inversion and decompression on
+/// the serving backends: class A multiplies operands whose high limbs
+/// are zero (only the low word set), class B random operands. The
+/// products of class A have no bits above x^163, so a reduction that
+/// loops until the high words clear finishes ~3× sooner on them; a
+/// reduction whose schedule is fixed by the field takes the same time
+/// on both. Batches of the two classes alternate, so a slow phase of a
+/// shared host hits both.
+pub fn probe_field_mul_fixed_vs_random(batches: usize, per_batch: usize) -> CtProbe {
+    let mut rng = SplitMix64::new(0xF1E1_D000);
+    let mut pairs = |high: bool| -> Vec<(Element<F163>, Element<F163>)> {
+        (0..per_batch)
+            .map(|_| {
+                let mut draw = || {
+                    if high {
+                        Element::random(rng.as_fn())
+                    } else {
+                        Element::from_u64(rng.next_u64())
+                    }
+                };
+                (draw(), draw())
+            })
+            .collect()
+    };
+    let (low, random) = (pairs(false), pairs(true));
+    let mut sink = Element::<F163>::zero();
+    let mut time = |set: &[(Element<F163>, Element<F163>)]| -> u64 {
+        let t0 = Instant::now();
+        for (a, b) in set {
+            sink += black_box(*a) * black_box(*b);
+        }
+        t0.elapsed().as_nanos() as u64
+    };
+    let (mut a, mut b) = (Vec::with_capacity(batches), Vec::with_capacity(batches));
+    for _ in 0..batches {
+        a.push(time(&low));
+        b.push(time(&random));
+    }
+    black_box(sink);
+    CtProbe::from_samples(a, b)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -160,6 +205,15 @@ mod tests {
         assert!(
             probe.ratio < MAX_RATIO,
             "ct_swap_limbs timing split {probe:?}"
+        );
+    }
+
+    #[test]
+    fn field_mul_is_flat_fixed_vs_random_operands() {
+        let probe = probe_field_mul_fixed_vs_random(64, 1024);
+        assert!(
+            probe.ratio < MAX_RATIO,
+            "F163 mul low-limb vs random timing split {probe:?}"
         );
     }
 
