@@ -14,18 +14,22 @@
 //!   "the chip randomizes the internal points representation by using a
 //!   random Z coordinate in each execution" (§7).
 //!
-//! The gateway runs the same ladder on many keys at once: the lockstep
-//! form draws every lane's blinding Z, builds the lanes' start states
-//! and key bits, and hands the whole ladder to the field backend's
-//! batch entry point ([`medsec_gf2m::ladder_planes`]) — on AVX-512
-//! hosts one register-resident kernel per chunk of eight lanes, on the
-//! others the scalar ladder's step schedule with one batch operation
-//! per field operation. Both keep the
-//! scalar ladder's key-independent schedule: each lane's key bit only
-//! steers masked swaps, and a lane with a leg at infinity takes
+//! Every ladder runs through one implementation: the field backend's
+//! whole-ladder batch entry point ([`medsec_gf2m::ladder_planes`]).
+//! The gateway's lockstep form draws every lane's blinding Z, builds
+//! the lanes' start states and key bits and hands them over in one
+//! call; a single ladder (the device's ECDH and `r·Y`, the SCA probes,
+//! the experiments) is the same call at width one. On AVX-512 hosts
+//! the backend runs one register-resident kernel per chunk of eight
+//! lanes, on the others the step schedule with one batch operation
+//! per field operation. Each lane's key bit only steers masked swaps
+//! around a fixed madd/mdouble schedule, and because madd is symmetric
+//! under exchanging its two legs the states are byte-identical to those
+//! of the branching ladder of Algorithm 1 (`tests/ladder_ct_identity.rs`
+//! keeps a copy of it). A lane with a leg at infinity takes
 //! `step_at_infinity`'s rule through the seam.
 
-use medsec_gf2m::{ct, ladder_planes, Element, FieldSpec, LadderPlanes};
+use medsec_gf2m::{ladder_planes, Element, FieldSpec, LadderPlanes};
 
 use crate::curve::{CurveSpec, Point};
 use crate::scalar::Scalar;
@@ -152,11 +156,13 @@ pub fn ladder_x_only<C: CurveSpec>(
 }
 
 /// Ladder core over an explicit MSB-first bit pattern whose leading bit
-/// is 1 (used by both the fixed-length and the scalar-blinded paths).
+/// is 1: one lane of the lockstep ladder (see the module doc), from the
+/// start state `blinding` selects.
 ///
 /// # Panics
 ///
-/// Panics if `px` is zero or `bits` is empty / does not start with 1.
+/// Panics if `px` is zero, if `bits` is empty or does not start with 1,
+/// or if it holds more than `64 · LIMBS + 1` bits.
 pub fn ladder_x_only_bits<C: CurveSpec>(
     bits: &[bool],
     px: Element<C::Field>,
@@ -190,33 +196,38 @@ pub fn ladder_x_only_bits<C: CurveSpec>(
         }
     };
 
-    let mut x1 = px * r;
-    let mut z1 = r;
-    // Q ← 2·P.
-    let (mut x2, mut z2) = mdouble::<C>(x1, z1);
+    ladder_lanes::<C, _>(bits.len() - 1, core::iter::once((px, r, bits)))
+        .pop()
+        .expect("one state per lane")
+}
 
-    for &bit in bits[1..].iter() {
-        if step_at_infinity::<C>(bit, &mut x1, &mut z1, &mut x2, &mut z2) {
-            continue;
-        }
-        // lint: ct-begin — branch-free per-bit schedule. The key bit
-        // only steers masked limb swaps (gf2m::ct); the madd/mdouble
-        // call pattern and memory trace are identical for both bit
-        // values, and because madd is symmetric under exchanging its
-        // two legs (`a·b` and `(a+b)²` commute) the outputs are
-        // byte-identical to the historical branching schedule — see
-        // tests/ladder_ct_identity.rs.
-        ct::ct_swap(bit, &mut x1, &mut x2);
-        ct::ct_swap(bit, &mut z1, &mut z2);
-        let (ax, az) = madd::<C>(x1, z1, x2, z2, px);
-        let (dx, dz) = mdouble::<C>(x1, z1);
-        (x1, z1, x2, z2) = (dx, dz, ax, az);
-        ct::ct_swap(bit, &mut x1, &mut x2);
-        ct::ct_swap(bit, &mut z1, &mut z2);
+/// Runs one ladder per lane, all in lockstep, through the field
+/// backend ([`ladder_planes`]). Lane i comes from the i-th
+/// `(x(P), r, bits)`: its blinded start state R ← (x·r, r), Q ← 2·P and
+/// its `steps` key bits after the leading 1. A lane with a leg at
+/// infinity before a step takes [`step_at_infinity`] for that step.
+fn ladder_lanes<C: CurveSpec, K: AsRef<[bool]>>(
+    steps: usize,
+    lanes: impl ExactSizeIterator<Item = (Element<C::Field>, Element<C::Field>, K)>,
+) -> Vec<LadderState<C>> {
+    let n = lanes.len();
+    let mut s = LadderPlanes::default();
+    s.reset(n, steps);
+    for (i, (px, r, bits)) in lanes.enumerate() {
+        // lint: ct-begin — the start state under the blinding Z: the
+        // same field operations whatever Z is.
+        let (x1, z1) = (px * r, r);
+        let (x2, z2) = mdouble::<C>(x1, z1);
         // lint: ct-end
+        s.set(i, &[x1, z1, x2, z2], &px, &bits.as_ref()[1..]);
     }
-
-    LadderState { x1, z1, x2, z2 }
+    ladder_planes::<C::Field>(&mut s, &C::b(), step_at_infinity::<C>);
+    (0..n)
+        .map(|i| {
+            let [x1, z1, x2, z2] = s.get(i);
+            LadderState { x1, z1, x2, z2 }
+        })
+        .collect()
 }
 
 /// A fresh nonzero projective Z for [`CoordinateBlinding::RandomZ`].
@@ -229,24 +240,17 @@ fn random_z<F: FieldSpec>(mut next_u64: impl FnMut() -> u64) -> Element<F> {
     }
 }
 
-/// The ladder step for a state `(X1 : Z1), (X2 : Z2)` with a leg at
-/// infinity, which the x-only formulas cannot represent. Returns
-/// `false`, leaving the state untouched, when both legs are finite.
+/// The ladder step for a state `[X1, Z1, X2, Z2]` with a leg at
+/// infinity (Z1 = 0 or Z2 = 0), which the x-only formulas cannot
+/// represent.
 ///
 /// Such states only occur when a scalar prefix hits 0 or −1 mod n —
 /// negligible on 163-bit curves but reachable on the toy curve's
-/// exhaustive small-scalar tests. Callers take this step outside their
-/// ct regions on purpose: `is_zero` on a blinded Z is public (Z = 0 iff
-/// the point is O, independent of the random representative), so a
+/// exhaustive small-scalar tests. The backend calls this rule outside
+/// its ct regions on purpose: `is_zero` on a blinded Z is public (Z = 0
+/// iff the point is O, independent of the random representative), so a
 /// uniform schedule is neither possible nor needed here.
-#[inline]
-fn step_at_infinity<C: CurveSpec>(
-    bit: bool,
-    x1: &mut Element<C::Field>,
-    z1: &mut Element<C::Field>,
-    x2: &mut Element<C::Field>,
-    z2: &mut Element<C::Field>,
-) -> bool {
+fn step_at_infinity<C: CurveSpec>(bit: bool, [x1, z1, x2, z2]: &mut [Element<C::Field>; 4]) {
     if z1.is_zero() {
         // R = O (so Q = P by the ladder invariant).
         if bit {
@@ -255,36 +259,27 @@ fn step_at_infinity<C: CurveSpec>(
             (*x2, *z2) = mdouble::<C>(*x1, *z1);
         }
         // else: Q ← Q+O = Q and R ← 2O = O — nothing changes.
-        return true;
-    }
-    if z2.is_zero() {
+    } else if !bit {
         // Q = O (so R = −P; x-only cannot see the sign).
-        if !bit {
-            // Q ← Q+R = R;  R ← 2R.
-            (*x2, *z2) = (*x1, *z1);
-            (*x1, *z1) = mdouble::<C>(*x2, *z2);
-        }
-        // else: R ← R+O = R and Q ← 2O = O — nothing changes.
-        return true;
+        // Q ← Q+R = R;  R ← 2R.
+        (*x2, *z2) = (*x1, *z1);
+        (*x1, *z1) = mdouble::<C>(*x2, *z2);
     }
-    false
+    // Q = O with the bit set: R ← R+O = R and Q ← 2O = O — nothing
+    // changes.
 }
 
 /// The x-only ladder of many `(k, x(P))` lanes run in lockstep — the
 /// server's batch form of [`ladder_x_only`] with
-/// [`CoordinateBlinding::RandomZ`]. Every lane takes the same step at
-/// the same time through the field backend's whole-ladder batch entry
-/// point ([`medsec_gf2m::ladder_planes`]): each field operation runs on
-/// all lanes at once, and each lane's key bit steers a masked lane swap
-/// instead of a branch. The ladder is constant-length, so no lane waits
-/// for another.
+/// [`CoordinateBlinding::RandomZ`]: every lane takes the same step at
+/// the same time, each field operation runs on all lanes at once, and
+/// each lane's key bit steers a masked lane swap instead of a branch.
+/// The ladder is constant-length, so no lane waits for another.
 ///
 /// Entry `i` of the result is the state `ladder_x_only` returns for
 /// lane `i`, and `next_u64` ends where the per-lane calls in lane order
 /// leave it: each lane's Z is drawn, in lane order, before the first
-/// step. A lane with a leg at infinity takes the scalar ladder's
-/// exceptional rule ([`step_at_infinity`]) for that step; which lanes
-/// do is public.
+/// step.
 ///
 /// # Panics
 ///
@@ -297,29 +292,12 @@ pub(crate) fn ladder_x_only_lockstep<C: CurveSpec>(
         lanes.iter().all(|(_, px)| !px.is_zero()),
         "x-only ladder cannot process the x = 0 point"
     );
-    let n = lanes.len();
-    if n == 0 {
-        return Vec::new();
-    }
-    // The blinded start state R ← (x·r, r), Q ← 2·P of every lane, and
-    // its key bits after the leading 1.
-    let mut s = LadderPlanes::default();
-    s.reset(n, C::LADDER_BITS - 1);
-    for (i, (k, px)) in lanes.iter().enumerate() {
-        let r = random_z::<C::Field>(&mut next_u64);
-        let (x1, z1) = (*px * r, r);
-        let (x2, z2) = mdouble::<C>(x1, z1);
-        s.set(i, &[x1, z1, x2, z2], px, &k.ladder_bits()[1..]);
-    }
-    ladder_planes::<C::Field>(&mut s, &C::b(), |bit, [x1, z1, x2, z2]| {
-        step_at_infinity::<C>(bit, x1, z1, x2, z2);
-    });
-    (0..n)
-        .map(|i| {
-            let [x1, z1, x2, z2] = s.get(i);
-            LadderState { x1, z1, x2, z2 }
-        })
-        .collect()
+    ladder_lanes::<C, _>(
+        C::LADDER_BITS - 1,
+        lanes
+            .iter()
+            .map(|(k, px)| (*px, random_z::<C::Field>(&mut next_u64), k.ladder_bits())),
+    )
 }
 
 /// [`ladder_mul`] with [`CoordinateBlinding::RandomZ`] for every item:
@@ -361,32 +339,6 @@ pub(crate) fn ladder_mul_lockstep<C: CurveSpec>(
             })
         })
         .collect()
-}
-
-/// Scalar-blinded scalar multiplication: computes `k·P` through the
-/// randomized representative `k + (2 + extra)·n` (Coron's scalar
-/// blinding), with `extra` drawn from `next_u64`. Combines with the
-/// projective-coordinate blinding for defence in depth; note the ladder
-/// length now varies with `extra` (the constant-latency property is
-/// traded away — an explicit design-dimension choice).
-pub fn ladder_mul_scalar_blinded<C: CurveSpec>(
-    k: &Scalar<C>,
-    p: &Point<C>,
-    blinding: CoordinateBlinding,
-    mut next_u64: impl FnMut() -> u64,
-) -> Point<C> {
-    let (px, py) = match p {
-        Point::Infinity => return Point::Infinity,
-        Point::Affine { x, y } => (*x, *y),
-    };
-    assert!(
-        !px.is_zero(),
-        "x-only ladder cannot process the x = 0 point"
-    );
-    let extra = (next_u64() & 0xff) as u32;
-    let bits = k.blinded_ladder_bits(extra);
-    let state = ladder_x_only_bits::<C>(&bits, px, blinding, &mut next_u64);
-    recover_y::<C>(&state, px, py)
 }
 
 /// Recover the affine result (with y) from the final ladder state —
@@ -650,8 +602,8 @@ mod tests {
         );
     }
 
-    /// The lockstep kernel against one scalar ladder per lane, fed the
-    /// same stream: equal projective states and points, and the stream
+    /// The lockstep kernel against one single-lane ladder per lane, fed
+    /// the same stream: equal projective states and points, and the stream
     /// left at the same place.
     fn lockstep_matches_per_lane<C: CurveSpec>(ks: &[Scalar<C>], seed: u64) {
         let mut r = rng_from(seed);
@@ -741,56 +693,5 @@ mod tests {
     #[test]
     fn registers_used_matches_paper() {
         assert_eq!(REGISTERS_USED, 6);
-    }
-
-    #[test]
-    fn scalar_blinding_preserves_results_toy() {
-        let g = Toy17::generator();
-        let mut r = rng_from(40);
-        for _ in 0..64 {
-            let k = Scalar::<Toy17>::random_nonzero(&mut r);
-            let expect = g.mul_double_and_add(&k);
-            let got = ladder_mul_scalar_blinded(&k, &g, CoordinateBlinding::RandomZ, &mut r);
-            assert_eq!(got, expect);
-        }
-    }
-
-    #[test]
-    fn scalar_blinding_preserves_results_k163() {
-        let g = K163::generator();
-        let mut r = rng_from(41);
-        let k = Scalar::<K163>::random_nonzero(&mut r);
-        let expect = ladder_mul(&k, &g, CoordinateBlinding::Disabled, &mut r);
-        for _ in 0..3 {
-            assert_eq!(
-                ladder_mul_scalar_blinded(&k, &g, CoordinateBlinding::RandomZ, &mut r),
-                expect
-            );
-        }
-    }
-
-    #[test]
-    fn blinded_bit_patterns_differ_across_runs() {
-        let mut r = rng_from(42);
-        let k = Scalar::<K163>::random_nonzero(&mut r);
-        let b1 = k.blinded_ladder_bits(17);
-        let b2 = k.blinded_ladder_bits(203);
-        assert_ne!(b1, b2, "different masks must change the representation");
-        // Lengths stay within the 8-extra-bit envelope.
-        assert!(b1.len() >= K163::LADDER_BITS && b1.len() <= K163::LADDER_BITS + 8);
-    }
-
-    #[test]
-    fn blinded_edge_scalars() {
-        let g = Toy17::generator();
-        let mut r = rng_from(43);
-        assert_eq!(
-            ladder_mul_scalar_blinded(&Scalar::zero(), &g, CoordinateBlinding::RandomZ, &mut r),
-            Point::Infinity
-        );
-        assert_eq!(
-            ladder_mul_scalar_blinded(&Scalar::one(), &g, CoordinateBlinding::RandomZ, &mut r),
-            g
-        );
     }
 }

@@ -353,32 +353,6 @@ impl<C: CurveSpec> Scalar<C> {
         );
         (0..t).rev().map(|i| bit_raw(&kpp, i)).collect()
     }
-
-    /// Scalar-blinded ladder bits: `k'' = k + (c + extra)·n` with a
-    /// random `extra` drawn per execution. Every representative computes
-    /// the same point `k·P`, but the bit pattern — and hence every
-    /// key-dependent intermediate — changes from run to run: an
-    /// *algorithm-level* DPA countermeasure complementary to the random
-    /// projective Z (Coron's first countermeasure). The price is a
-    /// variable bit-length (up to 8 extra iterations for `extra < 256`),
-    /// i.e. it trades the constant-latency property away.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the blinded scalar overflows the 320-bit working width.
-    pub fn blinded_ladder_bits(&self, extra: u32) -> Vec<bool> {
-        // (c + extra)·n via schoolbook single-word multiplication.
-        let mut factor = [0u64; L];
-        factor[0] = C::LADDER_MULTIPLE + extra as u64;
-        let wide = mul_wide(&C::ORDER, &factor);
-        debug_assert!(wide[L..].iter().all(|&w| w == 0), "blinded scalar overflow");
-        let mut shift = [0u64; L];
-        shift.copy_from_slice(&wide[..L]);
-        let (kpp, carry) = add_raw(&self.limbs, &shift);
-        assert!(!carry, "blinded scalar overflow");
-        let t = bitlen_raw(&kpp);
-        (0..t).rev().map(|i| bit_raw(&kpp, i)).collect()
-    }
 }
 
 impl<C: CurveSpec> Clone for Scalar<C> {

@@ -8,20 +8,21 @@
 //! directly. The entry points here are the gateway's: the same ladder,
 //! batched.
 //!
-//! A batch over a field with m ≥ 64 runs its ladders **in lockstep**:
-//! every item takes the same ladder step at the same time, and each
-//! item's key bit steers a masked per-lane swap instead of a branch.
-//! The whole ladder is one call into the field backend
-//! (`gf2m::ladder_planes`): on AVX-512 hosts each chunk of up to eight
-//! items stays in ZMM registers from the first step to the last; on
-//! the others each field operation is one batched plane operation over
-//! all items. The y-recoveries then share one batched inversion, and
-//! `mul_add`'s `a·G + b·Q` is one batched mixed addition normalized by
-//! a second. Each item's blinding Z is drawn in item order before the
-//! first step, so results and the caller's random stream match the
-//! per-item ladders bit for bit (`tests/varbase_equivalence.rs`). The
-//! toy curve and [`varbase_mul`] run one ladder per item, each with its
-//! own inversions for y-recovery (and, in `mul_add`, the affine sum).
+//! A batch runs its ladders **in lockstep** on every curve: every item
+//! takes the same ladder step at the same time, and each item's key bit
+//! steers a masked per-lane swap instead of a branch. The whole ladder
+//! is one call into the field backend (`gf2m::ladder_planes`): on
+//! AVX-512 hosts each chunk of up to eight items of a field with
+//! m ≥ 64 stays in ZMM registers from the first step to the last; on
+//! the others, and on the toy field, each field operation is one
+//! batched plane operation over all items. The y-recoveries then share
+//! one batched inversion, and `mul_add`'s `a·G + b·Q` is one batched
+//! mixed addition normalized by a second. Each item's blinding Z is
+//! drawn in item order before the first step, so results and the
+//! caller's random stream match the per-item ladders bit for bit
+//! (`tests/varbase_equivalence.rs`). The single-item [`varbase_mul`] is
+//! the same ladder at width one, with its own inversion for
+//! y-recovery.
 //!
 //! Two of the server's scalars are secrets: the Peeters–Hermans
 //! reader's long-term key y (every ḋ = xcoord(y·R)) and the mutual
@@ -39,30 +40,15 @@
 //! backend, so every benchmark run is attributable to the compute
 //! stack behind it.
 
-use medsec_gf2m::{Element, FieldSpec};
+use medsec_gf2m::Element;
 
 use crate::curve::{CurveSpec, Point};
 use crate::ladder::{
-    batch_x_affine_into, ladder_mul, ladder_mul_lockstep, ladder_x_only, ladder_x_only_lockstep,
-    CoordinateBlinding, LadderState, XAffineScratch,
+    batch_x_affine_into, ladder_mul, ladder_mul_lockstep, ladder_x_only_lockstep,
+    CoordinateBlinding, XAffineScratch,
 };
 use crate::proj::add_pairs_batch;
 use crate::scalar::Scalar;
-
-/// Whether batches on curve `C` run their ladders in lockstep: on
-/// fields with m ≥ 64, at every batch width. The AVX-512 kernel runs a
-/// batch's last one to seven elements as one masked chunk, so on the
-/// vpclmul backend lockstep beats one ladder per item from width 1
-/// (K-163 x-only with the normalization, per item on a 2-core AVX-512
-/// host: 29–33 µs at width 1, 4.2–5.3 at width 8, 4.1–4.8 at width 64,
-/// against 90–114 µs for one scalar ladder).
-/// On the bitsliced backend, whose batches narrower than 64 run scalar
-/// products per element, it reads within noise of separate ladders.
-/// The toy field's planes are reduced one element at a time, so
-/// lockstep gains nothing there.
-fn use_lockstep<C: CurveSpec>() -> bool {
-    C::Field::M >= 64
-}
 
 /// Name of the server's variable-base algorithm for curve `C` (for
 /// bench metadata): `"ladder"` on every curve.
@@ -87,26 +73,16 @@ pub fn varbase_mul<C: CurveSpec>(
 }
 
 /// Server-side batched `k_i·P_i`: the ladders run in lockstep with one
-/// inversion for every y-recovery (see the module doc), or one ladder
-/// per item on the toy curve.
+/// inversion for every y-recovery (see the module doc).
 ///
 /// # Panics
 ///
 /// Panics if a base is the order-2 point with x = 0.
 pub fn varbase_mul_batch<C: CurveSpec>(
     items: &[(Scalar<C>, Point<C>)],
-    mut next_u64: impl FnMut() -> u64,
+    next_u64: impl FnMut() -> u64,
 ) -> Vec<Point<C>> {
-    if items.is_empty() {
-        return Vec::new();
-    }
-    if use_lockstep::<C>() {
-        return ladder_mul_lockstep(items, next_u64);
-    }
-    items
-        .iter()
-        .map(|(k, p)| ladder_mul(k, p, CoordinateBlinding::RandomZ, &mut next_u64))
-        .collect()
+    ladder_mul_lockstep(items, next_u64)
 }
 
 /// Server-side batched shared-secret computation: the affine
@@ -131,15 +107,14 @@ pub fn varbase_x_batch<C: CurveSpec>(
 /// [`XAffineScratch`] and are reused across batches. `out` is cleared
 /// and refilled.
 ///
-/// The x-only ladders run in lockstep on fields with m ≥ 64 (module
-/// doc).
+/// The x-only ladders run in lockstep (module doc).
 ///
 /// # Panics
 ///
 /// Panics if a base is the order-2 point with x = 0.
 pub fn varbase_x_batch_with<C: CurveSpec>(
     items: &[(Scalar<C>, Point<C>)],
-    mut next_u64: impl FnMut() -> u64,
+    next_u64: impl FnMut() -> u64,
     scratch: &mut XAffineScratch,
     out: &mut Vec<Option<Element<C::Field>>>,
 ) {
@@ -157,14 +132,7 @@ pub fn varbase_x_batch_with<C: CurveSpec>(
             live.push(i);
         }
     }
-    let states: Vec<LadderState<C>> = if use_lockstep::<C>() {
-        ladder_x_only_lockstep(&lanes, next_u64)
-    } else {
-        lanes
-            .iter()
-            .map(|(k, px)| ladder_x_only::<C>(k, *px, CoordinateBlinding::RandomZ, &mut next_u64))
-            .collect()
-    };
+    let states = ladder_x_only_lockstep(&lanes, next_u64);
     let mut xs = Vec::with_capacity(states.len());
     batch_x_affine_into(&states, scratch, &mut xs);
     out.resize(items.len(), None);
@@ -193,33 +161,25 @@ pub fn varbase_mul_add_gen<C: CurveSpec>(
 }
 
 /// Batched `a_i·G + b_i·Q_i`. Every fixed-base term goes through one
-/// comb pass (one inversion). On fields with m ≥ 64 the `b_i·Q_i`
-/// ladders run in lockstep, every y is recovered with one inversion,
-/// and every `a_i·G + b_i·Q_i` is one batched mixed addition normalized
-/// by one more. The toy curve runs one ladder and two inversions per
-/// item.
+/// comb pass (one inversion), the `b_i·Q_i` ladders run in lockstep,
+/// every y is recovered with one inversion, and every
+/// `a_i·G + b_i·Q_i` is one batched mixed addition normalized by one
+/// more.
 ///
 /// # Panics
 ///
 /// Panics if a `Q_i` is the order-2 point with x = 0.
 pub fn varbase_mul_add_gen_batch<C: CurveSpec>(
     items: &[(Scalar<C>, Scalar<C>, Point<C>)],
-    mut next_u64: impl FnMut() -> u64,
+    next_u64: impl FnMut() -> u64,
 ) -> Vec<Point<C>> {
     if items.is_empty() {
         return Vec::new();
     }
     let fixed_scalars: Vec<Scalar<C>> = items.iter().map(|(a, _, _)| *a).collect();
     let fixed = crate::comb::generator_mul_batch(&fixed_scalars);
-    if use_lockstep::<C>() {
-        let var: Vec<(Scalar<C>, Point<C>)> = items.iter().map(|(_, b, q)| (*b, *q)).collect();
-        return add_pairs_batch(&fixed, &ladder_mul_lockstep(&var, next_u64));
-    }
-    items
-        .iter()
-        .zip(fixed)
-        .map(|((_, b, q), ag)| ag + ladder_mul(b, q, CoordinateBlinding::RandomZ, &mut next_u64))
-        .collect()
+    let var: Vec<(Scalar<C>, Point<C>)> = items.iter().map(|(_, b, q)| (*b, *q)).collect();
+    add_pairs_batch(&fixed, &ladder_mul_lockstep(&var, next_u64))
 }
 
 #[cfg(test)]

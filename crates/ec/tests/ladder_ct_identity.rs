@@ -8,11 +8,17 @@
 //! the final state — stay byte-for-byte identical. This test keeps a
 //! copy of the pre-refactor loop and compares full `LadderState`s
 //! (all four projective coordinates, not just the affine result) on
-//! K-163, K-233 and K-283 under deterministic blinding modes.
+//! K-163, K-233, K-283, B-163 (b ≠ 1, so the `b·Z⁴` product) and Toy-17
+//! (legs at infinity mid-ladder) under deterministic blinding modes.
+//!
+//! Every ladder runs as one lane of the field backend's lockstep
+//! ladder, so the per-lane comparisons elsewhere (lockstep against
+//! single ladders) pin lane independence and the order of Z draws; this
+//! branching copy is the one oracle for the step schedule itself.
 
 use medsec_ec::{
     ladder::{ladder_x_only_bits, madd, mdouble, LadderState},
-    CoordinateBlinding, CurveSpec, Scalar, K163, K233, K283,
+    CoordinateBlinding, CurveSpec, Scalar, Toy17, B163, K163, K233, K283,
 };
 use medsec_gf2m::Element;
 
@@ -82,41 +88,50 @@ fn rng_from(seed: u64) -> impl FnMut() -> u64 {
     }
 }
 
+const BLINDINGS: [CoordinateBlinding; 3] = [
+    CoordinateBlinding::Disabled,
+    CoordinateBlinding::KnownZ(0x5ca1_ab1e),
+    CoordinateBlinding::KnownZ(7),
+];
+
 fn assert_identical<C: CurveSpec>(seed: u64, scalars: usize) {
-    let gx = C::generator().x().expect("generator is affine");
     let mut rng = rng_from(seed);
-    for blinding in [
-        CoordinateBlinding::Disabled,
-        CoordinateBlinding::KnownZ(0x5ca1_ab1e),
-        CoordinateBlinding::KnownZ(7),
-    ] {
-        for _ in 0..scalars {
-            let k = Scalar::<C>::random_nonzero(&mut rng);
-            let bits = k.ladder_bits();
-            let expect = ladder_pre_refactor::<C>(&bits, gx, blinding);
-            // The blinding draw is deterministic for these modes, so
-            // the closure is never called; panic if it ever is.
-            let got = ladder_x_only_bits::<C>(&bits, gx, blinding, || {
-                panic!("deterministic blinding must not draw randomness")
-            });
-            // Full-state equality: all four projective coordinates,
-            // limb for limb — not merely the same affine point.
-            assert_eq!(
-                (
-                    got.x1.limbs(),
-                    got.z1.limbs(),
-                    got.x2.limbs(),
-                    got.z2.limbs()
-                ),
-                (
-                    expect.x1.limbs(),
-                    expect.z1.limbs(),
-                    expect.x2.limbs(),
-                    expect.z2.limbs()
-                ),
-                "cswap ladder diverged from the branching schedule"
-            );
-        }
+    for blinding in BLINDINGS {
+        let ks: Vec<Scalar<C>> = (0..scalars)
+            .map(|_| Scalar::random_nonzero(&mut rng))
+            .collect();
+        assert_identical_on::<C>(&ks, blinding);
+    }
+}
+
+fn assert_identical_on<C: CurveSpec>(ks: &[Scalar<C>], blinding: CoordinateBlinding) {
+    let gx = C::generator().x().expect("generator is affine");
+    for k in ks {
+        let bits = k.ladder_bits();
+        let expect = ladder_pre_refactor::<C>(&bits, gx, blinding);
+        // The blinding draw is deterministic for these modes, so the
+        // closure is never called; panic if it ever is.
+        let got = ladder_x_only_bits::<C>(&bits, gx, blinding, || {
+            panic!("deterministic blinding must not draw randomness")
+        });
+        // Full-state equality: all four projective coordinates, limb
+        // for limb — not merely the same affine point.
+        assert_eq!(
+            (
+                got.x1.limbs(),
+                got.z1.limbs(),
+                got.x2.limbs(),
+                got.z2.limbs()
+            ),
+            (
+                expect.x1.limbs(),
+                expect.z1.limbs(),
+                expect.x2.limbs(),
+                expect.z2.limbs()
+            ),
+            "{}: cswap ladder diverged from the branching schedule at k = {k:?}, {blinding:?}",
+            C::NAME
+        );
     }
 }
 
@@ -133,6 +148,27 @@ fn cswap_ladder_is_byte_identical_k233() {
 #[test]
 fn cswap_ladder_is_byte_identical_k283() {
     assert_identical::<K283>(283, 4);
+}
+
+#[test]
+fn cswap_ladder_is_byte_identical_b163() {
+    // b ≠ 1: the doubling's b·Z⁴ is a multiplication, not a squaring.
+    assert_identical::<B163>(0xb163, 4);
+}
+
+#[test]
+fn cswap_ladder_is_byte_identical_toy17_with_legs_at_infinity() {
+    // Small scalars and their complements n − 1 − k: a prefix of
+    // k + 2n hits 0 or −1 mod n, which puts a leg at infinity
+    // mid-ladder (k = 0, 1) or at the end (k = n − 1).
+    let n_minus_1 = Scalar::<Toy17>::zero() - Scalar::one();
+    let ks: Vec<Scalar<Toy17>> = (0u64..300)
+        .map(Scalar::from_u64)
+        .chain((0u64..300).map(|k| n_minus_1 - Scalar::from_u64(k)))
+        .collect();
+    for blinding in BLINDINGS {
+        assert_identical_on::<Toy17>(&ks, blinding);
+    }
 }
 
 #[test]

@@ -2,11 +2,11 @@
 //! engine against the protected ladder.
 //!
 //! Every server entry point in `medsec_ec::varbase` runs the protected
-//! Montgomery ladder: in lockstep over plane-major batches on fields
-//! with m ≥ 64, one ladder per item on Toy-17. These tests pin every
-//! batched entry point bit-for-bit equal to one per-item ladder per
-//! item on all five curves, results and random stream alike, at every
-//! width that ends the batch kernels in a ragged chunk. They mirror
+//! Montgomery ladder in lockstep over plane-major batches, on every
+//! curve. These tests pin every batched entry point bit-for-bit equal
+//! to one per-item ladder per item on all five curves, results and
+//! random stream alike, at every width that ends the batch kernels in
+//! a ragged chunk. They mirror
 //! `crates/gf2m/tests/backend_equivalence.rs` one layer up.
 //!
 //! The τNAF engine serves no session; perfbench's `ec.tnaf_*` probes

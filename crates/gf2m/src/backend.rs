@@ -16,6 +16,8 @@
 //!   where CPUID reports its instruction: without `PCLMULQDQ` scalars
 //!   take the portable comb, without `AVX512F` + `VPCLMULQDQ` batches
 //!   take the scalar path per element and ladders the default schedule.
+//!   The toy field F(2^17), whose reduction folds back into its own
+//!   limb, takes those two paths on every host.
 //! * [`BitslicedBackend`] — the portable path: word-bounded comb
 //!   multiplication (only `ceil(m/64)` limbs do work) and compile-time
 //!   squaring-spread tables for scalars; batch entry points run 64
@@ -118,7 +120,8 @@ pub trait FieldBackend {
     /// leg at infinity (Z1 = 0 or Z2 = 0) before a step, which the
     /// x-only formulas cannot represent, takes `at_infinity` on its
     /// pre-step legs `[X1, Z1, X2, Z2]` and key bit for that step
-    /// instead; which lanes do is public.
+    /// instead; which lanes do is public. Every ladder in the
+    /// workspace runs here, a single one as a lane of width one.
     ///
     /// The default runs the schedule as batch operations
     /// ([`Self::mul_batch`]/[`Self::sqr_batch`]) over all lanes, one
@@ -159,8 +162,9 @@ impl FieldBackend for ModelBackend {
 /// AVX-512 `VPCLMULQDQ` instruction and whole lockstep ladders run in
 /// ZMM registers (see [`crate::vpclmul`]). Runtime-detected kernel by
 /// kernel — without `PCLMULQDQ` scalars take the portable comb, without
-/// `AVX512F` + `VPCLMULQDQ` every batch element takes the scalar path —
-/// so the backend is correct everywhere.
+/// `AVX512F` + `VPCLMULQDQ` (and on the toy field F(2^17) everywhere)
+/// every batch element takes the scalar path — so the backend is
+/// correct everywhere.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct VpclmulBackend;
 

@@ -18,10 +18,6 @@
 //!   gather/scatter accessors to and from [`Element`]s. Callers hold
 //!   one per worker and `reset` it per batch, so steady-state serving
 //!   does no per-call allocation.
-//! * [`reduce_planes`] — the batched sparse-polynomial reduction:
-//!   folds whole planes (one XOR chain per reduction-polynomial term,
-//!   across all elements) in a schedule fixed by the field, like the
-//!   scalar `limbs::reduce_words` folds words.
 //! * [`LadderLanes`] / [`LadderPlanes`] — the state of a lockstep x-only
 //!   Montgomery ladder in this layout (both legs, the base and each
 //!   lane's key bits), which [`FieldBackend::ladder_batch`] runs whole:
@@ -38,7 +34,7 @@ use crate::backend::{ActiveBackend, FieldBackend};
 use crate::ct;
 use crate::field::{Element, FieldSpec};
 use crate::limbs;
-use crate::{LIMBS, PROD_LIMBS};
+use crate::LIMBS;
 
 /// Number of elements in a plane-major element batch of `planes.len()`
 /// words.
@@ -343,13 +339,13 @@ pub fn ladder_planes<F: FieldSpec>(
     ActiveBackend::ladder_batch::<F>(&mut s.lanes(), b, at_infinity);
 }
 
-/// [`FieldBackend::ladder_batch`]'s default: the step schedule of the
-/// scalar ladder on every lane at once, each field operation one batch
-/// operation of backend `B` over all lanes, each lane's key bit a
-/// masked lane swap. Before each step, a lane with a leg at infinity
-/// (Z1 = 0 or Z2 = 0) is handed to `at_infinity` with its pre-step
-/// state; its result replaces whatever the plane operations computed
-/// for that lane. Which lanes do is public.
+/// [`FieldBackend::ladder_batch`]'s default: the ladder's step schedule
+/// on every lane at once, each field operation one batch operation of
+/// backend `B` over all lanes, each lane's key bit a masked lane swap.
+/// Before each step, a lane with a leg at infinity (Z1 = 0 or Z2 = 0)
+/// is handed to `at_infinity` with its pre-step state; its result
+/// replaces whatever the plane operations computed for that lane.
+/// Which lanes do is public.
 ///
 /// [`FieldBackend::ladder_batch`]: crate::backend::FieldBackend::ladder_batch
 pub(crate) fn ladder_steps<B: FieldBackend + ?Sized, F: FieldSpec>(
@@ -394,10 +390,10 @@ pub(crate) fn ladder_steps<B: FieldBackend + ?Sized, F: FieldSpec>(
         for (mask, key) in masks.iter_mut().zip(keys) {
             *mask = ct::ct_mask_u64((key >> shift) & 1 == 1);
         }
-        // lint: ct-begin — the scalar ladder's per-bit schedule on
-        // every lane at once: each lane's key bit only steers its
-        // masked lane swaps (gf2m::ct), and the batch operations run
-        // over all lanes whatever the bits are.
+        // lint: ct-begin — the ladder's per-bit schedule on every lane
+        // at once: each lane's key bit only steers its masked lane
+        // swaps (gf2m::ct), and the batch operations run over all lanes
+        // whatever the bits are.
         ct::ct_swap_lanes(&masks, s.x1, s.x2);
         ct::ct_swap_lanes(&masks, s.z1, s.z2);
         madd_lanes::<B, F>(s, &mut t);
@@ -466,119 +462,16 @@ fn mdouble_lanes<B: FieldBackend + ?Sized, F: FieldSpec>(
 
 /// Whether a fold of the reduction polynomial can land back in the
 /// plane it came from (m − e < 64 for the largest tail exponent e): true
-/// only for the toy F17, whose planes reduce one element at a time.
+/// only for the toy F17, which the AVX-512 kernels leave to the scalar
+/// path per element.
 pub(crate) fn refolds(reduction: &[usize]) -> bool {
     reduction[0] < 64 + reduction[1]
-}
-
-/// Batched sparse-polynomial reduction, plane-major: `prod` holds
-/// `PROD_LIMBS` planes of `n` unreduced products, `out` receives the
-/// `LIMBS` canonical planes. Each fold XORs a whole plane (one term of
-/// the reduction polynomial, across all `n` elements) instead of one
-/// word.
-///
-/// The single-pass plane schedule requires every folded bit to land
-/// strictly below the source plane, which holds whenever
-/// `m − e ≥ 64` for the largest sub-degree term `e` (true for all the
-/// NIST fields here). Fields denser than that (the toy `F17`) take a
-/// per-element scalar pass instead — correctness everywhere, vector
-/// speed where the field shape allows.
-pub fn reduce_planes(prod: &mut [u64], out: &mut [u64], reduction: &[usize]) {
-    // lint: hot-path — plane folds work in caller-owned buffers; the
-    // refolding fallback uses a fixed stack array per element.
-    let n = out.len() / LIMBS;
-    debug_assert_eq!(out.len(), LIMBS * n);
-    debug_assert_eq!(prod.len(), PROD_LIMBS * n);
-    if refolds(reduction) {
-        // Refolding field: bits can fold back into their own plane, so
-        // run the word-level scalar reduction per element.
-        for i in 0..n {
-            let mut p = [0u64; PROD_LIMBS];
-            for (j, w) in p.iter_mut().enumerate() {
-                *w = prod[j * n + i];
-            }
-            let r = limbs::reduce_words(p, reduction);
-            for (j, w) in r.iter().enumerate() {
-                out[j * n + i] = *w;
-            }
-        }
-        return;
-    }
-    let m = reduction[0];
-    let mw = m / 64;
-    let mb = m % 64;
-    // Whole planes above the boundary word, highest first. Because
-    // m − e ≥ 64, every fold writes strictly below its source plane,
-    // so one descending pass settles everything down to plane `mw`.
-    // When m is a limb multiple, plane `mw` itself is entirely above
-    // the field and folds as a whole plane too.
-    let top = if mb == 0 { mw } else { mw + 1 };
-    for i in (top..PROD_LIMBS).rev() {
-        for &e in &reduction[1..] {
-            let base = 64 * i + e - m;
-            let (wi, sh) = (base / 64, base % 64);
-            let (lo, hi) = prod.split_at_mut(i * n);
-            let src = &hi[..n];
-            if sh == 0 {
-                let dst = &mut lo[wi * n..(wi + 1) * n];
-                for (d, s) in dst.iter_mut().zip(src) {
-                    *d ^= *s;
-                }
-            } else {
-                let dst = &mut lo[wi * n..(wi + 1) * n];
-                for (d, s) in dst.iter_mut().zip(src) {
-                    *d ^= *s << sh;
-                }
-                let dst = &mut lo[(wi + 1) * n..(wi + 2) * n];
-                for (d, s) in dst.iter_mut().zip(src) {
-                    *d ^= *s >> (64 - sh);
-                }
-            }
-        }
-        prod[i * n..(i + 1) * n].fill(0);
-    }
-    // Bits m..64·(mw+1) inside the boundary plane. With m − e ≥ 64 the
-    // folds never write at or above bit m, so the high part of the
-    // boundary plane stays valid across all terms and is masked last.
-    if mb != 0 {
-        for &e in &reduction[1..] {
-            let (wi, sh) = (e / 64, e % 64);
-            if wi == mw {
-                // Folding within the boundary plane itself: the write
-                // stays strictly below bit `mb` (poly degree < m), so
-                // the high source bits survive, and sh ≤ mb excludes
-                // any spill into plane mw + 1.
-                for s in prod[mw * n..(mw + 1) * n].iter_mut() {
-                    *s ^= (*s >> mb) << sh;
-                }
-            } else {
-                let (lo, hi) = prod.split_at_mut(mw * n);
-                let src = &hi[..n];
-                let dst = &mut lo[wi * n..(wi + 1) * n];
-                for (d, s) in dst.iter_mut().zip(src) {
-                    *d ^= (*s >> mb) << sh;
-                }
-                if sh + (63 - mb) > 63 {
-                    let dst = &mut lo[(wi + 1) * n..(wi + 2) * n];
-                    for (d, s) in dst.iter_mut().zip(src) {
-                        *d ^= (*s >> mb) >> (64 - sh);
-                    }
-                }
-            }
-        }
-        let mask = (1u64 << mb) - 1;
-        for s in prod[mw * n..(mw + 1) * n].iter_mut() {
-            *s &= mask;
-        }
-    }
-    out.copy_from_slice(&prod[..LIMBS * n]);
-    // lint: hot-path-end
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fields::{F163, F17, F233, F283};
+    use crate::fields::F233;
 
     fn rng_from(seed: u64) -> impl FnMut() -> u64 {
         let mut s = seed;
@@ -589,40 +482,6 @@ mod tests {
             z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
             z ^ (z >> 31)
         }
-    }
-
-    fn reduce_planes_matches_scalar<F: FieldSpec>(seed: u64) {
-        let mut r = rng_from(seed);
-        for n in [1usize, 2, 3, 7, 8] {
-            // Random unreduced products: clmul of random canonical pairs.
-            let mut prods = Vec::new();
-            for _ in 0..n {
-                let a = Element::<F>::random(&mut r);
-                let b = Element::<F>::random(&mut r);
-                prods.push(limbs::clmul(a.limbs(), b.limbs()));
-            }
-            let mut planes = vec![0u64; PROD_LIMBS * n];
-            for (i, p) in prods.iter().enumerate() {
-                for (j, w) in p.iter().enumerate() {
-                    planes[j * n + i] = *w;
-                }
-            }
-            let mut out = vec![0u64; LIMBS * n];
-            reduce_planes(&mut planes, &mut out, F::REDUCTION);
-            for (i, p) in prods.iter().enumerate() {
-                let expect = limbs::reduce(*p, F::REDUCTION);
-                let got = gather::<F>(&out, n, i);
-                assert_eq!(got.limbs(), &expect, "n={n} i={i}");
-            }
-        }
-    }
-
-    #[test]
-    fn reduce_planes_matches_scalar_all_fields() {
-        reduce_planes_matches_scalar::<F163>(11);
-        reduce_planes_matches_scalar::<F233>(12);
-        reduce_planes_matches_scalar::<F283>(13);
-        reduce_planes_matches_scalar::<F17>(14);
     }
 
     #[test]

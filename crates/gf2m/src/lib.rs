@@ -25,11 +25,13 @@
 //!   `u64` bit-planes, see [`bitslice`]). Both serving backends share
 //!   a straight-line word-level reduction whose schedule is fixed by
 //!   the field, cached linear-map tables for the multi-squarings of
-//!   inversion and for the half-trace, and [`batch_invert`]; a
-//!   whole lockstep Montgomery ladder is one seam call
-//!   ([`ladder_planes`]), run in registers on AVX-512. `Element`'s operators dispatch on the
-//!   process-wide [`select_backend`] choice (`MEDSEC_GF2M_BACKEND=bitsliced`
-//!   forces the portable backend).
+//!   inversion and for the half-trace, and [`batch_invert`]. Every
+//!   x-only Montgomery ladder, a single one as much as a gateway batch
+//!   run in lockstep, is one seam call ([`ladder_planes`]), run in
+//!   registers on AVX-512 for every field but the toy one.
+//!   `Element`'s operators dispatch on the process-wide
+//!   [`select_backend`] choice (`MEDSEC_GF2M_BACKEND=bitsliced` forces
+//!   the portable backend).
 //!
 //! # Example
 //!

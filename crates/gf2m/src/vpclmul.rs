@@ -21,22 +21,19 @@
 //! 3. `_mm512_unpacklo_epi64`/`_mm512_unpackhi_epi64` of `even[t]` and
 //!    `odd[t]` lay the accumulators' low/high halves out as product
 //!    planes in element order;
-//! 4. the sparse reduction folds those planes **in registers** — the
-//!    same single-pass schedule as
-//!    [`reduce_planes`](crate::batch::reduce_planes), each fold one
-//!    vector shift + XOR across the eight elements. Only the refolding
-//!    toy field (m − e < 64) drops to the portable scalar reduction via
-//!    a stack round-trip;
+//! 4. the sparse reduction folds those planes **in registers**, in one
+//!    descending pass whose schedule is fixed by the field, each fold
+//!    one vector shift + XOR across the eight elements;
 //! 5. `_mm512_mask_storeu_epi64` writes the chunk's elements back to
 //!    each output plane.
 //!
 //! A batch whose width r is not a multiple of eight ends in a chunk of
 //! one to seven elements. It runs the same kernel with the load and
 //! store masks cut to `(1 << r) − 1`, so the chunk reads and writes
-//! exactly its own words, and the toy field's stack round-trip copies
-//! r elements back. Ragged widths are the common case at the gateway
-//! (a hub lane's tapered chunks end in widths of one to three), and a
-//! masked chunk costs about what a full one does: on a 2-core AVX-512
+//! exactly its own words. Ragged widths are the common case at the
+//! gateway (a hub lane's tapered chunks end in widths of one to three),
+//! and a masked chunk costs about what a full one does: on a 2-core
+//! AVX-512
 //! host an F163 `mul_planes` cost 24–35 ns per call at widths 1–8 and
 //! 3.2–3.3 ns per element at width 64.
 //!
@@ -56,10 +53,19 @@
 //! width-64 K-163 `varbase_x_batch` (normalization included) took
 //! 6.0 µs per item through them and 4.1 µs with this kernel.
 //!
+//! The one-pass fold needs every folded bit to land below its source
+//! plane (m − e ≥ 64 for the largest tail exponent e), which holds on
+//! every NIST field here. The refolding toy field F(2^17) never enters
+//! the kernels: its batches take the backend's scalar path per element
+//! and its ladders the default schedule over those batch operations. A
+//! chunk of it spilled to the stack for the portable reduction cost
+//! 570–660 ns per width-1 `mul_planes` on a 2-core AVX-512 host; the
+//! scalar path costs 33–45 ns.
+//!
 //! Runtime-gated on `avx512f` + `vpclmulqdq`; hosts without them fall
-//! back to the backend's scalar path per element (the ladder to the
-//! default schedule over those batch operations), so the backend is
-//! correct everywhere and wide where the silicon allows.
+//! back to the same scalar path per element and default ladder
+//! schedule, so the backend is correct everywhere and wide where the
+//! silicon allows.
 
 // CPU-feature-gated intrinsic calls, guarded by runtime detection —
 // the same contract as `crate::clmul`.
@@ -88,12 +94,12 @@ pub fn hardware_available() -> bool {
 
 /// Batched plane-major multiplication: every chunk of up to eight
 /// elements runs on the ZMM path when detected, the last one masked to
-/// the width's remainder; hosts without the features take the
-/// backend's scalar path per element.
+/// the width's remainder; hosts without the features, and the
+/// refolding toy field, take the backend's scalar path per element.
 pub(crate) fn mul_batch_planes<F: FieldSpec>(out: &mut [u64], a: &[u64], b: &[u64]) {
     let n = crate::batch::width(out);
     #[cfg(target_arch = "x86_64")]
-    if hardware_available() {
+    if hardware_available() && !crate::batch::refolds(F::REDUCTION) {
         // The kernel reads `a` and `b` by raw pointer: their lengths
         // must be checked here, not only in debug builds.
         assert!(a.len() == out.len() && b.len() == out.len());
@@ -101,12 +107,13 @@ pub(crate) fn mul_batch_planes<F: FieldSpec>(out: &mut [u64], a: &[u64], b: &[u6
         while base < n {
             let lanes = LANES.min(n - base);
             // SAFETY: `avx512f` and `vpclmulqdq` were just detected,
-            // all three slices hold at least `LIMBS * n` words (the
-            // assert above and `width`), and `base + lanes <= n`. The
-            // kernel's load and store masks enable exactly `lanes`
-            // words per plane, so a final chunk of one to seven never
-            // touches the words past element n − 1 of a plane: the
-            // next plane's first elements, or memory past the slice.
+            // the field does not refold, all three slices hold at least
+            // `LIMBS * n` words (the assert above and `width`), and
+            // `base + lanes <= n`. The kernel's load and store masks
+            // enable exactly `lanes` words per plane, so a final chunk
+            // of one to seven never touches the words past element
+            // n − 1 of a plane: the next plane's first elements, or
+            // memory past the slice.
             unsafe { x86::mul_chunk::<F>(out, a, b, n, base, lanes) };
             base += lanes;
         }
@@ -124,16 +131,16 @@ pub(crate) fn mul_batch_planes<F: FieldSpec>(out: &mut [u64], a: &[u64], b: &[u6
 pub(crate) fn sqr_batch_planes<F: FieldSpec>(out: &mut [u64], a: &[u64]) {
     let n = crate::batch::width(out);
     #[cfg(target_arch = "x86_64")]
-    if hardware_available() {
+    if hardware_available() && !crate::batch::refolds(F::REDUCTION) {
         assert_eq!(a.len(), out.len());
         let mut base = 0;
         while base < n {
             let lanes = LANES.min(n - base);
             // SAFETY: `avx512f` and `vpclmulqdq` were just detected,
-            // both slices hold at least `LIMBS * n` words (the assert
-            // above and `width`), and `base + lanes <= n`; as in
-            // `mul_batch_planes`, masked-off lanes are neither loaded
-            // nor stored.
+            // the field does not refold, both slices hold at least
+            // `LIMBS * n` words (the assert above and `width`), and
+            // `base + lanes <= n`; as in `mul_batch_planes`, masked-off
+            // lanes are neither loaded nor stored.
             unsafe { x86::sqr_chunk::<F>(out, a, n, base, lanes) };
             base += lanes;
         }
@@ -259,7 +266,7 @@ mod x86 {
     /// # Safety
     /// Caller must have detected `avx512f` + `vpclmulqdq`; slices must
     /// hold `LIMBS * n` words, with `1 <= lanes <= 8` and
-    /// `base + lanes <= n`.
+    /// `base + lanes <= n`, and the field must not refold.
     #[target_feature(enable = "avx512f,vpclmulqdq")]
     pub(super) unsafe fn mul_chunk<F: FieldSpec>(
         out: &mut [u64],
@@ -271,7 +278,7 @@ mod x86 {
     ) {
         let av = load_lanes::<F>(a, n, base, lanes);
         let bv = load_lanes::<F>(b, n, base, lanes);
-        reduce_store::<F>(&product::<F>(&av, &bv), out, n, base, lanes);
+        store_lanes(out, n, base, lanes, &mul::<F>(&av, &bv));
     }
 
     /// Up to eight squarings `out[base + t] = a[base + t]²`,
@@ -288,7 +295,7 @@ mod x86 {
         lanes: usize,
     ) {
         let av = load_lanes::<F>(a, n, base, lanes);
-        reduce_store::<F>(&square_product::<F>(&av), out, n, base, lanes);
+        store_lanes(out, n, base, lanes, &sqr::<F>(&av));
     }
 
     /// The unreduced products of eight lane pairs as `2·nw` planes in
@@ -386,9 +393,7 @@ mod x86 {
         _mm512_srl_epi64(v, _mm_cvtsi64_si128(count as i64))
     }
 
-    /// Reduces eight unreduced products **in registers**: the same
-    /// single-pass fold schedule as
-    /// [`reduce_planes`](crate::batch::reduce_planes), one vector
+    /// Reduces eight unreduced products **in registers**: one vector
     /// shift + XOR per reduction term per excess plane, touching only
     /// the `2·nw` planes the product actually occupies. Only for fields
     /// whose folds never land back in their source plane (m − e ≥ 64),
@@ -405,8 +410,11 @@ mod x86 {
         let planes = 2 * m.div_ceil(64);
         let mw = m / 64;
         let mb = m % 64;
-        // Whole planes above the boundary word, highest first (see
-        // `reduce_planes` for why one descending pass suffices).
+        // Whole planes above the boundary word, highest first. Because
+        // m − e ≥ 64, every fold writes strictly below its source
+        // plane, so one descending pass settles everything down to
+        // plane `mw`; when m is a limb multiple, plane `mw` itself lies
+        // above the field and folds as a whole plane too.
         let top = if mb == 0 { mw } else { mw + 1 };
         for i in (top..planes).rev() {
             for &e in &reduction[1..] {
@@ -441,38 +449,6 @@ mod x86 {
         let mut out = [_mm512_setzero_si512(); LIMBS];
         out.copy_from_slice(&p[..LIMBS]);
         out
-    }
-
-    /// Reduces eight unreduced products and stores the chunk's `lanes`
-    /// elements. Refolding fields (m − e < 64, the toy F17) take the
-    /// portable scalar reduction through a stack round-trip instead.
-    ///
-    /// # Safety
-    /// Same contract as [`mul_chunk`].
-    #[target_feature(enable = "avx512f,vpclmulqdq")]
-    unsafe fn reduce_store<F: FieldSpec>(
-        p: &[__m512i; PROD_LIMBS],
-        out: &mut [u64],
-        n: usize,
-        base: usize,
-        lanes: usize,
-    ) {
-        if crate::batch::refolds(F::REDUCTION) {
-            // Refolding field: spill to the stack and run the portable
-            // per-element reduction (correctness path, not a hot one).
-            let mut prod = [0u64; LANES * PROD_LIMBS];
-            for (t, pt) in p.iter().enumerate() {
-                _mm512_storeu_si512(prod.as_mut_ptr().add(LANES * t).cast(), *pt);
-            }
-            let mut red = [0u64; LANES * LIMBS];
-            crate::batch::reduce_planes(&mut prod, &mut red, F::REDUCTION);
-            for j in 0..LIMBS {
-                out[j * n + base..j * n + base + lanes]
-                    .copy_from_slice(&red[LANES * j..LANES * j + lanes]);
-            }
-            return;
-        }
-        store_lanes(out, n, base, lanes, &reduce::<F>(*p));
     }
 
     /// Field multiplication on eight lanes in registers.
@@ -793,7 +769,7 @@ mod tests {
         // Runs on every host: exercises the ZMM path where detected
         // and the scalar fallback elsewhere. Widths 1–7 are a masked
         // chunk alone, 9–15 the same remainders behind a full chunk;
-        // F17 takes the refolding round-trip through the stack.
+        // F17 takes the scalar path per element.
         for n in (0usize..=17).chain([24, 64]) {
             let seed = 51 + n as u64;
             matches_model::<F163>(seed, n);

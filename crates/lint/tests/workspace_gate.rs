@@ -4,15 +4,26 @@
 //! into `cargo test` so the invariants hold on every push, not just
 //! when someone remembers to run the binary.
 
-use std::path::Path;
+use std::path::PathBuf;
 
-#[test]
-fn workspace_is_clean() {
-    let root = Path::new(env!("CARGO_MANIFEST_DIR"))
+/// The workspace root, two levels above this crate's manifest. Cargo
+/// sets `CARGO_MANIFEST_DIR` for the test process, so the gate lints
+/// the tree it runs in even when a checkout moved together with its
+/// `target/` and the binary was not rebuilt; the compile-time value is
+/// the fallback.
+fn workspace_root() -> PathBuf {
+    let manifest_dir = std::env::var_os("CARGO_MANIFEST_DIR")
+        .map_or_else(|| PathBuf::from(env!("CARGO_MANIFEST_DIR")), PathBuf::from);
+    manifest_dir
         .ancestors()
         .nth(2)
         .expect("crates/lint sits two levels below the workspace root")
-        .to_path_buf();
+        .to_path_buf()
+}
+
+#[test]
+fn workspace_is_clean() {
+    let root = workspace_root();
     assert!(
         root.join("lint.toml").is_file(),
         "lint.toml missing at {}",
@@ -36,11 +47,8 @@ fn workspace_is_clean() {
 fn manifest_pins_the_expected_surfaces() {
     // The gate only means something while the core surfaces stay
     // pinned; removing them from lint.toml must fail loudly here.
-    let root = Path::new(env!("CARGO_MANIFEST_DIR"))
-        .ancestors()
-        .nth(2)
-        .unwrap();
-    let m = medsec_lint::load_manifest(root).unwrap();
+    let root = workspace_root();
+    let m = medsec_lint::load_manifest(&root).unwrap();
     for must_pin in [
         "crates/ec/src/ladder.rs",
         "crates/lwc/src/mac.rs",
