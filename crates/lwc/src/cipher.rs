@@ -44,7 +44,9 @@ impl fmt::Display for HwProfile {
 ///
 /// All implementations in this crate are bit-exact software models of the
 /// ciphers; their [`HwProfile`]s describe the *hardware* realizations the
-/// energy comparisons assume.
+/// energy comparisons assume. The trait only encrypts: CTR, CMAC and the
+/// DRBG use the forward direction alone. PRESENT and SIMON keep an
+/// inherent `decrypt_block`.
 pub trait BlockCipher {
     /// Block size in bytes.
     const BLOCK_BYTES: usize;
@@ -59,13 +61,6 @@ pub trait BlockCipher {
     ///
     /// Panics if `block.len() != Self::BLOCK_BYTES`.
     fn encrypt_block(&self, block: &mut [u8]);
-
-    /// Decrypt one block in place.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `block.len() != Self::BLOCK_BYTES`.
-    fn decrypt_block(&self, block: &mut [u8]);
 
     /// Hardware cost profile of a low-power serialized implementation.
     fn hw_profile() -> HwProfile;

@@ -32,13 +32,18 @@ pub fn ctr_xor<C: BlockCipher>(cipher: &C, nonce: &[u8], data: &mut [u8]) {
         "nonce too long for {} block",
         C::NAME
     );
+    // The keystream block lives on the stack; every cipher here has a
+    // block of at most 16 bytes.
+    const { assert!(C::BLOCK_BYTES <= 16) };
+    let mut buf = [0u8; 16];
+    let block = &mut buf[..block_len];
     let mut counter = 0u32;
     for chunk in data.chunks_mut(block_len) {
-        let mut block = vec![0u8; block_len];
         block[..nonce.len()].copy_from_slice(nonce);
+        block[nonce.len()..block_len - 4].fill(0);
         block[block_len - 4..].copy_from_slice(&counter.to_be_bytes());
-        cipher.encrypt_block(&mut block);
-        for (d, k) in chunk.iter_mut().zip(&block) {
+        cipher.encrypt_block(block);
+        for (d, k) in chunk.iter_mut().zip(block.iter()) {
             *d ^= k;
         }
         counter = counter.wrapping_add(1);

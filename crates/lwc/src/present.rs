@@ -119,6 +119,16 @@ impl Present80 {
         }
         Self { round_keys }
     }
+
+    /// Decrypt one block in place.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `block.len() != 8`.
+    pub fn decrypt_block(&self, block: &mut [u8]) {
+        let state = u64::from_be_bytes(block.try_into().expect("PRESENT block is 8 bytes"));
+        block.copy_from_slice(&rounds_common_dec(state, &self.round_keys).to_be_bytes());
+    }
 }
 
 impl BlockCipher for Present80 {
@@ -129,11 +139,6 @@ impl BlockCipher for Present80 {
     fn encrypt_block(&self, block: &mut [u8]) {
         let state = u64::from_be_bytes(block.try_into().expect("PRESENT block is 8 bytes"));
         block.copy_from_slice(&rounds_common(state, &self.round_keys).to_be_bytes());
-    }
-
-    fn decrypt_block(&self, block: &mut [u8]) {
-        let state = u64::from_be_bytes(block.try_into().expect("PRESENT block is 8 bytes"));
-        block.copy_from_slice(&rounds_common_dec(state, &self.round_keys).to_be_bytes());
     }
 
     /// Round-based PRESENT-80: 1 570 GE, one round per cycle.
@@ -179,6 +184,16 @@ impl Present128 {
         }
         Self { round_keys }
     }
+
+    /// Decrypt one block in place.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `block.len() != 8`.
+    pub fn decrypt_block(&self, block: &mut [u8]) {
+        let state = u64::from_be_bytes(block.try_into().expect("PRESENT block is 8 bytes"));
+        block.copy_from_slice(&rounds_common_dec(state, &self.round_keys).to_be_bytes());
+    }
 }
 
 impl BlockCipher for Present128 {
@@ -189,11 +204,6 @@ impl BlockCipher for Present128 {
     fn encrypt_block(&self, block: &mut [u8]) {
         let state = u64::from_be_bytes(block.try_into().expect("PRESENT block is 8 bytes"));
         block.copy_from_slice(&rounds_common(state, &self.round_keys).to_be_bytes());
-    }
-
-    fn decrypt_block(&self, block: &mut [u8]) {
-        let state = u64::from_be_bytes(block.try_into().expect("PRESENT block is 8 bytes"));
-        block.copy_from_slice(&rounds_common_dec(state, &self.round_keys).to_be_bytes());
     }
 
     /// Round-based PRESENT-128: ≈1 886 GE.

@@ -85,39 +85,85 @@ const fn sha256_initial_state() -> [u32; 8] {
 }
 
 /// The SHA-256 round constants K, generated from their definition.
-const SHA256_K: [u32; 64] = sha256_round_constants();
+pub(crate) const SHA256_K: [u32; 64] = sha256_round_constants();
 /// The SHA-256 initial hash value H(0), generated from its definition.
-const SHA256_H0: [u32; 8] = sha256_initial_state();
+pub(crate) const SHA256_H0: [u32; 8] = sha256_initial_state();
 
-fn pad_md(message: &[u8]) -> Vec<u8> {
-    let bit_len = (message.len() as u64) * 8;
-    let mut m = message.to_vec();
-    m.push(0x80);
-    while m.len() % 64 != 56 {
-        m.push(0);
-    }
-    m.extend_from_slice(&bit_len.to_be_bytes());
-    m
+/// A compression function over a whole number of 64-byte blocks.
+pub(crate) type Compress<S> = fn(&mut S, &[u8]);
+
+/// The Merkle–Damgård front end of SHA-1 and SHA-256: input streams
+/// through one stack block into the compression function, and
+/// [`Md::finish`] appends the padding 0x80 ‖ 0* ‖ the 64-bit big-endian
+/// bit length. Nothing is allocated.
+pub(crate) struct Md<S> {
+    state: S,
+    compress: Compress<S>,
+    block: [u8; 64],
+    fill: usize,
+    len: u64,
 }
 
-/// One-shot SHA-1 digest.
-///
-/// # Example
-///
-/// ```
-/// let d = medsec_lwc::sha1(b"abc");
-/// assert_eq!(d[..4], [0xa9, 0x99, 0x3e, 0x36]);
-/// ```
-pub fn sha1(message: &[u8]) -> [u8; 20] {
-    let mut h: [u32; 5] = [
-        0x6745_2301,
-        0xEFCD_AB89,
-        0x98BA_DCFE,
-        0x1032_5476,
-        0xC3D2_E1F0,
-    ];
-    let m = pad_md(message);
-    for chunk in m.chunks_exact(64) {
+impl<S> Md<S> {
+    pub(crate) fn new(state: S, compress: Compress<S>) -> Self {
+        Self {
+            state,
+            compress,
+            block: [0; 64],
+            fill: 0,
+            len: 0,
+        }
+    }
+
+    /// Appends `data` to the message.
+    pub(crate) fn update(&mut self, mut data: &[u8]) {
+        self.len = self.len.wrapping_add(data.len() as u64);
+        if self.fill > 0 {
+            let take = data.len().min(64 - self.fill);
+            self.block[self.fill..self.fill + take].copy_from_slice(&data[..take]);
+            self.fill += take;
+            data = &data[take..];
+            if self.fill < 64 {
+                return;
+            }
+            (self.compress)(&mut self.state, &self.block);
+            self.fill = 0;
+        }
+        let whole = data.len() - data.len() % 64;
+        if whole > 0 {
+            (self.compress)(&mut self.state, &data[..whole]);
+        }
+        let tail = &data[whole..];
+        self.block[..tail.len()].copy_from_slice(tail);
+        self.fill = tail.len();
+    }
+
+    /// Pads the message and returns the digest: the final chaining
+    /// value, big-endian.
+    pub(crate) fn finish<const N: usize>(mut self) -> [u8; N]
+    where
+        S: AsRef<[u32]>,
+    {
+        let bits = self.len.wrapping_mul(8);
+        self.block[self.fill] = 0x80;
+        self.block[self.fill + 1..].fill(0);
+        if self.fill >= 56 {
+            (self.compress)(&mut self.state, &self.block);
+            self.block.fill(0);
+        }
+        self.block[56..].copy_from_slice(&bits.to_be_bytes());
+        (self.compress)(&mut self.state, &self.block);
+        let mut out = [0u8; N];
+        for (bytes, word) in out.chunks_exact_mut(4).zip(self.state.as_ref()) {
+            bytes.copy_from_slice(&word.to_be_bytes());
+        }
+        out
+    }
+}
+
+/// SHA-1's compression function, portable.
+fn compress1(h: &mut [u32; 5], blocks: &[u8]) {
+    for chunk in blocks.chunks_exact(64) {
         let mut w = [0u32; 80];
         for (i, word) in chunk.chunks_exact(4).enumerate() {
             w[i] = u32::from_be_bytes(word.try_into().expect("4 bytes"));
@@ -151,25 +197,33 @@ pub fn sha1(message: &[u8]) -> [u8; 20] {
         h[3] = h[3].wrapping_add(d);
         h[4] = h[4].wrapping_add(e);
     }
-    let mut out = [0u8; 20];
-    for (i, word) in h.iter().enumerate() {
-        out[4 * i..4 * i + 4].copy_from_slice(&word.to_be_bytes());
-    }
-    out
 }
 
-/// One-shot SHA-256 digest.
+/// One-shot SHA-1 digest.
 ///
 /// # Example
 ///
 /// ```
-/// let d = medsec_lwc::sha256(b"abc");
-/// assert_eq!(d[..4], [0xba, 0x78, 0x16, 0xbf]);
+/// let d = medsec_lwc::sha1(b"abc");
+/// assert_eq!(d[..4], [0xa9, 0x99, 0x3e, 0x36]);
 /// ```
-pub fn sha256(message: &[u8]) -> [u8; 32] {
-    let mut h = SHA256_H0;
-    let m = pad_md(message);
-    for chunk in m.chunks_exact(64) {
+pub fn sha1(message: &[u8]) -> [u8; 20] {
+    let h0 = [
+        0x6745_2301,
+        0xEFCD_AB89,
+        0x98BA_DCFE,
+        0x1032_5476,
+        0xC3D2_E1F0,
+    ];
+    let mut md = Md::new(h0, compress1);
+    md.update(message);
+    md.finish()
+}
+
+/// SHA-256's compression function, portable: no table indexed by data
+/// and no branch on it.
+pub(crate) fn compress256(h: &mut [u32; 8], blocks: &[u8]) {
+    for chunk in blocks.chunks_exact(64) {
         let mut w = [0u32; 64];
         for (i, word) in chunk.chunks_exact(4).enumerate() {
             w[i] = u32::from_be_bytes(word.try_into().expect("4 bytes"));
@@ -208,11 +262,38 @@ pub fn sha256(message: &[u8]) -> [u8; 32] {
             *hi = hi.wrapping_add(v);
         }
     }
-    let mut out = [0u8; 32];
-    for (i, word) in h.iter().enumerate() {
-        out[4 * i..4 * i + 4].copy_from_slice(&word.to_be_bytes());
+}
+
+/// The SHA-256 compression function this host runs: SHA-NI where CPUID
+/// reports it, the portable one elsewhere.
+pub(crate) fn host_compress256() -> Compress<[u32; 8]> {
+    if crate::ni::sha_available() {
+        crate::ni::compress256
+    } else {
+        compress256
     }
-    out
+}
+
+/// SHA-256 of the concatenation of `parts`, over `compress`.
+pub(crate) fn sha256_parts(compress: Compress<[u32; 8]>, parts: &[&[u8]]) -> [u8; 32] {
+    let mut md = Md::new(SHA256_H0, compress);
+    for part in parts {
+        md.update(part);
+    }
+    md.finish()
+}
+
+/// One-shot SHA-256 digest, on SHA-NI where CPUID reports it and on the
+/// portable compression function elsewhere (the same digest either way).
+///
+/// # Example
+///
+/// ```
+/// let d = medsec_lwc::sha256(b"abc");
+/// assert_eq!(d[..4], [0xba, 0x78, 0x16, 0xbf]);
+/// ```
+pub fn sha256(message: &[u8]) -> [u8; 32] {
+    sha256_parts(host_compress256(), &[message])
 }
 
 /// Hardware profile of the paper's cited SHA-1 core: 5 527 GE (O'Neill,
@@ -259,22 +340,30 @@ mod tests {
         );
     }
 
+    fn portable(message: &[u8]) -> [u8; 32] {
+        sha256_parts(compress256, &[message])
+    }
+
+    /// FIPS 180-2 on the portable compression function and on the
+    /// dispatching `sha256` (SHA-NI where CPUID reports it).
     #[test]
     fn sha256_fips180_vectors() {
-        assert_eq!(
-            hex(&sha256(b"abc")),
-            "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"
-        );
-        assert_eq!(
-            hex(&sha256(b"")),
-            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
-        );
-        assert_eq!(
-            hex(&sha256(
-                b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq"
-            )),
-            "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1"
-        );
+        for hash in [portable, sha256] {
+            assert_eq!(
+                hex(&hash(b"abc")),
+                "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"
+            );
+            assert_eq!(
+                hex(&hash(b"")),
+                "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
+            );
+            assert_eq!(
+                hex(&hash(
+                    b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq"
+                )),
+                "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1"
+            );
+        }
     }
 
     #[test]
@@ -291,10 +380,33 @@ mod tests {
     #[test]
     fn long_input_multi_block() {
         let data = vec![b'a'; 1_000_000];
-        assert_eq!(
-            hex(&sha256(&data)),
-            "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0"
-        );
+        for hash in [portable, sha256] {
+            assert_eq!(
+                hex(&hash(&data)),
+                "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0"
+            );
+        }
+    }
+
+    /// Every length 0–200 B, split into two streamed parts at every
+    /// offset (the 55/56/64 padding boundaries included): both paths
+    /// give the portable one-shot digest.
+    #[test]
+    fn streamed_parts_equal_one_shot_on_both_paths() {
+        let data: Vec<u8> = (0..200u32).map(|i| (i * 151 + 7) as u8).collect();
+        for len in 0..=data.len() {
+            let m = &data[..len];
+            let want = portable(m);
+            for at in 0..=len {
+                let parts: [&[u8]; 2] = [&m[..at], &m[at..]];
+                assert_eq!(sha256_parts(compress256, &parts), want, "len {len} at {at}");
+                assert_eq!(
+                    sha256_parts(host_compress256(), &parts),
+                    want,
+                    "len {len} at {at}"
+                );
+            }
+        }
     }
 
     #[test]

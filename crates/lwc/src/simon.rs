@@ -61,6 +61,29 @@ macro_rules! simon_impl {
             fn f(x: $word) -> $word {
                 (x.rotate_left(1) & x.rotate_left(8)) ^ x.rotate_left(2)
             }
+
+            /// Decrypt one block in place.
+            ///
+            /// # Panics
+            ///
+            /// Panics if the block has the wrong length.
+            pub fn decrypt_block(&self, block: &mut [u8]) {
+                const W: usize = core::mem::size_of::<$word>();
+                assert_eq!(block.len(), $bb, "wrong block size");
+                let mut x: $word = 0;
+                let mut y: $word = 0;
+                for j in 0..W {
+                    x = (x << 8) | block[j] as $word;
+                    y = (y << 8) | block[W + j] as $word;
+                }
+                for i in (0..$t).rev() {
+                    let tmp = y;
+                    y = x ^ Self::f(y) ^ self.round_keys[i];
+                    x = tmp;
+                }
+                block[..W].copy_from_slice(&x.to_be_bytes());
+                block[W..].copy_from_slice(&y.to_be_bytes());
+            }
         }
 
         impl BlockCipher for $name {
@@ -81,24 +104,6 @@ macro_rules! simon_impl {
                     let tmp = x;
                     x = y ^ Self::f(x) ^ self.round_keys[i];
                     y = tmp;
-                }
-                block[..W].copy_from_slice(&x.to_be_bytes());
-                block[W..].copy_from_slice(&y.to_be_bytes());
-            }
-
-            fn decrypt_block(&self, block: &mut [u8]) {
-                const W: usize = core::mem::size_of::<$word>();
-                assert_eq!(block.len(), $bb, "wrong block size");
-                let mut x: $word = 0;
-                let mut y: $word = 0;
-                for j in 0..W {
-                    x = (x << 8) | block[j] as $word;
-                    y = (y << 8) | block[W + j] as $word;
-                }
-                for i in (0..$t).rev() {
-                    let tmp = y;
-                    y = x ^ Self::f(y) ^ self.round_keys[i];
-                    x = tmp;
                 }
                 block[..W].copy_from_slice(&x.to_be_bytes());
                 block[W..].copy_from_slice(&y.to_be_bytes());

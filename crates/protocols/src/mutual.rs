@@ -15,7 +15,8 @@
 
 use medsec_ec::{CurveSpec, KeyPair, Point};
 use medsec_lwc::{
-    aes_cmac, ctr_xor, hmac_sha256, sha256, sha256_hw_profile, verify_tag, Aes128, BlockCipher,
+    aes_cmac, ctr_xor, hmac_sha256, hmac_sha256_parts, sha256, sha256_hw_profile, verify_tag,
+    Aes128, BlockCipher,
 };
 
 use crate::energy::EnergyLedger;
@@ -310,7 +311,8 @@ pub fn server_hello_batch<C: CurveSpec>(
 
 /// Server-side opening of one telemetry payload, given the ECDH
 /// shared-secret x-coordinate for the session: derive the session key,
-/// verify the truncated HMAC over `ephemeral ‖ ciphertext`, decrypt.
+/// verify the truncated HMAC over `ephemeral ‖ ciphertext` (streamed
+/// from the two slices, never concatenated), decrypt.
 /// Returns `None` on a tag mismatch. Books one SHA-256 (key
 /// derivation), two SHA-256 blocks (HMAC) and the AES-CTR blocks on
 /// `ledger` — exactly the cost sequence of the pre-suite gateway loop,
@@ -325,9 +327,7 @@ pub fn open_telemetry<C: CurveSpec>(
     let session_key = sha256(&shared_x.to_bytes());
     ledger.symmetric(&sha256_hw_profile(), 1);
     let mac_key = &session_key[16..];
-    let mut mac_input = eph_bytes.to_vec();
-    mac_input.extend_from_slice(ct);
-    let expect = hmac_sha256(mac_key, &mac_input);
+    let expect = hmac_sha256_parts(mac_key, &[eph_bytes, ct]);
     ledger.symmetric(&sha256_hw_profile(), 2);
     // lint: ct-begin — secret-dependent compare runs to completion
     // before the (public) accept/reject decision below.

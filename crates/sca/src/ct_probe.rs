@@ -1,5 +1,5 @@
 //! Wall-clock fixed-vs-random probes over the `gf2m::ct` helpers, the
-//! ladder and scalar field multiplication.
+//! ladder, scalar field multiplication and AES-CMAC.
 //!
 //! The cost-model study in the `timing` module proves the *architecture*
 //! is constant-time; this module spot-checks that the *software*
@@ -181,6 +181,49 @@ pub fn probe_field_mul_fixed_vs_random(batches: usize, per_batch: usize) -> CtPr
     CtProbe::from_samples(a, b)
 }
 
+/// An AES-CMAC under test: `medsec_lwc::aes_cmac` (AES-NI where CPUID
+/// reports it) or `medsec_lwc::portable::aes_cmac`.
+pub type Cmac = fn(&[u8; 16], &[u8]) -> [u8; 16];
+
+/// Fixed-vs-random **key** probe over AES-CMAC of a 22-byte message
+/// (a compressed K-163 point, the gateway's hello MAC): class A runs
+/// one fixed key on every call, class B a fresh random key per call.
+/// Both classes read their keys from a batch-sized array, so only the
+/// key values differ. A cipher that looks up a table by key-dependent
+/// index would spread class B over more cache lines than class A; the
+/// table-free AES must not split them. A hot cache on one host may hide
+/// such a leak all the same, so the `[ct]` lint over `aes.rs` and the
+/// hardware module stays the primary evidence. Batches of the two
+/// classes alternate, so a slow phase of a shared host hits both.
+pub fn probe_aes_fixed_vs_random_key(cmac: Cmac, batches: usize, per_batch: usize) -> CtProbe {
+    let mut rng = SplitMix64::new(0xAE5_C3AC);
+    let mut key = || {
+        let mut k = [0u8; 16];
+        k[..8].copy_from_slice(&rng.next_u64().to_le_bytes());
+        k[8..].copy_from_slice(&rng.next_u64().to_le_bytes());
+        k
+    };
+    let message: [u8; 22] = core::array::from_fn(|i| (i as u8).wrapping_mul(0x9d) ^ 0x02);
+    let fixed = vec![key(); per_batch];
+    let mut random = fixed.clone();
+    let mut sink = 0u8;
+    let mut time = |keys: &[[u8; 16]]| -> u64 {
+        let t0 = Instant::now();
+        for k in keys {
+            sink ^= cmac(black_box(k), black_box(&message))[0];
+        }
+        t0.elapsed().as_nanos() as u64
+    };
+    let (mut a, mut b) = (Vec::with_capacity(batches), Vec::with_capacity(batches));
+    for _ in 0..batches {
+        random.iter_mut().for_each(|k| *k = key());
+        a.push(time(&fixed));
+        b.push(time(&random));
+    }
+    black_box(sink);
+    CtProbe::from_samples(a, b)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -215,6 +258,19 @@ mod tests {
             probe.ratio < MAX_RATIO,
             "F163 mul low-limb vs random timing split {probe:?}"
         );
+    }
+
+    /// Both AES paths: the dispatching CMAC (AES-NI on x86-64 hosts
+    /// that report it) and the portable bitsliced one.
+    #[test]
+    fn aes_cmac_is_flat_fixed_vs_random_key() {
+        for cmac in [medsec_lwc::aes_cmac as Cmac, medsec_lwc::portable::aes_cmac] {
+            let probe = probe_aes_fixed_vs_random_key(cmac, 32, 64);
+            assert!(
+                probe.ratio < MAX_RATIO,
+                "AES-CMAC fixed-vs-random key timing split {probe:?}"
+            );
+        }
     }
 
     #[test]
