@@ -5,14 +5,22 @@
 //! server curve runs the ladder; batches on fields with m ≥ 64 run it
 //! in lockstep over plane-major data.
 //!
-//! Before Criterion runs, `lockstep_cost_gate` aborts the bench if a
-//! server curve's batches stop running in lockstep: with the vpclmul
-//! backend active and its AVX-512 batch kernel live, a 64-item
-//! `varbase_mul_add_gen_batch` must cost at most 1/3 per item of 64
-//! single `varbase_mul_add_gen` calls, on B-163 and on K-163.
+//! The fixed-base comb's `k·G` is timed beside them, at widths 1 and
+//! 64.
+//!
+//! Before Criterion runs, two gates abort the bench where the vpclmul
+//! backend is active and its AVX-512 batch kernel live (elsewhere they
+//! only print), each on B-163 and on K-163:
+//! * `lockstep_cost_gate`: a server curve's batches must run in
+//!   lockstep — a 64-item `varbase_mul_add_gen_batch` costs at most 1/3
+//!   per item of 64 single `varbase_mul_add_gen` calls;
+//! * `comb_cost_gate`: the comb must beat the ladder that could replace
+//!   it — a width-64 `generator_mul_batch` costs at most 0.7× per item
+//!   of a width-64 `varbase_x_batch` over the same scalars and G.
 
 use criterion::{criterion_group, Criterion};
 use medsec_ec::{
+    generator_mul_batch,
     ladder::{ladder_mul, CoordinateBlinding},
     server_strategy_name, varbase_mul, varbase_mul_add_gen, varbase_mul_add_gen_batch,
     varbase_x_batch, CurveSpec, Point, Scalar, B163, K163, K233, K283,
@@ -55,6 +63,14 @@ fn bench_curve<C: CurveSpec>(c: &mut Criterion) {
     let pairs: Vec<(Scalar<C>, Point<C>)> = items.iter().map(|(_, b, q)| (*b, *q)).collect();
     group.bench_function("x_batch64", |b| {
         b.iter(|| black_box(varbase_x_batch(&pairs, rng.as_fn())))
+    });
+    // The fixed-base comb, one scalar and 64.
+    group.bench_function("comb", |b| {
+        b.iter(|| black_box(generator_mul_batch(std::slice::from_ref(&k))))
+    });
+    let ks: Vec<Scalar<C>> = items.iter().map(|(a, _, _)| *a).collect();
+    group.bench_function("comb_batch64", |b| {
+        b.iter(|| black_box(generator_mul_batch(&ks)))
     });
     group.finish();
 }
@@ -142,6 +158,61 @@ fn lockstep_cost_gate<C: CurveSpec>() {
     }
 }
 
+/// The comb's reason to exist: a width-64 `generator_mul_batch` against
+/// a width-64 `varbase_x_batch` over the same scalars and G — the
+/// lockstep ladder that would serve `k·G` without a comb, minus its
+/// y-recovery — per item, in five alternating ~200 ms rounds, median
+/// ratio. With the vpclmul backend active and its AVX-512 kernel
+/// detected the comb must cost at most 0.7× (on a 2-core AVX-512 host
+/// the regular signed comb read 0.36× on B-163 and 0.39× on K-163, and
+/// the variable-time comb it replaced 0.58× and 0.64× against the same
+/// ladder); elsewhere the gate only prints.
+fn comb_cost_gate<C: CurveSpec>() {
+    const N: usize = 64;
+    const ROUNDS: usize = 5;
+    let mut rng = SplitMix64::new(0xC0B_6A7E);
+    let ks: Vec<Scalar<C>> = (0..N)
+        .map(|_| Scalar::random_nonzero(rng.as_fn()))
+        .collect();
+    let pairs: Vec<(Scalar<C>, Point<C>)> = ks.iter().map(|k| (*k, C::generator())).collect();
+    let comb = || {
+        black_box(generator_mul_batch(black_box(&ks)));
+    };
+    let ladder = |rng: &mut SplitMix64| {
+        black_box(varbase_x_batch(black_box(&pairs), rng.as_fn()));
+    };
+    comb();
+    ladder(&mut rng);
+    let mut ratios: Vec<f64> = (0..ROUNDS)
+        .map(|_| {
+            let c = per_item_s(N, comb);
+            let l = per_item_s(N, || ladder(&mut rng));
+            c / l
+        })
+        .collect();
+    ratios.sort_by(f64::total_cmp);
+    let median = ratios[ROUNDS / 2];
+    let backend = select_backend();
+    println!(
+        "comb cost gate: {} k·G, width-{N} comb / width-{N} ladder from G, per item over \
+         {ROUNDS} rounds: median {median:.2}x (min {:.2}x, max {:.2}x; backend {}, \
+         vpclmulqdq detected: {})",
+        C::NAME,
+        ratios[0],
+        ratios[ROUNDS - 1],
+        backend.name(),
+        vpclmul::hardware_available()
+    );
+    if backend == BackendChoice::Vpclmul && vpclmul::hardware_available() {
+        assert!(
+            median <= 0.7,
+            "a width-{N} {} generator_mul_batch must cost at most 0.7x per item of the \
+             ladder from G on vpclmul (got {median:.2}x)",
+            C::NAME
+        );
+    }
+}
+
 use medsec_gf2m::FieldSpec;
 
 fn bench_varbase(c: &mut Criterion) {
@@ -156,5 +227,7 @@ criterion_group!(benches, bench_varbase);
 fn main() {
     lockstep_cost_gate::<B163>();
     lockstep_cost_gate::<K163>();
+    comb_cost_gate::<B163>();
+    comb_cost_gate::<K163>();
     benches();
 }

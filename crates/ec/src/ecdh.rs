@@ -90,9 +90,12 @@ impl<C: CurveSpec> KeyPair<C> {
 }
 
 /// Interpret a field element (e.g. an x-coordinate) as a scalar mod n —
-/// the `d = xcoord(r·Y)` conversion of the Peeters–Hermans protocol.
+/// the `d = xcoord(r·Y)` conversion of the Peeters–Hermans protocol,
+/// whose result is secret on the reader: reduced from the element's
+/// limbs by a fixed count of masked subtractions of n, one on the
+/// 163-bit curves, three on K-233 and four on K-283.
 pub fn xcoord_to_scalar<C: CurveSpec>(x: &Element<C::Field>) -> Scalar<C> {
-    Scalar::from_bytes_mod_order(&x.to_bytes())
+    Scalar::from_field_limbs(x.limbs())
 }
 
 #[cfg(test)]

@@ -29,6 +29,8 @@
 //! keeps a copy of it). A lane with a leg at infinity takes
 //! `step_at_infinity`'s rule through the seam.
 
+use std::cell::RefCell;
+
 use medsec_gf2m::{ladder_planes, Element, FieldSpec, LadderPlanes};
 
 use crate::curve::{CurveSpec, Point};
@@ -205,13 +207,24 @@ pub fn ladder_x_only_bits<C: CurveSpec>(
 /// backend ([`ladder_planes`]). Lane i comes from the i-th
 /// `(x(P), r, bits)`: its blinded start state R ← (x·r, r), Q ← 2·P and
 /// its `steps` key bits after the leading 1. A lane with a leg at
-/// infinity before a step takes [`step_at_infinity`] for that step.
+/// infinity before a step takes [`step_at_infinity`] for that step. The
+/// lanes' planes are thread-local and reused from call to call.
 fn ladder_lanes<C: CurveSpec, K: AsRef<[bool]>>(
     steps: usize,
     lanes: impl ExactSizeIterator<Item = (Element<C::Field>, Element<C::Field>, K)>,
 ) -> Vec<LadderState<C>> {
+    thread_local! {
+        static LADDER_TLS: RefCell<LadderPlanes> = RefCell::default();
+    }
+    LADDER_TLS.with(|cell| ladder_lanes_in::<C, K>(&mut cell.borrow_mut(), steps, lanes))
+}
+
+fn ladder_lanes_in<C: CurveSpec, K: AsRef<[bool]>>(
+    s: &mut LadderPlanes,
+    steps: usize,
+    lanes: impl ExactSizeIterator<Item = (Element<C::Field>, Element<C::Field>, K)>,
+) -> Vec<LadderState<C>> {
     let n = lanes.len();
-    let mut s = LadderPlanes::default();
     s.reset(n, steps);
     for (i, (px, r, bits)) in lanes.enumerate() {
         // lint: ct-begin — the start state under the blinding Z: the
@@ -221,7 +234,7 @@ fn ladder_lanes<C: CurveSpec, K: AsRef<[bool]>>(
         // lint: ct-end
         s.set(i, &[x1, z1, x2, z2], &px, &bits.as_ref()[1..]);
     }
-    ladder_planes::<C::Field>(&mut s, &C::b(), step_at_infinity::<C>);
+    ladder_planes::<C::Field>(s, &C::b(), step_at_infinity::<C>);
     (0..n)
         .map(|i| {
             let [x1, z1, x2, z2] = s.get(i);

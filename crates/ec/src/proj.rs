@@ -1,6 +1,9 @@
-//! Shared López–Dahab projective point arithmetic for the fixed-base
-//! comb, the batched point additions of the server's `mul_add`, and
-//! the τNAF engine.
+//! Shared López–Dahab projective point arithmetic: the scalar
+//! doubling and mixed addition that build the fixed-base comb's table
+//! (public multiples of G), and the batched ops that serve the τNAF
+//! engine and [`add_pairs_batch`], the sum of the server's `mul_add`
+//! terms. The comb's own column loop runs behind the field seam
+//! ([`medsec_gf2m::FieldBackend::comb_batch`]), not here.
 //!
 //! Coordinates are `x = X/Z`, `y = Y/Z²`, with `Z = 0` encoding the
 //! point at infinity. Everything here is *compute*-path code: the
@@ -218,71 +221,6 @@ pub(crate) fn tau_batch<C: CurveSpec>(pts: &mut [LdPoint<C>], s: &mut PointScrat
     }
 }
 
-/// López–Dahab doubling of every non-infinity accumulator at once —
-/// the same formula as [`LdPoint::double`], restructured so each step
-/// is one batched field op across the live set.
-pub(crate) fn double_batch<C: CurveSpec>(
-    pts: &mut [LdPoint<C>],
-    b: Element<C::Field>,
-    s: &mut PointScratch,
-) {
-    s.idx.clear();
-    for (i, p) in pts.iter().enumerate() {
-        if !p.is_infinity() {
-            s.idx.push(i);
-        }
-    }
-    let k = s.idx.len();
-    if k == 0 {
-        return;
-    }
-    s.px.reset(k);
-    s.py.reset(k);
-    s.pz.reset(k);
-    for (t, &i) in s.idx.iter().enumerate() {
-        s.px.set(t, &pts[i].x);
-        s.py.set(t, &pts[i].y);
-        s.pz.set(t, &pts[i].z);
-    }
-    let one = Element::<C::Field>::one();
-    sqr_planes::<C::Field>(&mut s.t0, &s.px); // X₁²
-    sqr_planes::<C::Field>(&mut s.t1, &s.pz); // Z₁²
-    sqr_planes::<C::Field>(&mut s.t2, &s.py); // Y₁²
-    mul_planes::<C::Field>(&mut s.t3, &s.t0, &s.t1); // Z₃ = X₁²·Z₁²
-    sqr_planes::<C::Field>(&mut s.t4, &s.t1); // Z₁⁴
-    if b == one {
-        s.t1.reset(k);
-        add_planes(&mut s.t1, &s.t4); // b·Z₁⁴ = Z₁⁴
-    } else {
-        s.qx.reset(k);
-        s.qx.broadcast(&b);
-        mul_planes::<C::Field>(&mut s.t1, &s.qx, &s.t4); // b·Z₁⁴
-    }
-    sqr_planes::<C::Field>(&mut s.qy, &s.t0); // X₁⁴
-    add_planes(&mut s.qy, &s.t1); // X₃ = X₁⁴ + b·Z₁⁴
-                                  // Y₃ = b·Z₁⁴·Z₃ + X₃·(a·Z₃ + Y₁² + b·Z₁⁴)
-    add_planes(&mut s.t2, &s.t1); // Y₁² + b·Z₁⁴
-    let a = C::a();
-    if a == one {
-        add_planes(&mut s.t2, &s.t3);
-    } else if !a.is_zero() {
-        s.qx.reset(k);
-        s.qx.broadcast(&a);
-        mul_planes::<C::Field>(&mut s.t0, &s.qx, &s.t3);
-        add_planes(&mut s.t2, &s.t0);
-    }
-    mul_planes::<C::Field>(&mut s.t0, &s.t1, &s.t3); // b·Z₁⁴·Z₃
-    mul_planes::<C::Field>(&mut s.t4, &s.qy, &s.t2); // X₃·(…)
-    add_planes(&mut s.t0, &s.t4); // Y₃
-    for (t, &i) in s.idx.iter().enumerate() {
-        pts[i] = LdPoint {
-            x: s.qy.get(t),
-            y: s.t0.get(t),
-            z: s.t3.get(t),
-        };
-    }
-}
-
 /// Mixed addition of an affine point into selected accumulators, all
 /// lanes at once: `jobs` pairs an accumulator index with the point to
 /// add (indices must be distinct). The batch runs the generic-position
@@ -443,12 +381,6 @@ mod tests {
 
         let expect: Vec<LdPoint<C>> = pts.iter().map(LdPoint::tau).collect();
         tau_batch(&mut pts, &mut s);
-        for (got, exp) in pts.iter().zip(&expect) {
-            assert_eq!(batch_to_affine(&[*got]), batch_to_affine(&[*exp]));
-        }
-
-        let expect: Vec<LdPoint<C>> = pts.iter().map(|p| p.double(b)).collect();
-        double_batch(&mut pts, b, &mut s);
         for (got, exp) in pts.iter().zip(&expect) {
             assert_eq!(batch_to_affine(&[*got]), batch_to_affine(&[*exp]));
         }

@@ -8,10 +8,24 @@
 //! (320 bits), comfortably above the largest order used here (K-283's
 //! 281-bit subgroup order, plus the `k + c·n` headroom the constant-
 //! length ladder encoding needs).
+//!
+//! Addition, subtraction and negation reduce by masked selection: the
+//! carry or borrow of a full-width add or subtract picks between two
+//! candidates with a mask, so the operation sequence is the same
+//! whatever the operands. So does the reduction of a field element
+//! (an x-coordinate) into the ring, `Scalar::from_field_limbs`, which
+//! subtracts n a fixed number of times fixed by the curve. These carry
+//! the gateway's secrets: the Peeters–Hermans reader's ḋ = xcoord(y·R)
+//! and `s − ḋ`, and the comb's recoding of every secret scalar
+//! (`Scalar::odd_limbs`). Multiplication and the decoding of wire
+//! scalars, which are public, reduce with the bit-serial `mod_wide`.
 
 use core::cmp::Ordering;
 use core::fmt;
 use core::marker::PhantomData;
+
+use medsec_gf2m::ct::ct_mask_u64;
+use medsec_gf2m::FieldSpec;
 
 use crate::curve::CurveSpec;
 
@@ -76,6 +90,32 @@ fn sub_raw(a: &[u64; L], b: &[u64; L]) -> ([u64; L], bool) {
         borrow = b1 | b2;
     }
     (out, borrow)
+}
+
+/// `a` where `mask` is all ones, `b` where it is zero.
+fn select_raw(mask: u64, a: &[u64; L], b: &[u64; L]) -> [u64; L] {
+    let mut out = *b;
+    for (o, x) in out.iter_mut().zip(a) {
+        *o ^= mask & (*o ^ x);
+    }
+    out
+}
+
+/// `v` where `mask` is all ones, zero where it is zero.
+fn and_raw(v: &[u64; L], mask: u64) -> [u64; L] {
+    v.map(|w| w & mask)
+}
+
+/// `v >> s` for a public shift `1 <= s <= 64`.
+pub(crate) fn shr_raw(v: &[u64; L], s: usize) -> [u64; L] {
+    debug_assert!((1..=64).contains(&s));
+    let mut out = [0u64; L];
+    let next = v.iter().skip(1).chain(core::iter::once(&0));
+    for ((o, w), hi) in out.iter_mut().zip(v).zip(next) {
+        // Two shifts so that s = 64 moves a whole limb.
+        *o = ((w >> (s - 1)) >> 1) | (hi << (64 - s));
+    }
+    out
 }
 
 fn cmp_raw(a: &[u64; L], b: &[u64; L]) -> Ordering {
@@ -155,6 +195,21 @@ fn mod_wide(value: &[u64], n: &[u64; L]) -> [u64; L] {
     r
 }
 
+/// ⌈2^m / n⌉ − 1 for the curve's field degree m: the number of
+/// conditional subtractions of n that reduce any value below 2^m. A
+/// public constant of the curve.
+fn field_reduction_rounds<C: CurveSpec>() -> usize {
+    let mut pow = [0u64; L];
+    pow[C::Field::M / 64] = 1 << (C::Field::M % 64);
+    let mut multiple = C::ORDER;
+    let mut rounds = 0;
+    while cmp_raw(&multiple, &pow) == Ordering::Less {
+        multiple = add_raw(&multiple, &C::ORDER).0;
+        rounds += 1;
+    }
+    rounds
+}
+
 /// An integer modulo the subgroup order `n` of curve `C`.
 ///
 /// # Example
@@ -219,6 +274,28 @@ impl<C: CurveSpec> Scalar<C> {
             wide[i / 8] |= (b as u64) << (8 * (i % 8));
         }
         Self::from_raw(mod_wide(&wide, &C::ORDER))
+    }
+
+    /// Scalar from the limbs of a value below 2^m, for m the degree of
+    /// the curve's field — an x-coordinate — reduced modulo n by
+    /// ⌈2^m / n⌉ − 1 masked conditional subtractions of n, a count
+    /// fixed by the curve: 1 on the toy curve and the 163-bit curves, 3
+    /// on K-233 and 4 on K-283.
+    ///
+    /// The value must be below 2^m, as every canonical field element
+    /// is (checked in debug builds only: the check would branch on the
+    /// value).
+    pub(crate) fn from_field_limbs(x: &[u64; L]) -> Self {
+        debug_assert!(bitlen_raw(x) <= C::Field::M, "value exceeds the field");
+        let rounds = field_reduction_rounds::<C>();
+        let mut r = *x;
+        for _ in 0..rounds {
+            // lint: ct-begin — the borrow steers a mask.
+            let (diff, borrow) = sub_raw(&r, &C::ORDER);
+            r = select_raw(ct_mask_u64(borrow), &r, &diff);
+            // lint: ct-end
+        }
+        Self::from_raw(r)
     }
 
     /// Fixed byte width of the big-endian encoding:
@@ -296,6 +373,16 @@ impl<C: CurveSpec> Scalar<C> {
                 return Self::from_raw(l);
             }
         }
+    }
+
+    /// The odd representative of k: k when k is odd, else k + n (n is
+    /// odd), chosen by a masked addition. `k'·G = k·G` either way, and
+    /// `k' < 2n`. The regular comb recodes this ([`crate::comb`]).
+    pub(crate) fn odd_limbs(&self) -> [u64; L] {
+        // lint: ct-begin — the parity steers a mask.
+        let even = (self.limbs[0] & 1) ^ 1;
+        add_raw(&self.limbs, &and_raw(&C::ORDER, even.wrapping_neg())).0
+        // lint: ct-end
     }
 
     /// Modular exponentiation `self^e` where `e` is given as raw limbs.
@@ -418,13 +505,12 @@ impl<C: CurveSpec> fmt::Display for Scalar<C> {
 impl<C: CurveSpec> core::ops::Add for Scalar<C> {
     type Output = Self;
     fn add(self, rhs: Self) -> Self {
-        let (sum, carry) = add_raw(&self.limbs, &rhs.limbs);
-        debug_assert!(!carry, "operands exceed the limb width");
-        if cmp_raw(&sum, &C::ORDER) != Ordering::Less {
-            Self::from_raw(sub_raw(&sum, &C::ORDER).0)
-        } else {
-            Self::from_raw(sum)
-        }
+        // lint: ct-begin — a + b < 2n < 2^320, so the sum never
+        // carries; the borrow of sum − n picks the result by mask.
+        let (sum, _) = add_raw(&self.limbs, &rhs.limbs);
+        let (diff, borrow) = sub_raw(&sum, &C::ORDER);
+        Self::from_raw(select_raw(ct_mask_u64(borrow), &sum, &diff))
+        // lint: ct-end
     }
 }
 
@@ -437,12 +523,10 @@ impl<C: CurveSpec> core::ops::AddAssign for Scalar<C> {
 impl<C: CurveSpec> core::ops::Sub for Scalar<C> {
     type Output = Self;
     fn sub(self, rhs: Self) -> Self {
+        // lint: ct-begin — the borrow of a − b masks the n added back.
         let (diff, borrow) = sub_raw(&self.limbs, &rhs.limbs);
-        if borrow {
-            Self::from_raw(add_raw(&diff, &C::ORDER).0)
-        } else {
-            Self::from_raw(diff)
-        }
+        Self::from_raw(add_raw(&diff, &and_raw(&C::ORDER, ct_mask_u64(borrow))).0)
+        // lint: ct-end
     }
 }
 
@@ -476,7 +560,7 @@ impl<C: CurveSpec> core::ops::MulAssign for Scalar<C> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::curves::K163;
+    use crate::curves::{Toy17, B163, K163, K233, K283};
 
     fn rng_from(seed: u64) -> impl FnMut() -> u64 {
         let mut s = seed;
@@ -581,6 +665,117 @@ mod tests {
             assert!(!a.is_zero());
             assert!(cmp_raw(a.limbs(), &K163::ORDER) == Ordering::Less);
         }
+    }
+
+    /// The operators as they were before the masked selection: branches
+    /// on the carry and borrow.
+    fn add_branching<C: CurveSpec>(a: &[u64; L], b: &[u64; L]) -> [u64; L] {
+        let (sum, _) = add_raw(a, b);
+        if cmp_raw(&sum, &C::ORDER) != Ordering::Less {
+            sub_raw(&sum, &C::ORDER).0
+        } else {
+            sum
+        }
+    }
+
+    fn sub_branching<C: CurveSpec>(a: &[u64; L], b: &[u64; L]) -> [u64; L] {
+        let (diff, borrow) = sub_raw(a, b);
+        if borrow {
+            add_raw(&diff, &C::ORDER).0
+        } else {
+            diff
+        }
+    }
+
+    /// 0, 1, 2, n − 1, n − 2 and the two halves of n, whose sums cross n
+    /// or land just below it.
+    fn edge_scalars<C: CurveSpec>() -> Vec<Scalar<C>> {
+        let n = C::ORDER;
+        let half = shr_raw(&n, 1);
+        [0u64, 1, 2]
+            .map(Scalar::from_u64)
+            .into_iter()
+            .chain([1u64, 2].map(|k| Scalar::zero() - Scalar::from_u64(k)))
+            .chain([half, add_raw(&half, &[1, 0, 0, 0, 0]).0].map(Scalar::from_raw))
+            .collect()
+    }
+
+    fn masked_ops_match_branching<C: CurveSpec>(seed: u64) {
+        let mut r = rng_from(seed);
+        let mut xs = edge_scalars::<C>();
+        xs.extend((0..24).map(|_| Scalar::<C>::random_nonzero(&mut r)));
+        for a in &xs {
+            for b in &xs {
+                let (al, bl) = (a.limbs(), b.limbs());
+                assert_eq!((*a + *b).limbs, add_branching::<C>(al, bl), "{a} + {b}");
+                assert_eq!((*a - *b).limbs, sub_branching::<C>(al, bl), "{a} - {b}");
+                let wide: [u64; L] = add_raw(al, bl).0;
+                assert_eq!((*a + *b).limbs, mod_wide(&wide, &C::ORDER), "{a} + {b}");
+            }
+            let zero = [0u64; L];
+            assert_eq!((-*a).limbs, sub_branching::<C>(&zero, a.limbs()), "-{a}");
+            // The comb's odd representative: k, or k + n for even k.
+            let odd = a.odd_limbs();
+            assert_eq!(odd[0] & 1, 1, "{a}");
+            let expect = if a.limbs[0] & 1 == 1 {
+                a.limbs
+            } else {
+                add_raw(&a.limbs, &C::ORDER).0
+            };
+            assert_eq!(odd, expect, "{a}");
+        }
+    }
+
+    #[test]
+    fn masked_add_sub_neg_match_branching_operators() {
+        masked_ops_match_branching::<K163>(11);
+        masked_ops_match_branching::<B163>(12);
+        masked_ops_match_branching::<K233>(13);
+        masked_ops_match_branching::<K283>(14);
+        masked_ops_match_branching::<Toy17>(15);
+    }
+
+    /// Every multiple c·n, and c·n ± 1, below 2^m, 2^m − 1, and random
+    /// values below 2^m.
+    fn field_reduction_matches_mod_wide<C: CurveSpec>(seed: u64, rounds: usize) {
+        assert_eq!(field_reduction_rounds::<C>(), rounds, "{}", C::NAME);
+        let m = C::Field::M;
+        let mut top = [0u64; L];
+        top[m / 64] = 1 << (m % 64);
+        let pow_minus_one = sub_raw(&top, &[1, 0, 0, 0, 0]).0;
+        let mut xs = vec![[0u64; L], [1, 0, 0, 0, 0], pow_minus_one];
+        let mut multiple = [0u64; L];
+        while cmp_raw(&multiple, &top) == Ordering::Less {
+            for v in [
+                sub_raw(&multiple, &[1, 0, 0, 0, 0]).0,
+                multiple,
+                add_raw(&multiple, &[1, 0, 0, 0, 0]).0,
+            ] {
+                if cmp_raw(&v, &top) == Ordering::Less {
+                    xs.push(v);
+                }
+            }
+            multiple = add_raw(&multiple, &C::ORDER).0;
+        }
+        let mut r = rng_from(seed);
+        xs.extend((0..200).map(|_| *medsec_gf2m::Element::<C::Field>::random(&mut r).limbs()));
+        for x in &xs {
+            assert_eq!(
+                Scalar::<C>::from_field_limbs(x).limbs,
+                mod_wide(x, &C::ORDER),
+                "{} x={x:x?}",
+                C::NAME
+            );
+        }
+    }
+
+    #[test]
+    fn field_reduction_takes_the_curves_count_and_matches_mod_wide() {
+        field_reduction_matches_mod_wide::<Toy17>(21, 1);
+        field_reduction_matches_mod_wide::<K163>(22, 1);
+        field_reduction_matches_mod_wide::<B163>(23, 1);
+        field_reduction_matches_mod_wide::<K233>(24, 3);
+        field_reduction_matches_mod_wide::<K283>(25, 4);
     }
 
     #[test]

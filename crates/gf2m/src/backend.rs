@@ -12,10 +12,13 @@
 //!   multiply four elements per AVX-512 `VPCLMULQDQ` instruction over
 //!   the plane-major SoA layout of [`crate::batch`] (see
 //!   [`crate::vpclmul`]); its [`FieldBackend::ladder_batch`] runs a
-//!   whole lockstep Montgomery ladder in ZMM registers. Each kernel runs
+//!   whole lockstep Montgomery ladder, and its
+//!   [`FieldBackend::comb_batch`] every column of a regular signed
+//!   fixed-base comb, in ZMM registers. Each kernel runs
 //!   where CPUID reports its instruction: without `PCLMULQDQ` scalars
 //!   take the portable comb, without `AVX512F` + `VPCLMULQDQ` batches
-//!   take the scalar path per element and ladders the default schedule.
+//!   take the scalar path per element and ladders and combs the default
+//!   schedule.
 //!   The toy field F(2^17), whose reduction folds back into its own
 //!   limb, takes those two paths on every host.
 //! * [`BitslicedBackend`] — the portable path: word-bounded comb
@@ -40,7 +43,7 @@
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicU8, Ordering};
 
-use crate::batch::{self, LadderLanes, Planes};
+use crate::batch::{self, CombLanes, LadderLanes, Planes};
 use crate::field::{Element, FieldSpec};
 use crate::limbs;
 use crate::LIMBS;
@@ -135,6 +138,47 @@ pub trait FieldBackend {
     ) {
         batch::ladder_steps::<Self, F>(lanes, b, at_infinity);
     }
+
+    /// A whole regular signed comb on every lane at once, in place:
+    /// `lanes.columns` columns over each lane's López–Dahab accumulator
+    /// on the curve `y² + xy = x³ + ax² + b`, each column one doubling
+    /// and one mixed addition of a table entry. Entry j of `table` holds
+    /// an affine point T\[j\] and its double, `[x(T), y(T), x(2T),
+    /// y(2T)]`; the table holds 2^(w−1) entries for a comb of w teeth.
+    /// A lane's digit word gives the signs of its column's teeth in its
+    /// low w bits (set for +). With tooth w−1 positive the lane adds
+    /// T\[j\] for j the digit's low w−1 bits, with it negative
+    /// −T\[j\] for j their complement: a table built so that entry j's
+    /// tooth t < w−1 is positive iff bit t of j is set then adds the
+    /// digit's signed sum.
+    ///
+    /// Each lane's digit steers only masks: every entry is read for
+    /// every lane and kept where it matches, the negation is a masked
+    /// `y ↦ x + y`, and the mixed addition's exceptional cases are
+    /// masked fixes — an accumulator at infinity (Z = 0) takes the
+    /// entry, one equal to the entry (B = 0, A = 0) takes the entry's
+    /// double, and one equal to its negative is left at the formula's
+    /// Z = 0. The caller's accumulators may start anywhere, infinity
+    /// included.
+    ///
+    /// The default runs the column schedule as batch operations
+    /// ([`Self::mul_batch`]/[`Self::sqr_batch`]) over all lanes;
+    /// [`VpclmulBackend`] overrides it with a kernel that keeps each
+    /// chunk of lanes in registers for the whole comb. Every backend
+    /// leaves the same states.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless the table length is a power of two and the lanes
+    /// are of equal width ([`CombLanes::width`]).
+    fn comb_batch<F: FieldSpec>(
+        lanes: &mut CombLanes<'_>,
+        table: &[[Element<F>; 4]],
+        a: &Element<F>,
+        b: &Element<F>,
+    ) {
+        batch::comb_steps::<Self, F>(lanes, table, a, b);
+    }
 }
 
 /// Bit-exact reference backend (windowed comb + bit-serial reduction):
@@ -201,6 +245,15 @@ impl FieldBackend for VpclmulBackend {
         at_infinity: impl FnMut(bool, &mut [Element<F>; 4]),
     ) {
         crate::vpclmul::ladder_batch_planes::<F>(lanes, b, at_infinity);
+    }
+
+    fn comb_batch<F: FieldSpec>(
+        lanes: &mut CombLanes<'_>,
+        table: &[[Element<F>; 4]],
+        a: &Element<F>,
+        b: &Element<F>,
+    ) {
+        crate::vpclmul::comb_batch_planes::<F>(lanes, table, a, b);
     }
 }
 
@@ -404,6 +457,18 @@ impl FieldBackend for ActiveBackend {
         match select_backend() {
             BackendChoice::Vpclmul => VpclmulBackend::ladder_batch::<F>(lanes, b, at_infinity),
             BackendChoice::Bitsliced => BitslicedBackend::ladder_batch::<F>(lanes, b, at_infinity),
+        }
+    }
+
+    fn comb_batch<F: FieldSpec>(
+        lanes: &mut CombLanes<'_>,
+        table: &[[Element<F>; 4]],
+        a: &Element<F>,
+        b: &Element<F>,
+    ) {
+        match select_backend() {
+            BackendChoice::Vpclmul => VpclmulBackend::comb_batch::<F>(lanes, table, a, b),
+            BackendChoice::Bitsliced => BitslicedBackend::comb_batch::<F>(lanes, table, a, b),
         }
     }
 }

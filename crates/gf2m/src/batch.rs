@@ -23,12 +23,22 @@
 //!   lane's key bits), which [`FieldBackend::ladder_batch`] runs whole:
 //!   by default as batch operations over all lanes, one per field
 //!   operation of the ladder step; on the AVX-512 backend in registers.
+//! * [`CombLanes`] / [`CombPlanes`] — the state of a regular signed
+//!   fixed-base comb in this layout (each lane's López–Dahab
+//!   accumulator and one digit word per column), which
+//!   [`FieldBackend::comb_batch`] runs whole, the same two ways. Both
+//!   default schedules keep their temporaries in thread-local scratch,
+//!   so a call allocates nothing once a thread has run one of its
+//!   width.
 //!
 //! Elements are always stored at the full `LIMBS` width regardless of
 //! the field's degree — planes above `ceil(m/64)` are zero — which
 //! keeps the layout field-agnostic: non-generic scratch structs built
 //! from [`Planes`] can be threaded through curve-erased code (the
 //! hub's workers serve several curve lanes with one scratch).
+
+use std::cell::RefCell;
+use std::thread::LocalKey;
 
 use crate::backend::{ActiveBackend, FieldBackend};
 use crate::ct;
@@ -345,7 +355,8 @@ pub fn ladder_planes<F: FieldSpec>(
 /// Before each step, a lane with a leg at infinity (Z1 = 0 or Z2 = 0)
 /// is handed to `at_infinity` with its pre-step state; its result
 /// replaces whatever the plane operations computed for that lane.
-/// Which lanes do is public.
+/// Which lanes do is public. The temporaries are thread-local and
+/// reused from call to call.
 ///
 /// [`FieldBackend::ladder_batch`]: crate::backend::FieldBackend::ladder_batch
 pub(crate) fn ladder_steps<B: FieldBackend + ?Sized, F: FieldSpec>(
@@ -353,70 +364,104 @@ pub(crate) fn ladder_steps<B: FieldBackend + ?Sized, F: FieldSpec>(
     b: &Element<F>,
     mut at_infinity: impl FnMut(bool, &mut [Element<F>; 4]),
 ) {
-    let n = s.width();
-    let b_is_one = *b == Element::one();
-    let mut t = LadderTemps {
-        t0: vec![0; LIMBS * n],
-        t1: vec![0; LIMBS * n],
-        t2: vec![0; LIMBS * n],
-        b: vec![0; LIMBS * n],
-    };
-    if !b_is_one {
-        for i in 0..n {
-            scatter(&mut t.b, n, i, b);
-        }
+    thread_local! {
+        static LADDER_TLS: RefCell<LadderTemps> = RefCell::default();
     }
-    let all_keys = s.keys;
-    let mut masks = vec![0u64; n];
-    let mut exceptional: Vec<(usize, [Element<F>; 4])> = Vec::with_capacity(n);
-    // lint: hot-path — every step reuses the temporaries, masks and
-    // exceptional-lane list built above.
-    for step in 0..s.steps {
-        let keys = &all_keys[(step / 64) * n..][..n];
-        let shift = step % 64;
-        exceptional.clear();
-        for (i, key) in keys.iter().enumerate() {
-            if is_zero_at(s.z1, n, i) || is_zero_at(s.z2, n, i) {
-                let mut legs = [
-                    gather(s.x1, n, i),
-                    gather(s.z1, n, i),
-                    gather(s.x2, n, i),
-                    gather(s.z2, n, i),
-                ];
-                at_infinity((key >> shift) & 1 == 1, &mut legs);
-                exceptional.push((i, legs));
+    let n = s.width();
+    with_scratch(&LADDER_TLS, |t| {
+        t.reset(n, b);
+        let all_keys = s.keys;
+        // lint: hot-path — every step reuses the thread's temporaries,
+        // masks and exceptional-lane list.
+        for step in 0..s.steps {
+            let keys = &all_keys[(step / 64) * n..][..n];
+            let shift = step % 64;
+            t.exceptional.clear();
+            for (i, key) in keys.iter().enumerate() {
+                if is_zero_at(s.z1, n, i) || is_zero_at(s.z2, n, i) {
+                    let mut legs = [
+                        gather(s.x1, n, i),
+                        gather(s.z1, n, i),
+                        gather(s.x2, n, i),
+                        gather(s.z2, n, i),
+                    ];
+                    at_infinity((key >> shift) & 1 == 1, &mut legs);
+                    t.exceptional.push((i, legs.map(|e| *e.limbs())));
+                }
+            }
+            for (mask, key) in t.masks.iter_mut().zip(keys) {
+                *mask = ct::ct_mask_u64((key >> shift) & 1 == 1);
+            }
+            // lint: ct-begin — the ladder's per-bit schedule on every
+            // lane at once: each lane's key bit only steers its masked
+            // lane swaps (gf2m::ct), and the batch operations run over
+            // all lanes whatever the bits are.
+            ct::ct_swap_lanes(&t.masks, s.x1, s.x2);
+            ct::ct_swap_lanes(&t.masks, s.z1, s.z2);
+            madd_lanes::<B, F>(s, t);
+            mdouble_lanes::<B, F>(s, t);
+            ct::ct_swap_lanes(&t.masks, s.x1, s.x2);
+            ct::ct_swap_lanes(&t.masks, s.z1, s.z2);
+            // lint: ct-end
+            for (i, legs) in t.exceptional.drain(..) {
+                let [x1, z1, x2, z2] = legs.map(Element::<F>::from_raw_limbs);
+                scatter(s.x1, n, i, &x1);
+                scatter(s.z1, n, i, &z1);
+                scatter(s.x2, n, i, &x2);
+                scatter(s.z2, n, i, &z2);
             }
         }
-        for (mask, key) in masks.iter_mut().zip(keys) {
-            *mask = ct::ct_mask_u64((key >> shift) & 1 == 1);
-        }
-        // lint: ct-begin — the ladder's per-bit schedule on every lane
-        // at once: each lane's key bit only steers its masked lane
-        // swaps (gf2m::ct), and the batch operations run over all lanes
-        // whatever the bits are.
-        ct::ct_swap_lanes(&masks, s.x1, s.x2);
-        ct::ct_swap_lanes(&masks, s.z1, s.z2);
-        madd_lanes::<B, F>(s, &mut t);
-        mdouble_lanes::<B, F>(s, &mut t, b_is_one);
-        ct::ct_swap_lanes(&masks, s.x1, s.x2);
-        ct::ct_swap_lanes(&masks, s.z1, s.z2);
-        // lint: ct-end
-        for (i, [x1, z1, x2, z2]) in exceptional.drain(..) {
-            scatter(s.x1, n, i, &x1);
-            scatter(s.z1, n, i, &z1);
-            scatter(s.x2, n, i, &x2);
-            scatter(s.z2, n, i, &z2);
-        }
-    }
-    // lint: hot-path-end
+        // lint: hot-path-end
+    });
 }
 
-/// Temporaries of [`ladder_steps`], and the curve's `b` in every lane.
+/// Runs `f` on the thread's instance of a default schedule's scratch,
+/// or on a fresh one if the thread's is in use further up the stack
+/// (a caller's rule that runs another schedule).
+fn with_scratch<T: Default + 'static, R>(
+    key: &'static LocalKey<RefCell<T>>,
+    f: impl FnOnce(&mut T) -> R,
+) -> R {
+    key.with(|cell| match cell.try_borrow_mut() {
+        Ok(mut t) => f(&mut t),
+        Err(_) => f(&mut T::default()),
+    })
+}
+
+/// Temporaries of [`ladder_steps`], the curve's `b` in every lane, the
+/// step's swap masks and its lanes with a leg at infinity (raw limbs,
+/// so one thread-local instance serves every field).
+#[derive(Debug, Default)]
 struct LadderTemps {
     t0: Vec<u64>,
     t1: Vec<u64>,
     t2: Vec<u64>,
     b: Vec<u64>,
+    b_is_one: bool,
+    masks: Vec<u64>,
+    exceptional: Vec<(usize, [[u64; LIMBS]; 4])>,
+}
+
+impl LadderTemps {
+    /// Sizes the temporaries for n lanes of curve constant `b`, keeping
+    /// the allocations.
+    fn reset<F: FieldSpec>(&mut self, n: usize, b: &Element<F>) {
+        for v in [&mut self.t0, &mut self.t1, &mut self.t2] {
+            v.clear();
+            v.resize(LIMBS * n, 0);
+        }
+        self.b_is_one = *b == Element::one();
+        self.b.clear();
+        self.b.resize(LIMBS * n, 0);
+        if !self.b_is_one {
+            for i in 0..n {
+                scatter(&mut self.b, n, i, b);
+            }
+        }
+        self.masks.clear();
+        self.masks.resize(n, 0);
+        self.exceptional.clear();
+    }
 }
 
 /// Whether element `i` of a plane-major batch of width n is zero.
@@ -445,19 +490,377 @@ fn madd_lanes<B: FieldBackend + ?Sized, F: FieldSpec>(
 fn mdouble_lanes<B: FieldBackend + ?Sized, F: FieldSpec>(
     s: &mut LadderLanes<'_>,
     t: &mut LadderTemps,
-    b_is_one: bool,
 ) {
     B::sqr_batch::<F>(&mut t.t0, s.x1); // X²
     B::sqr_batch::<F>(&mut t.t1, s.z1); // Z²
     B::mul_batch::<F>(s.z1, &t.t0, &t.t1); // Z' = X²·Z²
     B::sqr_batch::<F>(s.x1, &t.t0); // X⁴
     B::sqr_batch::<F>(&mut t.t2, &t.t1); // Z⁴
-    if b_is_one {
+    if t.b_is_one {
         limbs::xor_into(s.x1, &t.t2); // X' = X⁴ + Z⁴
     } else {
         B::mul_batch::<F>(&mut t.t0, &t.b, &t.t2); // b·Z⁴
         limbs::xor_into(s.x1, &t.t0); // X' = X⁴ + b·Z⁴
     }
+}
+
+/// The state of a regular signed comb as plane-major slices of one
+/// width n (see the module doc): every lane's López–Dahab accumulator
+/// `(X : Y : Z)` (x = X/Z, y = Y/Z², Z = 0 at infinity) and its digit
+/// words, one per column in the order the columns run: `digits[c * n +
+/// i]` steers lane i's column c. [`FieldBackend::comb_batch`] runs the
+/// `columns` columns over it in place.
+///
+/// [`FieldBackend::comb_batch`]: crate::backend::FieldBackend::comb_batch
+#[derive(Debug)]
+pub struct CombLanes<'a> {
+    /// X of each lane's accumulator.
+    pub x: &'a mut [u64],
+    /// Y of each lane's accumulator.
+    pub y: &'a mut [u64],
+    /// Z of each lane's accumulator.
+    pub z: &'a mut [u64],
+    /// Each lane's digit word per column.
+    pub digits: &'a [u64],
+    /// Number of columns to run.
+    pub columns: usize,
+}
+
+impl CombLanes<'_> {
+    /// The lane count n.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless every coordinate slice holds `LIMBS * n` words and
+    /// `digits` holds `columns * n`. The ZMM kernel reads and writes by
+    /// raw pointer, so this holds in every build.
+    pub fn width(&self) -> usize {
+        let n = width(self.x);
+        assert!(
+            self.y.len() == LIMBS * n
+                && self.z.len() == LIMBS * n
+                && self.digits.len() == self.columns * n,
+            "comb lanes of unequal width"
+        );
+        n
+    }
+}
+
+/// The bit of a comb digit word that holds its top tooth's sign, for a
+/// table of `entries` entries: log2(entries).
+///
+/// # Panics
+///
+/// Panics unless `entries` is a power of two.
+pub(crate) fn comb_top_bit(entries: usize) -> u32 {
+    assert!(
+        entries.is_power_of_two(),
+        "a comb table holds 2^(w-1) entries"
+    );
+    entries.trailing_zeros()
+}
+
+/// An owned, reusable comb state: [`CombLanes`] over [`Planes`]
+/// buffers. `reset` puts every accumulator at infinity; the caller
+/// writes the digit words and reads the accumulators back.
+#[derive(Debug, Clone, Default)]
+pub struct CombPlanes {
+    x: Planes,
+    y: Planes,
+    z: Planes,
+    digits: Vec<u64>,
+    columns: usize,
+}
+
+impl CombPlanes {
+    /// Resizes to `lanes` accumulators at infinity, `(1 : 0 : 0)`, and
+    /// `columns` zeroed digit words each, keeping the allocations.
+    pub fn reset(&mut self, lanes: usize, columns: usize) {
+        for p in [&mut self.x, &mut self.y, &mut self.z] {
+            p.reset(lanes);
+        }
+        // Limb 0 of the element 1 is 1 in every field.
+        self.x.data[..lanes].fill(1);
+        self.digits.clear();
+        self.digits.resize(columns * lanes, 0);
+        self.columns = columns;
+    }
+
+    /// The digit words, `columns · lanes` of them: word `c · lanes + i`
+    /// steers lane i's column c.
+    pub fn digits_mut(&mut self) -> &mut [u64] {
+        &mut self.digits
+    }
+
+    /// The accumulators' X, Y and Z planes.
+    pub fn coordinates(&self) -> [&Planes; 3] {
+        [&self.x, &self.y, &self.z]
+    }
+
+    /// The state as the slices [`FieldBackend::comb_batch`] runs on.
+    ///
+    /// [`FieldBackend::comb_batch`]: crate::backend::FieldBackend::comb_batch
+    fn lanes(&mut self) -> CombLanes<'_> {
+        CombLanes {
+            x: self.x.data_mut(),
+            y: self.y.data_mut(),
+            z: self.z.data_mut(),
+            digits: &self.digits,
+            columns: self.columns,
+        }
+    }
+}
+
+/// Runs every column of the comb in `s` on the selected backend
+/// ([`FieldBackend::comb_batch`]) with `table` on the curve with
+/// constants `a` and `b`.
+///
+/// [`FieldBackend::comb_batch`]: crate::backend::FieldBackend::comb_batch
+pub fn comb_planes<F: FieldSpec>(
+    s: &mut CombPlanes,
+    table: &[[Element<F>; 4]],
+    a: &Element<F>,
+    b: &Element<F>,
+) {
+    ActiveBackend::comb_batch::<F>(&mut s.lanes(), table, a, b);
+}
+
+/// [`FieldBackend::comb_batch`]'s default: the comb's column schedule
+/// on every lane at once, each field operation one batch operation of
+/// backend `B` over all lanes. Each column doubles every accumulator,
+/// selects its lane's entry by a masked scan of the whole table, negates
+/// it by a masked `y ↦ x + y`, and adds it with the generic mixed
+/// addition, whose result three masked fixes correct: a lane at
+/// infinity takes the entry, a lane equal to its entry (B = 0, A = 0)
+/// takes the entry's double, and a lane equal to the entry's negative
+/// (B = 0, A ≠ 0) is left at the formula's Z = 0. The temporaries are
+/// thread-local and reused from call to call.
+///
+/// [`FieldBackend::comb_batch`]: crate::backend::FieldBackend::comb_batch
+pub(crate) fn comb_steps<B: FieldBackend + ?Sized, F: FieldSpec>(
+    s: &mut CombLanes<'_>,
+    table: &[[Element<F>; 4]],
+    a: &Element<F>,
+    b: &Element<F>,
+) {
+    thread_local! {
+        static COMB_TLS: RefCell<CombTemps> = RefCell::default();
+    }
+    let n = s.width();
+    let top = comb_top_bit(table.len());
+    with_scratch(&COMB_TLS, |t| {
+        t.reset(n, a, b);
+        // lint: hot-path — every column reuses the thread's temporaries.
+        for col in 0..s.columns {
+            let digits = &s.digits[col * n..][..n];
+            // lint: ct-begin — one column on every lane: each lane's
+            // digit only steers its masked scan, negation and fixes,
+            // and the batch operations run over all lanes whatever the
+            // digits are.
+            comb_select::<F>(t, digits, table, top);
+            comb_double::<B, F>(s, t);
+            comb_add::<B, F>(s, t);
+            // lint: ct-end
+        }
+        // lint: hot-path-end
+    });
+}
+
+/// The curve constant `a` or `b` of a comb, as the schedule multiplies
+/// by it: skipped when 0, an addition when 1, else a batch product with
+/// the constant in every lane. Curve constants are public.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+enum Coefficient {
+    #[default]
+    Zero,
+    One,
+    Other,
+}
+
+impl Coefficient {
+    fn of<F: FieldSpec>(c: &Element<F>) -> Self {
+        if c.is_zero() {
+            Coefficient::Zero
+        } else if *c == Element::one() {
+            Coefficient::One
+        } else {
+            Coefficient::Other
+        }
+    }
+}
+
+/// Temporaries of [`comb_steps`] (raw plane words, so one thread-local
+/// instance serves every field): each lane's selected entry, scratch
+/// planes, the curve constants in every lane, and per-lane masks.
+#[derive(Debug, Default)]
+struct CombTemps {
+    /// The selected entry: x, y, and the double's x, y.
+    e: [Vec<u64>; 4],
+    t: [Vec<u64>; 6],
+    a: Vec<u64>,
+    b: Vec<u64>,
+    a_kind: Coefficient,
+    b_kind: Coefficient,
+    /// All ones where the lane's entry is negated.
+    neg: Vec<u64>,
+    /// The lane's table index.
+    idx: Vec<u64>,
+    /// Scratch mask: the lanes where B = 0.
+    hit: Vec<u64>,
+    /// All ones where the accumulator is at infinity.
+    zsel: Vec<u64>,
+    /// All ones where the accumulator equals its entry.
+    dsel: Vec<u64>,
+}
+
+impl CombTemps {
+    /// Sizes the temporaries for n lanes of a curve with constants `a`
+    /// and `b`, keeping the allocations; the entry planes start at zero
+    /// because the table read writes only the field's own limbs.
+    fn reset<F: FieldSpec>(&mut self, n: usize, a: &Element<F>, b: &Element<F>) {
+        for v in self.e.iter_mut().chain(self.t.iter_mut()) {
+            v.clear();
+            v.resize(LIMBS * n, 0);
+        }
+        self.a_kind = Coefficient::of(a);
+        self.b_kind = Coefficient::of(b);
+        for (v, c) in [(&mut self.a, a), (&mut self.b, b)] {
+            v.clear();
+            v.resize(LIMBS * n, 0);
+            for i in 0..n {
+                scatter(v, n, i, c);
+            }
+        }
+        for v in [
+            &mut self.neg,
+            &mut self.idx,
+            &mut self.hit,
+            &mut self.zsel,
+            &mut self.dsel,
+        ] {
+            v.clear();
+            v.resize(n, 0);
+        }
+    }
+}
+
+/// `acc += c·v` on every lane for a curve constant `c` (public), with
+/// `tmp` as scratch.
+fn add_times_coefficient<B: FieldBackend + ?Sized, F: FieldSpec>(
+    acc: &mut [u64],
+    v: &[u64],
+    kind: Coefficient,
+    c: &[u64],
+    tmp: &mut [u64],
+) {
+    match kind {
+        Coefficient::Zero => {}
+        Coefficient::One => limbs::xor_into(acc, v),
+        Coefficient::Other => {
+            B::mul_batch::<F>(tmp, c, v);
+            limbs::xor_into(acc, tmp);
+        }
+    }
+}
+
+/// Each lane's entry for this column: the digit's top tooth gives the
+/// sign (bit `top` clear: negative), the other teeth the index, their
+/// complement when negative; every lane reads every entry of the table
+/// and keeps its own by mask ([`ct::ct_lookup_lanes`]), then the
+/// negative lanes add x to y.
+fn comb_select<F: FieldSpec>(
+    t: &mut CombTemps,
+    digits: &[u64],
+    table: &[[Element<F>; 4]],
+    top: u32,
+) {
+    // lint: ct-begin — the digits steer masks only.
+    let low = (1u64 << top) - 1;
+    for ((neg, idx), d) in t.neg.iter_mut().zip(t.idx.iter_mut()).zip(digits) {
+        *neg = ((d >> top) & 1).wrapping_sub(1);
+        *idx = (d ^ *neg) & low;
+    }
+    let [ex, ey, edx, edy] = &mut t.e;
+    ct::ct_lookup_lanes(&t.idx, table, [&mut *ex, &mut *ey, &mut *edx, &mut *edy]);
+    ct::ct_xor_lanes(&t.neg, ey, ex);
+    ct::ct_xor_lanes(&t.neg, edy, edx);
+    // lint: ct-end
+}
+
+/// López–Dahab doubling on every lane, in place: `Z₃ = X₁²·Z₁²`,
+/// `X₃ = X₁⁴ + b·Z₁⁴`, `Y₃ = b·Z₁⁴·Z₃ + X₃·(a·Z₃ + Y₁² + b·Z₁⁴)`. A lane
+/// at infinity (Z₁ = 0) stays there.
+fn comb_double<B: FieldBackend + ?Sized, F: FieldSpec>(s: &mut CombLanes<'_>, t: &mut CombTemps) {
+    let [t0, t1, t2, t3, _, _] = &mut t.t;
+    B::sqr_batch::<F>(t0, s.x); // X₁²
+    B::sqr_batch::<F>(t1, s.z); // Z₁²
+    B::mul_batch::<F>(s.z, t0, t1); // Z₃ = X₁²·Z₁²
+    B::sqr_batch::<F>(t2, t1); // Z₁⁴
+    if t.b_kind != Coefficient::One {
+        B::mul_batch::<F>(t1, &t.b, t2);
+        t2.copy_from_slice(t1); // b·Z₁⁴
+    }
+    B::sqr_batch::<F>(s.x, t0); // X₁⁴
+    limbs::xor_into(s.x, t2); // X₃ = X₁⁴ + b·Z₁⁴
+    B::sqr_batch::<F>(t0, s.y); // Y₁²
+    limbs::xor_into(t0, t2); // Y₁² + b·Z₁⁴
+    add_times_coefficient::<B, F>(t0, s.z, t.a_kind, &t.a, t3); // + a·Z₃
+    B::mul_batch::<F>(s.y, s.x, t0); // X₃·(a·Z₃ + Y₁² + b·Z₁⁴)
+    B::mul_batch::<F>(t3, t2, s.z); // b·Z₁⁴·Z₃
+    limbs::xor_into(s.y, t3); // Y₃
+}
+
+/// López–Dahab mixed addition of each lane's selected entry
+/// `(x₂, y₂)`, in place: `A = Y₁ + y₂·Z₁²`, `B = X₁ + x₂·Z₁`, `C = B·Z₁`,
+/// `Z₃ = C²`, `D = x₂·Z₃`, `X₃ = A² + C·(A + B² + a·C)`,
+/// `Y₃ = (D + X₃)·(A·C + Z₃) + (y₂ + x₂)·Z₃²`, then the masked fixes
+/// for the cases the formula does not cover.
+fn comb_add<B: FieldBackend + ?Sized, F: FieldSpec>(s: &mut CombLanes<'_>, t: &mut CombTemps) {
+    let [ex, ey, edx, edy] = &t.e;
+    let [t0, t1, t2, t3, t4, t5] = &mut t.t;
+    B::sqr_batch::<F>(t0, s.z); // Z₁²
+    B::mul_batch::<F>(t1, ey, t0); // y₂·Z₁²
+    limbs::xor_into(t1, s.y); // A
+    B::mul_batch::<F>(t2, ex, s.z); // x₂·Z₁
+    limbs::xor_into(t2, s.x); // B
+                              // lint: ct-begin — which lanes take a fix is secret: masks only.
+    ct::ct_zero_lanes(s.z, &mut t.zsel);
+    ct::ct_zero_lanes(t1, &mut t.dsel);
+    ct::ct_zero_lanes(t2, &mut t.hit);
+    for (d, h) in t.dsel.iter_mut().zip(&t.hit) {
+        *d &= *h;
+    }
+    // lint: ct-end
+    B::mul_batch::<F>(t3, t2, s.z); // C = B·Z₁
+    B::sqr_batch::<F>(s.z, t3); // Z₃ = C²
+    B::mul_batch::<F>(t4, ex, s.z); // D = x₂·Z₃
+    B::sqr_batch::<F>(t0, t2); // B²
+    limbs::xor_into(t0, t1); // A + B²
+    add_times_coefficient::<B, F>(t0, t3, t.a_kind, &t.a, t5); // + a·C
+    B::mul_batch::<F>(t2, t3, t0); // C·(A + B² + a·C)
+    B::sqr_batch::<F>(s.x, t1); // A²
+    limbs::xor_into(s.x, t2); // X₃
+    B::mul_batch::<F>(t0, t1, t3); // A·C
+    limbs::xor_into(t0, s.z); // A·C + Z₃
+    limbs::xor_into(t4, s.x); // D + X₃
+    B::mul_batch::<F>(s.y, t4, t0); // (D + X₃)·(A·C + Z₃)
+    B::sqr_batch::<F>(t0, s.z); // Z₃²
+    t1.copy_from_slice(ey);
+    limbs::xor_into(t1, ex); // y₂ + x₂
+    B::mul_batch::<F>(t2, t1, t0); // (y₂ + x₂)·Z₃²
+    limbs::xor_into(s.y, t2); // Y₃
+                              // lint: ct-begin — the fixes: the entry's double where the
+                              // accumulator equalled the entry, the entry itself where the
+                              // accumulator was at infinity, Z = 1 for both.
+    ct::ct_select_lanes(&t.dsel, s.x, edx);
+    ct::ct_select_lanes(&t.dsel, s.y, edy);
+    ct::ct_select_lanes(&t.zsel, s.x, ex);
+    ct::ct_select_lanes(&t.zsel, s.y, ey);
+    for (d, z) in t.dsel.iter_mut().zip(&t.zsel) {
+        *d |= *z;
+    }
+    ct::ct_fill_lanes(&t.dsel, s.z, Element::<F>::one().limbs());
+    // lint: ct-end
 }
 
 /// Whether a fold of the reduction polynomial can land back in the

@@ -126,6 +126,144 @@ pub fn ct_swap_lanes(masks: &[u64], a: &mut [u64], b: &mut [u64]) {
     }
 }
 
+/// Lane-wise element select over two plane-major batches: slot `i` of
+/// `dst` takes slot `i` of `src` where `masks[i]` is all ones and keeps
+/// its own where it is zero. The comb's fixes for an accumulator at
+/// infinity or equal to its entry go through here.
+///
+/// # Panics
+///
+/// Panics unless `dst` and `src` both hold `LIMBS` planes of
+/// `masks.len()` (public) words.
+pub fn ct_select_lanes(masks: &[u64], dst: &mut [u64], src: &[u64]) {
+    let n = masks.len();
+    assert!(
+        dst.len() == LIMBS * n && src.len() == LIMBS * n,
+        "lane count mismatch"
+    );
+    if n == 0 {
+        return;
+    }
+    for (pd, ps) in dst.chunks_exact_mut(n).zip(src.chunks_exact(n)) {
+        for ((d, s), mask) in pd.iter_mut().zip(ps).zip(masks) {
+            *d ^= mask & (*d ^ *s);
+        }
+    }
+}
+
+/// Lane-wise masked add over two plane-major batches: `dst[i] += src[i]`
+/// (XOR) where `masks[i]` is all ones, nothing where it is zero. The
+/// comb's negation y ↦ x + y goes through here.
+///
+/// # Panics
+///
+/// As [`ct_select_lanes`].
+pub fn ct_xor_lanes(masks: &[u64], dst: &mut [u64], src: &[u64]) {
+    let n = masks.len();
+    assert!(
+        dst.len() == LIMBS * n && src.len() == LIMBS * n,
+        "lane count mismatch"
+    );
+    if n == 0 {
+        return;
+    }
+    for (pd, ps) in dst.chunks_exact_mut(n).zip(src.chunks_exact(n)) {
+        for ((d, s), mask) in pd.iter_mut().zip(ps).zip(masks) {
+            *d ^= mask & *s;
+        }
+    }
+}
+
+/// Per-lane table read by masked scan: slot `i` of each plane-major
+/// batch `out[c]` takes coordinate `c` of entry `idx[i]` of `table`.
+/// Every lane reads every entry and keeps the one whose position
+/// matches its index by mask, so the memory accesses are the same
+/// whatever the indices; an index past the table selects nothing and
+/// leaves the slot zero. Only the field's own limbs are written.
+///
+/// # Panics
+///
+/// Panics unless every `out[c]` holds `LIMBS` planes of `idx.len()`
+/// words.
+pub fn ct_lookup_lanes<F: FieldSpec, const K: usize>(
+    idx: &[u64],
+    table: &[[Element<F>; K]],
+    mut out: [&mut [u64]; K],
+) {
+    let n = idx.len();
+    let nw = F::M.div_ceil(64);
+    assert!(
+        out.iter().all(|o| o.len() == LIMBS * n),
+        "lane count mismatch"
+    );
+    for (i, &want) in idx.iter().enumerate() {
+        let mut acc = [[0u64; LIMBS]; K];
+        for (m, entry) in (0u64..).zip(table) {
+            let mask = ct_mask_u64(want == m);
+            for (a, e) in acc.iter_mut().zip(entry) {
+                for (w, l) in a.iter_mut().zip(e.limbs()).take(nw) {
+                    *w |= mask & l;
+                }
+            }
+        }
+        for (o, a) in out.iter_mut().zip(&acc) {
+            for (j, w) in a.iter().enumerate().take(nw) {
+                o[j * n + i] = *w;
+            }
+        }
+    }
+}
+
+/// Lane-wise masked broadcast: slot `i` of the plane-major batch `dst`
+/// takes the element whose low limbs are `limbs` where `masks[i]` is
+/// all ones; planes past `limbs.len()` are left alone. The comb's
+/// masked table scan goes through here, one call per entry and
+/// coordinate.
+///
+/// # Panics
+///
+/// Panics unless `dst` holds `LIMBS` planes of `masks.len()` words and
+/// `limbs` at most `LIMBS` limbs.
+pub fn ct_fill_lanes(masks: &[u64], dst: &mut [u64], limbs: &[u64]) {
+    let n = masks.len();
+    assert!(
+        dst.len() == LIMBS * n && limbs.len() <= LIMBS,
+        "lane count mismatch"
+    );
+    if n == 0 {
+        return;
+    }
+    for (pd, l) in dst.chunks_exact_mut(n).zip(limbs) {
+        for (d, mask) in pd.iter_mut().zip(masks) {
+            *d ^= mask & (*d ^ *l);
+        }
+    }
+}
+
+/// `masks[i]` ← all ones where slot `i` of the plane-major batch
+/// `planes` is the zero element, else zero: the limbs are OR-folded and
+/// compared once, whatever their values.
+///
+/// # Panics
+///
+/// Panics unless `planes` holds `LIMBS` planes of `masks.len()` words.
+pub fn ct_zero_lanes(planes: &[u64], masks: &mut [u64]) {
+    let n = masks.len();
+    assert_eq!(planes.len(), LIMBS * n, "lane count mismatch");
+    masks.fill(0);
+    if n == 0 {
+        return;
+    }
+    for plane in planes.chunks_exact(n) {
+        for (acc, w) in masks.iter_mut().zip(plane) {
+            *acc |= *w;
+        }
+    }
+    for acc in masks.iter_mut() {
+        *acc = ct_mask_u64(*acc == 0);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -174,6 +312,69 @@ mod tests {
         assert_eq!((x, y), (a, b));
         ct_swap(true, &mut x, &mut y);
         assert_eq!((x, y), (b, a));
+    }
+
+    /// The comb's lane helpers against per-element reference code, at
+    /// widths that are empty, a single lane and ragged.
+    #[test]
+    fn comb_lane_helpers_match_element_ops() {
+        let mut s = 0x1a4e_u64;
+        let mut next = move || {
+            s = s.wrapping_mul(0x2545_f491_4f6c_dd1d).wrapping_add(1);
+            s
+        };
+        let planes = |xs: &[Element<F163>]| {
+            let mut p = Planes::new();
+            p.reset(xs.len());
+            for (i, x) in xs.iter().enumerate() {
+                p.set(i, x);
+            }
+            p
+        };
+        let table: Vec<[Element<F163>; 2]> = (0..4)
+            .map(|_| [Element::random(&mut next), Element::random(&mut next)])
+            .collect();
+        for n in [0usize, 1, 3, 9] {
+            let mut xs: Vec<Element<F163>> = (0..n).map(|_| Element::random(&mut next)).collect();
+            let ys: Vec<Element<F163>> = (0..n).map(|_| Element::random(&mut next)).collect();
+            if n > 1 {
+                xs[1] = Element::zero();
+            }
+            let bits: Vec<bool> = (0..n).map(|_| next() & 1 == 1).collect();
+            let masks: Vec<u64> = bits.iter().map(|&c| ct_mask_u64(c)).collect();
+            let (px, py) = (planes(&xs), planes(&ys));
+
+            let mut zero = vec![7u64; n];
+            ct_zero_lanes(px.data(), &mut zero);
+            let mut select = px.clone();
+            ct_select_lanes(&masks, select.data_mut(), py.data());
+            let mut add = px.clone();
+            ct_xor_lanes(&masks, add.data_mut(), py.data());
+            let mut fill = px.clone();
+            ct_fill_lanes(&masks, fill.data_mut(), &[5, 6, 0]);
+            // Index 4 is past the table: it reads nothing.
+            let idx: Vec<u64> = (0..n).map(|_| next() % 5).collect();
+            let (mut o0, mut o1) = (Planes::new(), Planes::new());
+            o0.reset(n);
+            o1.reset(n);
+            ct_lookup_lanes(&idx, &table, [o0.data_mut(), o1.data_mut()]);
+
+            let five_six = Element::<F163>::from_hex("60000000000000005").unwrap();
+            for i in 0..n {
+                assert_eq!(zero[i], ct_mask_u64(xs[i].is_zero()), "n={n} lane {i}");
+                let pick = ct_select(bits[i], &ys[i], &xs[i]);
+                assert_eq!(select.get::<F163>(i), pick, "n={n} lane {i}");
+                let sum = if bits[i] { xs[i] + ys[i] } else { xs[i] };
+                assert_eq!(add.get::<F163>(i), sum, "n={n} lane {i}");
+                let filled = if bits[i] { five_six } else { xs[i] };
+                assert_eq!(fill.get::<F163>(i), filled, "n={n} lane {i}");
+                let entry = table
+                    .get(idx[i] as usize)
+                    .copied()
+                    .unwrap_or([Element::zero(); 2]);
+                assert_eq!([o0.get::<F163>(i), o1.get(i)], entry, "n={n} lane {i}");
+            }
+        }
     }
 
     #[test]

@@ -27,8 +27,10 @@
 //!   the field, cached linear-map tables for the multi-squarings of
 //!   inversion and for the half-trace, and [`batch_invert`]. Every
 //!   x-only Montgomery ladder, a single one as much as a gateway batch
-//!   run in lockstep, is one seam call ([`ladder_planes`]), run in
-//!   registers on AVX-512 for every field but the toy one.
+//!   run in lockstep, is one seam call ([`ladder_planes`]), and so is
+//!   every batch of the regular signed fixed-base comb
+//!   ([`comb_planes`]); both run in registers on AVX-512 for every
+//!   field but the toy one.
 //!   `Element`'s operators dispatch on the process-wide
 //!   [`select_backend`] choice (`MEDSEC_GF2M_BACKEND=bitsliced` forces
 //!   the portable backend).
@@ -71,7 +73,8 @@ pub use backend::{
     FieldBackend, InvScratch, ModelBackend, VpclmulBackend, BACKEND_ENV,
 };
 pub use batch::{
-    add_planes, ladder_planes, mul_planes, sqr_planes, LadderLanes, LadderPlanes, Planes,
+    add_planes, comb_planes, ladder_planes, mul_planes, sqr_planes, CombLanes, CombPlanes,
+    LadderLanes, LadderPlanes, Planes,
 };
 pub use cache::Registry;
 pub use field::{Element, FieldSpec, ParseElementError};

@@ -50,6 +50,7 @@ fn manifest_pins_the_expected_surfaces() {
     let root = workspace_root();
     let m = medsec_lint::load_manifest(&root).unwrap();
     for must_pin in [
+        "crates/ec/src/comb.rs",
         "crates/ec/src/ladder.rs",
         "crates/lwc/src/aes.rs",
         "crates/lwc/src/mac.rs",

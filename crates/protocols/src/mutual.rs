@@ -13,7 +13,9 @@
 //! naive [`Ordering::DeviceFirst`], and [`flood_energy`] quantifies the
 //! energy a fake-server flood drains under each.
 
+use bytes::Bytes;
 use medsec_ec::{CurveSpec, KeyPair, Point};
+use medsec_gf2m::{Element, LIMBS};
 use medsec_lwc::{
     aes_cmac, ctr_xor, hmac_sha256, hmac_sha256_parts, sha256, sha256_hw_profile, verify_tag,
     Aes128, BlockCipher,
@@ -182,7 +184,7 @@ impl<C: CurveSpec> Device<C> {
         let shared = kp.shared_x(server_eph, &mut *next_u64)?;
         ledger.point_mul();
         ledger.symmetric(&sha256_hw_profile(), 1);
-        Some((kp, sha256(&shared.to_bytes())))
+        Some((kp, session_key::<C>(&shared)))
     }
 
     /// Process a server hello and, on success, establish a session and
@@ -277,34 +279,37 @@ pub fn server_hello<C: CurveSpec>(
 /// accumulation, one batched normalization), each hello is
 /// authenticated under its device's pairing key, and every compressed
 /// ephemeral encoding is produced once — with the y-parity inversions
-/// shared through one `batch_invert` chain — and returned alongside the
-/// hello so the framing layer never re-compresses.
+/// shared through one `batch_invert` chain — into a stack buffer, from
+/// which the hello is MACed and framed: each hello is returned with
+/// its `ServerHello` wire frame.
 ///
 /// The device side of the protocol is unchanged — a batched hello is
 /// byte-compatible with a [`server_hello`] one.
 pub fn server_hello_batch<C: CurveSpec>(
     pairings: &[&Pairing],
     mut next_u64: impl FnMut() -> u64,
-) -> Vec<(KeyPair<C>, ServerHello<C>, Vec<u8>)> {
+) -> Vec<(KeyPair<C>, ServerHello<C>, Bytes)> {
     let keys = KeyPair::<C>::generate_batch(pairings.len(), &mut next_u64);
     // One inversion chain for every compression parity bit.
     let mut xinvs: Vec<_> = keys
         .iter()
-        .map(|kp| kp.public().x().unwrap_or_else(medsec_gf2m::Element::zero))
+        .map(|kp| kp.public().x().unwrap_or_else(Element::zero))
         .collect();
     medsec_gf2m::batch_invert(&mut xinvs);
     keys.into_iter()
         .zip(pairings)
         .zip(xinvs)
         .map(|((kp, pairing), xinv)| {
-            let mut point_buf = vec![0u8; point_len::<C>()];
-            kp.public().compress_into_with_xinv(&mut point_buf, xinv);
-            let mac = aes_cmac(&pairing.auth_key, &point_buf);
+            let mut buf = [0u8; 1 + 8 * LIMBS];
+            let point = &mut buf[..point_len::<C>()];
+            kp.public().compress_into_with_xinv(point, xinv);
+            let mac = aes_cmac(&pairing.auth_key, point);
+            let frame = crate::wire::encode_server_hello_payload::<C>(point, &mac);
             let hello = ServerHello {
                 ephemeral: *kp.public(),
                 mac,
             };
-            (kp, hello, point_buf)
+            (kp, hello, frame)
         })
         .collect()
 }
@@ -318,13 +323,13 @@ pub fn server_hello_batch<C: CurveSpec>(
 /// `ledger` — exactly the cost sequence of the pre-suite gateway loop,
 /// which now calls this too.
 pub fn open_telemetry<C: CurveSpec>(
-    shared_x: &medsec_gf2m::Element<C::Field>,
+    shared_x: &Element<C::Field>,
     eph_bytes: &[u8],
     ct: &[u8],
     tag: &[u8],
     ledger: &mut EnergyLedger,
 ) -> Option<([u8; 32], Vec<u8>)> {
-    let session_key = sha256(&shared_x.to_bytes());
+    let session_key = session_key::<C>(shared_x);
     ledger.symmetric(&sha256_hw_profile(), 1);
     let mac_key = &session_key[16..];
     let expect = hmac_sha256_parts(mac_key, &[eph_bytes, ct]);
@@ -379,6 +384,15 @@ fn point_len<C: CurveSpec>() -> usize {
     Point::<C>::compressed_len()
 }
 
+/// The session key: SHA-256 of the shared x-coordinate's fixed-width
+/// encoding (at most 36 bytes), hashed from a stack buffer.
+fn session_key<C: CurveSpec>(shared_x: &Element<C::Field>) -> [u8; 32] {
+    let mut buf = [0u8; 8 * LIMBS];
+    let bytes = &mut buf[..Element::<C::Field>::byte_len()];
+    shared_x.to_bytes_into(bytes);
+    sha256(bytes)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -423,9 +437,13 @@ mod tests {
         let refs: Vec<&Pairing> = pairings.iter().collect();
         let hellos = server_hello_batch::<Toy17>(&refs, rng.as_fn());
         assert_eq!(hellos.len(), 5);
-        for (pairing, (_kp, hello, eph_bytes)) in pairings.iter().zip(&hellos) {
-            // The returned encoding is the canonical compression.
-            assert_eq!(*eph_bytes, hello.ephemeral.compress());
+        for (pairing, (_kp, hello, frame)) in pairings.iter().zip(&hellos) {
+            // The returned frame carries the canonical compression.
+            let expect = crate::wire::encode_server_hello_payload::<Toy17>(
+                &hello.ephemeral.compress(),
+                &hello.mac,
+            );
+            assert_eq!(*frame, expect);
             let device = Device::<Toy17>::new(pairing.clone(), Ordering::ServerFirst);
             let mut l = ledger();
             let out = device.run_session(hello, b"hr=60bpm", rng.as_fn(), &mut l);

@@ -758,12 +758,11 @@ impl<C: CurveSpec> SecuritySuite for MutualSuite<C> {
             }
         }
         let hellos = mutual::server_hello_batch::<C>(&pairing_refs, &mut next_u64);
-        for (i, (kp, hello, eph_bytes)) in known.into_iter().zip(hellos) {
+        for (i, (kp, _hello, frame)) in known.into_iter().zip(hellos) {
             // The ephemeral's point multiplication, then the hello MAC
             // (three AES blocks of CMAC over the compressed point).
             ledger.point_mul();
             ledger.symmetric(&Aes128::hw_profile(), 3);
-            let frame = wire::encode_server_hello_payload::<C>(&eph_bytes, &hello.mac);
             ledger.tx(frame.len());
             server.pending.insert(opens[i].0, kp);
             results[i].1 = Ok(frame);

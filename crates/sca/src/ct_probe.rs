@@ -1,5 +1,6 @@
 //! Wall-clock fixed-vs-random probes over the `gf2m::ct` helpers, the
-//! ladder, scalar field multiplication and AES-CMAC.
+//! ladder, the fixed-base comb, scalar field multiplication and
+//! AES-CMAC.
 //!
 //! The cost-model study in the `timing` module proves the *architecture*
 //! is constant-time; this module spot-checks that the *software*
@@ -16,7 +17,7 @@
 use std::hint::black_box;
 use std::time::Instant;
 
-use medsec_ec::{ladder, CoordinateBlinding, CurveSpec, Scalar, K163};
+use medsec_ec::{generator_mul_batch, ladder, CoordinateBlinding, CurveSpec, Scalar, K163};
 use medsec_gf2m::ct::{ct_eq_bytes, ct_swap_limbs};
 use medsec_gf2m::{Element, F163};
 use medsec_rng::SplitMix64;
@@ -135,6 +136,37 @@ pub fn probe_ladder_fixed_vs_random(runs: usize) -> CtProbe {
             time_one(&k)
         })
         .collect();
+    CtProbe::from_samples(a, b)
+}
+
+/// Fixed-vs-random probe over the gateway's fixed-base comb: K-163
+/// `generator_mul_batch` of 64 copies of the scalar 1 (class A) against
+/// 64 fresh random scalars (class B), in alternating batches so that a
+/// slow phase of a shared host hits both. Every column digit of a comb
+/// that skips zero digits is zero for k = 1 but one, so such a comb
+/// finishes class A several times sooner; the regular signed comb
+/// recodes every scalar to all-nonzero digits and runs the same column
+/// schedule on both.
+pub fn probe_comb_fixed_vs_random(batches: usize) -> CtProbe {
+    const WIDTH: usize = 64;
+    let mut rng = SplitMix64::new(0xC0_3B);
+    let fixed = vec![Scalar::<K163>::one(); WIDTH];
+    let mut random = fixed.clone();
+    let time = |ks: &[Scalar<K163>]| -> u64 {
+        let t0 = Instant::now();
+        black_box(generator_mul_batch(black_box(ks)));
+        t0.elapsed().as_nanos() as u64
+    };
+    // The first call builds the shared table.
+    black_box(generator_mul_batch(&fixed));
+    let (mut a, mut b) = (Vec::with_capacity(batches), Vec::with_capacity(batches));
+    for _ in 0..batches {
+        random
+            .iter_mut()
+            .for_each(|k| *k = Scalar::random_nonzero(rng.as_fn()));
+        a.push(time(&fixed));
+        b.push(time(&random));
+    }
     CtProbe::from_samples(a, b)
 }
 
@@ -271,6 +303,15 @@ mod tests {
                 "AES-CMAC fixed-vs-random key timing split {probe:?}"
             );
         }
+    }
+
+    #[test]
+    fn comb_is_flat_fixed_vs_random_scalar() {
+        let probe = probe_comb_fixed_vs_random(48);
+        assert!(
+            probe.ratio < MAX_RATIO,
+            "comb fixed-vs-random timing split {probe:?}"
+        );
     }
 
     #[test]
