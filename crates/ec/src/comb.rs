@@ -53,7 +53,7 @@ use std::sync::Arc;
 
 use medsec_gf2m::{
     add_planes, batch_invert_planes, comb_planes, mul_planes, sqr_planes, CombPlanes, Element,
-    InvScratch, Planes, Registry,
+    Planes, Registry,
 };
 
 use crate::curve::{CurveSpec, Point};
@@ -204,12 +204,11 @@ impl<C: CurveSpec> FixedBaseComb<C> {
             zinv2,
             ax,
             ay,
-            inv,
             ..
         } = scratch;
         zinv.reset(n);
         add_planes(zinv, z);
-        batch_invert_planes::<C::Field>(zinv, inv);
+        batch_invert_planes::<C::Field>(zinv);
         sqr_planes::<C::Field>(zinv2, zinv);
         mul_planes::<C::Field>(ax, x, zinv);
         mul_planes::<C::Field>(ay, y, zinv2);
@@ -269,7 +268,6 @@ struct CombScratch {
     zinv2: Planes,
     ax: Planes,
     ay: Planes,
-    inv: InvScratch,
 }
 
 /// Bit length of the subgroup order (comb coverage).

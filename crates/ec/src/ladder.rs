@@ -27,11 +27,15 @@
 //! under exchanging its two legs the states are byte-identical to those
 //! of the branching ladder of Algorithm 1 (`tests/ladder_ct_identity.rs`
 //! keeps a copy of it). A lane with a leg at infinity takes
-//! `step_at_infinity`'s rule through the seam.
+//! `step_at_infinity`'s rule through the seam. The lanes' planes, and
+//! those of [`batch_x_affine`], which normalizes a batch's results with
+//! one inversion, are thread-local: no caller holds ladder scratch.
 
 use std::cell::RefCell;
 
-use medsec_gf2m::{ladder_planes, Element, FieldSpec, LadderPlanes};
+use medsec_gf2m::{
+    batch_invert_planes, ladder_planes, mul_planes, Element, FieldSpec, LadderPlanes, Planes,
+};
 
 use crate::curve::{CurveSpec, Point};
 use crate::scalar::Scalar;
@@ -413,65 +417,34 @@ pub fn ladder_x_affine<C: CurveSpec>(state: &LadderState<C>) -> Option<Element<C
 
 /// Affine x-coordinates of *many* ladder results at once, normalized
 /// with a single field inversion (Montgomery's trick via
-/// [`medsec_gf2m::batch_invert`]). `None` marks states whose result is
-/// the point at infinity — exactly like [`ladder_x_affine`] per state.
+/// [`medsec_gf2m::batch_invert_planes`]) and one batched plane
+/// multiplication for every `x·Z⁻¹`. `None` marks states whose result
+/// is the point at infinity — exactly like [`ladder_x_affine`] per
+/// state.
 ///
 /// This is the serving-side primitive: a gateway verifying a shard's
 /// worth of ECDH frames runs all the x-only ladders first, then pays
-/// one inversion to normalize every shared secret.
+/// one inversion to normalize every shared secret. The planes are
+/// thread-local and reused from call to call.
 pub fn batch_x_affine<C: CurveSpec>(states: &[LadderState<C>]) -> Vec<Option<Element<C::Field>>> {
-    let mut out = Vec::with_capacity(states.len());
-    batch_x_affine_into(states, &mut XAffineScratch::default(), &mut out);
-    out
-}
-
-/// Reusable scratch for [`batch_x_affine_into`]: the Z plane batch, the
-/// X plane batch, the product planes, and the batch-inversion scratch.
-/// Non-generic, so one instance serves every curve a worker handles —
-/// hub workers hold one per thread and steady-state normalization does
-/// no allocation.
-#[derive(Debug, Clone, Default)]
-pub struct XAffineScratch {
-    zs: medsec_gf2m::Planes,
-    xs: medsec_gf2m::Planes,
-    prod: medsec_gf2m::Planes,
-    inv: medsec_gf2m::InvScratch,
-}
-
-impl XAffineScratch {
-    /// Core of the `x·Z⁻¹` normalization shared by the ladder and τNAF
-    /// x-batch paths: fills `out` with `Some(x_i / z_i)` per pair
-    /// (`None` where `z_i = 0`), one batched inversion plus one batched
-    /// plane multiplication, zero steady-state allocation.
-    pub(crate) fn x_over_z<F: medsec_gf2m::FieldSpec>(
-        &mut self,
-        pairs: impl ExactSizeIterator<Item = (Element<F>, Element<F>)>,
-        out: &mut Vec<Option<Element<F>>>,
-    ) {
-        let n = pairs.len();
-        self.zs.reset(n);
-        self.xs.reset(n);
-        for (i, (x, z)) in pairs.enumerate() {
-            self.xs.set(i, &x);
-            self.zs.set(i, &z);
-        }
-        medsec_gf2m::batch_invert_planes::<F>(&mut self.zs, &mut self.inv);
-        medsec_gf2m::mul_planes::<F>(&mut self.prod, &self.xs, &self.zs);
-        out.clear();
-        out.extend((0..n).map(|i| (!self.zs.is_zero_at(i)).then(|| self.prod.get(i))));
+    thread_local! {
+        static X_AFFINE_TLS: RefCell<[Planes; 3]> = RefCell::default();
     }
-}
-
-/// [`batch_x_affine`] with caller-owned scratch and output buffer: the
-/// inversion runs on the plane-major batch path
-/// ([`medsec_gf2m::batch_invert_planes`]) and the final `x·Z⁻¹` is one
-/// batched plane multiplication. `out` is cleared and refilled.
-pub fn batch_x_affine_into<C: CurveSpec>(
-    states: &[LadderState<C>],
-    scratch: &mut XAffineScratch,
-    out: &mut Vec<Option<Element<C::Field>>>,
-) {
-    scratch.x_over_z::<C::Field>(states.iter().map(|s| (s.x1, s.z1)), out);
+    X_AFFINE_TLS.with(|cell| {
+        let [zs, xs, prod] = &mut *cell.borrow_mut();
+        let n = states.len();
+        zs.reset(n);
+        xs.reset(n);
+        for (i, s) in states.iter().enumerate() {
+            xs.set(i, &s.x1);
+            zs.set(i, &s.z1);
+        }
+        batch_invert_planes::<C::Field>(zs);
+        mul_planes::<C::Field>(prod, xs, zs);
+        (0..n)
+            .map(|i| (!zs.is_zero_at(i)).then(|| prod.get(i)))
+            .collect()
+    })
 }
 
 #[cfg(test)]

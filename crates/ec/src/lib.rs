@@ -56,10 +56,10 @@ pub use curve::{CurveSpec, Point};
 pub use curves::{Toy17, B163, K163, K233, K283};
 pub use ecdh::{xcoord_to_scalar, KeyPair};
 pub use frobenius::{frobenius_mu, frobenius_point, satisfies_characteristic_equation};
-pub use ladder::{CoordinateBlinding, XAffineScratch};
+pub use ladder::CoordinateBlinding;
 pub use scalar::{parse_hex_limbs, Scalar, SCALAR_LIMBS};
 pub use tnaf::{is_koblitz, tnaf_mul, tnaf_mul_add_gen, tnaf_mul_add_gen_batch, tnaf_mul_batch};
 pub use varbase::{
     server_strategy_name, varbase_mul, varbase_mul_add_gen, varbase_mul_add_gen_batch,
-    varbase_mul_batch, varbase_x_batch, varbase_x_batch_with,
+    varbase_mul_batch, varbase_x_batch,
 };

@@ -719,34 +719,6 @@ pub fn tnaf_mul_batch<C: CurveSpec>(items: &[(Scalar<C>, Point<C>)]) -> Vec<Poin
     batch_to_affine(&tnaf_mul_batch_proj(items))
 }
 
-/// Batched `k_i·P_i` returning only affine x-coordinates (`None` for
-/// the point at infinity) — the ECDH shared-secret shape, mirroring
-/// [`crate::ladder::batch_x_affine`].
-pub fn tnaf_x_batch<C: CurveSpec>(
-    items: &[(Scalar<C>, Point<C>)],
-) -> Vec<Option<Element<C::Field>>> {
-    let mut out = Vec::with_capacity(items.len());
-    tnaf_x_batch_with(
-        items,
-        &mut crate::ladder::XAffineScratch::default(),
-        &mut out,
-    );
-    out
-}
-
-/// [`tnaf_x_batch`] with caller-owned normalization scratch — the
-/// hub-worker shape: the final `x·Z⁻¹` pass reuses the worker's
-/// [`XAffineScratch`](crate::ladder::XAffineScratch) buffers across
-/// batches. `out` is cleared and refilled.
-pub fn tnaf_x_batch_with<C: CurveSpec>(
-    items: &[(Scalar<C>, Point<C>)],
-    scratch: &mut crate::ladder::XAffineScratch,
-    out: &mut Vec<Option<Element<C::Field>>>,
-) {
-    let accs = tnaf_mul_batch_proj(items);
-    scratch.x_over_z::<C::Field>(accs.iter().map(|a| (a.x, a.z)), out);
-}
-
 fn tnaf_mul_batch_proj<C: CurveSpec>(items: &[(Scalar<C>, Point<C>)]) -> Vec<LdPoint<C>> {
     let p = params::<C>().expect("tnaf on a non-Koblitz curve");
     let count = 1 << (W_VAR - 2);
@@ -1025,10 +997,8 @@ mod tests {
             })
             .collect();
         let batch = tnaf_mul_batch(&items);
-        let xs = tnaf_x_batch(&items);
-        for ((k, p), (got, x)) in items.iter().zip(batch.iter().zip(&xs)) {
+        for ((k, p), got) in items.iter().zip(&batch) {
             assert_eq!(*got, tnaf_mul(k, p));
-            assert_eq!(*x, got.x());
         }
         assert!(tnaf_mul_batch::<Toy17>(&[]).is_empty());
         assert!(tnaf_mul_add_gen_batch::<Toy17>(&[]).is_empty());

@@ -22,7 +22,8 @@
 //! caller's random stream match the per-item ladders bit for bit
 //! (`tests/varbase_equivalence.rs`). The single-item [`varbase_mul`] is
 //! the same ladder at width one, with its own inversion for
-//! y-recovery.
+//! y-recovery. Every entry point keeps its scratch thread-local, so
+//! callers hand over only scalars, points and a random stream.
 //!
 //! Two of the server's scalars are secrets: the Peeters–Hermans
 //! reader's long-term key y (every ḋ = xcoord(y·R)) and the mutual
@@ -44,8 +45,7 @@ use medsec_gf2m::Element;
 
 use crate::curve::{CurveSpec, Point};
 use crate::ladder::{
-    batch_x_affine_into, ladder_mul, ladder_mul_lockstep, ladder_x_only_lockstep,
-    CoordinateBlinding, XAffineScratch,
+    batch_x_affine, ladder_mul, ladder_mul_lockstep, ladder_x_only_lockstep, CoordinateBlinding,
 };
 use crate::proj::add_pairs_batch;
 use crate::scalar::Scalar;
@@ -86,8 +86,9 @@ pub fn varbase_mul_batch<C: CurveSpec>(
 }
 
 /// Server-side batched shared-secret computation: the affine
-/// x-coordinate of `k_i·P_i` (`None` at infinity), every result
-/// normalized by one shared inversion — the gateway's ECDH shape.
+/// x-coordinate of `k_i·P_i` (`None` at infinity), the x-only ladders
+/// run in lockstep (module doc) and every result normalized by one
+/// shared inversion ([`batch_x_affine`]) — the gateway's ECDH shape.
 ///
 /// # Panics
 ///
@@ -96,34 +97,8 @@ pub fn varbase_x_batch<C: CurveSpec>(
     items: &[(Scalar<C>, Point<C>)],
     next_u64: impl FnMut() -> u64,
 ) -> Vec<Option<Element<C::Field>>> {
-    let mut out = Vec::with_capacity(items.len());
-    varbase_x_batch_with(items, next_u64, &mut XAffineScratch::default(), &mut out);
-    out
-}
-
-/// [`varbase_x_batch`] with caller-owned normalization scratch and
-/// output buffer — the hub-worker entry point: the batched-inversion
-/// and plane-multiplication buffers live in the worker's
-/// [`XAffineScratch`] and are reused across batches. `out` is cleared
-/// and refilled.
-///
-/// The x-only ladders run in lockstep (module doc).
-///
-/// # Panics
-///
-/// Panics if a base is the order-2 point with x = 0.
-pub fn varbase_x_batch_with<C: CurveSpec>(
-    items: &[(Scalar<C>, Point<C>)],
-    next_u64: impl FnMut() -> u64,
-    scratch: &mut XAffineScratch,
-    out: &mut Vec<Option<Element<C::Field>>>,
-) {
-    out.clear();
-    if items.is_empty() {
-        return;
-    }
-    // x-only ladders, one batched inversion. Bases at infinity have no
-    // x and yield `None` without running a ladder.
+    // Bases at infinity have no x and yield `None` without running a
+    // ladder.
     let mut lanes: Vec<(Scalar<C>, Element<C::Field>)> = Vec::with_capacity(items.len());
     let mut live: Vec<usize> = Vec::with_capacity(items.len());
     for (i, (k, p)) in items.iter().enumerate() {
@@ -132,13 +107,12 @@ pub fn varbase_x_batch_with<C: CurveSpec>(
             live.push(i);
         }
     }
-    let states = ladder_x_only_lockstep(&lanes, next_u64);
-    let mut xs = Vec::with_capacity(states.len());
-    batch_x_affine_into(&states, scratch, &mut xs);
-    out.resize(items.len(), None);
+    let xs = batch_x_affine(&ladder_x_only_lockstep(&lanes, next_u64));
+    let mut out = vec![None; items.len()];
     for (slot, x) in live.into_iter().zip(xs) {
         out[slot] = x;
     }
+    out
 }
 
 /// Server-side `a·G + b·Q` — the verification equation shape

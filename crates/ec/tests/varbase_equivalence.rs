@@ -269,3 +269,47 @@ fn k283_batches_equal_per_item_ladders() {
 fn toy17_batches_equal_per_item_ladders() {
     batches_equal_per_item::<Toy17>(0x7017);
 }
+
+/// One thread's normalization scratch handed from field to field and
+/// from width to width, the way a hub worker serves one curve lane
+/// after another; the test harness gives every other test a thread of
+/// its own. Every call has bases at infinity and k = 0 among its lanes
+/// where its width allows, and must match the per-item ladders, result
+/// and stream.
+#[test]
+fn x_batches_share_the_threads_scratch_across_fields_and_widths() {
+    fn check<C: CurveSpec>(w: usize, seed: u64) {
+        let mut r = rng_from(seed);
+        let items: Vec<(Scalar<C>, Point<C>)> = (0..w)
+            .map(|i| {
+                let p = subgroup_point::<C>(&mut r);
+                match i % 5 {
+                    1 => (Scalar::random_nonzero(&mut r), Point::infinity()),
+                    2 => (Scalar::zero(), p),
+                    _ => (Scalar::random_nonzero(&mut r), p),
+                }
+            })
+            .collect();
+        let (mut r1, mut r2) = (rng_from(!seed), rng_from(!seed));
+        let ctx = format!("{} width {w}", C::NAME);
+        let expect: Vec<Option<Element<C::Field>>> = items
+            .iter()
+            .map(|(k, p)| {
+                let px = p.x()?;
+                ladder_x_affine(&ladder_x_only::<C>(
+                    k,
+                    px,
+                    CoordinateBlinding::RandomZ,
+                    &mut r2,
+                ))
+            })
+            .collect();
+        assert_eq!(varbase_x_batch(&items, &mut r1), expect, "{ctx}");
+        assert_eq!(r1(), r2(), "{ctx}: stream");
+    }
+    check::<K283>(65, 0x5C01);
+    check::<Toy17>(7, 0x5C02);
+    check::<B163>(1, 0x5C03);
+    check::<K163>(64, 0x5C04);
+    check::<K283>(3, 0x5C05);
+}

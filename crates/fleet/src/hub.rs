@@ -34,7 +34,7 @@ use std::sync::Mutex;
 use std::time::Instant;
 
 use bytes::Bytes;
-use medsec_ec::{CurveSpec, Toy17, XAffineScratch, B163, K163, K233, K283};
+use medsec_ec::{CurveSpec, Toy17, B163, K163, K233, K283};
 use medsec_obs::{Event, EventKind, EventLog, Stage, Telemetry};
 use medsec_power::{EnergyReport, RadioModel};
 use medsec_protocols::mutual::{self, SessionOutcome};
@@ -508,10 +508,10 @@ impl GatewayHub {
 }
 
 /// One serving worker's private state, reused across every wave it
-/// serves: its server RNG stream and ledger, its tallies and recorder,
-/// and the batched-inversion scratch for the ECDH and PH normalization
-/// passes (non-generic, so one instance serves every curve lane). Owned
-/// by exactly one thread and merged after the scope joins.
+/// serves: its server RNG stream and ledger, its tallies and recorder
+/// (the crypto's batch scratch is the thread's own, kept by the
+/// callees). Owned by exactly one thread and merged after the scope
+/// joins.
 pub(crate) struct WorkerState<'a> {
     cfg: &'a FleetConfig,
     events: Option<&'a EventLog>,
@@ -519,7 +519,6 @@ pub(crate) struct WorkerState<'a> {
     ledger: EnergyLedger,
     tally: HubTally,
     pub(crate) obs: WorkerObs,
-    ec: XAffineScratch,
 }
 
 impl<'a> WorkerState<'a> {
@@ -538,7 +537,6 @@ impl<'a> WorkerState<'a> {
             ledger: server_ledger(),
             tally: HubTally::default(),
             obs: WorkerObs::new(events.is_some(), lanes),
-            ec: XAffineScratch::default(),
         }
     }
 
@@ -857,7 +855,7 @@ impl Session {
 /// Serve one wave of same-lane devices speaking suite `S`, in the
 /// lifecycle's explicit phases: `device_open` on every device, one
 /// server `hello_batch`, `device_turn` on every device, one server
-/// `server_verify_batch_with`. Suite batch results are positional.
+/// `server_verify_batch`. Suite batch results are positional.
 ///
 /// When observability is on, every session the wave completes books
 /// one elapsed-since-wave-start latency (a batch wave finishes its
@@ -928,13 +926,8 @@ fn serve_wave<C: CurveSpec, S: LaneSuite<C>>(
 
     // Server phase: one verification batch for the wave.
     let span = w.obs.begin();
-    let verdicts = S::server_verify_batch_with(
-        S::server(lane),
-        &frame_refs,
-        w.rng.as_fn(),
-        &mut w.ledger,
-        &mut w.ec,
-    );
+    let verdicts =
+        S::server_verify_batch(S::server(lane), &frame_refs, w.rng.as_fn(), &mut w.ledger);
     let mut done = 0u64;
     for ((s, _), (_, verdict)) in closings.iter().zip(verdicts) {
         match verdict {

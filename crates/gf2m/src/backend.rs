@@ -33,6 +33,11 @@
 //! exhaustive/property equivalence tests); only the instruction count
 //! differs.
 //!
+//! [`batch_invert`] and [`batch_invert_planes`] run Montgomery's trick
+//! on the active backend's batch entry points, one field inversion per
+//! batch. Like the default schedules, they keep their scratch
+//! thread-local, so no caller holds any.
+//!
 //! [`Element`]'s operators route through [`ActiveBackend`], which
 //! dispatches on the process-wide [`select_backend`] choice:
 //! [`VpclmulBackend`] where the CPU has a carry-less multiply
@@ -545,11 +550,9 @@ fn itoh_tsujii<B: FieldBackend + ?Sized, F: FieldSpec>(a: &Element<F>) -> Option
 /// ```
 pub fn batch_invert<F: FieldSpec>(elems: &mut [Element<F>]) -> usize {
     thread_local! {
-        static INV_TLS: RefCell<(Planes, InvScratch)> =
-            RefCell::new((Planes::new(), InvScratch::default()));
+        static PLANES_TLS: RefCell<Planes> = RefCell::default();
     }
-    INV_TLS.with(|cell| {
-        let (planes, scratch) = &mut *cell.borrow_mut();
+    batch::with_scratch(&PLANES_TLS, |planes| {
         // The invclock wrapper books wall time for the observability
         // stack's BatchInvert stage; disabled (the default) it costs
         // one relaxed atomic load for the whole batch.
@@ -558,7 +561,7 @@ pub fn batch_invert<F: FieldSpec>(elems: &mut [Element<F>]) -> usize {
             for (i, e) in elems.iter().enumerate() {
                 planes.set(i, e);
             }
-            let count = batch_invert_planes_inner::<F>(planes, scratch);
+            let count = batch_invert_planes_inner::<F>(planes);
             for (i, e) in elems.iter_mut().enumerate() {
                 *e = planes.get(i);
             }
@@ -576,13 +579,11 @@ const INV_LANES: usize = 8;
 /// its padding; a scalar Montgomery chain runs instead.
 const INV_SCALAR_CUTOFF: usize = 16;
 
-/// Reusable scratch for [`batch_invert_planes`]: index list, per-step
-/// operand/prefix slabs and the two walk-back slabs. Deliberately
-/// non-generic (raw plane words only), so one instance can serve
-/// batches over different fields — e.g. embedded in the hub's
-/// curve-erased per-worker scratch.
-#[derive(Debug, Clone, Default)]
-pub struct InvScratch {
+/// The thread's scratch for [`batch_invert_planes`]: index list,
+/// per-step operand/prefix slabs and the two walk-back slabs. Raw plane
+/// words only, so one instance serves batches over every field.
+#[derive(Debug, Default)]
+struct InvScratch {
     idx: Vec<usize>,
     c: Vec<u64>,
     prefix: Vec<u64>,
@@ -590,139 +591,148 @@ pub struct InvScratch {
     tmp: Vec<u64>,
 }
 
-/// [`batch_invert`] over a plane-major [`Planes`] batch with
-/// caller-owned scratch: same zero-element contract and single field
-/// inversion, no per-call allocation in steady state, and the
+/// [`batch_invert`] over a plane-major [`Planes`] batch: same
+/// zero-element contract and single field inversion, and the
 /// Montgomery prefix/suffix product passes run through the selected
-/// backend's `mul_batch` — `INV_LANES` (8) lanes of independent
-/// prefix chains walked in lockstep, lane totals combined by one
-/// scalar Montgomery chain around the single inversion.
-pub fn batch_invert_planes<F: FieldSpec>(elems: &mut Planes, scratch: &mut InvScratch) -> usize {
-    crate::invclock::time(|| batch_invert_planes_inner::<F>(elems, scratch))
+/// backend's `mul_batch` — `INV_LANES` (8) lanes of independent prefix
+/// chains walked in lockstep, lane totals combined by one scalar
+/// Montgomery chain around the single inversion. The scratch is
+/// thread-local and reused from call to call, so a call allocates
+/// nothing once its thread has inverted a batch at least as wide.
+pub fn batch_invert_planes<F: FieldSpec>(elems: &mut Planes) -> usize {
+    crate::invclock::time(|| batch_invert_planes_inner::<F>(elems))
 }
 
-fn batch_invert_planes_inner<F: FieldSpec>(elems: &mut Planes, scratch: &mut InvScratch) -> usize {
-    let n = elems.len();
-    scratch.idx.clear();
-    for i in 0..n {
-        if !elems.is_zero_at(i) {
-            scratch.idx.push(i);
+fn batch_invert_planes_inner<F: FieldSpec>(elems: &mut Planes) -> usize {
+    thread_local! {
+        static INV_TLS: RefCell<InvScratch> = RefCell::default();
+    }
+    batch::with_scratch(&INV_TLS, |scratch| {
+        // lint: hot-path — every pass reuses the thread's slabs.
+        let n = elems.len();
+        scratch.idx.clear();
+        for i in 0..n {
+            if !elems.is_zero_at(i) {
+                scratch.idx.push(i);
+            }
         }
-    }
-    let k = scratch.idx.len();
-    if k == 0 {
-        return 0;
-    }
-    if k < INV_SCALAR_CUTOFF {
-        // Scalar Montgomery chain over the gathered nonzero elements.
+        let k = scratch.idx.len();
+        if k == 0 {
+            return 0;
+        }
+        if k < INV_SCALAR_CUTOFF {
+            // Scalar Montgomery chain over the gathered nonzero elements.
+            scratch.prefix.clear();
+            let mut acc = Element::<F>::one();
+            for &i in &scratch.idx {
+                acc = ActiveBackend::mul(&acc, &elems.get(i));
+                scratch.prefix.extend_from_slice(acc.limbs());
+            }
+            let mut inv =
+                ActiveBackend::invert::<F>(&acc).expect("product of nonzero elements is nonzero");
+            for t in (0..k).rev() {
+                let i = scratch.idx[t];
+                let this_inv = if t == 0 {
+                    inv
+                } else {
+                    let mut limbs = [0u64; LIMBS];
+                    limbs.copy_from_slice(&scratch.prefix[(t - 1) * LIMBS..t * LIMBS]);
+                    ActiveBackend::mul(&inv, &Element::from_raw_limbs(limbs))
+                };
+                inv = ActiveBackend::mul(&inv, &elems.get(i));
+                elems.set(i, &this_inv);
+            }
+            return k;
+        }
+        // Blocked path: split the k nonzero elements into INV_LANES
+        // independent Montgomery chains of `steps` elements each (ragged
+        // tail padded with ones), so every prefix/suffix product step is
+        // one width-INV_LANES `mul_batch`. Step t's operands live in slab
+        // t — itself a width-INV_LANES plane-major batch.
+        let steps = k.div_ceil(INV_LANES);
+        let slab = LIMBS * INV_LANES;
+        let one = Element::<F>::one();
+        scratch.c.clear();
+        scratch.c.resize(steps * slab, 0);
         scratch.prefix.clear();
-        let mut acc = Element::<F>::one();
-        for &i in &scratch.idx {
-            acc = ActiveBackend::mul(&acc, &elems.get(i));
-            scratch.prefix.extend_from_slice(acc.limbs());
+        scratch.prefix.resize(steps * slab, 0);
+        for l in 0..INV_LANES {
+            for t in 0..steps {
+                let s = l * steps + t;
+                let e = if s < k {
+                    elems.get(scratch.idx[s])
+                } else {
+                    one
+                };
+                batch::scatter(&mut scratch.c[t * slab..(t + 1) * slab], INV_LANES, l, &e);
+            }
+        }
+        // Forward: prefix[t] = prefix[t-1] * c[t], all lanes at once.
+        scratch.prefix[..slab].copy_from_slice(&scratch.c[..slab]);
+        for t in 1..steps {
+            let (done, rest) = scratch.prefix.split_at_mut(t * slab);
+            ActiveBackend::mul_batch::<F>(
+                &mut rest[..slab],
+                &done[(t - 1) * slab..],
+                &scratch.c[t * slab..(t + 1) * slab],
+            );
+        }
+        // Lane totals: one scalar Montgomery chain around the single
+        // inversion of the whole batch's product.
+        let last = &scratch.prefix[(steps - 1) * slab..];
+        let mut tot = [one; INV_LANES];
+        let mut tpref = [one; INV_LANES];
+        let mut acc = one;
+        for (l, (t, p)) in tot.iter_mut().zip(tpref.iter_mut()).enumerate() {
+            *t = batch::gather(last, INV_LANES, l);
+            acc = ActiveBackend::mul(&acc, t);
+            *p = acc;
         }
         let mut inv =
             ActiveBackend::invert::<F>(&acc).expect("product of nonzero elements is nonzero");
-        for t in (0..k).rev() {
-            let i = scratch.idx[t];
-            let this_inv = if t == 0 {
+        scratch.run.clear();
+        scratch.run.resize(slab, 0);
+        scratch.tmp.clear();
+        scratch.tmp.resize(slab, 0);
+        for l in (0..INV_LANES).rev() {
+            let lane_inv = if l == 0 {
                 inv
             } else {
-                let mut limbs = [0u64; LIMBS];
-                limbs.copy_from_slice(&scratch.prefix[(t - 1) * LIMBS..t * LIMBS]);
-                ActiveBackend::mul(&inv, &Element::from_raw_limbs(limbs))
+                ActiveBackend::mul(&inv, &tpref[l - 1])
             };
-            inv = ActiveBackend::mul(&inv, &elems.get(i));
-            elems.set(i, &this_inv);
+            inv = ActiveBackend::mul(&inv, &tot[l]);
+            batch::scatter(&mut scratch.run, INV_LANES, l, &lane_inv);
         }
-        return k;
-    }
-    // Blocked path: split the k nonzero elements into INV_LANES
-    // independent Montgomery chains of `steps` elements each (ragged
-    // tail padded with ones), so every prefix/suffix product step is
-    // one width-INV_LANES `mul_batch`. Step t's operands live in slab
-    // t — itself a width-INV_LANES plane-major batch.
-    let steps = k.div_ceil(INV_LANES);
-    let slab = LIMBS * INV_LANES;
-    let one = Element::<F>::one();
-    scratch.c.clear();
-    scratch.c.resize(steps * slab, 0);
-    scratch.prefix.clear();
-    scratch.prefix.resize(steps * slab, 0);
-    for l in 0..INV_LANES {
-        for t in 0..steps {
-            let s = l * steps + t;
-            let e = if s < k {
-                elems.get(scratch.idx[s])
+        // Walk back in lockstep; `run` holds inv(prefix[t]) entering step t.
+        for t in (0..steps).rev() {
+            if t > 0 {
+                ActiveBackend::mul_batch::<F>(
+                    &mut scratch.tmp,
+                    &scratch.run,
+                    &scratch.prefix[(t - 1) * slab..t * slab],
+                );
             } else {
-                one
-            };
-            batch::scatter(&mut scratch.c[t * slab..(t + 1) * slab], INV_LANES, l, &e);
-        }
-    }
-    // Forward: prefix[t] = prefix[t-1] * c[t], all lanes at once.
-    scratch.prefix[..slab].copy_from_slice(&scratch.c[..slab]);
-    for t in 1..steps {
-        let (done, rest) = scratch.prefix.split_at_mut(t * slab);
-        ActiveBackend::mul_batch::<F>(
-            &mut rest[..slab],
-            &done[(t - 1) * slab..],
-            &scratch.c[t * slab..(t + 1) * slab],
-        );
-    }
-    // Lane totals: one scalar Montgomery chain around the single
-    // inversion of the whole batch's product.
-    let last = &scratch.prefix[(steps - 1) * slab..];
-    let mut tot = [one; INV_LANES];
-    let mut tpref = [one; INV_LANES];
-    let mut acc = one;
-    for (l, (t, p)) in tot.iter_mut().zip(tpref.iter_mut()).enumerate() {
-        *t = batch::gather(last, INV_LANES, l);
-        acc = ActiveBackend::mul(&acc, t);
-        *p = acc;
-    }
-    let mut inv = ActiveBackend::invert::<F>(&acc).expect("product of nonzero elements is nonzero");
-    scratch.run.clear();
-    scratch.run.resize(slab, 0);
-    scratch.tmp.clear();
-    scratch.tmp.resize(slab, 0);
-    for l in (0..INV_LANES).rev() {
-        let lane_inv = if l == 0 {
-            inv
-        } else {
-            ActiveBackend::mul(&inv, &tpref[l - 1])
-        };
-        inv = ActiveBackend::mul(&inv, &tot[l]);
-        batch::scatter(&mut scratch.run, INV_LANES, l, &lane_inv);
-    }
-    // Walk back in lockstep; `run` holds inv(prefix[t]) entering step t.
-    for t in (0..steps).rev() {
-        if t > 0 {
-            ActiveBackend::mul_batch::<F>(
-                &mut scratch.tmp,
-                &scratch.run,
-                &scratch.prefix[(t - 1) * slab..t * slab],
-            );
-        } else {
-            scratch.tmp.copy_from_slice(&scratch.run);
-        }
-        for l in 0..INV_LANES {
-            let s = l * steps + t;
-            if s < k {
-                let e: Element<F> = batch::gather(&scratch.tmp, INV_LANES, l);
-                elems.set(scratch.idx[s], &e);
+                scratch.tmp.copy_from_slice(&scratch.run);
+            }
+            for l in 0..INV_LANES {
+                let s = l * steps + t;
+                if s < k {
+                    let e: Element<F> = batch::gather(&scratch.tmp, INV_LANES, l);
+                    elems.set(scratch.idx[s], &e);
+                }
+            }
+            if t > 0 {
+                ActiveBackend::mul_batch::<F>(
+                    &mut scratch.tmp,
+                    &scratch.run,
+                    &scratch.c[t * slab..(t + 1) * slab],
+                );
+                std::mem::swap(&mut scratch.run, &mut scratch.tmp);
             }
         }
-        if t > 0 {
-            ActiveBackend::mul_batch::<F>(
-                &mut scratch.tmp,
-                &scratch.run,
-                &scratch.c[t * slab..(t + 1) * slab],
-            );
-            std::mem::swap(&mut scratch.run, &mut scratch.tmp);
-        }
-    }
-    k
+        // lint: hot-path-end
+        k
+    })
 }
 
 #[cfg(test)]

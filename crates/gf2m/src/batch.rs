@@ -15,9 +15,9 @@
 //!   and a `VPCLMULQDQ` multiplies four of them at once. Unreduced
 //!   products use the same layout with `PROD_LIMBS` planes.
 //! * [`Planes`] — an owned, reusable buffer of that shape with
-//!   gather/scatter accessors to and from [`Element`]s. Callers hold
-//!   one per worker and `reset` it per batch, so steady-state serving
-//!   does no per-call allocation.
+//!   gather/scatter accessors to and from [`Element`]s. Callers keep
+//!   theirs thread-local and `reset` it per batch, so steady-state
+//!   serving does no per-call allocation.
 //! * [`LadderLanes`] / [`LadderPlanes`] — the state of a lockstep x-only
 //!   Montgomery ladder in this layout (both legs, the base and each
 //!   lane's key bits), which [`FieldBackend::ladder_batch`] runs whole:
@@ -33,9 +33,10 @@
 //!
 //! Elements are always stored at the full `LIMBS` width regardless of
 //! the field's degree — planes above `ceil(m/64)` are zero — which
-//! keeps the layout field-agnostic: non-generic scratch structs built
-//! from [`Planes`] can be threaded through curve-erased code (the
-//! hub's workers serve several curve lanes with one scratch).
+//! keeps the layout field-agnostic: a scratch built from [`Planes`]
+//! serves every field, so one thread-local instance per thread covers
+//! all the curve lanes a hub worker serves. Batch scratch belongs to
+//! the callee: no public entry point takes one.
 
 use std::cell::RefCell;
 use std::thread::LocalKey;
@@ -77,9 +78,8 @@ pub(crate) fn scatter<F: FieldSpec>(planes: &mut [u64], n: usize, i: usize, e: &
 /// batches: `reset` keeps the allocation.
 ///
 /// The buffer is field-agnostic — only the generic accessors interpret
-/// slots as elements of a particular field — so scratch structs built
-/// from `Planes` stay non-generic and can live in curve-erased worker
-/// state.
+/// slots as elements of a particular field — so one thread-local
+/// scratch built from `Planes` serves every field the thread works in.
 #[derive(Debug, Clone, Default)]
 pub struct Planes {
     data: Vec<u64>,
@@ -415,10 +415,11 @@ pub(crate) fn ladder_steps<B: FieldBackend + ?Sized, F: FieldSpec>(
     });
 }
 
-/// Runs `f` on the thread's instance of a default schedule's scratch,
-/// or on a fresh one if the thread's is in use further up the stack
-/// (a caller's rule that runs another schedule).
-fn with_scratch<T: Default + 'static, R>(
+/// Runs `f` on the thread's instance of a scratch (a default
+/// schedule's, the batch inversion's), or on a fresh one if the
+/// thread's is in use further up the stack (a caller's rule that runs
+/// another schedule).
+pub(crate) fn with_scratch<T: Default + 'static, R>(
     key: &'static LocalKey<RefCell<T>>,
     f: impl FnOnce(&mut T) -> R,
 ) -> R {

@@ -70,7 +70,7 @@ pub mod vpclmul;
 
 pub use backend::{
     batch_invert, batch_invert_planes, select_backend, BackendChoice, BitslicedBackend,
-    FieldBackend, InvScratch, ModelBackend, VpclmulBackend, BACKEND_ENV,
+    FieldBackend, ModelBackend, VpclmulBackend, BACKEND_ENV,
 };
 pub use batch::{
     add_planes, comb_planes, ladder_planes, mul_planes, sqr_planes, CombLanes, CombPlanes,

@@ -13,7 +13,7 @@
 use medsec_gf2m::digit_serial::mul_digit_serial;
 use medsec_gf2m::{
     batch_invert, batch_invert_planes, BitslicedBackend, Element, FieldBackend, FieldSpec,
-    InvScratch, ModelBackend, Planes, VpclmulBackend, F163, F17, F233, F283, LIMBS,
+    ModelBackend, Planes, VpclmulBackend, F163, F17, F233, F283, LIMBS,
 };
 use proptest::prelude::*;
 
@@ -335,13 +335,33 @@ field_batch_equivalence!(f163_batch_backends_agree, F163);
 field_batch_equivalence!(f233_batch_backends_agree, F233);
 field_batch_equivalence!(f283_batch_backends_agree, F283);
 
+/// Inverts `v` as one plane-major batch and checks the count and every
+/// slot against scalar inversion.
+fn invert_planes_checked<F: FieldSpec>(v: &[Element<F>]) {
+    let mut planes = Planes::new();
+    planes.reset(v.len());
+    for (i, e) in v.iter().enumerate() {
+        planes.set(i, e);
+    }
+    let inverted = batch_invert_planes::<F>(&mut planes);
+    assert_eq!(inverted, v.iter().filter(|e| !e.is_zero()).count());
+    for (i, a) in v.iter().enumerate() {
+        assert_eq!(planes.get::<F>(i), a.inverse().unwrap_or(Element::zero()));
+    }
+}
+
 proptest! {
-    /// The planes-level batch inversion with caller scratch: same zero
-    /// contract as `batch_invert`, exercised across the scalar-cutoff
-    /// and the blocked lockstep path (ragged lane tails included).
+    /// The planes-level batch inversion on the thread's scratch: same
+    /// zero contract as `batch_invert`, exercised across the
+    /// scalar-cutoff and the blocked lockstep path (ragged lane tails
+    /// included). Between the two F163 batches the same thread inverts
+    /// a wider F283 batch and an F17 batch, the way a hub worker moves
+    /// from one curve lane to the next.
     #[test]
     fn batch_invert_planes_matches_singles_f163(
         elems in prop::collection::vec(arb_element::<F163>(), 0..96),
+        wide in prop::collection::vec(arb_element::<F283>(), 96..130),
+        toy in prop::collection::vec(arb_element::<F17>(), 0..40),
         zero_mask in any::<u64>(),
     ) {
         let mut v = elems;
@@ -355,8 +375,7 @@ proptest! {
         for (i, e) in v.iter().enumerate() {
             planes.set(i, e);
         }
-        let mut scratch = InvScratch::default();
-        let inverted = batch_invert_planes::<F163>(&mut planes, &mut scratch);
+        let inverted = batch_invert_planes::<F163>(&mut planes);
         prop_assert_eq!(inverted, v.iter().filter(|e| !e.is_zero()).count());
         for (i, a) in v.iter().enumerate() {
             let got: Element<F163> = planes.get(i);
@@ -365,13 +384,22 @@ proptest! {
                 None => prop_assert!(got.is_zero()),
             }
         }
-        // Scratch reuse must not leak state between batches.
+        // Scratch reuse must not leak state between batches, of any
+        // width or field.
+        let mut wide = wide;
+        for (i, e) in wide.iter_mut().enumerate() {
+            if (zero_mask >> (i % 61)) & 1 == 1 {
+                *e = Element::zero();
+            }
+        }
+        invert_planes_checked::<F283>(&wide);
+        invert_planes_checked::<F17>(&toy);
         let mut again = Planes::new();
         again.reset(v.len());
         for (i, e) in v.iter().enumerate() {
             again.set(i, e);
         }
-        let inverted2 = batch_invert_planes::<F163>(&mut again, &mut scratch);
+        let inverted2 = batch_invert_planes::<F163>(&mut again);
         prop_assert_eq!(inverted2, inverted);
         for i in 0..v.len() {
             prop_assert_eq!(again.get::<F163>(i), planes.get::<F163>(i));

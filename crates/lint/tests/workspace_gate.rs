@@ -61,10 +61,15 @@ fn manifest_pins_the_expected_surfaces() {
             "{must_pin} dropped from [ct] modules"
         );
     }
-    assert!(m
-        .hotpath_modules
-        .iter()
-        .any(|e| e == "crates/fleet/src/scheduler.rs"));
+    for must_pin in [
+        "crates/fleet/src/scheduler.rs",
+        "crates/gf2m/src/backend.rs",
+    ] {
+        assert!(
+            m.hotpath_modules.iter().any(|e| e == must_pin),
+            "{must_pin} dropped from [hotpath] modules"
+        );
+    }
     assert!(m
         .wire_modules
         .iter()

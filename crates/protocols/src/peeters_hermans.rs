@@ -18,8 +18,7 @@
 use medsec_ec::{
     generator_mul,
     ladder::{ladder_x_affine, ladder_x_only, CoordinateBlinding},
-    varbase_mul_add_gen_batch, varbase_x_batch_with, xcoord_to_scalar, CurveSpec, Point, Scalar,
-    XAffineScratch,
+    varbase_mul_add_gen_batch, varbase_x_batch, xcoord_to_scalar, CurveSpec, Point, Scalar,
 };
 
 use crate::energy::EnergyLedger;
@@ -210,31 +209,20 @@ impl<C: CurveSpec> PhReader<C> {
     /// the ladder's scalars, so phase 1 steers only masked swaps with
     /// it:
     ///
-    /// 1. every ḋ = xcoord(y·R) in one [`varbase_x_batch_with`] call;
+    /// 1. every ḋ = xcoord(y·R) in one [`varbase_x_batch`] call;
     /// 2. every candidate `X̂ = s·P − ḋ·P − e·R`, rewritten as the
     ///    single two-scalar form `(s − ḋ)·P + (−e)·R`, in one
     ///    [`varbase_mul_add_gen_batch`] call — one comb term and one
     ///    ladder per transcript instead of two fixed-base
     ///    multiplications, a full ladder and two affine additions.
     ///
-    /// Entry `i` of the result corresponds to `transcripts[i]`.
+    /// Both calls keep their normalization scratch thread-local, so a
+    /// serving worker reuses it from batch to batch without holding
+    /// any. Entry `i` of the result corresponds to `transcripts[i]`.
     pub fn identify_batch(
         &self,
         transcripts: &[PhTranscript<C>],
-        next_u64: impl FnMut() -> u64,
-    ) -> Vec<Option<TagId>> {
-        self.identify_batch_with(transcripts, next_u64, &mut XAffineScratch::default())
-    }
-
-    /// [`identify_batch`](Self::identify_batch) with caller-owned
-    /// normalization scratch — hub workers thread their per-thread
-    /// [`XAffineScratch`] through here so phase 1's batched inversion
-    /// reuses its buffers across serving batches.
-    pub fn identify_batch_with(
-        &self,
-        transcripts: &[PhTranscript<C>],
         mut next_u64: impl FnMut() -> u64,
-        scratch: &mut XAffineScratch,
     ) -> Vec<Option<TagId>> {
         // Phase 1: ḋ = xcoord(y·R) for every commitment, one engine
         // batch (commitments at infinity yield None and fail below).
@@ -242,9 +230,7 @@ impl<C: CurveSpec> PhReader<C> {
             .iter()
             .map(|t| (self.secret, t.commitment))
             .collect();
-        let mut d_xs = Vec::with_capacity(d_items.len());
-        varbase_x_batch_with(&d_items, &mut next_u64, scratch, &mut d_xs);
-        let ds: Vec<Option<Scalar<C>>> = d_xs
+        let ds: Vec<Option<Scalar<C>>> = varbase_x_batch(&d_items, &mut next_u64)
             .into_iter()
             .map(|x| x.map(|x| xcoord_to_scalar::<C>(&x)))
             .collect();

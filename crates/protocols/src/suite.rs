@@ -28,7 +28,7 @@
 use std::collections::HashMap;
 
 use bytes::Bytes;
-use medsec_ec::{varbase_x_batch_with, CurveSpec, KeyPair, Point, Scalar, XAffineScratch};
+use medsec_ec::{varbase_x_batch, CurveSpec, KeyPair, Point, Scalar};
 use medsec_lwc::{Aes128, BlockCipher};
 
 use crate::energy::EnergyLedger;
@@ -410,7 +410,10 @@ pub enum SuiteOutcome {
 /// hot path: they must preserve the one-inversion-per-batch and
 /// fixed-base-comb/lockstep-ladder `mul_add` contracts of the
 /// monomorphized protocol code — `suite_equivalence.rs` pins each
-/// implementation byte-identical to its pre-suite entry points.
+/// implementation byte-identical to its pre-suite entry points. None
+/// takes scratch: the batched normalizations keep theirs thread-local,
+/// so a serving worker reuses it from wave to wave without holding
+/// any.
 pub trait SecuritySuite {
     /// Device-side protocol state.
     type Device;
@@ -454,36 +457,14 @@ pub trait SecuritySuite {
         ledger: &mut EnergyLedger,
     ) -> Result<Bytes, SuiteError>;
 
-    /// The server's verification of a whole wave of closing frames,
-    /// with caller-owned normalization scratch: serving workers thread
-    /// their per-thread [`XAffineScratch`] through here so the batched
-    /// inversion and `x·Z⁻¹` plane buffers are reused across waves
-    /// instead of reallocated per batch. Entry `i` of the result
-    /// corresponds to `frames[i]`.
-    fn server_verify_batch_with(
-        server: &Self::Server,
-        frames: &[(SuiteDeviceId, &[u8])],
-        next_u64: impl FnMut() -> u64,
-        ledger: &mut EnergyLedger,
-        ec: &mut XAffineScratch,
-    ) -> Vec<(SuiteDeviceId, Result<SuiteOutcome, SuiteError>)>;
-
-    /// [`server_verify_batch_with`](Self::server_verify_batch_with)
-    /// with a fresh scratch.
+    /// The server's verification of a whole wave of closing frames.
+    /// Entry `i` of the result corresponds to `frames[i]`.
     fn server_verify_batch(
         server: &Self::Server,
         frames: &[(SuiteDeviceId, &[u8])],
         next_u64: impl FnMut() -> u64,
         ledger: &mut EnergyLedger,
-    ) -> Vec<(SuiteDeviceId, Result<SuiteOutcome, SuiteError>)> {
-        Self::server_verify_batch_with(
-            server,
-            frames,
-            next_u64,
-            ledger,
-            &mut XAffineScratch::default(),
-        )
-    }
+    ) -> Vec<(SuiteDeviceId, Result<SuiteOutcome, SuiteError>)>;
 
     /// Single-device hello (degenerate batch).
     fn hello(
@@ -639,12 +620,11 @@ impl SecuritySuite for SymmetricSuite {
         Ok(wire::frame(MsgType::SymResponse, &buf))
     }
 
-    fn server_verify_batch_with(
+    fn server_verify_batch(
         server: &Self::Server,
         frames: &[(SuiteDeviceId, &[u8])],
         _next_u64: impl FnMut() -> u64,
         ledger: &mut EnergyLedger,
-        _ec: &mut XAffineScratch,
     ) -> Vec<(SuiteDeviceId, Result<SuiteOutcome, SuiteError>)> {
         frames
             .iter()
@@ -789,12 +769,11 @@ impl<C: CurveSpec> SecuritySuite for MutualSuite<C> {
         }
     }
 
-    fn server_verify_batch_with(
+    fn server_verify_batch(
         server: &Self::Server,
         frames: &[(SuiteDeviceId, &[u8])],
         next_u64: impl FnMut() -> u64,
         ledger: &mut EnergyLedger,
-        ec: &mut XAffineScratch,
     ) -> Vec<(SuiteDeviceId, Result<SuiteOutcome, SuiteError>)> {
         let mut results: Vec<(SuiteDeviceId, Result<SuiteOutcome, SuiteError>)> = frames
             .iter()
@@ -851,8 +830,7 @@ impl<C: CurveSpec> SecuritySuite for MutualSuite<C> {
             items.push((*server_eph.secret(), eph));
             live.push((i, id, eph_bytes, ct, tag));
         }
-        let mut shared_xs = Vec::with_capacity(items.len());
-        varbase_x_batch_with(&items, next_u64, ec, &mut shared_xs);
+        let shared_xs = varbase_x_batch(&items, next_u64);
 
         for ((i, _, eph_bytes, ct, tag), shared) in live.into_iter().zip(shared_xs) {
             let Some(shared) = shared else {
@@ -971,12 +949,11 @@ impl<C: CurveSpec> SecuritySuite for SchnorrSuite<C> {
         Ok(wire::encode_scalar(MsgType::PhResponse, &response))
     }
 
-    fn server_verify_batch_with(
+    fn server_verify_batch(
         server: &Self::Server,
         frames: &[(SuiteDeviceId, &[u8])],
         mut next_u64: impl FnMut() -> u64,
         ledger: &mut EnergyLedger,
-        _ec: &mut XAffineScratch,
     ) -> Vec<(SuiteDeviceId, Result<SuiteOutcome, SuiteError>)> {
         let mut results: Vec<(SuiteDeviceId, Result<SuiteOutcome, SuiteError>)> = frames
             .iter()
@@ -1116,12 +1093,11 @@ impl<C: CurveSpec> SecuritySuite for PhSuite<C> {
         Ok(wire::encode_scalar(MsgType::PhResponse, &response))
     }
 
-    fn server_verify_batch_with(
+    fn server_verify_batch(
         server: &Self::Server,
         frames: &[(SuiteDeviceId, &[u8])],
         next_u64: impl FnMut() -> u64,
         ledger: &mut EnergyLedger,
-        ec: &mut XAffineScratch,
     ) -> Vec<(SuiteDeviceId, Result<SuiteOutcome, SuiteError>)> {
         let mut results: Vec<(SuiteDeviceId, Result<SuiteOutcome, SuiteError>)> = frames
             .iter()
@@ -1149,9 +1125,7 @@ impl<C: CurveSpec> SecuritySuite for PhSuite<C> {
             });
             live.push(i);
         }
-        let found = server
-            .reader
-            .identify_batch_with(&transcripts, next_u64, ec);
+        let found = server.reader.identify_batch(&transcripts, next_u64);
         for (slot, tag_id) in live.into_iter().zip(found) {
             // ḋ plus three point multiplications per transcript —
             // the paper's asymmetric-cost rule, batching changes the
@@ -1592,6 +1566,275 @@ mod tests {
         hello_waves_match_per_frame::<Toy17>(7011);
         hello_waves_match_per_frame::<medsec_ec::K163>(7012);
         hello_waves_match_per_frame::<medsec_ec::B163>(7013);
+    }
+
+    /// Sessions per verify wave that close genuinely: with the forged
+    /// closing, eleven live lanes, so an eight-lane AVX-512 chunk ends
+    /// ragged.
+    const GENUINE: SuiteDeviceId = 10;
+
+    /// A verify wave: the genuine closings of devices `0..GENUINE` with
+    /// one failing frame after each of the first few.
+    fn interleave(
+        genuine: Vec<(SuiteDeviceId, Bytes)>,
+        bad: Vec<(SuiteDeviceId, Bytes)>,
+    ) -> Vec<(SuiteDeviceId, Bytes)> {
+        let mut bad = bad.into_iter();
+        let mut wave = Vec::new();
+        for g in genuine {
+            wave.push(g);
+            wave.extend(bad.next());
+        }
+        wave.extend(bad);
+        wave
+    }
+
+    /// The failing frames every wave carries, built from the closings
+    /// of devices `GENUINE..GENUINE + 3` and copies of two genuine
+    /// ones: a forged last byte (MAC or response), a truncated frame, a
+    /// wrong message type, a genuine closing under an unknown id (99)
+    /// and one under a registered id that got no hello
+    /// (`GENUINE + 4`).
+    fn failing_frames(closings: &[Bytes], wrong_type: MsgType) -> Vec<(SuiteDeviceId, Bytes)> {
+        let g = GENUINE as usize;
+        let mut forged = closings[g].to_vec();
+        *forged.last_mut().expect("nonempty") ^= 1;
+        let truncated = &closings[g + 1][..closings[g + 1].len() / 2];
+        let (_, payload) = wire::deframe(&closings[g + 2]).expect("well-formed");
+        vec![
+            (GENUINE, Bytes::from(forged)),
+            (GENUINE + 1, Bytes::copy_from_slice(truncated)),
+            (GENUINE + 2, wire::frame(wrong_type, payload)),
+            (99, closings[0].clone()),
+            (GENUINE + 4, closings[1].clone()),
+        ]
+    }
+
+    /// Verifies `wave` as one `server_verify_batch` on `servers[1]` and
+    /// as one `server_verify` per frame on `servers[0]`, identically
+    /// provisioned, from identical random streams. Results and pending
+    /// tables must match exactly, bytes on air too, and the ledger
+    /// totals to 12 significant digits: the batch books in another
+    /// order and the ledger is a float sum. `same_draws` also compares
+    /// the streams' next draw. Returns the batch's results.
+    fn verify_wave_matches_per_frame<S: SecuritySuite, V: PartialEq + std::fmt::Debug>(
+        name: &str,
+        servers: &[S::Server; 2],
+        pending: impl Fn(&S::Server) -> &PendingTable<V>,
+        wave: &[(SuiteDeviceId, Bytes)],
+        seed: u64,
+        same_draws: bool,
+    ) -> Vec<(SuiteDeviceId, Result<SuiteOutcome, SuiteError>)> {
+        let frames: Vec<(SuiteDeviceId, &[u8])> =
+            wave.iter().map(|(id, f)| (*id, &f[..])).collect();
+        let (mut want_rng, mut got_rng) = (SplitMix64::new(seed), SplitMix64::new(seed));
+        let (mut want_l, mut got_l) = (ledger(), ledger());
+        let want: Vec<_> = frames
+            .iter()
+            .map(|&(id, f)| {
+                let r = S::server_verify(&servers[0], id, f, want_rng.as_fn(), &mut want_l);
+                (id, r)
+            })
+            .collect();
+        let got = S::server_verify_batch(&servers[1], &frames, got_rng.as_fn(), &mut got_l);
+        assert_eq!(got, want, "{name}: results");
+        let ok = got.iter().filter(|(_, r)| r.is_ok()).count();
+        assert_eq!(ok, GENUINE as usize, "{name}: genuine closings");
+        for kind in [
+            SuiteError::AuthFailed,
+            SuiteError::NoSession(99),
+            SuiteError::NoSession(GENUINE + 4),
+        ] {
+            assert!(
+                got.iter().any(|(_, r)| r.as_ref().err() == Some(&kind)),
+                "{name}: {kind:?}"
+            );
+        }
+        assert_eq!(got_l.bytes_on_air(), want_l.bytes_on_air(), "{name}");
+        let (a, b) = (got_l.total(), want_l.total());
+        assert!(
+            (a - b).abs() <= 1e-12 * a.abs().max(b.abs()),
+            "{name}: ledger {a} vs {b}"
+        );
+        if same_draws {
+            assert_eq!(got_rng.next_u64(), want_rng.next_u64(), "{name}: draws");
+        }
+        for id in (0..=GENUINE + 4).chain([99]) {
+            assert_eq!(
+                pending(&servers[1]).remove(id),
+                pending(&servers[0]).remove(id),
+                "{name}: pending {id}"
+            );
+        }
+        got
+    }
+
+    fn verify_waves_match_per_frame<C: CurveSpec>(seed: u64) {
+        let mut rng = SplitMix64::new(seed);
+        let mut dl = ledger();
+        let g = GENUINE as usize;
+        // Devices 0..GENUINE + 4 get a hello; GENUINE + 4 is registered
+        // but gets none.
+        let hello_ids = 0..GENUINE + 4;
+        let hello_seed = seed ^ 2;
+
+        // Mutual: the last hello's device answers with the x = 0
+        // ephemeral.
+        let pairings: Vec<(SuiteDeviceId, Pairing)> = (0..=GENUINE + 4)
+            .map(|i| {
+                let auth_key = [i as u8 + 1; 16];
+                (i, Pairing { auth_key })
+            })
+            .collect();
+        let servers = [0, 1].map(|_| MutualServer::<C>::new(pairings.clone()));
+        let opens: Vec<(SuiteDeviceId, Option<&[u8]>)> =
+            hello_ids.clone().map(|id| (id, None)).collect();
+        let [hellos, again] = [0, 1].map(|k| {
+            let mut hello_rng = SplitMix64::new(hello_seed);
+            MutualSuite::<C>::hello_batch(&servers[k], &opens, hello_rng.as_fn(), &mut ledger())
+        });
+        assert_eq!(hellos, again, "{}: mutual hellos", C::NAME);
+        let closings: Vec<Bytes> = hellos
+            .iter()
+            .map(|(id, hello)| {
+                let pairing = pairings[*id as usize].1.clone();
+                let mut device = mutual::Device::<C>::new(pairing, mutual::Ordering::ServerFirst);
+                let hello = hello.as_ref().expect("registered device");
+                MutualSuite::device_turn(&mut device, hello, b"hr=072", rng.as_fn(), &mut dl)
+                    .expect("device accepts the hello")
+            })
+            .collect();
+        let mut bad = failing_frames(&closings, MsgType::PhResponse);
+        let zero_x = zero_x_encoding::<C>();
+        let (_, payload) = wire::deframe(&closings[g + 3]).expect("well-formed");
+        let mut payload = payload.to_vec();
+        payload[..zero_x.len()].copy_from_slice(&zero_x);
+        bad.push((GENUINE + 3, wire::frame(MsgType::Telemetry, &payload)));
+        let genuine = (0..GENUINE).map(|id| (id, closings[id as usize].clone()));
+        let wave = interleave(genuine.collect(), bad);
+        let name = format!("{}: mutual", C::NAME);
+        let got = verify_wave_matches_per_frame::<MutualSuite<C>, _>(
+            &name,
+            &servers,
+            MutualServer::pending,
+            &wave,
+            seed ^ 3,
+            true,
+        );
+        assert!(got.contains(&(GENUINE + 3, Err(SuiteError::BadEphemeral))));
+
+        // The sigma protocols' closings carry no point: the device
+        // whose commitment was the x = 0 point was refused at hello,
+        // and its closing (a copy of a genuine one) finds no session.
+        let commit_zero_x = wire::frame(MsgType::PhCommit, &zero_x);
+        let sigma_wave = |closings: Vec<Bytes>| {
+            let mut bad = failing_frames(&closings, MsgType::PhChallenge);
+            bad.push((GENUINE + 3, closings[2].clone()));
+            let genuine = (0..GENUINE).map(|id| (id, closings[id as usize].clone()));
+            interleave(genuine.collect(), bad)
+        };
+
+        // Schnorr.
+        let mut tags: Vec<SchnorrTag<C>> = (0..=GENUINE + 4)
+            .map(|_| SchnorrTag::<C>::new(rng.as_fn()))
+            .collect();
+        let servers = [0, 1].map(|_| {
+            let mut v = SchnorrVerifier::<C>::new();
+            for (id, tag) in (0..).zip(&tags) {
+                v.register(id, *tag.public());
+            }
+            v
+        });
+        let commits: Vec<Bytes> = hello_ids
+            .clone()
+            .map(|id| match id {
+                id if id == GENUINE + 3 => commit_zero_x.clone(),
+                id => SchnorrSuite::device_open(&mut tags[id as usize], rng.as_fn(), &mut dl)
+                    .expect("commit-first"),
+            })
+            .collect();
+        let opens: Vec<(SuiteDeviceId, Option<&[u8]>)> = hello_ids
+            .clone()
+            .zip(&commits)
+            .map(|(id, c)| (id, Some(&c[..])))
+            .collect();
+        let [hellos, again] = [0, 1].map(|k| {
+            let mut hello_rng = SplitMix64::new(hello_seed);
+            SchnorrSuite::<C>::hello_batch(&servers[k], &opens, hello_rng.as_fn(), &mut ledger())
+        });
+        assert_eq!(hellos, again, "{}: schnorr hellos", C::NAME);
+        let closings: Vec<Bytes> = hellos[..g + 3]
+            .iter()
+            .map(|(id, hello)| {
+                let hello = hello.as_ref().expect("genuine commitment");
+                SchnorrSuite::device_turn(&mut tags[*id as usize], hello, b"", rng.as_fn(), &mut dl)
+                    .expect("device answers")
+            })
+            .collect();
+        let name = format!("{}: schnorr", C::NAME);
+        verify_wave_matches_per_frame::<SchnorrSuite<C>, _>(
+            &name,
+            &servers,
+            SchnorrVerifier::pending,
+            &sigma_wave(closings),
+            seed ^ 4,
+            true,
+        );
+
+        // Peeters–Hermans: phase 1 of a batch draws every lane's Z
+        // before phase 2 draws any, so only the results, bookings and
+        // pending tables are compared.
+        let [(server0, mut tags), (server1, _)] = [0, 1].map(|_| {
+            let mut provision = SplitMix64::new(seed ^ 5);
+            let mut reader = PhReader::<C>::new(provision.as_fn());
+            let tags: Vec<PhTag<C>> = (0..=GENUINE + 4)
+                .map(|id| reader.register_tag(id, provision.as_fn()))
+                .collect();
+            (PhServer::new(reader), tags)
+        });
+        let servers = [server0, server1];
+        let commits: Vec<Bytes> = hello_ids
+            .clone()
+            .map(|id| match id {
+                id if id == GENUINE + 3 => commit_zero_x.clone(),
+                id => PhSuite::device_open(&mut tags[id as usize], rng.as_fn(), &mut dl)
+                    .expect("commit-first"),
+            })
+            .collect();
+        let opens: Vec<(SuiteDeviceId, Option<&[u8]>)> = hello_ids
+            .clone()
+            .zip(&commits)
+            .map(|(id, c)| (id, Some(&c[..])))
+            .collect();
+        let [hellos, again] = [0, 1].map(|k| {
+            let mut hello_rng = SplitMix64::new(hello_seed);
+            PhSuite::<C>::hello_batch(&servers[k], &opens, hello_rng.as_fn(), &mut ledger())
+        });
+        assert_eq!(hellos, again, "{}: ph hellos", C::NAME);
+        let closings: Vec<Bytes> = hellos[..g + 3]
+            .iter()
+            .map(|(id, hello)| {
+                let hello = hello.as_ref().expect("genuine commitment");
+                PhSuite::device_turn(&mut tags[*id as usize], hello, b"", rng.as_fn(), &mut dl)
+                    .expect("device answers")
+            })
+            .collect();
+        let name = format!("{}: ph", C::NAME);
+        verify_wave_matches_per_frame::<PhSuite<C>, _>(
+            &name,
+            &servers,
+            PhServer::pending,
+            &sigma_wave(closings),
+            seed ^ 6,
+            false,
+        );
+    }
+
+    #[test]
+    fn verify_waves_match_one_verify_per_frame() {
+        verify_waves_match_per_frame::<Toy17>(7014);
+        verify_waves_match_per_frame::<medsec_ec::K163>(7015);
+        verify_waves_match_per_frame::<medsec_ec::B163>(7016);
     }
 
     #[test]

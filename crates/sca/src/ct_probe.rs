@@ -1,5 +1,6 @@
 //! Wall-clock fixed-vs-random probes over the `gf2m::ct` helpers, the
-//! ladder, the fixed-base comb, scalar field multiplication and
+//! ladder, the gateway's lockstep ladder under the Peeters–Hermans
+//! reader's key, the fixed-base comb, scalar field multiplication and
 //! AES-CMAC.
 //!
 //! The cost-model study in the `timing` module proves the *architecture*
@@ -17,7 +18,10 @@
 use std::hint::black_box;
 use std::time::Instant;
 
-use medsec_ec::{generator_mul_batch, ladder, CoordinateBlinding, CurveSpec, Scalar, K163};
+use medsec_ec::{
+    generator_mul_batch, ladder, varbase_x_batch, CoordinateBlinding, CurveSpec, Point, Scalar,
+    K163,
+};
 use medsec_gf2m::ct::{ct_eq_bytes, ct_swap_limbs};
 use medsec_gf2m::{Element, F163};
 use medsec_rng::SplitMix64;
@@ -136,6 +140,45 @@ pub fn probe_ladder_fixed_vs_random(runs: usize) -> CtProbe {
             time_one(&k)
         })
         .collect();
+    CtProbe::from_samples(a, b)
+}
+
+/// Fixed-vs-random **key** probe over the gateway's lockstep x-only
+/// ladder: K-163 `varbase_x_batch` of width 64 where every lane carries
+/// one fixed key (class A) — the shape of Peeters–Hermans phase 1, the
+/// reader's y against every commitment of a wave — against a fresh
+/// random key per lane (class B), over the same 64 bases, in
+/// alternating batches so that a slow phase of a shared host hits
+/// both. Each lane's key bits only steer masked swaps, so the classes
+/// must not split; what this cannot see is the normalization's
+/// inversion, which reads each lane's final Z (README's constant-time
+/// audit).
+pub fn probe_varbase_x_fixed_vs_random_key(batches: usize) -> CtProbe {
+    const WIDTH: usize = 64;
+    let mut rng = SplitMix64::new(0x00FF_1E7D);
+    let g = K163::generator();
+    let bases: Vec<Point<K163>> = (0..WIDTH)
+        .map(|_| {
+            let k = Scalar::<K163>::random_nonzero(rng.as_fn());
+            ladder::ladder_mul(&k, &g, CoordinateBlinding::RandomZ, rng.as_fn())
+        })
+        .collect();
+    let y = Scalar::<K163>::random_nonzero(rng.as_fn());
+    let fixed: Vec<(Scalar<K163>, Point<K163>)> = bases.iter().map(|p| (y, *p)).collect();
+    let mut random = fixed.clone();
+    let time = |items: &[(Scalar<K163>, Point<K163>)], rng: &mut SplitMix64| -> u64 {
+        let t0 = Instant::now();
+        black_box(varbase_x_batch(black_box(items), rng.as_fn()));
+        t0.elapsed().as_nanos() as u64
+    };
+    let (mut a, mut b) = (Vec::with_capacity(batches), Vec::with_capacity(batches));
+    for _ in 0..batches {
+        for (k, _) in random.iter_mut() {
+            *k = Scalar::random_nonzero(rng.as_fn());
+        }
+        a.push(time(&fixed, &mut rng));
+        b.push(time(&random, &mut rng));
+    }
     CtProbe::from_samples(a, b)
 }
 
@@ -311,6 +354,15 @@ mod tests {
         assert!(
             probe.ratio < MAX_RATIO,
             "comb fixed-vs-random timing split {probe:?}"
+        );
+    }
+
+    #[test]
+    fn varbase_x_is_flat_fixed_vs_random_key() {
+        let probe = probe_varbase_x_fixed_vs_random_key(32);
+        assert!(
+            probe.ratio < MAX_RATIO,
+            "varbase_x fixed-vs-random key timing split {probe:?}"
         );
     }
 
