@@ -5,11 +5,11 @@
 //! multiplication through the `VPCLMULQDQ` backend is at least 2×
 //! its scalar-CLMUL per-element throughput at width ≥ 8. The gate only
 //! *asserts* when the host actually detects `AVX-512F + VPCLMULQDQ`;
-//! elsewhere it just prints the measured ratio (the bitsliced fallback
-//! has different constants and is pinned for correctness, not speed).
+//! elsewhere it just prints the measured ratio (the portable backend,
+//! per element at every width, is pinned for correctness, not speed).
 
 use criterion::{criterion_group, BenchmarkId, Criterion};
-use medsec_gf2m::{vpclmul, BitslicedBackend, Element, FieldBackend, VpclmulBackend, F163, LIMBS};
+use medsec_gf2m::{vpclmul, Element, FieldBackend, PortableBackend, VpclmulBackend, F163, LIMBS};
 use medsec_rng::SplitMix64;
 use std::hint::black_box;
 use std::time::Instant;
@@ -47,10 +47,9 @@ fn bench_batch_mul(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("vpclmul", n), &n, |bench, _| {
             bench.iter(|| VpclmulBackend::mul_batch::<F163>(black_box(&mut out), black_box(&a), &b))
         });
-        group.bench_with_input(BenchmarkId::new("bitsliced", n), &n, |bench, _| {
-            bench.iter(|| {
-                BitslicedBackend::mul_batch::<F163>(black_box(&mut out), black_box(&a), &b)
-            })
+        group.bench_with_input(BenchmarkId::new("portable", n), &n, |bench, _| {
+            bench
+                .iter(|| PortableBackend::mul_batch::<F163>(black_box(&mut out), black_box(&a), &b))
         });
     }
     group.finish();
@@ -71,8 +70,8 @@ fn bench_batch_sqr(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("vpclmul", n), &n, |bench, _| {
             bench.iter(|| VpclmulBackend::sqr_batch::<F163>(black_box(&mut out), black_box(&a)))
         });
-        group.bench_with_input(BenchmarkId::new("bitsliced", n), &n, |bench, _| {
-            bench.iter(|| BitslicedBackend::sqr_batch::<F163>(black_box(&mut out), black_box(&a)))
+        group.bench_with_input(BenchmarkId::new("portable", n), &n, |bench, _| {
+            bench.iter(|| PortableBackend::sqr_batch::<F163>(black_box(&mut out), black_box(&a)))
         });
     }
     group.finish();

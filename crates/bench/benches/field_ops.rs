@@ -82,7 +82,8 @@ fn per_call_s<T>(pool: &[Element<F163>], mut f: impl FnMut(Element<F163>) -> T) 
 /// serving backends apply the half-trace as a cached byte-indexed
 /// table (21 lookups on F163), which must cost at most 1/4 of an F163
 /// inversion: on a 2-core AVX-512 host it read 0.03-0.06 on vpclmul and
-/// ~0.01 on bitsliced, while the chain of 81 double squarings read
+/// ~0.01 on the table-comb portable backend (not re-measured on the
+/// constant-time word products), while the chain of 81 double squarings read
 /// 5.5-6.4x and 2.0-2.3x. Both are timed over the same 64 random inputs
 /// in five alternating ~200 ms rounds, and the median of the per-round
 /// ratios is gated, so a host that changes speed mid-run moves both

@@ -110,9 +110,9 @@ fn per_item_s(items: usize, mut f: impl FnMut()) -> f64 {
 /// and its AVX-512 kernel detected, the batch must be at least 3x
 /// cheaper per item (on a 2-core AVX-512 host it read 6.5–6.6x on
 /// B-163 and on K-163; a batch running one ladder per item reads under
-/// 1x). Elsewhere, the bitsliced backend or `PCLMULQDQ` scalars
-/// alone, where a batch narrower than 64 runs scalar products per
-/// element, the gate only prints its result.
+/// 1x). Elsewhere, on the portable backend or `PCLMULQDQ` scalars
+/// alone, where every batch runs scalar products per element, the gate
+/// only prints its result.
 fn lockstep_cost_gate<C: CurveSpec>() {
     const N: usize = 64;
     const ROUNDS: usize = 5;

@@ -89,7 +89,7 @@ pub struct FleetReport {
     /// server of a lane has this many).
     pub shards: usize,
     /// The gf2m backend the serving stack's field arithmetic ran on
-    /// (`vpclmul`, `clmul` or `bitsliced` — see
+    /// (`vpclmul`, `clmul` or `portable` — see
     /// `medsec_gf2m::backend::active_backend_name`), so every
     /// trajectory point is attributable to the exact compute stack
     /// behind it.
@@ -436,7 +436,7 @@ mod tests {
             devices: 8,
             threads: 2,
             shards: 4,
-            backend: "bitsliced",
+            backend: "portable",
             sessions_ok: 6,
             sessions_failed: 0,
             frames_ok: 6,
@@ -488,7 +488,7 @@ mod tests {
         ] {
             assert!(j.contains(&format!("\"{key}\":")), "missing {key} in {j}");
         }
-        assert!(j.contains("\"backend\":\"bitsliced\""));
+        assert!(j.contains("\"backend\":\"portable\""));
         assert!(j.contains("\"telemetry\":null"));
         assert!(j.contains("\"decode_failures\":1"));
         // The per-profile row carries its pyramid point and budget.

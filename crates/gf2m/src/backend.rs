@@ -16,15 +16,17 @@
 //!   [`FieldBackend::comb_batch`] every column of a regular signed
 //!   fixed-base comb, in ZMM registers. Each kernel runs
 //!   where CPUID reports its instruction: without `PCLMULQDQ` scalars
-//!   take the portable comb, without `AVX512F` + `VPCLMULQDQ` batches
-//!   take the scalar path per element and ladders and combs the default
-//!   schedule.
+//!   take the portable word products, without `AVX512F` + `VPCLMULQDQ`
+//!   batches take the scalar path per element and ladders and combs the
+//!   default schedule.
 //!   The toy field F(2^17), whose reduction folds back into its own
 //!   limb, takes those two paths on every host.
-//! * [`BitslicedBackend`] — the portable path: word-bounded comb
-//!   multiplication (only `ceil(m/64)` limbs do work) and compile-time
-//!   squaring-spread tables for scalars; batch entry points run 64
-//!   products at once across `u64` bit-planes (see [`crate::bitslice`]).
+//! * [`PortableBackend`] — the portable path: a word-level Karatsuba
+//!   over constant-time masked integer-multiply word products, and a
+//!   shift-and-mask bit interleave for squaring, on the `ceil(m/64)`
+//!   words that carry the field. It overrides only the scalar
+//!   operations, inversion and half-trace; batches run per element and
+//!   ladders and combs the default schedule, at every width.
 //!
 //! Both serving backends reduce every scalar product with
 //! `limbs::reduce_words`, whose fold schedule is fixed by the field, so
@@ -41,8 +43,8 @@
 //! [`Element`]'s operators route through [`ActiveBackend`], which
 //! dispatches on the process-wide [`select_backend`] choice:
 //! [`VpclmulBackend`] where the CPU has a carry-less multiply
-//! instruction, else [`BitslicedBackend`]. Setting [`BACKEND_ENV`] to
-//! `bitsliced` forces the portable backend (a CI leg does, so it cannot
+//! instruction, else [`PortableBackend`]. Setting [`BACKEND_ENV`] to
+//! `portable` forces the portable backend (a CI leg does, so it cannot
 //! rot).
 
 use std::cell::RefCell;
@@ -210,10 +212,10 @@ impl FieldBackend for ModelBackend {
 /// one function per field, batch operations multiply four elements per
 /// AVX-512 `VPCLMULQDQ` instruction and whole lockstep ladders run in
 /// ZMM registers (see [`crate::vpclmul`]). Runtime-detected kernel by
-/// kernel — without `PCLMULQDQ` scalars take the portable comb, without
-/// `AVX512F` + `VPCLMULQDQ` (and on the toy field F(2^17) everywhere)
-/// every batch element takes the scalar path — so the backend is
-/// correct everywhere.
+/// kernel — without `PCLMULQDQ` scalars take the portable word
+/// products, without `AVX512F` + `VPCLMULQDQ` (and on the toy field
+/// F(2^17) everywhere) every batch element takes the scalar path — so
+/// the backend is correct everywhere.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct VpclmulBackend;
 
@@ -262,28 +264,27 @@ impl FieldBackend for VpclmulBackend {
     }
 }
 
-/// Portable backend: scalar operations run the word-bounded comb,
-/// table-driven squaring and the straight-line word-level reduction;
-/// batch
-/// operations run 64 products at once across `u64` bit-planes (see
-/// [`crate::bitslice`]). No intrinsics, no feature gates — the backend
-/// for hosts without a carry-less multiply instruction.
+/// Portable backend: scalar operations run the constant-time word
+/// products and bit interleave of [`crate::clmul`]'s fallback and the
+/// straight-line word-level reduction; batches, ladders and combs take
+/// the trait's per-element defaults. No intrinsics, no feature gates,
+/// no table indexed by an operand — the backend for hosts without a
+/// carry-less multiply instruction.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct BitslicedBackend;
+pub struct PortableBackend;
 
-impl FieldBackend for BitslicedBackend {
-    const NAME: &'static str = "bitsliced";
+impl FieldBackend for PortableBackend {
+    const NAME: &'static str = "portable";
 
     fn mul<F: FieldSpec>(a: &Element<F>, b: &Element<F>) -> Element<F> {
-        let nw = F::M.div_ceil(64);
-        let prod = limbs::clmul_fast(a.limbs(), b.limbs(), nw);
-        Element::from_raw_limbs(limbs::reduce_words(prod, F::REDUCTION))
+        Element::from_raw_limbs(crate::clmul::portable_mul_reduced::<F>(
+            a.limbs(),
+            b.limbs(),
+        ))
     }
 
     fn square<F: FieldSpec>(a: &Element<F>) -> Element<F> {
-        let nw = F::M.div_ceil(64);
-        let prod = limbs::clsquare_fast(a.limbs(), nw);
-        Element::from_raw_limbs(limbs::reduce_words(prod, F::REDUCTION))
+        Element::from_raw_limbs(crate::clmul::portable_square_reduced::<F>(a.limbs()))
     }
 
     fn invert<F: FieldSpec>(a: &Element<F>) -> Option<Element<F>> {
@@ -292,14 +293,6 @@ impl FieldBackend for BitslicedBackend {
 
     fn half_trace<F: FieldSpec>(a: &Element<F>) -> Element<F> {
         crate::multisquare::half_trace(a)
-    }
-
-    fn mul_batch<F: FieldSpec>(out: &mut [u64], a: &[u64], b: &[u64]) {
-        crate::bitslice::mul_batch_planes::<F>(out, a, b);
-    }
-
-    fn sqr_batch<F: FieldSpec>(out: &mut [u64], a: &[u64]) {
-        crate::bitslice::sqr_batch_planes::<F>(out, a);
     }
 }
 
@@ -338,27 +331,27 @@ fn itoh_tsujii_multisquare<B: FieldBackend + ?Sized, F: FieldSpec>(
 pub enum BackendChoice {
     /// Hardware carry-less-multiply path ([`VpclmulBackend`]).
     Vpclmul = 1,
-    /// Portable comb + bitsliced path ([`BitslicedBackend`]).
-    Bitsliced = 2,
+    /// Portable word-product path ([`PortableBackend`]).
+    Portable = 2,
 }
 
 impl BackendChoice {
     /// Short name of the kernels serving (recorded in `FleetReport`
     /// and in perfbench's host fingerprint): `vpclmul` when
     /// [`VpclmulBackend`]'s AVX-512 batch kernel is live, `clmul` when
-    /// it runs on `PCLMULQDQ` scalars alone, `bitsliced` for
-    /// [`BitslicedBackend`].
+    /// it runs on `PCLMULQDQ` scalars alone, `portable` for
+    /// [`PortableBackend`].
     pub fn name(self) -> &'static str {
         match self {
             BackendChoice::Vpclmul if crate::vpclmul::hardware_available() => VpclmulBackend::NAME,
             BackendChoice::Vpclmul => "clmul",
-            BackendChoice::Bitsliced => BitslicedBackend::NAME,
+            BackendChoice::Portable => PortableBackend::NAME,
         }
     }
 }
 
-/// Environment variable forcing the portable backend: `bitsliced`
-/// (any case) selects [`BitslicedBackend`]; anything else — including
+/// Environment variable forcing the portable backend: `portable`
+/// (any case) selects [`PortableBackend`]; anything else — including
 /// `auto` — selects by CPU feature detection. Read once per process,
 /// at the first field operation.
 pub const BACKEND_ENV: &str = "MEDSEC_GF2M_BACKEND";
@@ -369,7 +362,7 @@ static SELECTED: AtomicU8 = AtomicU8::new(0);
 
 /// The process-wide serving-backend selection: [`VpclmulBackend`] when
 /// the CPU supports `PCLMULQDQ` (or `AVX512F` + `VPCLMULQDQ`), else
-/// [`BitslicedBackend`]; [`BACKEND_ENV`]`=bitsliced` forces the latter.
+/// [`PortableBackend`]; [`BACKEND_ENV`]`=portable` forces the latter.
 /// Resolved once (env read + CPUID) on first call and cached; every
 /// [`Element`] operator dispatches on the cached value, so the
 /// per-operation cost is one relaxed atomic load.
@@ -380,19 +373,19 @@ static SELECTED: AtomicU8 = AtomicU8::new(0);
 pub fn select_backend() -> BackendChoice {
     match SELECTED.load(Ordering::Relaxed) {
         1 => BackendChoice::Vpclmul,
-        2 => BackendChoice::Bitsliced,
+        2 => BackendChoice::Portable,
         _ => resolve_backend(),
     }
 }
 
 #[cold]
 fn resolve_backend() -> BackendChoice {
-    let forced = std::env::var(BACKEND_ENV).is_ok_and(|v| v.eq_ignore_ascii_case("bitsliced"));
+    let forced = std::env::var(BACKEND_ENV).is_ok_and(|v| v.eq_ignore_ascii_case("portable"));
     let hardware = crate::vpclmul::hardware_available() || crate::clmul::hardware_available();
     let choice = if hardware && !forced {
         BackendChoice::Vpclmul
     } else {
-        BackendChoice::Bitsliced
+        BackendChoice::Portable
     };
     SELECTED.store(choice as u8, Ordering::Relaxed);
     choice
@@ -412,7 +405,7 @@ impl FieldBackend for ActiveBackend {
     fn mul<F: FieldSpec>(a: &Element<F>, b: &Element<F>) -> Element<F> {
         match select_backend() {
             BackendChoice::Vpclmul => VpclmulBackend::mul(a, b),
-            BackendChoice::Bitsliced => BitslicedBackend::mul(a, b),
+            BackendChoice::Portable => PortableBackend::mul(a, b),
         }
     }
 
@@ -420,21 +413,21 @@ impl FieldBackend for ActiveBackend {
     fn square<F: FieldSpec>(a: &Element<F>) -> Element<F> {
         match select_backend() {
             BackendChoice::Vpclmul => VpclmulBackend::square(a),
-            BackendChoice::Bitsliced => BitslicedBackend::square(a),
+            BackendChoice::Portable => PortableBackend::square(a),
         }
     }
 
     fn invert<F: FieldSpec>(a: &Element<F>) -> Option<Element<F>> {
         match select_backend() {
             BackendChoice::Vpclmul => VpclmulBackend::invert(a),
-            BackendChoice::Bitsliced => BitslicedBackend::invert(a),
+            BackendChoice::Portable => PortableBackend::invert(a),
         }
     }
 
     fn half_trace<F: FieldSpec>(a: &Element<F>) -> Element<F> {
         match select_backend() {
             BackendChoice::Vpclmul => VpclmulBackend::half_trace(a),
-            BackendChoice::Bitsliced => BitslicedBackend::half_trace(a),
+            BackendChoice::Portable => PortableBackend::half_trace(a),
         }
     }
 
@@ -442,7 +435,7 @@ impl FieldBackend for ActiveBackend {
     fn mul_batch<F: FieldSpec>(out: &mut [u64], a: &[u64], b: &[u64]) {
         match select_backend() {
             BackendChoice::Vpclmul => VpclmulBackend::mul_batch::<F>(out, a, b),
-            BackendChoice::Bitsliced => BitslicedBackend::mul_batch::<F>(out, a, b),
+            BackendChoice::Portable => PortableBackend::mul_batch::<F>(out, a, b),
         }
     }
 
@@ -450,7 +443,7 @@ impl FieldBackend for ActiveBackend {
     fn sqr_batch<F: FieldSpec>(out: &mut [u64], a: &[u64]) {
         match select_backend() {
             BackendChoice::Vpclmul => VpclmulBackend::sqr_batch::<F>(out, a),
-            BackendChoice::Bitsliced => BitslicedBackend::sqr_batch::<F>(out, a),
+            BackendChoice::Portable => PortableBackend::sqr_batch::<F>(out, a),
         }
     }
 
@@ -461,7 +454,7 @@ impl FieldBackend for ActiveBackend {
     ) {
         match select_backend() {
             BackendChoice::Vpclmul => VpclmulBackend::ladder_batch::<F>(lanes, b, at_infinity),
-            BackendChoice::Bitsliced => BitslicedBackend::ladder_batch::<F>(lanes, b, at_infinity),
+            BackendChoice::Portable => PortableBackend::ladder_batch::<F>(lanes, b, at_infinity),
         }
     }
 
@@ -473,7 +466,7 @@ impl FieldBackend for ActiveBackend {
     ) {
         match select_backend() {
             BackendChoice::Vpclmul => VpclmulBackend::comb_batch::<F>(lanes, table, a, b),
-            BackendChoice::Bitsliced => BitslicedBackend::comb_batch::<F>(lanes, table, a, b),
+            BackendChoice::Portable => PortableBackend::comb_batch::<F>(lanes, table, a, b),
         }
     }
 }
@@ -570,9 +563,8 @@ pub fn batch_invert<F: FieldSpec>(elems: &mut [Element<F>]) -> usize {
     })
 }
 
-/// Lanes walked in lockstep by the blocked Montgomery pass: wide
-/// enough to fill a bitsliced tail reasonably and one `VPCLMULQDQ`
-/// chunk exactly.
+/// Lanes walked in lockstep by the blocked Montgomery pass: one
+/// `VPCLMULQDQ` chunk exactly.
 const INV_LANES: usize = 8;
 
 /// Below this many nonzero elements the blocked pass cannot pay for
@@ -652,9 +644,10 @@ fn batch_invert_planes_inner<F: FieldSpec>(elems: &mut Planes) -> usize {
         let steps = k.div_ceil(INV_LANES);
         let slab = LIMBS * INV_LANES;
         let one = Element::<F>::one();
-        scratch.c.clear();
+        // Every scratch word is written before it is read (the scatter
+        // below, the first-slab copy, the `mul_batch` outputs, the
+        // `run` scatter), so the resizes only set lengths.
         scratch.c.resize(steps * slab, 0);
-        scratch.prefix.clear();
         scratch.prefix.resize(steps * slab, 0);
         for l in 0..INV_LANES {
             for t in 0..steps {
@@ -690,9 +683,7 @@ fn batch_invert_planes_inner<F: FieldSpec>(elems: &mut Planes) -> usize {
         }
         let mut inv =
             ActiveBackend::invert::<F>(&acc).expect("product of nonzero elements is nonzero");
-        scratch.run.clear();
         scratch.run.resize(slab, 0);
-        scratch.tmp.clear();
         scratch.tmp.resize(slab, 0);
         for l in (0..INV_LANES).rev() {
             let lane_inv = if l == 0 {
@@ -757,9 +748,9 @@ mod tests {
         for _ in 0..64 {
             let a = Element::<F163>::random(&mut r);
             let b = Element::<F163>::random(&mut r);
-            assert_eq!(BitslicedBackend::mul(&a, &b), ModelBackend::mul(&a, &b));
-            assert_eq!(BitslicedBackend::square(&a), ModelBackend::square(&a));
-            assert_eq!(BitslicedBackend::invert(&a), ModelBackend::invert(&a));
+            assert_eq!(PortableBackend::mul(&a, &b), ModelBackend::mul(&a, &b));
+            assert_eq!(PortableBackend::square(&a), ModelBackend::square(&a));
+            assert_eq!(PortableBackend::invert(&a), ModelBackend::invert(&a));
         }
     }
 
@@ -836,20 +827,20 @@ mod tests {
     fn active_backend_matches_selection_rules() {
         let name = active_backend_name();
         // Match the resolver's case-insensitive env handling: only
-        // `bitsliced` is recognised, anything else auto-selects.
-        let forced = std::env::var(BACKEND_ENV).is_ok_and(|v| v.eq_ignore_ascii_case("bitsliced"));
+        // `portable` is recognised, anything else auto-selects.
+        let forced = std::env::var(BACKEND_ENV).is_ok_and(|v| v.eq_ignore_ascii_case("portable"));
         let expect = if forced {
-            "bitsliced"
+            "portable"
         } else if crate::vpclmul::hardware_available() {
             "vpclmul"
         } else if crate::clmul::hardware_available() {
             "clmul"
         } else {
-            "bitsliced"
+            "portable"
         };
         assert_eq!(name, expect);
-        let choice = if expect == "bitsliced" {
-            BackendChoice::Bitsliced
+        let choice = if expect == "portable" {
+            BackendChoice::Portable
         } else {
             BackendChoice::Vpclmul
         };

@@ -1,22 +1,24 @@
-//! Hardware carry-less multiplication for the serving backend.
+//! Scalar carry-less multiplication for both serving backends.
 //!
 //! The paper's MALU is small *because* GF(2^m) multiplication is
 //! carry-free; on the gateway side the same property means one x86
 //! `PCLMULQDQ` instruction replaces an entire 64×64 windowed-comb pass.
 //! This module provides the scalar `mul` and `sqr` of
-//! [`VpclmulBackend`](crate::VpclmulBackend): a wide (unreduced)
+//! [`VpclmulBackend`](crate::VpclmulBackend) and
+//! [`PortableBackend`](crate::PortableBackend): a wide (unreduced)
 //! product, then the straight-line word-level reduction, compiled
-//! together into one function per field on the hardware path:
+//! together into one function per field:
 //!
 //! * on x86_64 with the `pclmulqdq` CPU feature (runtime-detected, no
 //!   compile-time flags), a word-level **Karatsuba** over
 //!   `_mm_clmulepi64_si128`: 1/3/7/9/17 carry-less multiplies for
 //!   operand widths 1–5 words instead of the schoolbook 1/4/9/16/25;
-//! * everywhere else, the portable word-bounded comb
-//!   (`limbs::clmul_fast`/`clsquare_fast`) that
-//!   [`BitslicedBackend`](crate::BitslicedBackend) runs, so non-x86
-//!   builds (and x86 CPUs without CLMUL) stay correct — merely slower.
-//!   Auto-selection picks the bitsliced backend on such hosts anyway.
+//! * everywhere else, and always for the portable backend, the
+//!   constant-time word products and bit interleave
+//!   (`limbs::clmul_words`/`clsquare_words`), called out of line, so
+//!   non-x86 builds (and x86 CPUs without CLMUL) stay correct — merely
+//!   slower. Auto-selection picks the portable backend on such hosts
+//!   anyway.
 //!
 //! Everything here produces bit-identical results to the reference
 //! path (`limbs::clmul` and the bit-serial `limbs::reduce`) — the
@@ -46,7 +48,7 @@ pub fn hardware_available() -> bool {
 
 /// Field multiplication of canonical elements: the carry-less product
 /// of the low `ceil(m/64)` words, through the hardware path when
-/// available and the portable comb otherwise, then
+/// available and the portable word products otherwise, then
 /// [`limbs::reduce_words`]. On the hardware path product and reduction
 /// compile into one straight-line function per field.
 #[inline]
@@ -56,12 +58,12 @@ pub(crate) fn mul_reduced<F: FieldSpec>(a: &[u64; LIMBS], b: &[u64; LIMBS]) -> [
         // SAFETY: `pclmulqdq` was just detected on this CPU.
         return unsafe { x86::mul_reduced::<F>(a, b) };
     }
-    limbs::reduce_words(limbs::clmul_fast(a, b, F::M.div_ceil(64)), F::REDUCTION)
+    portable_mul_reduced::<F>(a, b)
 }
 
 /// Field squaring of a canonical element — one `PCLMULQDQ` per word on
 /// the hardware path (squaring never crosses word boundaries), then
-/// [`limbs::reduce_words`]; the portable spread table elsewhere.
+/// [`limbs::reduce_words`]; the portable bit interleave elsewhere.
 #[inline]
 pub(crate) fn square_reduced<F: FieldSpec>(a: &[u64; LIMBS]) -> [u64; LIMBS] {
     #[cfg(target_arch = "x86_64")]
@@ -69,7 +71,25 @@ pub(crate) fn square_reduced<F: FieldSpec>(a: &[u64; LIMBS]) -> [u64; LIMBS] {
         // SAFETY: `pclmulqdq` was just detected on this CPU.
         return unsafe { x86::square_reduced::<F>(a) };
     }
-    limbs::reduce_words(limbs::clsquare_fast(a, F::M.div_ceil(64)), F::REDUCTION)
+    portable_square_reduced::<F>(a)
+}
+
+/// [`mul_reduced`] without `PCLMULQDQ`, the portable backend's `mul`:
+/// kept out of line so that the hardware path's inlined callers carry
+/// only the call.
+#[inline(never)]
+pub(crate) fn portable_mul_reduced<F: FieldSpec>(
+    a: &[u64; LIMBS],
+    b: &[u64; LIMBS],
+) -> [u64; LIMBS] {
+    limbs::reduce_words(limbs::clmul_words(a, b, F::M.div_ceil(64)), F::REDUCTION)
+}
+
+/// [`square_reduced`] without `PCLMULQDQ`, the portable backend's
+/// `square`, out of line likewise.
+#[inline(never)]
+pub(crate) fn portable_square_reduced<F: FieldSpec>(a: &[u64; LIMBS]) -> [u64; LIMBS] {
+    limbs::reduce_words(limbs::clsquare_words(a, F::M.div_ceil(64)), F::REDUCTION)
 }
 
 /// The x86_64 `PCLMULQDQ` path: word-level Karatsuba, each helper
@@ -250,9 +270,9 @@ mod tests {
         v
     }
 
-    /// The fallback on hosts without `PCLMULQDQ` is the portable comb;
-    /// pin it against the reference comb at every operand width,
-    /// saturated operands included.
+    /// The fallback on hosts without `PCLMULQDQ` is the portable word
+    /// product and interleave; pin them against the reference comb at
+    /// every operand width, saturated operands included.
     #[test]
     fn portable_wide_matches_reference_all_widths() {
         let mut r = rng_from(32);
@@ -262,12 +282,12 @@ mod tests {
             let cases = (0..32).map(|_| (random_limbs(&mut r, nw), random_limbs(&mut r, nw)));
             for (a, b) in cases.chain([(ones, ones)]) {
                 assert_eq!(
-                    limbs::clmul_fast(&a, &b, nw),
+                    limbs::clmul_words(&a, &b, nw),
                     limbs::clmul(&a, &b),
                     "nw={nw}"
                 );
                 assert_eq!(
-                    limbs::clsquare_fast(&a, nw),
+                    limbs::clsquare_words(&a, nw),
                     limbs::clsquare(&a),
                     "square nw={nw}"
                 );

@@ -21,18 +21,19 @@
 //!   and AVX-512 `VPCLMULQDQ` batches (four carry-less multiplies per
 //!   instruction over the plane-major SoA layout of [`batch`], see
 //!   [`vpclmul`]), each runtime-detected; and a portable backend —
-//!   word-bounded comb scalars and bitsliced batches (64 products across
-//!   `u64` bit-planes, see [`bitslice`]). Both serving backends share
-//!   a straight-line word-level reduction whose schedule is fixed by
-//!   the field, cached linear-map tables for the multi-squarings of
-//!   inversion and for the half-trace, and [`batch_invert`]. Every
-//!   x-only Montgomery ladder, a single one as much as a gateway batch
-//!   run in lockstep, is one seam call ([`ladder_planes`]), and so is
+//!   constant-time word products (a Karatsuba over masked integer
+//!   multiplies) and a shift-and-mask squaring, per element at every
+//!   batch width. Both serving backends share a straight-line
+//!   word-level reduction whose schedule is fixed by the field, cached
+//!   linear-map tables for the multi-squarings of inversion and for the
+//!   half-trace, and [`batch_invert`]. Every x-only Montgomery ladder,
+//!   a single one as much as a gateway batch run in lockstep, is one
+//!   seam call ([`ladder_planes`]), and so is
 //!   every batch of the regular signed fixed-base comb
 //!   ([`comb_planes`]); both run in registers on AVX-512 for every
 //!   field but the toy one.
 //!   `Element`'s operators dispatch on the process-wide
-//!   [`select_backend`] choice (`MEDSEC_GF2M_BACKEND=bitsliced` forces
+//!   [`select_backend`] choice (`MEDSEC_GF2M_BACKEND=portable` forces
 //!   the portable backend).
 //!
 //! # Example
@@ -59,7 +60,6 @@ mod limbs;
 
 pub mod backend;
 pub mod batch;
-pub mod bitslice;
 pub mod cache;
 pub mod clmul;
 pub mod ct;
@@ -69,8 +69,8 @@ mod multisquare;
 pub mod vpclmul;
 
 pub use backend::{
-    batch_invert, batch_invert_planes, select_backend, BackendChoice, BitslicedBackend,
-    FieldBackend, ModelBackend, VpclmulBackend, BACKEND_ENV,
+    batch_invert, batch_invert_planes, select_backend, BackendChoice, FieldBackend, ModelBackend,
+    PortableBackend, VpclmulBackend, BACKEND_ENV,
 };
 pub use batch::{
     add_planes, comb_planes, ladder_planes, mul_planes, sqr_planes, CombLanes, CombPlanes,

@@ -4,13 +4,25 @@
 //! GF(2) are stored with bit *i* of the array representing the coefficient
 //! of x^i.
 //!
-//! Two reductions live here: the bit-serial [`reduce`] of the model
-//! path, and [`reduce_words`], the straight-line word-level reduction
-//! under every scalar `mul` and `sqr` of the serving backends. The
-//! latter's fold schedule — trip counts, word offsets, shift counts —
-//! derives from the field alone, so a multiplication takes the same
-//! operation sequence whatever its operands; its body is a lint-checked
-//! constant-time region.
+//! The model path's products here are a windowed comb ([`clmul`]) and
+//! a byte spread ([`clsquare`]) with the bit-serial [`reduce`]: the
+//! oracle, never a serving path. The portable backend, and the
+//! hardware backend on hosts without `PCLMULQDQ`, multiply with
+//! [`clmul_words`], a word-level Karatsuba over BearSSL's masked
+//! integer-multiply word product, and square with [`clsquare_words`],
+//! a shift-and-mask bit interleave. Every scalar `mul` and `sqr` of the
+//! serving backends then reduces with [`reduce_words`], whose fold
+//! schedule — trip counts, word offsets, shift counts — derives from
+//! the field alone. The products, the interleave and the fold take the
+//! same operation sequence whatever the operands, with no table and no
+//! data-dependent branch; their bodies are lint-checked constant-time
+//! regions.
+//!
+//! The word product rests on one assumption about the target: a 64-bit
+//! integer multiplication takes the same time for every operand. That
+//! holds on x86-64 and on current aarch64 cores, not on some embedded
+//! cores whose multiplier finishes early on small operands (BearSSL's
+//! notes on constant-time multiplication list them).
 
 use crate::{LIMBS, PROD_LIMBS};
 
@@ -157,91 +169,158 @@ pub fn clsquare(a: &[u64; LIMBS]) -> [u64; PROD_LIMBS] {
     out
 }
 
-/// Precomputed bit-spreading table: `SPREAD[b]` interleaves a zero bit
-/// after every bit of the byte `b` (the squaring map of GF(2)[x] on one
-/// byte). Built at compile time so [`clsquare`] and [`clsquare_fast`]
-/// are pure table lookups.
-static SPREAD: [u16; 256] = {
-    let mut t = [0u16; 256];
-    let mut b = 0usize;
-    while b < 256 {
-        let mut x = b as u16;
-        x = (x | (x << 4)) & 0x0f0f;
-        x = (x | (x << 2)) & 0x3333;
-        x = (x | (x << 1)) & 0x5555;
-        t[b] = x;
-        b += 1;
-    }
-    t
-};
+// lint: ct-begin — the word products and the interleave below run
+// the same integer multiplications, shifts and masks whatever their
+// operands: no branch, no table, no index taken from the data.
 
-/// Carry-less multiplication over only the low `nw` words of each
-/// operand (the serving backends pass `nw = ceil(m/64)`, so F(2^163) does
-/// 3-word work instead of 5-word work).
-///
-/// Same 4-bit windowed comb as [`clmul`], restructured so the wide
-/// accumulator shifts once per nibble *position* (16 times) rather than
-/// once per nibble (80 times): each word of `a` contributes its nibble
-/// at position `s` during iteration `s`, offset by its word index.
-pub fn clmul_fast(a: &[u64; LIMBS], b: &[u64; LIMBS], nw: usize) -> [u64; PROD_LIMBS] {
-    debug_assert!((1..=LIMBS).contains(&nw));
-    // table[v] = v(x)·b(x) for each 4-bit v, built incrementally:
-    // even rows shift, odd rows add b.
-    let mut table = [[0u64; LIMBS + 1]; 16];
-    table[1][..nw].copy_from_slice(&b[..nw]);
-    for v in 2..16 {
-        if v % 2 == 0 {
-            let (prev, cur) = table.split_at_mut(v);
-            let src = &prev[v / 2];
-            let mut carry = 0u64;
-            for (dst, &w) in cur[0].iter_mut().zip(src).take(nw + 1) {
-                *dst = (w << 1) | carry;
-                carry = w >> 63;
-            }
-        } else {
-            for j in 0..nw {
-                table[v][j] = table[v - 1][j] ^ b[j];
-            }
-            table[v][nw] = table[v - 1][nw];
-        }
-    }
-    let mut acc = [0u64; PROD_LIMBS];
-    let width = 2 * nw;
-    for s in (0..16).rev() {
-        if s != 15 {
-            let mut carry = 0u64;
-            for w in acc[..width].iter_mut() {
-                let nc = *w >> 60;
-                *w = (*w << 4) | carry;
-                carry = nc;
-            }
-        }
-        for i in 0..nw {
-            let v = ((a[i] >> (4 * s)) & 0xf) as usize;
-            if v != 0 {
-                for j in 0..=nw {
-                    acc[i + j] ^= table[v][j];
-                }
-            }
-        }
-    }
-    acc
+/// The low word of the carry-less product of two words: BearSSL's
+/// `bmul64`. Each operand is split by masks into four classes of bits
+/// (positions ≡ 0, 1, 2, 3 mod 4), so an integer product of two
+/// classes sums each column in a four-bit slot below the next bit of
+/// its class. Column k of the low word sums at most ⌊k/4⌋ + 1 one-bit
+/// products, fewer than 16 and so carrying no further than the slot,
+/// except in the top four columns (a class's column 15): there a sum
+/// of 16 carries to bit 64 or above, outside the word. So the 16
+/// integer products, masked back to their classes, give the exact low
+/// word.
+#[inline(always)]
+fn bmul64(x: u64, y: u64) -> u64 {
+    const M0: u64 = 0x1111_1111_1111_1111;
+    const M1: u64 = M0 << 1;
+    const M2: u64 = M0 << 2;
+    const M3: u64 = M0 << 3;
+    let (x0, x1, x2, x3) = (x & M0, x & M1, x & M2, x & M3);
+    let (y0, y1, y2, y3) = (y & M0, y & M1, y & M2, y & M3);
+    let m = u64::wrapping_mul;
+    let z0 = m(x0, y0) ^ m(x1, y3) ^ m(x2, y2) ^ m(x3, y1);
+    let z1 = m(x0, y1) ^ m(x1, y0) ^ m(x2, y3) ^ m(x3, y2);
+    let z2 = m(x0, y2) ^ m(x1, y1) ^ m(x2, y0) ^ m(x3, y3);
+    let z3 = m(x0, y3) ^ m(x1, y2) ^ m(x2, y1) ^ m(x3, y0);
+    (z0 & M0) | (z1 & M1) | (z2 & M2) | (z3 & M3)
 }
 
-/// Carry-less squaring over only the low `nw` words, via the
-/// compile-time [`SPREAD`] table.
-pub fn clsquare_fast(a: &[u64; LIMBS], nw: usize) -> [u64; PROD_LIMBS] {
+/// The carry-less product of two words, low word first. The product
+/// of the bit-reversed words is the bit-reversed product shifted by
+/// one, so its low word, reversed back, holds the high word.
+#[inline(always)]
+fn clmul64(x: u64, y: u64) -> [u64; 2] {
+    let hi = bmul64(x.reverse_bits(), y.reverse_bits()).reverse_bits() >> 1;
+    [bmul64(x, y), hi]
+}
+
+/// 2 × 2 words, Karatsuba: 3 word products instead of 4.
+#[inline(always)]
+fn kara2(a0: u64, a1: u64, b0: u64, b1: u64) -> [u64; 4] {
+    let [p0l, p0h] = clmul64(a0, b0);
+    let [p1l, p1h] = clmul64(a1, b1);
+    let [pml, pmh] = clmul64(a0 ^ a1, b0 ^ b1);
+    [p0l, p0h ^ pml ^ p0l ^ p1l, p1l ^ pmh ^ p0h ^ p1h, p1h]
+}
+
+/// 3 × 3 words: 6 word products instead of 9, one per word and one
+/// per pair of words; a pair's product minus its two diagonal ones is
+/// the pair's cross term.
+#[inline(always)]
+fn kara3(a: &[u64], b: &[u64]) -> [u64; 6] {
+    let [p0l, p0h] = clmul64(a[0], b[0]);
+    let [p1l, p1h] = clmul64(a[1], b[1]);
+    let [p2l, p2h] = clmul64(a[2], b[2]);
+    let [q01l, q01h] = clmul64(a[0] ^ a[1], b[0] ^ b[1]);
+    let [q02l, q02h] = clmul64(a[0] ^ a[2], b[0] ^ b[2]);
+    let [q12l, q12h] = clmul64(a[1] ^ a[2], b[1] ^ b[2]);
+    let (c01l, c01h) = (q01l ^ p0l ^ p1l, q01h ^ p0h ^ p1h);
+    let (c02l, c02h) = (q02l ^ p0l ^ p2l, q02h ^ p0h ^ p2h);
+    let (c12l, c12h) = (q12l ^ p1l ^ p2l, q12h ^ p1h ^ p2h);
+    [
+        p0l,
+        p0h ^ c01l,
+        c01h ^ c02l ^ p1l,
+        c02h ^ p1h ^ c12l,
+        c12h ^ p2l,
+        p2h,
+    ]
+}
+
+/// Karatsuba's middle term for a split two words up: adds
+/// `mid + lo + hi` into `out` from word 2, `lo` zero-extended.
+#[inline(always)]
+fn add_middle(out: &mut [u64], lo: &[u64], mid: &[u64], hi: &[u64]) {
+    let lo = lo.iter().chain(&[0, 0]);
+    for (o, ((m, l), h)) in out.iter_mut().skip(2).zip(mid.iter().zip(lo).zip(hi)) {
+        *o ^= m ^ l ^ h;
+    }
+}
+
+/// 4 × 4 words, split (2, 2): 9 word products instead of 16.
+#[inline(always)]
+fn kara4(a: &[u64], b: &[u64]) -> [u64; 8] {
+    let lo = kara2(a[0], a[1], b[0], b[1]);
+    let hi = kara2(a[2], a[3], b[2], b[3]);
+    let mid = kara2(a[0] ^ a[2], a[1] ^ a[3], b[0] ^ b[2], b[1] ^ b[3]);
+    let mut out = [0u64; 8];
+    out[..4].copy_from_slice(&lo);
+    out[4..].copy_from_slice(&hi);
+    add_middle(&mut out, &lo, &mid, &hi);
+    out
+}
+
+/// 5 × 5 words, split (2, 3): 15 word products instead of 25.
+#[inline(always)]
+fn kara5(a: &[u64], b: &[u64]) -> [u64; 10] {
+    let lo = kara2(a[0], a[1], b[0], b[1]);
+    let hi = kara3(&a[2..], &b[2..]);
+    let sa = [a[0] ^ a[2], a[1] ^ a[3], a[4]];
+    let sb = [b[0] ^ b[2], b[1] ^ b[3], b[4]];
+    let mid = kara3(&sa, &sb);
+    let mut out = [0u64; 10];
+    out[..4].copy_from_slice(&lo);
+    out[4..].copy_from_slice(&hi);
+    add_middle(&mut out, &lo, &mid, &hi);
+    out
+}
+
+/// Spreads the low 32 bits of `x` to the even positions (bit i to bit
+/// 2i) in five shift-and-mask steps.
+#[inline(always)]
+fn interleave_zeros(x: u64) -> u64 {
+    let mut x = x & 0xffff_ffff;
+    x = (x | (x << 16)) & 0x0000_ffff_0000_ffff;
+    x = (x | (x << 8)) & 0x00ff_00ff_00ff_00ff;
+    x = (x | (x << 4)) & 0x0f0f_0f0f_0f0f_0f0f;
+    x = (x | (x << 2)) & 0x3333_3333_3333_3333;
+    (x | (x << 1)) & 0x5555_5555_5555_5555
+}
+
+/// Carry-less squaring of the low `nw` words: every bit of word i moves
+/// to twice its position, into words 2i and 2i + 1.
+#[inline(always)]
+pub fn clsquare_words(a: &[u64; LIMBS], nw: usize) -> [u64; PROD_LIMBS] {
+    let mut out = [0u64; PROD_LIMBS];
+    for (o, &w) in out.chunks_exact_mut(2).zip(a.iter().take(nw)) {
+        o[0] = interleave_zeros(w);
+        o[1] = interleave_zeros(w >> 32);
+    }
+    out
+}
+
+// lint: ct-end
+
+/// Carry-less product of the low `nw` words of each operand (the
+/// portable backend passes `nw = ceil(m/64)`, so F(2^163) does 3-word
+/// work instead of 5-word work): a word-level Karatsuba over
+/// constant-time word products, 1, 3, 6, 9 and 15 of them for 1–5
+/// words. The branch on `nw` is the field's, never the operands', and
+/// folds away where a field's `nw` is a constant.
+#[inline(always)]
+pub fn clmul_words(a: &[u64; LIMBS], b: &[u64; LIMBS], nw: usize) -> [u64; PROD_LIMBS] {
     debug_assert!((1..=LIMBS).contains(&nw));
     let mut out = [0u64; PROD_LIMBS];
-    for (i, &w) in a.iter().take(nw).enumerate() {
-        let mut lo = 0u64;
-        let mut hi = 0u64;
-        for b in 0..4 {
-            lo |= (SPREAD[((w >> (8 * b)) & 0xff) as usize] as u64) << (16 * b);
-            hi |= (SPREAD[((w >> (8 * b + 32)) & 0xff) as usize] as u64) << (16 * b);
-        }
-        out[2 * i] = lo;
-        out[2 * i + 1] = hi;
+    match nw {
+        1 => out[..2].copy_from_slice(&clmul64(a[0], b[0])),
+        2 => out[..4].copy_from_slice(&kara2(a[0], a[1], b[0], b[1])),
+        3 => out[..6].copy_from_slice(&kara3(a, b)),
+        4 => out[..8].copy_from_slice(&kara4(a, b)),
+        _ => out = kara5(a, b),
     }
     out
 }
@@ -414,8 +493,37 @@ mod tests {
     fn fast_primitives_match_model_primitives() {
         let a = [0x0123_4567_89ab_cdef, 0xfedc_ba98_7654_3210, 0x7, 0, 0];
         let b = [0xdead_beef_cafe_f00d, 0x1234_5678_9abc_def0, 0x5, 0, 0];
-        assert_eq!(clmul_fast(&a, &b, 3), clmul(&a, &b));
-        assert_eq!(clsquare_fast(&a, 3), clsquare(&a));
+        assert_eq!(clmul_words(&a, &b, 3), clmul(&a, &b));
+        assert_eq!(clsquare_words(&a, 3), clsquare(&a));
+    }
+
+    /// One word against the reference comb.
+    fn word_product_matches_reference(x: u64, y: u64) {
+        let p = clmul(&[x, 0, 0, 0, 0], &[y, 0, 0, 0, 0]);
+        assert_eq!(clmul64(x, y), [p[0], p[1]], "{x:#x} * {y:#x}");
+    }
+
+    #[test]
+    fn word_product_matches_reference_on_every_single_bit_pair() {
+        for i in 0..64 {
+            for j in 0..64 {
+                word_product_matches_reference(1 << i, 1 << j);
+            }
+        }
+    }
+
+    /// All-ones words, and each class mask times itself and times
+    /// all-ones: there column 15 of a class sums 16 one-bit products and
+    /// carries out of the word.
+    #[test]
+    fn word_product_matches_reference_on_saturated_columns() {
+        word_product_matches_reference(u64::MAX, u64::MAX);
+        for class in 0..4 {
+            let mask = 0x1111_1111_1111_1111u64 << class;
+            word_product_matches_reference(mask, mask);
+            word_product_matches_reference(mask, u64::MAX);
+            word_product_matches_reference(u64::MAX, mask);
+        }
     }
 
     const FIELDS: [&[usize]; 4] = [

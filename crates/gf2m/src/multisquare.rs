@@ -11,7 +11,7 @@
 //!
 //! The consumers are the serving backends
 //! ([`VpclmulBackend`](crate::VpclmulBackend) and
-//! [`BitslicedBackend`](crate::BitslicedBackend)):
+//! [`PortableBackend`](crate::PortableBackend)):
 //!
 //! * **Multi-squaring** ([`LinearMap::Frobenius`]). Itoh–Tsujii
 //!   inversion interleaves ~log₂(m) multiplications with squaring

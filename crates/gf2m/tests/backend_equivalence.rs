@@ -1,6 +1,6 @@
 //! Serving-backend ⇄ model-backend equivalence.
 //!
-//! The serving stack runs on [`VpclmulBackend`] or [`BitslicedBackend`]
+//! The serving stack runs on [`VpclmulBackend`] or [`PortableBackend`]
 //! (whichever [`medsec_gf2m::select_backend`] resolves to); the model
 //! backend is the bit-exact oracle. These tests are the contract that
 //! lets them coexist: on the brute-forceable toy field the equivalence
@@ -8,12 +8,13 @@
 //! digit-serial MALU model is cross-checked against all of them. The
 //! hardware backend's scalar path is exercised on whatever primitive
 //! the host resolves to (hardware `PCLMULQDQ` where detected, the
-//! portable comb elsewhere) — both must be bit-exact against the model.
+//! portable word products elsewhere) — both must be bit-exact against
+//! the model.
 
 use medsec_gf2m::digit_serial::mul_digit_serial;
 use medsec_gf2m::{
-    batch_invert, batch_invert_planes, BitslicedBackend, Element, FieldBackend, FieldSpec,
-    ModelBackend, Planes, VpclmulBackend, F163, F17, F233, F283, LIMBS,
+    batch_invert, batch_invert_planes, Element, FieldBackend, FieldSpec, ModelBackend, Planes,
+    PortableBackend, VpclmulBackend, F163, F17, F233, F283, LIMBS,
 };
 use proptest::prelude::*;
 
@@ -87,7 +88,7 @@ fn assert_batch_matches_model<F: FieldSpec>(xs: &[Element<F>], ys: &[Element<F>]
         };
     }
     check!(ModelBackend);
-    check!(BitslicedBackend);
+    check!(PortableBackend);
     check!(VpclmulBackend);
 }
 
@@ -100,11 +101,7 @@ fn f17_all() -> impl Iterator<Item = Element<F17>> {
 fn f17_square_agrees_exhaustively() {
     for a in f17_all() {
         let model = ModelBackend::square(&a);
-        assert_eq!(
-            BitslicedBackend::square(&a),
-            model,
-            "square mismatch at {a}"
-        );
+        assert_eq!(PortableBackend::square(&a), model, "square mismatch at {a}");
         assert_eq!(
             VpclmulBackend::square(&a),
             model,
@@ -116,7 +113,7 @@ fn f17_square_agrees_exhaustively() {
 #[test]
 fn f17_inverse_agrees_exhaustively() {
     for a in f17_all() {
-        let fast = BitslicedBackend::invert(&a);
+        let fast = PortableBackend::invert(&a);
         let model = ModelBackend::invert(&a);
         assert_eq!(fast, model, "inverse mismatch at {a}");
         assert_eq!(VpclmulBackend::invert(&a), model, "vpclmul inverse at {a}");
@@ -131,7 +128,7 @@ fn f17_half_trace_agrees_exhaustively() {
     for a in f17_all() {
         let model = ModelBackend::half_trace(&a);
         assert_eq!(
-            BitslicedBackend::half_trace(&a),
+            PortableBackend::half_trace(&a),
             model,
             "half_trace mismatch at {a}"
         );
@@ -156,7 +153,7 @@ fn f17_mul_agrees_on_dense_grid() {
         for &b in &panel {
             let model = ModelBackend::mul(&a, &b);
             assert_eq!(
-                BitslicedBackend::mul(&a, &b),
+                PortableBackend::mul(&a, &b),
                 model,
                 "mul mismatch at {a} * {b}"
             );
@@ -172,7 +169,7 @@ fn f17_mul_agrees_on_dense_grid() {
         for bv in 0u64..512 {
             let b = Element::<F17>::from_u64(bv);
             let model = ModelBackend::mul(&a, &b);
-            assert_eq!(BitslicedBackend::mul(&a, &b), model);
+            assert_eq!(PortableBackend::mul(&a, &b), model);
             assert_eq!(VpclmulBackend::mul(&a, &b), model);
         }
     }
@@ -186,7 +183,7 @@ fn f17_digit_serial_matches_both_backends() {
         let a = Element::<F17>::from_u64(av);
         let b = Element::<F17>::from_u64(av.wrapping_mul(0x9e37).wrapping_add(5) & 0x1ffff);
         let (p, _) = mul_digit_serial(a, b, 4);
-        assert_eq!(p, BitslicedBackend::mul(&a, &b));
+        assert_eq!(p, PortableBackend::mul(&a, &b));
         assert_eq!(p, ModelBackend::mul(&a, &b));
     }
 }
@@ -209,20 +206,20 @@ macro_rules! field_equivalence {
             #[test]
             fn $name(a in arb_element::<$field>(), b in arb_element::<$field>()) {
                 let model_mul = ModelBackend::mul(&a, &b);
-                prop_assert_eq!(BitslicedBackend::mul(&a, &b), model_mul);
+                prop_assert_eq!(PortableBackend::mul(&a, &b), model_mul);
                 prop_assert_eq!(VpclmulBackend::mul(&a, &b), model_mul);
-                prop_assert_eq!(BitslicedBackend::square(&a), ModelBackend::square(&a));
+                prop_assert_eq!(PortableBackend::square(&a), ModelBackend::square(&a));
                 prop_assert_eq!(VpclmulBackend::square(&a), ModelBackend::square(&a));
-                prop_assert_eq!(BitslicedBackend::invert(&a), ModelBackend::invert(&a));
+                prop_assert_eq!(PortableBackend::invert(&a), ModelBackend::invert(&a));
                 prop_assert_eq!(VpclmulBackend::invert(&a), ModelBackend::invert(&a));
                 let model_ht = ModelBackend::half_trace(&a);
-                prop_assert_eq!(BitslicedBackend::half_trace(&a), model_ht);
+                prop_assert_eq!(PortableBackend::half_trace(&a), model_ht);
                 prop_assert_eq!(VpclmulBackend::half_trace(&a), model_ht);
                 // The ring laws hold across the seam: (a·b)² = a²·b².
-                let lhs = BitslicedBackend::square(&model_mul);
+                let lhs = PortableBackend::square(&model_mul);
                 let rhs = ModelBackend::mul(
                     &VpclmulBackend::square(&a),
-                    &BitslicedBackend::square(&b),
+                    &PortableBackend::square(&b),
                 );
                 prop_assert_eq!(lhs, rhs);
             }
@@ -283,9 +280,9 @@ proptest! {
 }
 
 /// Exhaustive F17 batch sweep: every element rides through the batch
-/// entry points of every backend (in bitslice-block-sized chunks plus
-/// a deliberately ragged final tail) against a structurally diverse
-/// multiplier panel.
+/// entry points of every backend (in chunks of 173, a width that is
+/// no multiple of the `VPCLMULQDQ` chunk, plus a ragged final tail)
+/// against a structurally diverse multiplier panel.
 #[test]
 fn f17_batch_agrees_exhaustively() {
     let all: Vec<Element<F17>> = f17_all().collect();
@@ -293,9 +290,8 @@ fn f17_batch_agrees_exhaustively() {
         .into_iter()
         .map(Element::from_u64)
         .collect();
-    // 131072 elements = 2048 bitslice blocks; chunk to keep each call's
-    // planes cache-resident and to exercise many widths, including a
-    // non-multiple-of-64/8 tail (131072 mod 173 != 0).
+    // 131072 elements; chunk to keep each call's planes cache-resident
+    // and to exercise a ragged tail (131072 mod 173 != 0).
     for chunk in all.chunks(173) {
         for &b in &panel {
             let ys = vec![b; chunk.len()];
@@ -314,8 +310,8 @@ macro_rules! field_batch_equivalence {
     ($name:ident, $field:ty) => {
         proptest! {
             /// Batch entry points of every backend vs the scalar model,
-            /// at widths straddling the VPCLMULQDQ chunk (8) and the
-            /// bitslice block (64) including ragged tails on both.
+            /// at widths 0–70: many multiples of the VPCLMULQDQ chunk (8)
+            /// and every ragged tail after them.
             #[test]
             fn $name(
                 pairs in prop::collection::vec(

@@ -213,16 +213,22 @@ pub fn probe_comb_fixed_vs_random(batches: usize) -> CtProbe {
     CtProbe::from_samples(a, b)
 }
 
+/// An F(2^163) multiplication under test: `Element`'s dispatching
+/// product or one backend's `mul`, such as
+/// `medsec_gf2m::PortableBackend::mul`.
+pub type FieldMul = fn(&Element<F163>, &Element<F163>) -> Element<F163>;
+
 /// Fixed-vs-random probe over scalar F(2^163) multiplication, the
 /// operation under every ladder step, inversion and decompression on
 /// the serving backends: class A multiplies operands whose high limbs
 /// are zero (only the low word set), class B random operands. The
 /// products of class A have no bits above x^163, so a reduction that
-/// loops until the high words clear finishes ~3× sooner on them; a
-/// reduction whose schedule is fixed by the field takes the same time
-/// on both. Batches of the two classes alternate, so a slow phase of a
-/// shared host hits both.
-pub fn probe_field_mul_fixed_vs_random(batches: usize, per_batch: usize) -> CtProbe {
+/// loops until the high words clear finishes ~3× sooner on them, and a
+/// product that skips zero nibbles sooner too; a product and reduction
+/// whose schedule is fixed by the field take the same time on both.
+/// Batches of the two classes alternate, so a slow phase of a shared
+/// host hits both.
+pub fn probe_field_mul_fixed_vs_random(mul: FieldMul, batches: usize, per_batch: usize) -> CtProbe {
     let mut rng = SplitMix64::new(0xF1E1_D000);
     let mut pairs = |high: bool| -> Vec<(Element<F163>, Element<F163>)> {
         (0..per_batch)
@@ -243,7 +249,7 @@ pub fn probe_field_mul_fixed_vs_random(batches: usize, per_batch: usize) -> CtPr
     let mut time = |set: &[(Element<F163>, Element<F163>)]| -> u64 {
         let t0 = Instant::now();
         for (a, b) in set {
-            sink += black_box(*a) * black_box(*b);
+            sink += mul(black_box(a), black_box(b));
         }
         t0.elapsed().as_nanos() as u64
     };
@@ -302,6 +308,7 @@ pub fn probe_aes_fixed_vs_random_key(cmac: Cmac, batches: usize, per_batch: usiz
 #[cfg(test)]
 mod tests {
     use super::*;
+    use medsec_gf2m::{FieldBackend, PortableBackend};
 
     // Loose bound: an early-exit compare on a first-byte mismatch is
     // ~16x faster; noise on shared runners is well under 3x once we
@@ -326,13 +333,18 @@ mod tests {
         );
     }
 
+    /// Both field products: the dispatching one (the hardware backend
+    /// on hosts with `PCLMULQDQ`) and the portable backend's.
     #[test]
     fn field_mul_is_flat_fixed_vs_random_operands() {
-        let probe = probe_field_mul_fixed_vs_random(64, 1024);
-        assert!(
-            probe.ratio < MAX_RATIO,
-            "F163 mul low-limb vs random timing split {probe:?}"
-        );
+        let active: FieldMul = |a, b| *a * *b;
+        for mul in [active, PortableBackend::mul::<F163>] {
+            let probe = probe_field_mul_fixed_vs_random(mul, 64, 1024);
+            assert!(
+                probe.ratio < MAX_RATIO,
+                "F163 mul low-limb vs random timing split {probe:?}"
+            );
+        }
     }
 
     /// Both AES paths: the dispatching CMAC (AES-NI on x86-64 hosts
