@@ -8,9 +8,9 @@
 //! The fixed-base comb's `k·G` is timed beside them, at widths 1 and
 //! 64.
 //!
-//! Before Criterion runs, two gates abort the bench where the vpclmul
-//! backend is active and its AVX-512 batch kernel live (elsewhere they
-//! only print), each on B-163 and on K-163:
+//! Before Criterion runs, two gates abort the bench on the `vpclmul`
+//! tier, where the AVX-512 kernels run (elsewhere they only print),
+//! each on B-163 and on K-163:
 //! * `lockstep_cost_gate`: a server curve's batches must run in
 //!   lockstep — a 64-item `varbase_mul_add_gen_batch` costs at most 1/3
 //!   per item of 64 single `varbase_mul_add_gen` calls;
@@ -25,7 +25,7 @@ use medsec_ec::{
     server_strategy_name, varbase_mul, varbase_mul_add_gen, varbase_mul_add_gen_batch,
     varbase_x_batch, CurveSpec, Point, Scalar, B163, K163, K233, K283,
 };
-use medsec_gf2m::{select_backend, vpclmul, BackendChoice};
+use medsec_gf2m::{select_backend, BackendChoice};
 use medsec_rng::SplitMix64;
 use std::hint::black_box;
 use std::time::{Duration, Instant};
@@ -106,13 +106,12 @@ fn per_item_s(items: usize, mut f: impl FnMut()) -> f64 {
 /// the AVX-512 kernel. The gate times 64 single
 /// `varbase_mul_add_gen` calls against one `varbase_mul_add_gen_batch`
 /// of the same 64 items on curve `C` in five alternating ~200 ms rounds
-/// and takes the median per-item ratio. With the vpclmul backend active
-/// and its AVX-512 kernel detected, the batch must be at least 3x
-/// cheaper per item (on a 2-core AVX-512 host it read 6.5–6.6x on
-/// B-163 and on K-163; a batch running one ladder per item reads under
-/// 1x). Elsewhere, on the portable backend or `PCLMULQDQ` scalars
-/// alone, where every batch runs scalar products per element, the gate
-/// only prints its result.
+/// and takes the median per-item ratio. On the `vpclmul` tier the batch
+/// must be at least 3x cheaper per item (on a 2-core AVX-512 host it
+/// read 6.5–6.6x on B-163 and on K-163; a batch running one ladder per
+/// item reads under 1x). On the `clmul` and `portable` tiers, where
+/// every batch runs scalar products per element, the gate only prints
+/// its result.
 fn lockstep_cost_gate<C: CurveSpec>() {
     const N: usize = 64;
     const ROUNDS: usize = 5;
@@ -140,15 +139,13 @@ fn lockstep_cost_gate<C: CurveSpec>() {
     let backend = select_backend();
     println!(
         "varbase lockstep gate: {} mul_add, {N} single calls / one batch of {N}, per item \
-         over {ROUNDS} rounds: median {median:.2}x (min {:.2}x, max {:.2}x; backend {}, \
-         vpclmulqdq detected: {})",
+         over {ROUNDS} rounds: median {median:.2}x (min {:.2}x, max {:.2}x; backend {})",
         C::NAME,
         ratios[0],
         ratios[ROUNDS - 1],
         backend.name(),
-        vpclmul::hardware_available()
     );
-    if backend == BackendChoice::Vpclmul && vpclmul::hardware_available() {
+    if backend == BackendChoice::Vpclmul {
         assert!(
             median >= 3.0,
             "a 64-item {} varbase_mul_add_gen_batch must cost at most 1/3 per item of \
@@ -162,8 +159,8 @@ fn lockstep_cost_gate<C: CurveSpec>() {
 /// a width-64 `varbase_x_batch` over the same scalars and G — the
 /// lockstep ladder that would serve `k·G` without a comb, minus its
 /// y-recovery — per item, in five alternating ~200 ms rounds, median
-/// ratio. With the vpclmul backend active and its AVX-512 kernel
-/// detected the comb must cost at most 0.7× (on a 2-core AVX-512 host
+/// ratio. On the `vpclmul` tier the comb must cost at most 0.7× (on a
+/// 2-core AVX-512 host
 /// the regular signed comb read 0.36× on B-163 and 0.39× on K-163, and
 /// the variable-time comb it replaced 0.58× and 0.64× against the same
 /// ladder); elsewhere the gate only prints.
@@ -195,15 +192,13 @@ fn comb_cost_gate<C: CurveSpec>() {
     let backend = select_backend();
     println!(
         "comb cost gate: {} k·G, width-{N} comb / width-{N} ladder from G, per item over \
-         {ROUNDS} rounds: median {median:.2}x (min {:.2}x, max {:.2}x; backend {}, \
-         vpclmulqdq detected: {})",
+         {ROUNDS} rounds: median {median:.2}x (min {:.2}x, max {:.2}x; backend {})",
         C::NAME,
         ratios[0],
         ratios[ROUNDS - 1],
         backend.name(),
-        vpclmul::hardware_available()
     );
-    if backend == BackendChoice::Vpclmul && vpclmul::hardware_available() {
+    if backend == BackendChoice::Vpclmul {
         assert!(
             median <= 0.7,
             "a width-{N} {} generator_mul_batch must cost at most 0.7x per item of the \

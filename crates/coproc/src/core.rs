@@ -315,11 +315,6 @@ impl<C: CurveSpec> Coproc<C> {
         }
     }
 
-    /// Cycles one field multiplication takes at this configuration.
-    pub fn mul_cycles(&self) -> u64 {
-        C::Field::M.div_ceil(self.config.digit_size) as u64
-    }
-
     /// Cycles one conditional-swap control update takes.
     pub fn cswap_cycles(&self) -> u64 {
         self.config.mux_encoding.cycles_per_update()

@@ -49,17 +49,6 @@ impl<C: CurveSpec> KeyPair<C> {
             .collect()
     }
 
-    /// Build a key pair from an existing secret.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `secret` is zero.
-    pub fn from_secret(secret: Scalar<C>, _next_u64: impl FnMut() -> u64) -> Self {
-        assert!(!secret.is_zero(), "secret key must be nonzero");
-        let public = crate::comb::generator_mul(&secret);
-        Self { secret, public }
-    }
-
     /// The private scalar.
     pub fn secret(&self) -> &Scalar<C> {
         &self.secret
@@ -181,12 +170,5 @@ mod tests {
         let kp = KeyPair::<K163>::generate(&mut r);
         let x = kp.public().x().unwrap();
         assert_eq!(xcoord_to_scalar::<K163>(&x), xcoord_to_scalar::<K163>(&x));
-    }
-
-    #[test]
-    #[should_panic(expected = "nonzero")]
-    fn from_secret_rejects_zero() {
-        let mut r = rng_from(46);
-        let _ = KeyPair::<K163>::from_secret(Scalar::zero(), &mut r);
     }
 }

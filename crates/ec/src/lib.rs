@@ -16,14 +16,15 @@
 //! server's lockstep ladders ([`varbase`]), the shared LD-projective
 //! kernel (`proj`), batched x-affine normalization and point
 //! (de)compression — goes through `medsec_gf2m::Element`'s operators
-//! or its plane-major batch entry points, which dispatch on the
-//! process-wide `medsec_gf2m::select_backend()` choice. On CLMUL-capable
-//! x86_64 hosts the whole serving stack therefore runs on hardware
-//! carry-less multiplication with no change here. The SCA/energy
-//! experiments take their traces from the digit-serial MALU model
-//! inside the co-processor simulator, not from this seam; the
-//! equivalence tests pin every backend bit-identical to the reference
-//! path, so the values they compute agree.
+//! or its plane-major batch entry points, which run on gf2m's one
+//! serving backend at the process-wide CPU tier
+//! (`medsec_gf2m::select_backend()`). On CLMUL-capable x86_64 hosts the
+//! whole serving stack therefore runs on hardware carry-less
+//! multiplication with no change here. The SCA/energy experiments take
+//! their traces from the digit-serial MALU model inside the
+//! co-processor simulator, not from this seam; the equivalence tests
+//! pin the serving backend, on every tier, bit-identical to the
+//! reference path, so the values they compute agree.
 //!
 //! # Example
 //!

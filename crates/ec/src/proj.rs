@@ -11,6 +11,8 @@
 //! the modeled implant hardware — the protected ladder in
 //! [`crate::ladder`] stays the only device-side path.
 
+use std::cell::RefCell;
+
 use medsec_gf2m::{add_planes, batch_invert, mul_planes, sqr_planes, Element, Planes};
 
 use crate::curve::{CurveSpec, Point};
@@ -167,19 +169,24 @@ pub(crate) fn batch_to_affine<C: CurveSpec>(points: &[LdPoint<C>]) -> Vec<Point<
 
 /// Affine `p_i + q_i` for every pair: one batched mixed addition
 /// ([`add_affine_batch`], each `p_i` lifted to projective with Z = 1)
-/// and one shared inversion to normalize the sums.
+/// and one shared inversion to normalize the sums. The addition's
+/// scratch is thread-local and reused from call to call.
 pub(crate) fn add_pairs_batch<C: CurveSpec>(ps: &[Point<C>], qs: &[Point<C>]) -> Vec<Point<C>> {
+    thread_local! {
+        static ADD_TLS: RefCell<PointScratch> = RefCell::default();
+    }
     let mut acc: Vec<LdPoint<C>> = ps.iter().map(LdPoint::from_affine).collect();
     let jobs: Vec<(usize, Point<C>)> = qs.iter().copied().enumerate().collect();
-    add_affine_batch(&mut acc, &jobs, C::b(), &mut PointScratch::default());
+    ADD_TLS.with(|cell| add_affine_batch(&mut acc, &jobs, C::b(), &mut cell.borrow_mut()));
     batch_to_affine(&acc)
 }
 
 /// Reusable SoA scratch for the batched LD point operations: a pool of
 /// plane-major coordinate buffers plus a live-index list. Deliberately
 /// non-generic (raw plane words only), so one instance serves batches
-/// over every curve — the engines keep one per call site and the
-/// buffers are reused across columns/positions.
+/// over every curve — [`add_pairs_batch`] keeps one per thread, the
+/// τNAF engine one per call, and the buffers are reused across
+/// columns/positions.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct PointScratch {
     idx: Vec<usize>,

@@ -244,11 +244,6 @@ impl<C: CurveSpec> Scalar<C> {
         }
     }
 
-    /// The subgroup order as raw limbs.
-    pub fn order_limbs() -> [u64; L] {
-        C::ORDER
-    }
-
     /// Scalar from a small integer.
     pub fn from_u64(v: u64) -> Self {
         let mut l = [0u64; L];

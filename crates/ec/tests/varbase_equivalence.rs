@@ -270,12 +270,13 @@ fn toy17_batches_equal_per_item_ladders() {
     batches_equal_per_item::<Toy17>(0x7017);
 }
 
-/// One thread's normalization scratch handed from field to field and
-/// from width to width, the way a hub worker serves one curve lane
-/// after another; the test harness gives every other test a thread of
-/// its own. Every call has bases at infinity and k = 0 among its lanes
-/// where its width allows, and must match the per-item ladders, result
-/// and stream.
+/// One thread's normalization and verification-sum scratch handed from
+/// field to field and from width to width, the way a hub worker serves
+/// one curve lane after another; the test harness gives every other
+/// test a thread of its own. Every `varbase_x_batch` call has bases at
+/// infinity and k = 0 among its lanes where its width allows, every
+/// `varbase_mul_add_gen_batch` call the edge lanes of [`edge_batch`],
+/// and each must match the per-item ladders, result and stream.
 #[test]
 fn x_batches_share_the_threads_scratch_across_fields_and_widths() {
     fn check<C: CurveSpec>(w: usize, seed: u64) {
@@ -307,9 +308,29 @@ fn x_batches_share_the_threads_scratch_across_fields_and_widths() {
         assert_eq!(varbase_x_batch(&items, &mut r1), expect, "{ctx}");
         assert_eq!(r1(), r2(), "{ctx}: stream");
     }
+    fn check_mul_add<C: CurveSpec>(w: usize, seed: u64) {
+        let g = C::generator();
+        let items = edge_batch::<C>(w, &mut rng_from(seed));
+        let (mut r1, mut r2) = (rng_from(!seed), rng_from(!seed));
+        let mut side = rng_from(seed ^ 0x51DE);
+        let ctx = format!("{} mul_add width {w}", C::NAME);
+        let expect: Vec<Point<C>> = items
+            .iter()
+            .map(|(a, b, q)| {
+                ladder_mul(a, &g, CoordinateBlinding::RandomZ, &mut side)
+                    + ladder_mul(b, q, CoordinateBlinding::RandomZ, &mut r2)
+            })
+            .collect();
+        assert_eq!(varbase_mul_add_gen_batch(&items, &mut r1), expect, "{ctx}");
+        assert_eq!(r1(), r2(), "{ctx}: stream");
+    }
     check::<K283>(65, 0x5C01);
+    check_mul_add::<K283>(65, 0x5D01);
     check::<Toy17>(7, 0x5C02);
+    check_mul_add::<Toy17>(7, 0x5D02);
     check::<B163>(1, 0x5C03);
+    check_mul_add::<B163>(1, 0x5D03);
     check::<K163>(64, 0x5C04);
+    check_mul_add::<K163>(64, 0x5D04);
     check::<K283>(3, 0x5C05);
 }

@@ -1,51 +1,49 @@
 //! The backend seam: *what* the field computes, decoupled from *how*.
 //!
-//! Three implementations of the same F(2^m) arithmetic live behind
+//! Two implementations of the same F(2^m) arithmetic live behind
 //! [`FieldBackend`]:
 //!
 //! * [`ModelBackend`] — the bit-exact reference path (windowed-comb
 //!   carry-less multiply + bit-serial reduction): the oracle the
-//!   serving backends are tested against.
-//! * [`VpclmulBackend`] — the hardware path: scalar operations run
-//!   `PCLMULQDQ` carry-less 64×64→128 multiplies under a word-level
-//!   Karatsuba (see [`crate::clmul`]), and the batch entry points
-//!   multiply four elements per AVX-512 `VPCLMULQDQ` instruction over
-//!   the plane-major SoA layout of [`crate::batch`] (see
-//!   [`crate::vpclmul`]); its [`FieldBackend::ladder_batch`] runs a
-//!   whole lockstep Montgomery ladder, and its
-//!   [`FieldBackend::comb_batch`] every column of a regular signed
-//!   fixed-base comb, in ZMM registers. Each kernel runs
-//!   where CPUID reports its instruction: without `PCLMULQDQ` scalars
-//!   take the portable word products, without `AVX512F` + `VPCLMULQDQ`
-//!   batches take the scalar path per element and ladders and combs the
-//!   default schedule.
-//!   The toy field F(2^17), whose reduction folds back into its own
-//!   limb, takes those two paths on every host.
-//! * [`PortableBackend`] — the portable path: a word-level Karatsuba
-//!   over constant-time masked integer-multiply word products, and a
-//!   shift-and-mask bit interleave for squaring, on the `ceil(m/64)`
-//!   words that carry the field. It overrides only the scalar
-//!   operations, inversion and half-trace; batches run per element and
-//!   ladders and combs the default schedule, at every width.
+//!   serving backend is tested against.
+//! * [`VpclmulBackend`] — the serving backend, behind [`Element`]'s
+//!   operators, [`batch_invert`] and every batch entry point of
+//!   [`crate::batch`]. Which of its kernels run is one process-wide
+//!   decision, the CPU tier [`select_backend`] resolves once from
+//!   CPUID:
+//!   - `vpclmul`: batches multiply four elements per AVX-512
+//!     `VPCLMULQDQ` instruction over the plane-major SoA layout of
+//!     [`crate::batch`] (see [`crate::vpclmul`]), and
+//!     [`FieldBackend::ladder_batch`] runs a whole lockstep Montgomery
+//!     ladder, [`FieldBackend::comb_batch`] every column of a regular
+//!     signed fixed-base comb, in ZMM registers;
+//!   - `clmul` and above: scalar operations run `PCLMULQDQ` carry-less
+//!     64×64→128 multiplies under a word-level Karatsuba (see
+//!     [`crate::clmul`]);
+//!   - `portable`: scalar operations run constant-time masked
+//!     integer-multiply word products and a shift-and-mask squaring
+//!     (see [`crate::portable`]).
 //!
-//! Both serving backends reduce every scalar product with
-//! `limbs::reduce_words`, whose fold schedule is fixed by the field, so
-//! a scalar `mul` or `sqr` takes the same time whatever its operands.
-//! All backends produce identical canonical elements (proven by the
-//! exhaustive/property equivalence tests); only the instruction count
-//! differs.
+//!   Below `vpclmul`, batches run per element and ladders and combs the
+//!   trait's default schedules. The toy field F(2^17), whose reduction
+//!   folds back into its own limb, takes those two paths on every
+//!   tier.
+//!
+//! Every tier reduces scalar products with `limbs::reduce_words`, whose
+//! fold schedule is fixed by the field, so a scalar `mul` or `sqr`
+//! takes the same time whatever its operands. Both backends produce
+//! identical canonical elements (proven by the exhaustive/property
+//! equivalence tests, on the `portable` tier by `tests/portable_tier.rs`);
+//! only the instruction count differs.
 //!
 //! [`batch_invert`] and [`batch_invert_planes`] run Montgomery's trick
-//! on the active backend's batch entry points, one field inversion per
+//! on the serving backend's batch entry points, one field inversion per
 //! batch. Like the default schedules, they keep their scratch
 //! thread-local, so no caller holds any.
 //!
-//! [`Element`]'s operators route through [`ActiveBackend`], which
-//! dispatches on the process-wide [`select_backend`] choice:
-//! [`VpclmulBackend`] where the CPU has a carry-less multiply
-//! instruction, else [`PortableBackend`]. Setting [`BACKEND_ENV`] to
-//! `portable` forces the portable backend (a CI leg does, so it cannot
-//! rot).
+//! Setting [`BACKEND_ENV`] to `portable` lowers the tier to `portable`
+//! (a CI leg does, so it cannot rot); nothing raises it above what
+//! CPUID reports.
 
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicU8, Ordering};
@@ -61,9 +59,6 @@ use crate::LIMBS;
 /// returns the same canonical element. They are free to differ in
 /// operation count, word width and table usage.
 pub trait FieldBackend {
-    /// Short human-readable backend name (recorded in bench output).
-    const NAME: &'static str;
-
     /// Field multiplication of canonical elements.
     fn mul<F: FieldSpec>(a: &Element<F>, b: &Element<F>) -> Element<F>;
 
@@ -83,7 +78,7 @@ pub trait FieldBackend {
     /// odd m: when Tr(a) = 0, `z = H(a)` solves `z² + z = a`.
     ///
     /// The default is the chain of (m−1)/2 dependent double squarings
-    /// over `Self::square`; the serving backends apply a cached
+    /// over `Self::square`; the serving backend applies a cached
     /// linear-map table instead.
     fn half_trace<F: FieldSpec>(a: &Element<F>) -> Element<F> {
         let mut acc = *a;
@@ -189,13 +184,11 @@ pub trait FieldBackend {
 }
 
 /// Bit-exact reference backend (windowed comb + bit-serial reduction):
-/// the oracle the serving backends are tested against.
+/// the oracle the serving backend is tested against.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ModelBackend;
 
 impl FieldBackend for ModelBackend {
-    const NAME: &'static str = "model";
-
     fn mul<F: FieldSpec>(a: &Element<F>, b: &Element<F>) -> Element<F> {
         let prod = limbs::clmul(a.limbs(), b.limbs());
         Element::from_raw_limbs(limbs::reduce(prod, F::REDUCTION))
@@ -207,25 +200,26 @@ impl FieldBackend for ModelBackend {
     }
 }
 
-/// Hardware backend: scalar operations run the `PCLMULQDQ` Karatsuba
-/// of [`crate::clmul`] and the straight-line word-level reduction in
-/// one function per field, batch operations multiply four elements per
-/// AVX-512 `VPCLMULQDQ` instruction and whole lockstep ladders run in
-/// ZMM registers (see [`crate::vpclmul`]). Runtime-detected kernel by
-/// kernel — without `PCLMULQDQ` scalars take the portable word
-/// products, without `AVX512F` + `VPCLMULQDQ` (and on the toy field
-/// F(2^17) everywhere) every batch element takes the scalar path — so
-/// the backend is correct everywhere.
+/// The serving backend: scalar operations run the `PCLMULQDQ`
+/// Karatsuba of [`crate::clmul`] or, on the `portable` tier, the
+/// constant-time word products of [`crate::portable`], each with the
+/// straight-line word-level reduction in one function per field; batch
+/// operations multiply four elements per AVX-512 `VPCLMULQDQ`
+/// instruction and whole lockstep ladders and combs run in ZMM
+/// registers (see [`crate::vpclmul`]). Each kernel runs where the
+/// process's tier ([`select_backend`]) allows it — below `vpclmul`
+/// (and on the toy field F(2^17) everywhere) every batch element takes
+/// the scalar path — so the backend is correct everywhere.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct VpclmulBackend;
 
 impl FieldBackend for VpclmulBackend {
-    const NAME: &'static str = "vpclmul";
-
+    #[inline]
     fn mul<F: FieldSpec>(a: &Element<F>, b: &Element<F>) -> Element<F> {
         Element::from_raw_limbs(crate::clmul::mul_reduced::<F>(a.limbs(), b.limbs()))
     }
 
+    #[inline]
     fn square<F: FieldSpec>(a: &Element<F>) -> Element<F> {
         Element::from_raw_limbs(crate::clmul::square_reduced::<F>(a.limbs()))
     }
@@ -264,44 +258,12 @@ impl FieldBackend for VpclmulBackend {
     }
 }
 
-/// Portable backend: scalar operations run the constant-time word
-/// products and bit interleave of [`crate::clmul`]'s fallback and the
-/// straight-line word-level reduction; batches, ladders and combs take
-/// the trait's per-element defaults. No intrinsics, no feature gates,
-/// no table indexed by an operand — the backend for hosts without a
-/// carry-less multiply instruction.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct PortableBackend;
-
-impl FieldBackend for PortableBackend {
-    const NAME: &'static str = "portable";
-
-    fn mul<F: FieldSpec>(a: &Element<F>, b: &Element<F>) -> Element<F> {
-        Element::from_raw_limbs(crate::clmul::portable_mul_reduced::<F>(
-            a.limbs(),
-            b.limbs(),
-        ))
-    }
-
-    fn square<F: FieldSpec>(a: &Element<F>) -> Element<F> {
-        Element::from_raw_limbs(crate::clmul::portable_square_reduced::<F>(a.limbs()))
-    }
-
-    fn invert<F: FieldSpec>(a: &Element<F>) -> Option<Element<F>> {
-        itoh_tsujii_multisquare::<Self, F>(a)
-    }
-
-    fn half_trace<F: FieldSpec>(a: &Element<F>) -> Element<F> {
-        crate::multisquare::half_trace(a)
-    }
-}
-
 /// Itoh–Tsujii exponentiation to 2^m − 2 with the squaring *runs*
 /// collapsed into cached multi-squaring table applications
 /// (`x^(2^k)` is F₂-linear): ~log₂(m) multiplications plus a handful of
 /// table passes, instead of m−1 dependent squarings. Same addition
 /// chain and value as [`itoh_tsujii`], over backend `B`'s `mul`/`square`
-/// primitives (shared by both serving backends).
+/// primitives.
 fn itoh_tsujii_multisquare<B: FieldBackend + ?Sized, F: FieldSpec>(
     a: &Element<F>,
 ) -> Option<Element<F>> {
@@ -325,153 +287,98 @@ fn itoh_tsujii_multisquare<B: FieldBackend + ?Sized, F: FieldSpec>(
     Some(B::square(&t))
 }
 
-/// Which backend serves — the value behind the process-wide
-/// [`select_backend`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// The CPU tier the serving backend's kernels run on — the value
+/// behind the process-wide [`select_backend`]. Tiers are ordered by the
+/// kernels they enable, and each implies the ones below it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum BackendChoice {
-    /// Hardware carry-less-multiply path ([`VpclmulBackend`]).
-    Vpclmul = 1,
-    /// Portable word-product path ([`PortableBackend`]).
-    Portable = 2,
+    /// Portable word products everywhere ([`crate::portable`]).
+    Portable = 1,
+    /// `PCLMULQDQ` scalars ([`crate::clmul`]); batches per element,
+    /// ladders and combs on the default schedules.
+    Clmul = 2,
+    /// `PCLMULQDQ` scalars and the AVX-512 `VPCLMULQDQ` batch, ladder
+    /// and comb kernels ([`crate::vpclmul`]).
+    Vpclmul = 3,
 }
 
 impl BackendChoice {
-    /// Short name of the kernels serving (recorded in `FleetReport`
-    /// and in perfbench's host fingerprint): `vpclmul` when
-    /// [`VpclmulBackend`]'s AVX-512 batch kernel is live, `clmul` when
-    /// it runs on `PCLMULQDQ` scalars alone, `portable` for
-    /// [`PortableBackend`].
+    /// Short name of the tier (recorded in `FleetReport` and in
+    /// perfbench's host fingerprint): `vpclmul`, `clmul` or `portable`.
     pub fn name(self) -> &'static str {
         match self {
-            BackendChoice::Vpclmul if crate::vpclmul::hardware_available() => VpclmulBackend::NAME,
-            BackendChoice::Vpclmul => "clmul",
-            BackendChoice::Portable => PortableBackend::NAME,
+            BackendChoice::Vpclmul => "vpclmul",
+            BackendChoice::Clmul => "clmul",
+            BackendChoice::Portable => "portable",
         }
     }
 }
 
-/// Environment variable forcing the portable backend: `portable`
-/// (any case) selects [`PortableBackend`]; anything else — including
-/// `auto` — selects by CPU feature detection. Read once per process,
-/// at the first field operation.
+/// Environment variable lowering the tier: `portable` (any case)
+/// selects [`BackendChoice::Portable`]; anything else — including
+/// `auto` — keeps the tier CPUID reports. Read once per process, at the
+/// first field operation.
 pub const BACKEND_ENV: &str = "MEDSEC_GF2M_BACKEND";
 
-/// Resolved process-wide choice: 0 = unresolved, else the
+/// Resolved process-wide tier: 0 = unresolved, else the
 /// `BackendChoice` discriminant.
 static SELECTED: AtomicU8 = AtomicU8::new(0);
 
-/// The process-wide serving-backend selection: [`VpclmulBackend`] when
-/// the CPU supports `PCLMULQDQ` (or `AVX512F` + `VPCLMULQDQ`), else
-/// [`PortableBackend`]; [`BACKEND_ENV`]`=portable` forces the latter.
-/// Resolved once (env read + CPUID) on first call and cached; every
-/// [`Element`] operator dispatches on the cached value, so the
-/// per-operation cost is one relaxed atomic load.
+/// The process-wide CPU tier: [`BackendChoice::Vpclmul`] when CPUID
+/// reports `pclmulqdq`, `avx512f` and `vpclmulqdq`,
+/// [`BackendChoice::Clmul`] when it reports `pclmulqdq`, else
+/// [`BackendChoice::Portable`]; [`BACKEND_ENV`]`=portable` lowers it to
+/// the last. Resolved once (env read + CPUID) on first call and cached;
+/// every kernel gate of [`VpclmulBackend`] reads the cached value, so
+/// the per-operation cost is one relaxed atomic load.
 ///
 /// The SCA/energy paths never consult this: their traces come from the
 /// digit-serial multiplier model ([`crate::digit_serial`]) inside the
 /// co-processor simulator.
+#[inline]
 pub fn select_backend() -> BackendChoice {
     match SELECTED.load(Ordering::Relaxed) {
-        1 => BackendChoice::Vpclmul,
-        2 => BackendChoice::Portable,
+        1 => BackendChoice::Portable,
+        2 => BackendChoice::Clmul,
+        3 => BackendChoice::Vpclmul,
         _ => resolve_backend(),
     }
 }
 
+/// Reads [`BACKEND_ENV`] and CPUID — the only place in the crate that
+/// does — and caches the tier.
 #[cold]
 fn resolve_backend() -> BackendChoice {
     let forced = std::env::var(BACKEND_ENV).is_ok_and(|v| v.eq_ignore_ascii_case("portable"));
-    let hardware = crate::vpclmul::hardware_available() || crate::clmul::hardware_available();
-    let choice = if hardware && !forced {
-        BackendChoice::Vpclmul
-    } else {
+    let choice = if forced {
         BackendChoice::Portable
+    } else {
+        cpuid_tier()
     };
     SELECTED.store(choice as u8, Ordering::Relaxed);
     choice
 }
 
-/// The backend `Element`'s operators use: a zero-state dispatcher over
-/// the process-wide [`select_backend`] choice. One relaxed load and a
-/// predictable branch per field operation — noise next to the
-/// multiplication itself.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ActiveBackend;
-
-impl FieldBackend for ActiveBackend {
-    const NAME: &'static str = "active";
-
-    #[inline]
-    fn mul<F: FieldSpec>(a: &Element<F>, b: &Element<F>) -> Element<F> {
-        match select_backend() {
-            BackendChoice::Vpclmul => VpclmulBackend::mul(a, b),
-            BackendChoice::Portable => PortableBackend::mul(a, b),
+/// The highest tier CPUID reports, each tier requiring the features of
+/// those below it.
+fn cpuid_tier() -> BackendChoice {
+    #[cfg(target_arch = "x86_64")]
+    {
+        use std::arch::is_x86_feature_detected;
+        if is_x86_feature_detected!("pclmulqdq") {
+            let wide =
+                is_x86_feature_detected!("avx512f") && is_x86_feature_detected!("vpclmulqdq");
+            return if wide {
+                BackendChoice::Vpclmul
+            } else {
+                BackendChoice::Clmul
+            };
         }
     }
-
-    #[inline]
-    fn square<F: FieldSpec>(a: &Element<F>) -> Element<F> {
-        match select_backend() {
-            BackendChoice::Vpclmul => VpclmulBackend::square(a),
-            BackendChoice::Portable => PortableBackend::square(a),
-        }
-    }
-
-    fn invert<F: FieldSpec>(a: &Element<F>) -> Option<Element<F>> {
-        match select_backend() {
-            BackendChoice::Vpclmul => VpclmulBackend::invert(a),
-            BackendChoice::Portable => PortableBackend::invert(a),
-        }
-    }
-
-    fn half_trace<F: FieldSpec>(a: &Element<F>) -> Element<F> {
-        match select_backend() {
-            BackendChoice::Vpclmul => VpclmulBackend::half_trace(a),
-            BackendChoice::Portable => PortableBackend::half_trace(a),
-        }
-    }
-
-    #[inline]
-    fn mul_batch<F: FieldSpec>(out: &mut [u64], a: &[u64], b: &[u64]) {
-        match select_backend() {
-            BackendChoice::Vpclmul => VpclmulBackend::mul_batch::<F>(out, a, b),
-            BackendChoice::Portable => PortableBackend::mul_batch::<F>(out, a, b),
-        }
-    }
-
-    #[inline]
-    fn sqr_batch<F: FieldSpec>(out: &mut [u64], a: &[u64]) {
-        match select_backend() {
-            BackendChoice::Vpclmul => VpclmulBackend::sqr_batch::<F>(out, a),
-            BackendChoice::Portable => PortableBackend::sqr_batch::<F>(out, a),
-        }
-    }
-
-    fn ladder_batch<F: FieldSpec>(
-        lanes: &mut LadderLanes<'_>,
-        b: &Element<F>,
-        at_infinity: impl FnMut(bool, &mut [Element<F>; 4]),
-    ) {
-        match select_backend() {
-            BackendChoice::Vpclmul => VpclmulBackend::ladder_batch::<F>(lanes, b, at_infinity),
-            BackendChoice::Portable => PortableBackend::ladder_batch::<F>(lanes, b, at_infinity),
-        }
-    }
-
-    fn comb_batch<F: FieldSpec>(
-        lanes: &mut CombLanes<'_>,
-        table: &[[Element<F>; 4]],
-        a: &Element<F>,
-        b: &Element<F>,
-    ) {
-        match select_backend() {
-            BackendChoice::Vpclmul => VpclmulBackend::comb_batch::<F>(lanes, table, a, b),
-            BackendChoice::Portable => PortableBackend::comb_batch::<F>(lanes, table, a, b),
-        }
-    }
+    BackendChoice::Portable
 }
 
-/// Name of the backend behind `Element`'s operators — recorded in
+/// Name of the tier the field kernels run on — recorded in
 /// `FleetReport` and perfbench's host fingerprint next to throughput
 /// numbers.
 pub fn active_backend_name() -> &'static str {
@@ -585,7 +492,7 @@ struct InvScratch {
 
 /// [`batch_invert`] over a plane-major [`Planes`] batch: same
 /// zero-element contract and single field inversion, and the
-/// Montgomery prefix/suffix product passes run through the selected
+/// Montgomery prefix/suffix product passes run through the serving
 /// backend's `mul_batch` — `INV_LANES` (8) lanes of independent prefix
 /// chains walked in lockstep, lane totals combined by one scalar
 /// Montgomery chain around the single inversion. The scratch is
@@ -617,11 +524,11 @@ fn batch_invert_planes_inner<F: FieldSpec>(elems: &mut Planes) -> usize {
             scratch.prefix.clear();
             let mut acc = Element::<F>::one();
             for &i in &scratch.idx {
-                acc = ActiveBackend::mul(&acc, &elems.get(i));
+                acc = VpclmulBackend::mul(&acc, &elems.get(i));
                 scratch.prefix.extend_from_slice(acc.limbs());
             }
             let mut inv =
-                ActiveBackend::invert::<F>(&acc).expect("product of nonzero elements is nonzero");
+                VpclmulBackend::invert::<F>(&acc).expect("product of nonzero elements is nonzero");
             for t in (0..k).rev() {
                 let i = scratch.idx[t];
                 let this_inv = if t == 0 {
@@ -629,9 +536,9 @@ fn batch_invert_planes_inner<F: FieldSpec>(elems: &mut Planes) -> usize {
                 } else {
                     let mut limbs = [0u64; LIMBS];
                     limbs.copy_from_slice(&scratch.prefix[(t - 1) * LIMBS..t * LIMBS]);
-                    ActiveBackend::mul(&inv, &Element::from_raw_limbs(limbs))
+                    VpclmulBackend::mul(&inv, &Element::from_raw_limbs(limbs))
                 };
-                inv = ActiveBackend::mul(&inv, &elems.get(i));
+                inv = VpclmulBackend::mul(&inv, &elems.get(i));
                 elems.set(i, &this_inv);
             }
             return k;
@@ -664,7 +571,7 @@ fn batch_invert_planes_inner<F: FieldSpec>(elems: &mut Planes) -> usize {
         scratch.prefix[..slab].copy_from_slice(&scratch.c[..slab]);
         for t in 1..steps {
             let (done, rest) = scratch.prefix.split_at_mut(t * slab);
-            ActiveBackend::mul_batch::<F>(
+            VpclmulBackend::mul_batch::<F>(
                 &mut rest[..slab],
                 &done[(t - 1) * slab..],
                 &scratch.c[t * slab..(t + 1) * slab],
@@ -678,26 +585,26 @@ fn batch_invert_planes_inner<F: FieldSpec>(elems: &mut Planes) -> usize {
         let mut acc = one;
         for (l, (t, p)) in tot.iter_mut().zip(tpref.iter_mut()).enumerate() {
             *t = batch::gather(last, INV_LANES, l);
-            acc = ActiveBackend::mul(&acc, t);
+            acc = VpclmulBackend::mul(&acc, t);
             *p = acc;
         }
         let mut inv =
-            ActiveBackend::invert::<F>(&acc).expect("product of nonzero elements is nonzero");
+            VpclmulBackend::invert::<F>(&acc).expect("product of nonzero elements is nonzero");
         scratch.run.resize(slab, 0);
         scratch.tmp.resize(slab, 0);
         for l in (0..INV_LANES).rev() {
             let lane_inv = if l == 0 {
                 inv
             } else {
-                ActiveBackend::mul(&inv, &tpref[l - 1])
+                VpclmulBackend::mul(&inv, &tpref[l - 1])
             };
-            inv = ActiveBackend::mul(&inv, &tot[l]);
+            inv = VpclmulBackend::mul(&inv, &tot[l]);
             batch::scatter(&mut scratch.run, INV_LANES, l, &lane_inv);
         }
         // Walk back in lockstep; `run` holds inv(prefix[t]) entering step t.
         for t in (0..steps).rev() {
             if t > 0 {
-                ActiveBackend::mul_batch::<F>(
+                VpclmulBackend::mul_batch::<F>(
                     &mut scratch.tmp,
                     &scratch.run,
                     &scratch.prefix[(t - 1) * slab..t * slab],
@@ -713,7 +620,7 @@ fn batch_invert_planes_inner<F: FieldSpec>(elems: &mut Planes) -> usize {
                 }
             }
             if t > 0 {
-                ActiveBackend::mul_batch::<F>(
+                VpclmulBackend::mul_batch::<F>(
                     &mut scratch.tmp,
                     &scratch.run,
                     &scratch.c[t * slab..(t + 1) * slab],
@@ -742,15 +649,16 @@ mod tests {
         }
     }
 
+    /// The portable product on any tier; `tests/portable_tier.rs`
+    /// runs the whole backend on it.
     #[test]
     fn backends_agree_on_random_f163() {
         let mut r = rng_from(101);
         for _ in 0..64 {
             let a = Element::<F163>::random(&mut r);
             let b = Element::<F163>::random(&mut r);
-            assert_eq!(PortableBackend::mul(&a, &b), ModelBackend::mul(&a, &b));
-            assert_eq!(PortableBackend::square(&a), ModelBackend::square(&a));
-            assert_eq!(PortableBackend::invert(&a), ModelBackend::invert(&a));
+            assert_eq!(crate::portable::mul(&a, &b), ModelBackend::mul(&a, &b));
+            assert_eq!(crate::portable::square(&a), ModelBackend::square(&a));
         }
     }
 
@@ -825,31 +733,45 @@ mod tests {
 
     #[test]
     fn active_backend_matches_selection_rules() {
-        let name = active_backend_name();
+        // What CPUID reports, read here apart from the resolver.
+        #[cfg(target_arch = "x86_64")]
+        let reported = if !std::arch::is_x86_feature_detected!("pclmulqdq") {
+            BackendChoice::Portable
+        } else if std::arch::is_x86_feature_detected!("avx512f")
+            && std::arch::is_x86_feature_detected!("vpclmulqdq")
+        {
+            BackendChoice::Vpclmul
+        } else {
+            BackendChoice::Clmul
+        };
+        #[cfg(not(target_arch = "x86_64"))]
+        let reported = BackendChoice::Portable;
         // Match the resolver's case-insensitive env handling: only
-        // `portable` is recognised, anything else auto-selects.
+        // `portable` is recognised, and it lowers the tier.
         let forced = std::env::var(BACKEND_ENV).is_ok_and(|v| v.eq_ignore_ascii_case("portable"));
         let expect = if forced {
-            "portable"
-        } else if crate::vpclmul::hardware_available() {
-            "vpclmul"
-        } else if crate::clmul::hardware_available() {
-            "clmul"
-        } else {
-            "portable"
-        };
-        assert_eq!(name, expect);
-        let choice = if expect == "portable" {
             BackendChoice::Portable
         } else {
-            BackendChoice::Vpclmul
+            reported
         };
-        assert_eq!(select_backend(), choice);
-        assert_eq!(select_backend().name(), name);
-        // The dispatcher and the selected backend agree on values.
+        let tier = select_backend();
+        assert_eq!(tier, expect);
+        assert!(tier <= reported, "tier {tier:?} above CPUID's {reported:?}");
+        assert_eq!(active_backend_name(), tier.name());
+        // Every kernel gate reads the tier, and each tier implies the
+        // ones below it.
+        assert_eq!(
+            crate::vpclmul::hardware_available(),
+            tier == BackendChoice::Vpclmul
+        );
+        assert_eq!(
+            crate::clmul::hardware_available(),
+            tier >= BackendChoice::Clmul
+        );
+        // The serving backend agrees with the model on the tier it runs.
         let mut r = rng_from(104);
         let a = Element::<F163>::random(&mut r);
         let b = Element::<F163>::random(&mut r);
-        assert_eq!(ActiveBackend::mul(&a, &b), ModelBackend::mul(&a, &b));
+        assert_eq!(VpclmulBackend::mul(&a, &b), ModelBackend::mul(&a, &b));
     }
 }

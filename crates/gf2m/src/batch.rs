@@ -41,7 +41,7 @@
 use std::cell::RefCell;
 use std::thread::LocalKey;
 
-use crate::backend::{ActiveBackend, FieldBackend};
+use crate::backend::{FieldBackend, VpclmulBackend};
 use crate::ct;
 use crate::field::{Element, FieldSpec};
 use crate::limbs;
@@ -152,23 +152,23 @@ impl Planes {
 }
 
 /// Batched multiplication over [`Planes`]: `out[i] = a[i] * b[i]` via
-/// the process-wide selected backend's `mul_batch`. All three buffers
-/// must have the same length.
+/// the serving backend's `mul_batch`. All three buffers must have the
+/// same length.
 pub fn mul_planes<F: FieldSpec>(out: &mut Planes, a: &Planes, b: &Planes) {
     // lint: hot-path — SoA kernels run once per wave per field op;
     // `Planes::reset` reuses the output allocation.
     assert_eq!(a.len(), b.len());
     out.reset(a.len());
-    ActiveBackend::mul_batch::<F>(out.data_mut(), a.data(), b.data());
+    VpclmulBackend::mul_batch::<F>(out.data_mut(), a.data(), b.data());
     // lint: hot-path-end
 }
 
-/// Batched squaring over [`Planes`]: `out[i] = a[i]^2` via the selected
+/// Batched squaring over [`Planes`]: `out[i] = a[i]^2` via the serving
 /// backend's `sqr_batch`.
 pub fn sqr_planes<F: FieldSpec>(out: &mut Planes, a: &Planes) {
     // lint: hot-path
     out.reset(a.len());
-    ActiveBackend::sqr_batch::<F>(out.data_mut(), a.data());
+    VpclmulBackend::sqr_batch::<F>(out.data_mut(), a.data());
     // lint: hot-path-end
 }
 
@@ -335,7 +335,7 @@ impl LadderPlanes {
     }
 }
 
-/// Runs every step of the lockstep ladder in `s` on the selected
+/// Runs every step of the lockstep ladder in `s` on the serving
 /// backend ([`FieldBackend::ladder_batch`]): the ladder of curve
 /// constant `b`, a lane with a leg at infinity before a step taking
 /// `at_infinity` for that step instead.
@@ -346,7 +346,7 @@ pub fn ladder_planes<F: FieldSpec>(
     b: &Element<F>,
     at_infinity: impl FnMut(bool, &mut [Element<F>; 4]),
 ) {
-    ActiveBackend::ladder_batch::<F>(&mut s.lanes(), b, at_infinity);
+    VpclmulBackend::ladder_batch::<F>(&mut s.lanes(), b, at_infinity);
 }
 
 /// [`FieldBackend::ladder_batch`]'s default: the ladder's step schedule
@@ -612,7 +612,7 @@ impl CombPlanes {
     }
 }
 
-/// Runs every column of the comb in `s` on the selected backend
+/// Runs every column of the comb in `s` on the serving backend
 /// ([`FieldBackend::comb_batch`]) with `table` on the curve with
 /// constants `a` and `b`.
 ///
@@ -623,7 +623,7 @@ pub fn comb_planes<F: FieldSpec>(
     a: &Element<F>,
     b: &Element<F>,
 ) {
-    ActiveBackend::comb_batch::<F>(&mut s.lanes(), table, a, b);
+    VpclmulBackend::comb_batch::<F>(&mut s.lanes(), table, a, b);
 }
 
 /// [`FieldBackend::comb_batch`]'s default: the comb's column schedule

@@ -1,95 +1,71 @@
-//! Scalar carry-less multiplication for both serving backends.
+//! Scalar carry-less multiplication for the serving backend.
 //!
 //! The paper's MALU is small *because* GF(2^m) multiplication is
 //! carry-free; on the gateway side the same property means one x86
 //! `PCLMULQDQ` instruction replaces an entire 64×64 windowed-comb pass.
 //! This module provides the scalar `mul` and `sqr` of
-//! [`VpclmulBackend`](crate::VpclmulBackend) and
-//! [`PortableBackend`](crate::PortableBackend): a wide (unreduced)
+//! [`VpclmulBackend`](crate::VpclmulBackend): a wide (unreduced)
 //! product, then the straight-line word-level reduction, compiled
 //! together into one function per field:
 //!
-//! * on x86_64 with the `pclmulqdq` CPU feature (runtime-detected, no
-//!   compile-time flags), a word-level **Karatsuba** over
+//! * on the `clmul` tier and above ([`select_backend`], resolved from
+//!   CPUID, no compile-time flags), a word-level **Karatsuba** over
 //!   `_mm_clmulepi64_si128`: 1/3/7/9/17 carry-less multiplies for
 //!   operand widths 1–5 words instead of the schoolbook 1/4/9/16/25;
-//! * everywhere else, and always for the portable backend, the
-//!   constant-time word products and bit interleave
-//!   (`limbs::clmul_words`/`clsquare_words`), called out of line, so
-//!   non-x86 builds (and x86 CPUs without CLMUL) stay correct — merely
-//!   slower. Auto-selection picks the portable backend on such hosts
-//!   anyway.
+//! * on the `portable` tier, the constant-time word products and bit
+//!   interleave of [`crate::portable`], called out of line, so non-x86
+//!   builds, x86 CPUs without CLMUL and processes lowered to the
+//!   portable tier stay correct — merely slower.
 //!
 //! Everything here produces bit-identical results to the reference
 //! path (`limbs::clmul` and the bit-serial `limbs::reduce`) — the
 //! backend-equivalence suite pins the whole stack against the model
 //! path on every field.
 
-// The only unsafe code in this crate: calling the CPU-feature-gated
-// intrinsic path after `is_x86_feature_detected!` has proven it safe.
+// The only unsafe code in this crate besides `vpclmul`: calling the
+// CPU-feature-gated intrinsic path on a tier CPUID has proven safe.
 #![allow(unsafe_code)]
 
+use crate::backend::{select_backend, BackendChoice};
 use crate::field::FieldSpec;
-use crate::limbs;
 use crate::LIMBS;
 
-/// Whether the host CPU offers the hardware carry-less-multiply path
-/// (`PCLMULQDQ` on x86_64). Always `false` on other architectures.
+/// Whether the `PCLMULQDQ` kernels run: the process's tier
+/// ([`select_backend`]) is `clmul` or above, which it is only where
+/// CPUID reported `pclmulqdq`. Always `false` off x86-64.
+#[inline]
 pub fn hardware_available() -> bool {
-    #[cfg(target_arch = "x86_64")]
-    {
-        std::arch::is_x86_feature_detected!("pclmulqdq")
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        false
-    }
+    select_backend() >= BackendChoice::Clmul
 }
 
 /// Field multiplication of canonical elements: the carry-less product
-/// of the low `ceil(m/64)` words, through the hardware path when
-/// available and the portable word products otherwise, then
-/// [`limbs::reduce_words`]. On the hardware path product and reduction
+/// of the low `ceil(m/64)` words, through the hardware path on the
+/// `clmul` tier and above and the portable word products otherwise, then
+/// [`crate::limbs::reduce_words`]. On the hardware path product and reduction
 /// compile into one straight-line function per field.
 #[inline]
 pub(crate) fn mul_reduced<F: FieldSpec>(a: &[u64; LIMBS], b: &[u64; LIMBS]) -> [u64; LIMBS] {
     #[cfg(target_arch = "x86_64")]
     if hardware_available() {
-        // SAFETY: `pclmulqdq` was just detected on this CPU.
+        // SAFETY: the tier is `clmul` or above, so CPUID reported
+        // `pclmulqdq` on this CPU.
         return unsafe { x86::mul_reduced::<F>(a, b) };
     }
-    portable_mul_reduced::<F>(a, b)
+    crate::portable::mul_reduced::<F>(a, b)
 }
 
 /// Field squaring of a canonical element — one `PCLMULQDQ` per word on
 /// the hardware path (squaring never crosses word boundaries), then
-/// [`limbs::reduce_words`]; the portable bit interleave elsewhere.
+/// [`crate::limbs::reduce_words`]; the portable bit interleave elsewhere.
 #[inline]
 pub(crate) fn square_reduced<F: FieldSpec>(a: &[u64; LIMBS]) -> [u64; LIMBS] {
     #[cfg(target_arch = "x86_64")]
     if hardware_available() {
-        // SAFETY: `pclmulqdq` was just detected on this CPU.
+        // SAFETY: the tier is `clmul` or above, so CPUID reported
+        // `pclmulqdq` on this CPU.
         return unsafe { x86::square_reduced::<F>(a) };
     }
-    portable_square_reduced::<F>(a)
-}
-
-/// [`mul_reduced`] without `PCLMULQDQ`, the portable backend's `mul`:
-/// kept out of line so that the hardware path's inlined callers carry
-/// only the call.
-#[inline(never)]
-pub(crate) fn portable_mul_reduced<F: FieldSpec>(
-    a: &[u64; LIMBS],
-    b: &[u64; LIMBS],
-) -> [u64; LIMBS] {
-    limbs::reduce_words(limbs::clmul_words(a, b, F::M.div_ceil(64)), F::REDUCTION)
-}
-
-/// [`square_reduced`] without `PCLMULQDQ`, the portable backend's
-/// `square`, out of line likewise.
-#[inline(never)]
-pub(crate) fn portable_square_reduced<F: FieldSpec>(a: &[u64; LIMBS]) -> [u64; LIMBS] {
-    limbs::reduce_words(limbs::clsquare_words(a, F::M.div_ceil(64)), F::REDUCTION)
+    crate::portable::square_reduced::<F>(a)
 }
 
 /// The x86_64 `PCLMULQDQ` path: word-level Karatsuba, each helper
@@ -250,6 +226,7 @@ mod x86 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::limbs;
 
     fn rng_from(seed: u64) -> impl FnMut() -> u64 {
         let mut s = seed;
@@ -270,8 +247,8 @@ mod tests {
         v
     }
 
-    /// The fallback on hosts without `PCLMULQDQ` is the portable word
-    /// product and interleave; pin them against the reference comb at
+    /// The fallback below the `clmul` tier is the portable word product
+    /// and interleave; pin them against the reference comb at
     /// every operand width, saturated operands included.
     #[test]
     fn portable_wide_matches_reference_all_widths() {
@@ -299,7 +276,7 @@ mod tests {
     #[test]
     fn hardware_karatsuba_matches_reference_all_widths() {
         if !hardware_available() {
-            eprintln!("pclmulqdq not available; hardware path untested on this host");
+            eprintln!("tier below clmul; hardware path untested in this process");
             return;
         }
         let mut r = rng_from(33);
@@ -307,7 +284,7 @@ mod tests {
             for _ in 0..64 {
                 let a = random_limbs(&mut r, nw);
                 let b = random_limbs(&mut r, nw);
-                // SAFETY: feature detected above.
+                // SAFETY: the tier checked above is `clmul` or above.
                 let hw = unsafe { x86::clmul_wide(&a, &b, nw) };
                 assert_eq!(hw, limbs::clmul(&a, &b), "nw={nw}");
                 let sq = unsafe { x86::clsquare_wide(&a, nw) };

@@ -4,7 +4,7 @@ use core::fmt;
 use core::marker::PhantomData;
 use core::ops::{Add, AddAssign, Mul, MulAssign};
 
-use crate::backend::{ActiveBackend, FieldBackend};
+use crate::backend::{FieldBackend, VpclmulBackend};
 use crate::limbs;
 use crate::{LIMBS, PROD_LIMBS};
 
@@ -264,11 +264,11 @@ impl<F: FieldSpec> Element<F> {
         }
     }
 
-    /// Field squaring (linear in characteristic 2), on the active
+    /// Field squaring (linear in characteristic 2), on the serving
     /// backend.
     #[inline]
     pub fn square(&self) -> Self {
-        ActiveBackend::square(self)
+        VpclmulBackend::square(self)
     }
 
     /// `self^(2^k)` — k repeated squarings (the Frobenius map iterated).
@@ -287,7 +287,7 @@ impl<F: FieldSpec> Element<F> {
     /// roughly log2(m) multiplications and m−1 squarings, exactly the
     /// strategy a hardware MALU uses because squaring is cheap.
     pub fn inverse(&self) -> Option<Self> {
-        ActiveBackend::invert(self)
+        VpclmulBackend::invert(self)
     }
 
     /// `self^(2^(m-1))`, the unique square root in F(2^m).
@@ -312,7 +312,7 @@ impl<F: FieldSpec> Element<F> {
     }
 
     /// Half-trace H(a) = Σ a^(2^(2i)) for i in 0..=(m−1)/2 (odd m only),
-    /// on the active backend.
+    /// on the serving backend.
     ///
     /// If `Tr(a) == 0`, then `z = H(a)` solves `z² + z = a` — the key
     /// step when decompressing points on binary curves.
@@ -322,7 +322,7 @@ impl<F: FieldSpec> Element<F> {
     /// Panics if the extension degree m is even.
     pub fn half_trace(&self) -> Self {
         assert!(F::M % 2 == 1, "half-trace requires odd extension degree");
-        ActiveBackend::half_trace(self)
+        VpclmulBackend::half_trace(self)
     }
 
     /// Solve `z² + z = self`; returns the two solutions `z` and `z + 1`
@@ -422,10 +422,10 @@ impl<F: FieldSpec> AddAssign for Element<F> {
 
 impl<F: FieldSpec> Mul for Element<F> {
     type Output = Self;
-    /// Field multiplication on the active backend.
+    /// Field multiplication on the serving backend.
     #[inline]
     fn mul(self, rhs: Self) -> Self {
-        ActiveBackend::mul(&self, &rhs)
+        VpclmulBackend::mul(&self, &rhs)
     }
 }
 

@@ -16,25 +16,25 @@
 //!   paper's architecture level, exposing per-cycle accumulator states so
 //!   the co-processor simulator can derive switching activity;
 //! * a **backend seam** ([`backend`]) separating what the field computes
-//!   from how, with three backends: the bit-exact model path above (the
-//!   test oracle); a hardware backend — `PCLMULQDQ` Karatsuba scalars
-//!   and AVX-512 `VPCLMULQDQ` batches (four carry-less multiplies per
-//!   instruction over the plane-major SoA layout of [`batch`], see
-//!   [`vpclmul`]), each runtime-detected; and a portable backend —
-//!   constant-time word products (a Karatsuba over masked integer
-//!   multiplies) and a shift-and-mask squaring, per element at every
-//!   batch width. Both serving backends share a straight-line
-//!   word-level reduction whose schedule is fixed by the field, cached
-//!   linear-map tables for the multi-squarings of inversion and for the
-//!   half-trace, and [`batch_invert`]. Every x-only Montgomery ladder,
-//!   a single one as much as a gateway batch run in lockstep, is one
-//!   seam call ([`ladder_planes`]), and so is
-//!   every batch of the regular signed fixed-base comb
-//!   ([`comb_planes`]); both run in registers on AVX-512 for every
-//!   field but the toy one.
-//!   `Element`'s operators dispatch on the process-wide
-//!   [`select_backend`] choice (`MEDSEC_GF2M_BACKEND=portable` forces
-//!   the portable backend).
+//!   from how, with two backends: the bit-exact model path above (the
+//!   test oracle) and the one serving backend, [`VpclmulBackend`], behind
+//!   `Element`'s operators and every batch entry point. Which of its
+//!   kernels run is one CPU tier, resolved once per process from CPUID
+//!   ([`select_backend`]; `MEDSEC_GF2M_BACKEND=portable` lowers it):
+//!   `vpclmul` runs AVX-512 `VPCLMULQDQ` batches (four carry-less
+//!   multiplies per instruction over the plane-major SoA layout of
+//!   [`batch`], see [`vpclmul`]) over `PCLMULQDQ` Karatsuba scalars,
+//!   `clmul` the scalars alone, and `portable` constant-time word
+//!   products (a Karatsuba over masked integer multiplies) and a
+//!   shift-and-mask squaring ([`portable`]), per element at every batch
+//!   width. Every tier shares a straight-line word-level reduction whose
+//!   schedule is fixed by the field, cached linear-map tables for the
+//!   multi-squarings of inversion and for the half-trace, and
+//!   [`batch_invert`]. Every x-only Montgomery ladder, a single one as
+//!   much as a gateway batch run in lockstep, is one seam call
+//!   ([`ladder_planes`]), and so is every batch of the regular signed
+//!   fixed-base comb ([`comb_planes`]); both run in registers on the
+//!   `vpclmul` tier for every field but the toy one.
 //!
 //! # Example
 //!
@@ -50,7 +50,7 @@
 
 // Unsafe is denied crate-wide and re-allowed in exactly two modules:
 // `clmul` and `vpclmul`, whose CPU-feature-gated intrinsic calls are
-// guarded by runtime detection.
+// guarded by the CPU tier resolved from CPUID.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
@@ -66,11 +66,12 @@ pub mod ct;
 pub mod digit_serial;
 pub mod invclock;
 mod multisquare;
+pub mod portable;
 pub mod vpclmul;
 
 pub use backend::{
     batch_invert, batch_invert_planes, select_backend, BackendChoice, FieldBackend, ModelBackend,
-    PortableBackend, VpclmulBackend, BACKEND_ENV,
+    VpclmulBackend, BACKEND_ENV,
 };
 pub use batch::{
     add_planes, comb_planes, ladder_planes, mul_planes, sqr_planes, CombLanes, CombPlanes,

@@ -6,12 +6,12 @@
 //!
 //! The model path's products here are a windowed comb ([`clmul`]) and
 //! a byte spread ([`clsquare`]) with the bit-serial [`reduce`]: the
-//! oracle, never a serving path. The portable backend, and the
-//! hardware backend on hosts without `PCLMULQDQ`, multiply with
-//! [`clmul_words`], a word-level Karatsuba over BearSSL's masked
-//! integer-multiply word product, and square with [`clsquare_words`],
-//! a shift-and-mask bit interleave. Every scalar `mul` and `sqr` of the
-//! serving backends then reduces with [`reduce_words`], whose fold
+//! oracle, never a serving path. The serving backend on the `portable`
+//! tier (hosts without `PCLMULQDQ`, or `MEDSEC_GF2M_BACKEND=portable`)
+//! multiplies with [`clmul_words`], a word-level Karatsuba over
+//! BearSSL's masked integer-multiply word product, and squares with
+//! [`clsquare_words`], a shift-and-mask bit interleave. Every scalar
+//! `mul` and `sqr` of the serving backend, on every tier, then reduces with [`reduce_words`], whose fold
 //! schedule — trip counts, word offsets, shift counts — derives from
 //! the field alone. The products, the interleave and the fold take the
 //! same operation sequence whatever the operands, with no table and no
@@ -306,7 +306,7 @@ pub fn clsquare_words(a: &[u64; LIMBS], nw: usize) -> [u64; PROD_LIMBS] {
 // lint: ct-end
 
 /// Carry-less product of the low `nw` words of each operand (the
-/// portable backend passes `nw = ceil(m/64)`, so F(2^163) does 3-word
+/// portable tier passes `nw = ceil(m/64)`, so F(2^163) does 3-word
 /// work instead of 5-word work): a word-level Karatsuba over
 /// constant-time word products, 1, 3, 6, 9 and 15 of them for 1–5
 /// words. The branch on `nw` is the field's, never the operands', and
@@ -326,7 +326,7 @@ pub fn clmul_words(a: &[u64; LIMBS], b: &[u64; LIMBS], nw: usize) -> [u64; PROD_
 }
 
 /// Word-level reduction modulo a sparse (trinomial/pentanomial)
-/// polynomial, in a schedule fixed by the field — the serving backends'
+/// polynomial, in a schedule fixed by the field — the serving backend's
 /// counterpart of the bit-serial [`reduce`], under every scalar `mul`
 /// and `sqr`.
 ///

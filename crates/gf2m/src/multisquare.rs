@@ -9,9 +9,8 @@
 //! dependent squarings. With `LIMBS` = 5 a row is 10 KiB, so a table is
 //! 30 KiB on F17, 210 KiB on F163, 300 KiB on F233 and 360 KiB on F283.
 //!
-//! The consumers are the serving backends
-//! ([`VpclmulBackend`](crate::VpclmulBackend) and
-//! [`PortableBackend`](crate::PortableBackend)):
+//! The consumer is the serving backend
+//! ([`VpclmulBackend`](crate::VpclmulBackend)), on every tier:
 //!
 //! * **Multi-squaring** ([`LinearMap::Frobenius`]). Itoh–Tsujii
 //!   inversion interleaves ~log₂(m) multiplications with squaring
@@ -29,7 +28,7 @@
 //! images at once, in one lockstep pass of [`sqr_planes`] and
 //! [`add_planes`] over a width-m [`Planes`] batch. The bit-exact
 //! [`ModelBackend`](crate::ModelBackend) never uses the tables, and the
-//! backend-equivalence suite pins both serving backends to it.
+//! backend-equivalence suite pins the serving backend to it.
 
 use core::any::TypeId;
 use std::cell::RefCell;

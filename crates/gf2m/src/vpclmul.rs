@@ -75,40 +75,36 @@
 //! 570–660 ns per width-1 `mul_planes` on a 2-core AVX-512 host; the
 //! scalar path costs 33–45 ns.
 //!
-//! Runtime-gated on `avx512f` + `vpclmulqdq`; hosts without them fall
-//! back to the same scalar path per element and default ladder and
-//! comb schedules, so the backend is correct everywhere and wide where
-//! the silicon allows.
+//! The kernels run on the `vpclmul` tier ([`select_backend`], which
+//! CPUID sets to it where it reports `avx512f`, `vpclmulqdq` and
+//! `pclmulqdq`); below it the same entry points take the scalar path
+//! per element and the default ladder and comb schedules, so the
+//! backend is correct everywhere and wide where the silicon allows.
 
-// CPU-feature-gated intrinsic calls, guarded by runtime detection —
+// CPU-feature-gated intrinsic calls, guarded by the tier CPUID set —
 // the same contract as `crate::clmul`.
 #![allow(unsafe_code)]
 
-use crate::backend::{FieldBackend, VpclmulBackend};
+use crate::backend::{select_backend, BackendChoice, FieldBackend, VpclmulBackend};
 use crate::batch::{gather, scatter, CombLanes, LadderLanes};
 use crate::field::{Element, FieldSpec};
 
 /// Elements per `VPCLMULQDQ` chunk: two per 128-bit lane of a ZMM.
 pub const LANES: usize = 8;
 
-/// Whether the host CPU offers the wide carry-less-multiply path
-/// (`AVX512F` + `VPCLMULQDQ` on x86_64). Always `false` elsewhere.
+/// Whether the AVX-512 `VPCLMULQDQ` kernels run: the process's tier
+/// ([`select_backend`]) is `vpclmul`, which it is only where CPUID
+/// reported `avx512f`, `vpclmulqdq` and `pclmulqdq`. Always `false` off
+/// x86-64.
+#[inline]
 pub fn hardware_available() -> bool {
-    #[cfg(target_arch = "x86_64")]
-    {
-        std::arch::is_x86_feature_detected!("avx512f")
-            && std::arch::is_x86_feature_detected!("vpclmulqdq")
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        false
-    }
+    select_backend() == BackendChoice::Vpclmul
 }
 
 /// Batched plane-major multiplication: every chunk of up to eight
-/// elements runs on the ZMM path when detected, the last one masked to
-/// the width's remainder; hosts without the features, and the
-/// refolding toy field, take the backend's scalar path per element.
+/// elements runs on the ZMM path on the `vpclmul` tier, the last one
+/// masked to the width's remainder; lower tiers, and the refolding toy
+/// field, take the backend's scalar path per element.
 pub(crate) fn mul_batch_planes<F: FieldSpec>(out: &mut [u64], a: &[u64], b: &[u64]) {
     let n = crate::batch::width(out);
     #[cfg(target_arch = "x86_64")]
@@ -119,10 +115,10 @@ pub(crate) fn mul_batch_planes<F: FieldSpec>(out: &mut [u64], a: &[u64], b: &[u6
         let mut base = 0;
         while base < n {
             let lanes = LANES.min(n - base);
-            // SAFETY: `avx512f` and `vpclmulqdq` were just detected,
-            // the field does not refold, all three slices hold at least
-            // `LIMBS * n` words (the assert above and `width`), and
-            // `base + lanes <= n`. The kernel's load and store masks
+            // SAFETY: the tier is `vpclmul`, so CPUID reported `avx512f`
+            // and `vpclmulqdq`; the field does not refold, all three
+            // slices hold at least `LIMBS * n` words (the assert above
+            // and `width`), and `base + lanes <= n`. The kernel's load and store masks
             // enable exactly `lanes` words per plane, so a final chunk
             // of one to seven never touches the words past element
             // n − 1 of a plane: the next plane's first elements, or
@@ -149,11 +145,12 @@ pub(crate) fn sqr_batch_planes<F: FieldSpec>(out: &mut [u64], a: &[u64]) {
         let mut base = 0;
         while base < n {
             let lanes = LANES.min(n - base);
-            // SAFETY: `avx512f` and `vpclmulqdq` were just detected,
-            // the field does not refold, both slices hold at least
-            // `LIMBS * n` words (the assert above and `width`), and
-            // `base + lanes <= n`; as in `mul_batch_planes`, masked-off
-            // lanes are neither loaded nor stored.
+            // SAFETY: the tier is `vpclmul`, so CPUID reported `avx512f`
+            // and `vpclmulqdq`; the field does not refold, both slices
+            // hold at least `LIMBS * n` words (the assert above and
+            // `width`), and `base + lanes <= n`; as in
+            // `mul_batch_planes`, masked-off lanes are neither loaded
+            // nor stored.
             unsafe { x86::sqr_chunk::<F>(out, a, n, base, lanes) };
             base += lanes;
         }
@@ -168,8 +165,8 @@ pub(crate) fn sqr_batch_planes<F: FieldSpec>(out: &mut [u64], a: &[u64]) {
 /// The whole lockstep ladder of [`FieldBackend::ladder_batch`]: each
 /// chunk of up to eight lanes is loaded into ZMM registers once, runs
 /// every step there and is stored once, the last chunk masked to the
-/// width's remainder. Hosts without the features, and the refolding
-/// toy field, run the default schedule over the batch entry points.
+/// width's remainder. Lower tiers, and the refolding toy field, run the
+/// default schedule over the batch entry points.
 pub(crate) fn ladder_batch_planes<F: FieldSpec>(
     s: &mut LadderLanes<'_>,
     b: &Element<F>,
@@ -181,9 +178,9 @@ pub(crate) fn ladder_batch_planes<F: FieldSpec>(
         let mut base = 0;
         while base < n {
             let lanes = LANES.min(n - base);
-            // SAFETY: `avx512f` and `vpclmulqdq` were just detected,
-            // `width` asserted that all six slices hold `LIMBS * n`
-            // words, and `base + lanes <= n`. The kernel's loads and
+            // SAFETY: the tier is `vpclmul`, so CPUID reported `avx512f`
+            // and `vpclmulqdq`; `width` asserted that all six slices
+            // hold `LIMBS * n` words, and `base + lanes <= n`. The kernel's loads and
             // stores are masked to exactly `lanes` words per plane, so
             // lanes past n − 1 in a final chunk of one to seven — the
             // next plane's first words, or memory past a slice — are
@@ -199,8 +196,8 @@ pub(crate) fn ladder_batch_planes<F: FieldSpec>(
 /// The whole comb of [`FieldBackend::comb_batch`]: each chunk of up to
 /// eight lanes is loaded into ZMM registers once, runs every column
 /// there and is stored once, the last chunk masked to the width's
-/// remainder. Hosts without the features, and the refolding toy field,
-/// run the default schedule over the batch entry points.
+/// remainder. Lower tiers, and the refolding toy field, run the default
+/// schedule over the batch entry points.
 pub(crate) fn comb_batch_planes<F: FieldSpec>(
     s: &mut CombLanes<'_>,
     table: &[[Element<F>; 4]],
@@ -214,10 +211,10 @@ pub(crate) fn comb_batch_planes<F: FieldSpec>(
         let mut base = 0;
         while base < n {
             let lanes = LANES.min(n - base);
-            // SAFETY: `avx512f` and `vpclmulqdq` were just detected,
-            // `width` asserted that the coordinate slices hold
-            // `LIMBS * n` words and the digits `columns * n`, and
-            // `base + lanes <= n`. The kernel's loads and stores are
+            // SAFETY: the tier is `vpclmul`, so CPUID reported `avx512f`
+            // and `vpclmulqdq`; `width` asserted that the coordinate
+            // slices hold `LIMBS * n` words and the digits
+            // `columns * n`, and `base + lanes <= n`. The kernel's loads and stores are
             // masked to exactly `lanes` words per plane, so lanes past
             // n − 1 in a final chunk of one to seven are never read or
             // written.
@@ -1024,10 +1021,10 @@ mod tests {
     #[test]
     fn vpclmul_matches_model_when_detected() {
         if !hardware_available() {
-            eprintln!("skipping: VPCLMULQDQ/AVX512F not detected; scalar fallback covered anyway");
+            eprintln!("tier below vpclmul: the scalar fallback runs instead of the ZMM path");
         }
-        // Runs on every host: exercises the ZMM path where detected
-        // and the scalar fallback elsewhere. Widths 1–7 are a masked
+        // Runs on every tier: exercises the ZMM path on `vpclmul` and
+        // the scalar fallback below it. Widths 1–7 are a masked
         // chunk alone, 9–15 the same remainders behind a full chunk;
         // F17 takes the scalar path per element.
         for n in (0usize..=17).chain([24, 64]) {

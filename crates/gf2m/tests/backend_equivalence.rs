@@ -1,20 +1,21 @@
 //! Serving-backend ⇄ model-backend equivalence.
 //!
-//! The serving stack runs on [`VpclmulBackend`] or [`PortableBackend`]
-//! (whichever [`medsec_gf2m::select_backend`] resolves to); the model
+//! The serving stack runs on [`VpclmulBackend`], its kernels picked by
+//! the CPU tier [`medsec_gf2m::select_backend`] resolves to; the model
 //! backend is the bit-exact oracle. These tests are the contract that
 //! lets them coexist: on the brute-forceable toy field the equivalence
 //! is **exhaustive**, on the NIST fields it is property-based, and the
-//! digit-serial MALU model is cross-checked against all of them. The
-//! hardware backend's scalar path is exercised on whatever primitive
-//! the host resolves to (hardware `PCLMULQDQ` where detected, the
-//! portable word products elsewhere) — both must be bit-exact against
-//! the model.
+//! digit-serial MALU model is cross-checked against them. The serving
+//! backend runs on this process's tier (hardware `PCLMULQDQ` where
+//! CPUID reports it, the portable word products elsewhere), and
+//! [`portable`]'s scalar product is pinned on any tier; both must be
+//! bit-exact against the model. `tests/portable_tier.rs` runs the
+//! whole serving backend on the portable tier on every host.
 
 use medsec_gf2m::digit_serial::mul_digit_serial;
 use medsec_gf2m::{
-    batch_invert, batch_invert_planes, Element, FieldBackend, FieldSpec, ModelBackend, Planes,
-    PortableBackend, VpclmulBackend, F163, F17, F233, F283, LIMBS,
+    batch_invert, batch_invert_planes, portable, Element, FieldBackend, FieldSpec, ModelBackend,
+    Planes, VpclmulBackend, F163, F17, F233, F283, LIMBS,
 };
 use proptest::prelude::*;
 
@@ -39,7 +40,7 @@ fn from_planes(planes: &[u64], n: usize, i: usize) -> [u64; LIMBS] {
     limbs
 }
 
-/// Runs every backend's batch entry points on the same operands and
+/// Runs both backends' batch entry points on the same operands and
 /// pins each slot against the scalar model product.
 fn assert_batch_matches_model<F: FieldSpec>(xs: &[Element<F>], ys: &[Element<F>]) {
     let n = xs.len();
@@ -63,7 +64,7 @@ fn assert_batch_matches_model<F: FieldSpec>(xs: &[Element<F>], ys: &[Element<F>]
                     from_planes(&out, n, i),
                     expect_mul[i],
                     "{} mul_batch n={n} i={i}",
-                    <$backend>::NAME
+                    stringify!($backend)
                 );
             }
             <$backend>::sqr_batch::<F>(&mut out, &ap);
@@ -72,7 +73,7 @@ fn assert_batch_matches_model<F: FieldSpec>(xs: &[Element<F>], ys: &[Element<F>]
                     from_planes(&out, n, i),
                     expect_sqr[i],
                     "{} sqr_batch n={n} i={i}",
-                    <$backend>::NAME
+                    stringify!($backend)
                 );
             }
             // Aliased inputs: mul_batch(out, a, a) must square.
@@ -82,13 +83,12 @@ fn assert_batch_matches_model<F: FieldSpec>(xs: &[Element<F>], ys: &[Element<F>]
                     from_planes(&out, n, i),
                     expect_sqr[i],
                     "{} aliased mul_batch n={n} i={i}",
-                    <$backend>::NAME
+                    stringify!($backend)
                 );
             }
         };
     }
     check!(ModelBackend);
-    check!(PortableBackend);
     check!(VpclmulBackend);
 }
 
@@ -101,7 +101,7 @@ fn f17_all() -> impl Iterator<Item = Element<F17>> {
 fn f17_square_agrees_exhaustively() {
     for a in f17_all() {
         let model = ModelBackend::square(&a);
-        assert_eq!(PortableBackend::square(&a), model, "square mismatch at {a}");
+        assert_eq!(portable::square(&a), model, "square mismatch at {a}");
         assert_eq!(
             VpclmulBackend::square(&a),
             model,
@@ -113,10 +113,9 @@ fn f17_square_agrees_exhaustively() {
 #[test]
 fn f17_inverse_agrees_exhaustively() {
     for a in f17_all() {
-        let fast = PortableBackend::invert(&a);
+        let fast = VpclmulBackend::invert(&a);
         let model = ModelBackend::invert(&a);
-        assert_eq!(fast, model, "inverse mismatch at {a}");
-        assert_eq!(VpclmulBackend::invert(&a), model, "vpclmul inverse at {a}");
+        assert_eq!(fast, model, "vpclmul inverse at {a}");
         if let Some(inv) = fast {
             assert_eq!(a * inv, Element::one(), "not an inverse at {a}");
         }
@@ -127,11 +126,6 @@ fn f17_inverse_agrees_exhaustively() {
 fn f17_half_trace_agrees_exhaustively() {
     for a in f17_all() {
         let model = ModelBackend::half_trace(&a);
-        assert_eq!(
-            PortableBackend::half_trace(&a),
-            model,
-            "half_trace mismatch at {a}"
-        );
         assert_eq!(
             VpclmulBackend::half_trace(&a),
             model,
@@ -152,11 +146,7 @@ fn f17_mul_agrees_on_dense_grid() {
     for a in f17_all() {
         for &b in &panel {
             let model = ModelBackend::mul(&a, &b);
-            assert_eq!(
-                PortableBackend::mul(&a, &b),
-                model,
-                "mul mismatch at {a} * {b}"
-            );
+            assert_eq!(portable::mul(&a, &b), model, "mul mismatch at {a} * {b}");
             assert_eq!(
                 VpclmulBackend::mul(&a, &b),
                 model,
@@ -169,7 +159,7 @@ fn f17_mul_agrees_on_dense_grid() {
         for bv in 0u64..512 {
             let b = Element::<F17>::from_u64(bv);
             let model = ModelBackend::mul(&a, &b);
-            assert_eq!(PortableBackend::mul(&a, &b), model);
+            assert_eq!(portable::mul(&a, &b), model);
             assert_eq!(VpclmulBackend::mul(&a, &b), model);
         }
     }
@@ -183,7 +173,7 @@ fn f17_digit_serial_matches_both_backends() {
         let a = Element::<F17>::from_u64(av);
         let b = Element::<F17>::from_u64(av.wrapping_mul(0x9e37).wrapping_add(5) & 0x1ffff);
         let (p, _) = mul_digit_serial(a, b, 4);
-        assert_eq!(p, PortableBackend::mul(&a, &b));
+        assert_eq!(p, VpclmulBackend::mul(&a, &b));
         assert_eq!(p, ModelBackend::mul(&a, &b));
     }
 }
@@ -206,20 +196,18 @@ macro_rules! field_equivalence {
             #[test]
             fn $name(a in arb_element::<$field>(), b in arb_element::<$field>()) {
                 let model_mul = ModelBackend::mul(&a, &b);
-                prop_assert_eq!(PortableBackend::mul(&a, &b), model_mul);
+                prop_assert_eq!(portable::mul(&a, &b), model_mul);
                 prop_assert_eq!(VpclmulBackend::mul(&a, &b), model_mul);
-                prop_assert_eq!(PortableBackend::square(&a), ModelBackend::square(&a));
+                prop_assert_eq!(portable::square(&a), ModelBackend::square(&a));
                 prop_assert_eq!(VpclmulBackend::square(&a), ModelBackend::square(&a));
-                prop_assert_eq!(PortableBackend::invert(&a), ModelBackend::invert(&a));
                 prop_assert_eq!(VpclmulBackend::invert(&a), ModelBackend::invert(&a));
                 let model_ht = ModelBackend::half_trace(&a);
-                prop_assert_eq!(PortableBackend::half_trace(&a), model_ht);
                 prop_assert_eq!(VpclmulBackend::half_trace(&a), model_ht);
                 // The ring laws hold across the seam: (a·b)² = a²·b².
-                let lhs = PortableBackend::square(&model_mul);
+                let lhs = portable::square(&model_mul);
                 let rhs = ModelBackend::mul(
                     &VpclmulBackend::square(&a),
-                    &PortableBackend::square(&b),
+                    &portable::square(&b),
                 );
                 prop_assert_eq!(lhs, rhs);
             }
@@ -280,7 +268,7 @@ proptest! {
 }
 
 /// Exhaustive F17 batch sweep: every element rides through the batch
-/// entry points of every backend (in chunks of 173, a width that is
+/// entry points of both backends (in chunks of 173, a width that is
 /// no multiple of the `VPCLMULQDQ` chunk, plus a ragged final tail)
 /// against a structurally diverse multiplier panel.
 #[test]
@@ -309,7 +297,7 @@ fn batch_entry_points_handle_empty_batches() {
 macro_rules! field_batch_equivalence {
     ($name:ident, $field:ty) => {
         proptest! {
-            /// Batch entry points of every backend vs the scalar model,
+            /// Batch entry points of both backends vs the scalar model,
             /// at widths 0–70: many multiples of the VPCLMULQDQ chunk (8)
             /// and every ragged tail after them.
             #[test]

@@ -3,9 +3,9 @@
 //!
 //! Each kernel is used where CPUID reports its extension — `aes` for
 //! AES, `sha` (with SSSE3 and SSE4.1) for SHA-256 — and the portable
-//! code runs elsewhere, as [`medsec_gf2m::select_backend`] picks the
-//! field backend. `std`'s feature detection runs CPUID once per process
-//! and caches the answer. Both paths give bit-identical results, and
+//! code runs elsewhere, as CPUID sets the tier the field kernels run on
+//! (`medsec_gf2m::select_backend`). `std`'s feature detection runs
+//! CPUID once per process and caches the answer. Both paths give bit-identical results, and
 //! nothing but the CPU selects one: no option, variable or feature.
 //!
 //! The instructions take the same time whatever their operands, so

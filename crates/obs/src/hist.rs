@@ -173,16 +173,6 @@ impl Histogram {
         }
     }
 
-    /// Iterate non-empty buckets as `(upper_edge, count)` pairs, in
-    /// increasing value order (the Prometheus exposition walks this).
-    pub fn nonzero_buckets(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
-        self.counts
-            .iter()
-            .enumerate()
-            .filter(|&(_, &c)| c > 0)
-            .map(|(i, &c)| (bucket_upper(i), c))
-    }
-
     /// Sum of all recorded samples (saturating).
     pub fn sum(&self) -> u64 {
         self.sum

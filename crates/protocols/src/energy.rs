@@ -6,10 +6,13 @@ use medsec_lwc::HwProfile;
 use medsec_power::{EnergyReport, RadioModel};
 use serde::{Deserialize, Serialize};
 
-/// Energy account of one protocol party: running totals, each booking
-/// added in call order, so the account stays the same size however
-/// many sessions it books.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// Energy account of one protocol party: four integer counts —
+/// point multiplications, symmetric gate-cycles, bytes sent and bytes
+/// received — priced on read with the party's unit costs. Every booking
+/// is linear in its count, so the joules depend on what was booked, not
+/// on the order it was booked in, and the account stays the same size
+/// however many sessions it books.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct EnergyLedger {
     /// Cost of one ECC point multiplication on this party's hardware.
     ecpm: EnergyReport,
@@ -19,13 +22,15 @@ pub struct EnergyLedger {
     radio: RadioModel,
     /// Link distance in meters.
     distance_m: f64,
-    /// Energy of every booking, joules.
-    total_j: f64,
-    /// Energy of the compute bookings (point multiplications and
-    /// symmetric blocks), joules.
-    compute_j: f64,
-    /// Bytes sent plus received.
-    bytes_on_air: usize,
+    /// Point multiplications booked.
+    point_muls: u64,
+    /// Symmetric work booked: gate equivalents × cycles per block ×
+    /// blocks, summed over bookings.
+    gate_cycles: u64,
+    /// Bytes transmitted.
+    bytes_tx: usize,
+    /// Bytes received.
+    bytes_rx: usize,
 }
 
 impl EnergyLedger {
@@ -38,56 +43,43 @@ impl EnergyLedger {
             symmetric_scale: 4.7e-15,
             radio,
             distance_m,
-            total_j: 0.0,
-            compute_j: 0.0,
-            bytes_on_air: 0,
+            point_muls: 0,
+            gate_cycles: 0,
+            bytes_tx: 0,
+            bytes_rx: 0,
         }
-    }
-
-    fn book_compute(&mut self, joules: f64) {
-        self.total_j += joules;
-        self.compute_j += joules;
-    }
-
-    fn book_radio(&mut self, bytes: usize, joules: f64) {
-        self.total_j += joules;
-        self.bytes_on_air += bytes;
     }
 
     /// Record one ECC point multiplication.
     pub fn point_mul(&mut self) {
-        self.book_compute(self.ecpm.energy_j);
+        self.point_muls += 1;
     }
 
     /// Record `blocks` invocations of a symmetric primitive with the
     /// given hardware profile.
     pub fn symmetric(&mut self, profile: &HwProfile, blocks: u64) {
-        self.book_compute(
-            profile.gate_equivalents as f64
-                * profile.cycles_per_block as f64
-                * blocks as f64
-                * self.symmetric_scale,
-        );
+        self.gate_cycles +=
+            u64::from(profile.gate_equivalents) * u64::from(profile.cycles_per_block) * blocks;
     }
 
     /// Record a transmission of `bytes`.
     pub fn tx(&mut self, bytes: usize) {
-        self.book_radio(bytes, self.radio.tx_energy(bytes, self.distance_m));
+        self.bytes_tx += bytes;
     }
 
     /// Record a reception of `bytes`.
     pub fn rx(&mut self, bytes: usize) {
-        self.book_radio(bytes, self.radio.rx_energy(bytes));
+        self.bytes_rx += bytes;
     }
 
     /// Total energy spent, joules.
     pub fn total(&self) -> f64 {
-        self.total_j
+        self.compute() + self.radio_j()
     }
 
     /// Computation-only energy, joules.
     pub fn compute(&self) -> f64 {
-        self.compute_j
+        self.point_muls as f64 * self.ecpm.energy_j + self.gate_cycles as f64 * self.symmetric_scale
     }
 
     /// Communication-only energy, joules.
@@ -97,7 +89,12 @@ impl EnergyLedger {
 
     /// Bytes sent + received.
     pub fn bytes_on_air(&self) -> usize {
-        self.bytes_on_air
+        self.bytes_tx + self.bytes_rx
+    }
+
+    /// Energy of the bytes sent and received, joules.
+    fn radio_j(&self) -> f64 {
+        self.radio.tx_energy(self.bytes_tx, self.distance_m) + self.radio.rx_energy(self.bytes_rx)
     }
 }
 
@@ -145,8 +142,7 @@ mod tests {
         l.rx(20);
         l.point_mul();
         assert_eq!(l.bytes_on_air(), 30);
-        // Bookings add up in call order: tx, then rx, then the point
-        // multiplication.
+        // Counts priced on read: the compute, then the radio.
         let radio = RadioModel::first_order_default();
         let comm = radio.tx_energy(10, 1.0) + radio.rx_energy(20);
         assert_eq!(l.total().to_bits(), (comm + 5.1e-6).to_bits());

@@ -213,14 +213,14 @@ pub fn probe_comb_fixed_vs_random(batches: usize) -> CtProbe {
     CtProbe::from_samples(a, b)
 }
 
-/// An F(2^163) multiplication under test: `Element`'s dispatching
-/// product or one backend's `mul`, such as
-/// `medsec_gf2m::PortableBackend::mul`.
+/// An F(2^163) multiplication under test: `Element`'s product on the
+/// process's CPU tier, or one that runs the same on any tier, such as
+/// `medsec_gf2m::portable::mul`.
 pub type FieldMul = fn(&Element<F163>, &Element<F163>) -> Element<F163>;
 
 /// Fixed-vs-random probe over scalar F(2^163) multiplication, the
 /// operation under every ladder step, inversion and decompression on
-/// the serving backends: class A multiplies operands whose high limbs
+/// the serving backend: class A multiplies operands whose high limbs
 /// are zero (only the low word set), class B random operands. The
 /// products of class A have no bits above x^163, so a reduction that
 /// loops until the high words clear finishes ~3× sooner on them, and a
@@ -308,7 +308,7 @@ pub fn probe_aes_fixed_vs_random_key(cmac: Cmac, batches: usize, per_batch: usiz
 #[cfg(test)]
 mod tests {
     use super::*;
-    use medsec_gf2m::{FieldBackend, PortableBackend};
+    use medsec_gf2m::portable;
 
     // Loose bound: an early-exit compare on a first-byte mismatch is
     // ~16x faster; noise on shared runners is well under 3x once we
@@ -333,12 +333,12 @@ mod tests {
         );
     }
 
-    /// Both field products: the dispatching one (the hardware backend
-    /// on hosts with `PCLMULQDQ`) and the portable backend's.
+    /// Both field products: `Element`'s (`PCLMULQDQ` on hosts whose
+    /// tier is `clmul` or above) and the portable one.
     #[test]
     fn field_mul_is_flat_fixed_vs_random_operands() {
         let active: FieldMul = |a, b| *a * *b;
-        for mul in [active, PortableBackend::mul::<F163>] {
+        for mul in [active, portable::mul::<F163>] {
             let probe = probe_field_mul_fixed_vs_random(mul, 64, 1024);
             assert!(
                 probe.ratio < MAX_RATIO,
